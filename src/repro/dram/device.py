@@ -3,10 +3,12 @@
 Stores row contents sparsely (only rows that were ever written) as
 ``(pins, bits_per_pin)`` uint8 bit matrices.  Persistent faults are applied
 through an attached *fault overlay*: any object with a
-``mask_for_row(bank, row, shape) -> np.ndarray | None`` method (see
-:class:`repro.faults.sampler.FaultOverlay`).  Reads XOR the overlay into the
-returned bits - the stored "truth" stays pristine so tests can compare
-against it.
+``mask_for_row(bank, row, shape, footprint=None) -> np.ndarray | None``
+method (see :class:`repro.faults.sampler.FaultOverlay`).  Reads XOR the
+overlay into the returned bits - the stored "truth" stays pristine so tests
+can compare against it.  A read that names a *footprint* (the per-pin bit
+intervals it decodes, :data:`repro.dram.mapping.Footprint`) sees the faults
+inside it only; cells outside come back as stored.
 
 The device knows nothing about ECC; schemes in :mod:`repro.schemes` own the
 codeword layout and drive the device through :meth:`row_view` /
@@ -20,15 +22,21 @@ from typing import Protocol
 import numpy as np
 
 from .config import DeviceConfig
+from .mapping import Footprint
 
 
 class FaultOverlayProtocol(Protocol):
     """Anything that can produce persistent bit-flip masks per row."""
 
     def mask_for_row(
-        self, bank: int, row: int, shape: tuple[int, int]
+        self, bank: int, row: int, shape: tuple[int, int],
+        footprint: Footprint | None = None,
     ) -> np.ndarray | None:
-        """Return a uint8 flip mask of ``shape`` or None when the row is clean."""
+        """Return a uint8 flip mask of ``shape`` or None when it would be all zero.
+
+        With a ``footprint`` the mask is zero outside it; None means the
+        whole row.
+        """
         ...
 
 
@@ -58,28 +66,36 @@ class DramDevice:
             self._rows[key] = np.zeros(self._row_shape, dtype=np.uint8)
         return self._rows[key]
 
-    def row_with_faults(self, bank: int, row: int) -> np.ndarray:
-        """Row contents as the sense amps would see them (faults applied)."""
+    def row_with_faults(
+        self, bank: int, row: int, footprint: Footprint | None = None
+    ) -> np.ndarray:
+        """Row contents as the sense amps would see them (faults applied).
+
+        Only faults inside ``footprint`` are applied (all of them when None).
+        """
         data = self.row_view(bank, row).copy()
         if self.fault_overlay is not None:
-            mask = self.fault_overlay.mask_for_row(bank, row, self._row_shape)
+            mask = self.fault_overlay.mask_for_row(bank, row, self._row_shape, footprint)
             if mask is not None:
                 data ^= mask
         return data
 
-    def row_is_clean(self, bank: int, row: int) -> bool:
+    def row_is_clean(
+        self, bank: int, row: int, footprint: Footprint | None = None
+    ) -> bool:
         """True when a read of the row would return all zeros.
 
         Lets batched readers skip the decode entirely for untouched,
         fault-free rows (the common case in Monte-Carlo runs): the stored
-        contents are absent or zero and the overlay has no mask for the row.
+        contents are absent or zero and the overlay has no mask for the row
+        inside ``footprint``.
         """
         self._check_coords(bank, row)
         stored = self._rows.get((bank, row))
         if stored is not None and stored.any():
             return False
         if self.fault_overlay is not None:
-            mask = self.fault_overlay.mask_for_row(bank, row, self._row_shape)
+            mask = self.fault_overlay.mask_for_row(bank, row, self._row_shape, footprint)
             if mask is not None:
                 return False
         return True

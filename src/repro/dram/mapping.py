@@ -21,15 +21,49 @@ Within a row, pin ``p``'s data region holds ``data_bits_per_pin_per_row``
 bits; the bit at offset ``c * BL + b`` is the one transferred on pin ``p`` at
 beat ``b`` of column access ``c``.  Parity lives in the spare region at the
 end of each pin's storage.
+
+Footprints
+----------
+A read of column ``col`` decodes only some of a row's cells.  Its
+*footprint* is the set of per-pin bit offsets it can touch, written as
+sorted, disjoint, non-touching half-open ``(start, end)`` intervals that
+apply to every pin; the whole row is ``((0, bits_per_pin),)``.  Each layout
+derives the footprint of an access from its geometry, and the fault overlay
+draws masks over that footprint only (DESIGN.md section 6b).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
+from typing import TypeAlias
 
 import numpy as np
 
 from .config import DeviceConfig
+
+#: Per-pin bit intervals a read can touch (see the module docstring).
+Footprint: TypeAlias = tuple[tuple[int, int], ...]
+
+
+def merge_spans(spans: Iterable[tuple[int, int]]) -> Footprint:
+    """Normalise half-open intervals into a :data:`Footprint`.
+
+    Overlapping and touching intervals merge, so every gap between two
+    intervals of the result is at least one bit wide.
+    """
+    out: list[tuple[int, int]] = []
+    for start, end in sorted(spans):
+        if out and start <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], end))
+        else:
+            out.append((start, end))
+    return tuple(out)
+
+
+def window_span(device: DeviceConfig, col: int) -> tuple[int, int]:
+    """The per-pin bit interval column access ``col`` transfers."""
+    bl = device.burst_length
+    return (col * bl, (col + 1) * bl)
 
 
 class SegmentedLayout:
@@ -100,6 +134,14 @@ class SegmentedLayout:
 
     def data_symbol_range_of_access(self, codeword: int, col: int) -> tuple[int, int]:
         """Half-open range of *data symbol* indices the access covers."""
+        raise NotImplementedError
+
+    def access_footprint(self, col: int) -> Footprint:
+        """Footprint of a read of ``col``: the cells of its codewords.
+
+        Segments cover whole column accesses, so this includes the access
+        window.
+        """
         raise NotImplementedError
 
     def check(self) -> None:
@@ -184,6 +226,16 @@ class PinAlignedLayout(SegmentedLayout):
         start_bit = col * bl - self.segment_of_col(col) * self.segment_data_bits
         return (start_bit // self.symbol_bits, (start_bit + bl) // self.symbol_bits)
 
+    def access_footprint(self, col: int) -> Footprint:
+        # every pin's segment holds one codeword: its data chunk and its parity
+        seg = self.segment_of_col(col)
+        data, parity = self.segment_data_bits, self.segment_parity_bits
+        spare = self.device.data_bits_per_pin_per_row
+        return merge_spans((
+            (seg * data, (seg + 1) * data),
+            (spare + seg * parity, spare + (seg + 1) * parity),
+        ))
+
 
 class BeatAlignedLayout(SegmentedLayout):
     """Conventional orientation at PAIR-equal overhead (ablation F8).
@@ -258,6 +310,14 @@ class BeatAlignedLayout(SegmentedLayout):
         n_bits = bl * self.device.pins
         return (start_bit // self.symbol_bits, (start_bit + n_bits) // self.symbol_bits)
 
+    def access_footprint(self, col: int) -> Footprint:
+        seg = self.segment_of_col(col)
+        spare = self.device.data_bits_per_pin_per_row
+        return merge_spans((
+            (seg * self.span, (seg + 1) * self.span),
+            (spare + seg * self.parity_span, spare + (seg + 1) * self.parity_span),
+        ))
+
 
 class SecWordLayout:
     """Layout for the conventional (136, 128) on-die SEC word.
@@ -293,6 +353,12 @@ class SecWordLayout:
         row[:, col * bl : (col + 1) * bl] = data
         pins_used = self._parity_pin_offsets(col)
         row[pins_used[0], pins_used[1]] = word[self.k :]
+
+    def access_footprint(self, col: int) -> Footprint:
+        """Footprint of the word of ``col``: its data window and parity bits."""
+        per_pin = -(-self.parity_bits // self.device.pins)  # ceil
+        parity = self.device.data_bits_per_pin_per_row + col * per_pin
+        return merge_spans((window_span(self.device, col), (parity, parity + per_pin)))
 
     def _parity_pin_offsets(self, col: int) -> tuple[np.ndarray, np.ndarray]:
         device = self.device

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dram.config import DeviceConfig
+from ..dram.mapping import Footprint
 from .rates import FaultRates
 from .types import FaultInstance, FaultType, TransferBurst
 
@@ -121,12 +122,50 @@ class FaultSampler:
         return out
 
 
+class _Substream:
+    """One PCG64 substream read at chosen draw positions.
+
+    numpy's PCG64 spends exactly one 64-bit output per double and
+    ``advance(k)`` skips exactly ``k`` outputs, so draw ``i`` of the stream
+    has the same value whether or not the draws before it were taken.
+    Positions must be read in increasing order.
+    """
+
+    __slots__ = ("_rng", "_pos")
+
+    def __init__(self, key: list[int]):
+        self._rng = np.random.default_rng(key)
+        self._pos = 0
+
+    def window(self, base: int, stride: int, rows: int, spans: Footprint) -> np.ndarray:
+        """Draws ``base + r * stride + offset``, shape ``(rows, span bits)``.
+
+        Row ``r`` holds the draws at every offset of ``spans`` in order.
+        """
+        width = sum(end - start for start, end in spans)
+        out = np.empty((rows, width))
+        for r in range(rows):
+            col = 0
+            for start, end in spans:
+                pos = base + r * stride + start
+                if pos != self._pos:
+                    self._rng.bit_generator.advance(pos - self._pos)
+                self._rng.random(out=out[r, col : col + end - start])
+                col += end - start
+                self._pos = pos + end - start
+        return out
+
+
 class FaultOverlay:
     """Materialises deterministic flip masks per row.
 
     Combines the i.i.d. single-cell process with every structured fault whose
-    footprint intersects the row.  Masks are cached (bounded) because schemes
-    repeatedly read the same hot rows.
+    footprint intersects the row.  Each process draws the cells of a row
+    matrix in C order from its own ``(seed, bank, row, ...)`` substream; a
+    mask asked for over a read's footprint takes only the draws of the cells
+    inside it (:class:`_Substream`), so it equals the whole-row mask with
+    every cell outside the footprint zeroed.  Masks are cached (bounded, per
+    row and footprint) because schemes repeatedly read the same hot rows.
     """
 
     def __init__(
@@ -145,71 +184,113 @@ class FaultOverlay:
             if faults is not None
             else FaultSampler(config, rates, seed).sample_faults()
         )
-        self._cache: dict[tuple[int, int], np.ndarray | None] = {}
+        self._cache: dict[tuple[int, int], dict[Footprint, np.ndarray | None]] = {}
         self._cache_rows = cache_rows
-        # Index structured faults by bank for fast row lookups.
-        self._by_bank: dict[int, list[FaultInstance]] = {}
-        for fault in self.faults:
-            self._by_bank.setdefault(fault.bank, []).append(fault)
+        # Index structured faults by bank for fast row lookups; a fault's
+        # position in ``self.faults`` seeds its substream.
+        self._by_bank: dict[int, list[tuple[int, FaultInstance]]] = {}
+        for index, fault in enumerate(self.faults):
+            self._by_bank.setdefault(fault.bank, []).append((index, fault))
 
     def faults_in_row(self, bank: int, row: int) -> list[FaultInstance]:
-        return [f for f in self._by_bank.get(bank, ()) if f.affects_row(bank, row)]
+        return [f for _, f in self._by_bank.get(bank, ()) if f.affects_row(bank, row)]
 
     def mask_for_row(
-        self, bank: int, row: int, shape: tuple[int, int]
+        self, bank: int, row: int, shape: tuple[int, int],
+        footprint: Footprint | None = None,
     ) -> np.ndarray | None:
+        """Flip mask of a row over ``footprint`` (the whole row when None).
+
+        Cells outside the footprint are zero; None when the mask would be
+        all zero.
+        """
+        if footprint is None:
+            footprint = ((0, shape[1]),)
         key = (bank, row)
-        if key in self._cache:
-            return self._cache[key]
-        mask = self._build_mask(bank, row, shape)
-        if len(self._cache) >= self._cache_rows:
-            self._cache.clear()
-        self._cache[key] = mask
+        masks = self._cache.get(key)
+        if masks is None:
+            if len(self._cache) >= self._cache_rows:
+                self._cache.clear()
+            masks = self._cache[key] = {}
+        elif footprint in masks:
+            return masks[footprint]
+        mask = masks[footprint] = self._build_mask(bank, row, shape, footprint)
         return mask
 
     def _build_mask(
-        self, bank: int, row: int, shape: tuple[int, int]
-    ) -> np.ndarray | None:
-        rng = np.random.default_rng([self.seed, bank, row, 0xCE11])
-        mask: np.ndarray | None = None
-        ber = self.rates.single_cell_ber
-        if ber > 0:
-            flips = rng.random(shape) < ber
-            if flips.any():
-                mask = flips.astype(np.uint8)
-        cluster = self.rates.cell_cluster_per_bit
-        if cluster > 0:
-            anchors = rng.random(shape) < cluster
-            if anchors.any():
-                pair = anchors.astype(np.uint8)
-                # the along-pin neighbour flips too (clusters never wrap)
-                pair[:, 1:] |= anchors[:, :-1].astype(np.uint8)
-                mask = pair if mask is None else (mask | pair)
-        for index, fault in enumerate(self.faults):
-            if not fault.affects_row(bank, row):
-                continue
-            frng = np.random.default_rng([self.seed, bank, row, 0xFA1137 + index])
-            fmask = self._fault_row_mask(fault, frng, shape)
-            if fmask is not None:
-                mask = fmask if mask is None else (mask ^ fmask)
-        return mask
-
-    def _fault_row_mask(
-        self, fault: FaultInstance, rng: np.random.Generator, shape: tuple[int, int]
+        self, bank: int, row: int, shape: tuple[int, int], footprint: Footprint
     ) -> np.ndarray | None:
         pins, total_bits = shape
-        mask = np.zeros(shape, dtype=np.uint8)
-        bit_end = min(fault.bit_start + fault.bit_count, total_bits)
-        width = bit_end - fault.bit_start
-        if width <= 0:
+        # (rows, spans, bits, op) to combine, in the order the processes draw
+        parts: list[tuple[slice, Footprint, np.ndarray, np.ufunc]] = []
+        ber = self.rates.single_cell_ber
+        cluster = self.rates.cell_cluster_per_bit
+        if ber > 0 or cluster > 0:
+            stream = _Substream([self.seed, bank, row, 0xCE11])
+            if ber > 0:
+                flips = stream.window(0, total_bits, pins, footprint) < ber
+                if flips.any():
+                    parts.append((slice(None), footprint, flips, np.bitwise_or))
+            if cluster > 0:
+                # an anchor flips itself and its along-pin right neighbour
+                # (clusters never wrap), so each span also needs the anchor
+                # just left of it
+                wide = tuple((max(start - 1, 0), end) for start, end in footprint)
+                base = pins * total_bits if ber > 0 else 0
+                anchors = stream.window(base, total_bits, pins, wide) < cluster
+                if anchors.any():
+                    pairs, col = [], 0
+                    for (start, end), (lo, _) in zip(footprint, wide):
+                        own = anchors[:, col : col + end - lo]
+                        cells = own[:, start - lo :].copy()
+                        cells[:, 1 - (start - lo) :] |= own[:, :-1]
+                        pairs.append(cells)
+                        col += end - lo
+                    parts.append((slice(None), footprint, np.hstack(pairs), np.bitwise_or))
+        for index, fault in self._by_bank.get(bank, ()):
+            if fault.affects_row(bank, row):
+                part = self._fault_flips(fault, index, bank, row, shape, footprint)
+                if part is not None:
+                    parts.append(part)
+        if not parts:
             return None
-        if fault.pin < 0:
-            flips = rng.random((pins, width)) < fault.density
-            mask[:, fault.bit_start : bit_end] = flips
-        else:
-            flips = rng.random(width) < fault.density
-            mask[fault.pin, fault.bit_start : bit_end] = flips
+        mask = np.zeros(shape, dtype=np.uint8)
+        for rows, where, bits, op in parts:
+            col = 0
+            for start, end in where:
+                view = mask[rows, start:end]
+                op(view, bits[:, col : col + end - start], out=view)
+                col += end - start
+        # two structured faults can cancel each other's flips
         return mask if mask.any() else None
+
+    def _fault_flips(
+        self, fault: FaultInstance, index: int, bank: int, row: int,
+        shape: tuple[int, int], footprint: Footprint,
+    ) -> tuple[slice, Footprint, np.ndarray, np.ufunc] | None:
+        """One structured fault's flips inside ``footprint``, or None if none.
+
+        The fault's substream draws its ``(pins, width)`` block (one pin's
+        ``width`` bits for a single-pin fault) in C order.
+        """
+        pins, total_bits = shape
+        bit_start = fault.bit_start
+        bit_end = min(bit_start + fault.bit_count, total_bits)
+        inside = tuple(
+            (max(start, bit_start), min(end, bit_end))
+            for start, end in footprint
+            if start < bit_end and end > bit_start
+        )
+        if not inside:
+            return None
+        stream = _Substream([self.seed, bank, row, 0xFA1137 + index])
+        local = tuple((start - bit_start, end - bit_start) for start, end in inside)
+        if fault.pin < 0:
+            rows, draws = slice(None), stream.window(0, bit_end - bit_start, pins, local)
+        else:
+            rows, draws = slice(fault.pin, fault.pin + 1), stream.window(0, 0, 1, local)
+        flips = draws < fault.density
+        return (rows, inside, flips, np.bitwise_xor) if flips.any() else None
 
 
 def sample_transfer_burst(

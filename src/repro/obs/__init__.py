@@ -1,14 +1,13 @@
 """repro.obs - lightweight, zero-dependency observability (DESIGN.md 6e).
 
-Three cooperating pieces, all off by default and all guaranteed never to
+Two cooperating pieces, both off by default and both guaranteed never to
 perturb seeded results:
 
 * :mod:`~repro.obs.metrics` - a process-local registry of counters, gauges
   and fixed-bucket histograms whose snapshots merge commutatively across
   processes and runs;
 * :mod:`~repro.obs.trace` - span-based tracing with monotonic timing and
-  nesting, bounded retention;
-* :mod:`~repro.obs.profiler` - a periodic sampling profiler hook.
+  nesting, bounded retention.
 
 Instrumentation sites across the hot layers (``galois.batch``, ``codes.rs``,
 ``reliability.batch``, ``campaign.supervisor``, ``perf.timing_sim``) guard
@@ -50,7 +49,6 @@ from .metrics import (
     reset,
     snapshot,
 )
-from .profiler import SamplingProfiler, profile_scope
 from .stream import (
     DELTA_KIND,
     SERIES_RING_POINTS,
@@ -94,7 +92,6 @@ __all__ = [
     "SERIES_RING_POINTS",
     "SIZE_BUCKETS",
     "MAX_SPANS",
-    "SamplingProfiler",
     "SeriesRing",
     "SpanRecord",
     "StreamMerger",
@@ -121,7 +118,6 @@ __all__ = [
     "gauge",
     "histogram",
     "merge_snapshots",
-    "profile_scope",
     "read_snapshots",
     "record_span",
     "reset",

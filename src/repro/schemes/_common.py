@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dram.device import DramDevice
+from ..dram.mapping import Footprint
 from ..faults.types import TransferBurst
 
 
@@ -14,14 +15,16 @@ def faulty_row_with_burst(
     row: int,
     col: int,
     burst: TransferBurst | None,
+    footprint: Footprint | None = None,
 ) -> np.ndarray:
     """Row contents as the ECC engine sees them for one access.
 
-    Applies the persistent fault overlay and, when a write-path transfer
-    burst is being injected, flips the burst's beats inside the accessed
-    column window (the burst corrupted the data as it was stored).
+    Applies the persistent fault overlay inside ``footprint`` (the whole row
+    when None) and, when a write-path transfer burst is being injected,
+    flips the burst's beats inside the accessed column window (the burst
+    corrupted the data as it was stored).
     """
-    bits = device.row_with_faults(bank, row)
+    bits = device.row_with_faults(bank, row, footprint)
     if burst is not None:
         bl = device.config.burst_length
         base = col * bl + burst.beat_start

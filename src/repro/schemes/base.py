@@ -25,6 +25,7 @@ import numpy as np
 
 from ..dram.config import RankConfig
 from ..dram.device import DramDevice, FaultOverlayProtocol
+from ..dram.mapping import Footprint
 from ..dram.timing import SchemeTimingOverlay
 from ..faults.types import TransferBurst
 from ..obs import metrics as _obs
@@ -89,6 +90,14 @@ class EccScheme(abc.ABC):
             "burst_stretch": self.timing_overlay.burst_stretch,
             "masked_write_rmw_cycles": self.timing_overlay.write_rmw_cycles,
         }
+
+    def read_footprint(self, col: int) -> Footprint | None:
+        """Per-pin bit intervals a read of column ``col`` touches on any chip.
+
+        Reads pass it to the devices, so fault masks are drawn over these
+        cells only.  None (the default) reads whole rows.
+        """
+        return None
 
     # -- datapath -------------------------------------------------------------
 

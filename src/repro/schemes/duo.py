@@ -27,6 +27,7 @@ from ..codes.base import DecodeStatus
 from ..codes.rs import ReedSolomonCode
 from ..dram.config import RANK_X8_5CHIP, RankConfig
 from ..dram.device import DramDevice
+from ..dram.mapping import Footprint, merge_spans, window_span
 from ..dram.timing import SchemeTimingOverlay
 from ..faults.types import TransferBurst
 from ..galois.gf2m import get_field
@@ -97,6 +98,14 @@ class Duo(EccScheme):
         offs = device.data_bits_per_pin_per_row + col * per_pin + idx // device.pins
         return pins, offs
 
+    def read_footprint(self, col: int) -> Footprint:
+        # the ECC chip is read in its access window only; the spare slots
+        # are a superset there
+        _, offs = self._spare_symbol_slots(col)
+        return merge_spans(
+            [window_span(self.rank.device, col), (int(offs.min()), int(offs.max()) + 1)]
+        )
+
     def _read_spare_symbol(self, row_bits: np.ndarray, col: int) -> int:
         pins, offs = self._spare_symbol_slots(col)
         bits = row_bits[pins, offs].astype(np.int64)
@@ -144,17 +153,18 @@ class Duo(EccScheme):
     ) -> LineReadResult:
         bursts = bursts or {}
         bl = self.rank.device.burst_length
+        footprint = self.read_footprint(col)
         data_syms = []
         chip_spares = []
         for chip_idx in range(self.rank.data_chips):
             row_bits = faulty_row_with_burst(
-                chips[chip_idx], bank, row, col, bursts.get(chip_idx)
+                chips[chip_idx], bank, row, col, bursts.get(chip_idx), footprint
             )
             data_syms.append(self._chip_symbols(access_window(row_bits, col, bl)))
             chip_spares.append(self._read_spare_symbol(row_bits, col))
         ecc_idx = self.rank.data_chips
         ecc_bits = faulty_row_with_burst(
-            chips[ecc_idx], bank, row, col, bursts.get(ecc_idx)
+            chips[ecc_idx], bank, row, col, bursts.get(ecc_idx), footprint
         )
         ecc_main = self._chip_symbols(access_window(ecc_bits, col, bl))
         received = np.concatenate(
@@ -189,8 +199,9 @@ class Duo(EccScheme):
         received_rows: list[np.ndarray] = []
         for i, (chips, bank, row, col, bursts) in enumerate(reads):
             bursts = bursts or {}
+            footprint = self.read_footprint(col)
             if not bursts and all(
-                chips[c].row_is_clean(bank, row) for c in range(self.rank.chips)
+                chips[c].row_is_clean(bank, row, footprint) for c in range(self.rank.chips)
             ):
                 results[i] = LineReadResult(
                     data=np.zeros(self._line_shape(), dtype=np.uint8),
@@ -201,13 +212,13 @@ class Duo(EccScheme):
             chip_spares = []
             for chip_idx in range(self.rank.data_chips):
                 row_bits = faulty_row_with_burst(
-                    chips[chip_idx], bank, row, col, bursts.get(chip_idx)
+                    chips[chip_idx], bank, row, col, bursts.get(chip_idx), footprint
                 )
                 data_syms.append(self._chip_symbols(access_window(row_bits, col, bl)))
                 chip_spares.append(self._read_spare_symbol(row_bits, col))
             ecc_idx = self.rank.data_chips
             ecc_bits = faulty_row_with_burst(
-                chips[ecc_idx], bank, row, col, bursts.get(ecc_idx)
+                chips[ecc_idx], bank, row, col, bursts.get(ecc_idx), footprint
             )
             ecc_main = self._chip_symbols(access_window(ecc_bits, col, bl))
             received_rows.append(

@@ -18,7 +18,7 @@ import numpy as np
 from ..codes.hamming import HammingSEC
 from ..dram.config import RANK_X8_4CHIP, RankConfig
 from ..dram.device import DramDevice
-from ..dram.mapping import SecWordLayout
+from ..dram.mapping import Footprint, SecWordLayout
 from ..dram.timing import SchemeTimingOverlay
 from ..faults.types import TransferBurst
 from ._common import faulty_row_with_burst
@@ -51,6 +51,9 @@ class ConventionalIecc(EccScheme):
     def storage_overhead(self) -> float:
         return self.layout.parity_bits / self.layout.k
 
+    def read_footprint(self, col: int) -> Footprint:
+        return self.layout.access_footprint(col)
+
     def write_line(
         self,
         chips: list[DramDevice],
@@ -77,11 +80,12 @@ class ConventionalIecc(EccScheme):
     ) -> LineReadResult:
         bursts = bursts or {}
         device_cfg = self.rank.device
+        footprint = self.read_footprint(col)
         out = np.zeros(self._line_shape(), dtype=np.uint8)
         corrections = 0
         for chip_idx in range(self.rank.data_chips):
             row_bits = faulty_row_with_burst(
-                chips[chip_idx], bank, row, col, bursts.get(chip_idx)
+                chips[chip_idx], bank, row, col, bursts.get(chip_idx), footprint
             )
             word = self.layout.gather(row_bits, col)
             result = self.code.decode(word)

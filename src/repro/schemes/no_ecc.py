@@ -6,6 +6,7 @@ import numpy as np
 
 from ..dram.config import RANK_X8_4CHIP, RankConfig
 from ..dram.device import DramDevice
+from ..dram.mapping import Footprint, window_span
 from ..dram.timing import SchemeTimingOverlay
 from ..faults.types import TransferBurst
 from ._common import access_window, faulty_row_with_burst
@@ -27,6 +28,9 @@ class NoEcc(EccScheme):
     @property
     def storage_overhead(self) -> float:
         return 0.0
+
+    def read_footprint(self, col: int) -> Footprint:
+        return (window_span(self.rank.device, col),)
 
     def write_line(
         self,
@@ -50,10 +54,11 @@ class NoEcc(EccScheme):
     ) -> LineReadResult:
         bursts = bursts or {}
         bl = self.rank.device.burst_length
+        footprint = self.read_footprint(col)
         out = np.zeros(self._line_shape(), dtype=np.uint8)
         for chip_idx in range(self.rank.data_chips):
             row_bits = faulty_row_with_burst(
-                chips[chip_idx], bank, row, col, bursts.get(chip_idx)
+                chips[chip_idx], bank, row, col, bursts.get(chip_idx), footprint
             )
             out[chip_idx] = access_window(row_bits, col, bl)
         return LineReadResult(data=out, believed_good=True)

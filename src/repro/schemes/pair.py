@@ -32,7 +32,7 @@ from ..codes.base import DecodeStatus
 from ..codes.rs import SinglyExtendedRS
 from ..dram.config import RANK_X8_4CHIP, DeviceConfig, RankConfig
 from ..dram.device import DramDevice
-from ..dram.mapping import BeatAlignedLayout, PinAlignedLayout, SegmentedLayout
+from ..dram.mapping import BeatAlignedLayout, Footprint, PinAlignedLayout, SegmentedLayout
 from ..dram.timing import SchemeTimingOverlay
 from ..faults.types import TransferBurst
 from ..galois.gf2m import get_field
@@ -101,6 +101,9 @@ class PairScheme(EccScheme):
         """Symbol-correction capability per codeword."""
         return self.code.t
 
+    def read_footprint(self, col: int) -> Footprint:
+        return self.layout.access_footprint(col)
+
     # -- write path -------------------------------------------------------------
 
     def _impulse_table(self) -> np.ndarray:
@@ -166,12 +169,13 @@ class PairScheme(EccScheme):
     ) -> LineReadResult:
         bursts = bursts or {}
         bl = self.rank.device.burst_length
+        footprint = self.read_footprint(col)
         out = np.zeros(self._line_shape(), dtype=np.uint8)
         believed_good = True
         corrections = 0
         for chip_idx in range(self.rank.data_chips):
             row_bits = faulty_row_with_burst(
-                chips[chip_idx], bank, row, col, bursts.get(chip_idx)
+                chips[chip_idx], bank, row, col, bursts.get(chip_idx), footprint
             )
             corrected_row = row_bits
             for cw in self.layout.codewords_of_access(col):
@@ -192,10 +196,11 @@ class PairScheme(EccScheme):
     def read_lines(self, reads: list[LineRead]) -> list[LineReadResult]:
         """Batched reads: one ``decode_batch`` over every codeword touched.
 
-        Chip rows with no faults and no burst are skipped outright - the
-        all-zero row is a valid codeword of this linear code, so each of its
-        segments decodes OK with zero corrections, exactly what the scalar
-        path would report.  Only the dirty minority reaches the decoder.
+        Chip rows with no faults inside the read's footprint and no burst
+        are skipped outright - the all-zero row is a valid codeword of this
+        linear code, so each of its segments decodes OK with zero
+        corrections, exactly what the scalar path would report.  Only the
+        dirty minority reaches the decoder.
         """
         bl = self.rank.device.burst_length
         count = len(reads)
@@ -207,11 +212,14 @@ class PairScheme(EccScheme):
         for i, (chips, bank, row, col, bursts) in enumerate(reads):
             bursts = bursts or {}
             cws = self.layout.codewords_of_access(col)
+            footprint = self.read_footprint(col)
             for chip_idx in range(self.rank.data_chips):
                 burst = bursts.get(chip_idx)
-                if burst is None and chips[chip_idx].row_is_clean(bank, row):
+                if burst is None and chips[chip_idx].row_is_clean(bank, row, footprint):
                     continue
-                row_bits = faulty_row_with_burst(chips[chip_idx], bank, row, col, burst)
+                row_bits = faulty_row_with_burst(
+                    chips[chip_idx], bank, row, col, burst, footprint
+                )
                 dirty.append((i, chip_idx, col, row_bits, cws))
                 words.append(self.layout.gather_many(row_bits, cws))
         if words:

@@ -15,6 +15,7 @@ from ..codes.base import DecodeStatus
 from ..codes.hamming import HsiaoSECDED
 from ..dram.config import RANK_X8_5CHIP, RankConfig
 from ..dram.device import DramDevice
+from ..dram.mapping import Footprint, window_span
 from ..dram.timing import SchemeTimingOverlay
 from ..faults.types import TransferBurst
 from ._common import access_window, faulty_row_with_burst
@@ -49,6 +50,9 @@ class RankSecDed(EccScheme):
     @property
     def storage_overhead(self) -> float:
         return 0.0  # redundancy lives in the extra chip, not in-die spare
+
+    def read_footprint(self, col: int) -> Footprint:
+        return (window_span(self.rank.device, col),)
 
     def _line_flat(self, data: np.ndarray) -> np.ndarray:
         """(chips, pins, BL) -> flat beat-major line bits."""
@@ -98,14 +102,17 @@ class RankSecDed(EccScheme):
     ) -> LineReadResult:
         bursts = bursts or {}
         bl = self.rank.device.burst_length
+        footprint = self.read_footprint(col)
         raw = np.zeros(self._line_shape(), dtype=np.uint8)
         for chip_idx in range(self.rank.data_chips):
             row_bits = faulty_row_with_burst(
-                chips[chip_idx], bank, row, col, bursts.get(chip_idx)
+                chips[chip_idx], bank, row, col, bursts.get(chip_idx), footprint
             )
             raw[chip_idx] = access_window(row_bits, col, bl)
         ecc_idx = self.rank.data_chips
-        ecc_bits = faulty_row_with_burst(chips[ecc_idx], bank, row, col, bursts.get(ecc_idx))
+        ecc_bits = faulty_row_with_burst(
+            chips[ecc_idx], bank, row, col, bursts.get(ecc_idx), footprint
+        )
         checks = access_window(ecc_bits, col, bl).T.reshape(-1)
         flat = self._line_flat(raw)
         believed_good = True

@@ -29,7 +29,7 @@ from ..codes.hamming import HammingSEC
 from ..codes.parity import XorParity
 from ..dram.config import RANK_X8_5CHIP, RankConfig
 from ..dram.device import DramDevice
-from ..dram.mapping import SecWordLayout
+from ..dram.mapping import Footprint, SecWordLayout
 from ..dram.timing import SchemeTimingOverlay
 from ..faults.types import TransferBurst
 from ._common import faulty_row_with_burst
@@ -69,6 +69,10 @@ class Xed(EccScheme):
     def storage_overhead(self) -> float:
         return self.layout.parity_bits / self.layout.k
 
+    def read_footprint(self, col: int) -> Footprint:
+        # the parity chip stores its word in the same layout
+        return self.layout.access_footprint(col)
+
     def _parity_chip_index(self) -> int:
         return self.rank.data_chips  # first ECC chip holds the XOR parity
 
@@ -106,9 +110,12 @@ class Xed(EccScheme):
         chip_words = np.zeros((n_chips, self.layout.k), dtype=np.uint8)
         flagged: list[int] = []
         corrections = 0
+        footprint = self.read_footprint(col)
         for chip_idx in range(n_chips):
             device = chips[self._parity_chip_index() if chip_idx == self.rank.data_chips else chip_idx]
-            row_bits = faulty_row_with_burst(device, bank, row, col, bursts.get(chip_idx))
+            row_bits = faulty_row_with_burst(
+                device, bank, row, col, bursts.get(chip_idx), footprint
+            )
             word = self.layout.gather(row_bits, col)
             result = self.code.decode(word)
             corrections += result.corrections

@@ -1,8 +1,12 @@
 """Tests for fault sampling and mask materialisation."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dram import DDR5_X8
+from repro.dram.mapping import merge_spans
 from repro.faults import (
     FaultInstance,
     FaultOverlay,
@@ -197,3 +201,191 @@ class TestCellClusters:
         rates = FaultRates(cell_cluster_per_bit=1e-3)
         isolated = rates.only(FaultType.SINGLE_CELL)
         assert isolated.cell_cluster_per_bit == 0.0
+
+
+# -- footprint-windowed masks ---------------------------------------------------
+
+
+def full_row_oracle(overlay, bank, row, shape):
+    """Reference whole-row mask: every process draws its full row matrix.
+
+    The overlay's mask builder before footprints existed, kept here as the
+    oracle the windowed masks are restricted from.
+    """
+    rng = np.random.default_rng([overlay.seed, bank, row, 0xCE11])
+    mask = None
+    ber = overlay.rates.single_cell_ber
+    if ber > 0:
+        flips = rng.random(shape) < ber
+        if flips.any():
+            mask = flips.astype(np.uint8)
+    cluster = overlay.rates.cell_cluster_per_bit
+    if cluster > 0:
+        anchors = rng.random(shape) < cluster
+        if anchors.any():
+            pair = anchors.astype(np.uint8)
+            pair[:, 1:] |= anchors[:, :-1].astype(np.uint8)
+            mask = pair if mask is None else (mask | pair)
+    pins, total_bits = shape
+    for index, fault in enumerate(overlay.faults):
+        if not fault.affects_row(bank, row):
+            continue
+        frng = np.random.default_rng([overlay.seed, bank, row, 0xFA1137 + index])
+        fmask = np.zeros(shape, dtype=np.uint8)
+        bit_end = min(fault.bit_start + fault.bit_count, total_bits)
+        width = bit_end - fault.bit_start
+        if width <= 0:
+            continue
+        if fault.pin < 0:
+            fmask[:, fault.bit_start : bit_end] = frng.random((pins, width)) < fault.density
+        else:
+            fmask[fault.pin, fault.bit_start : bit_end] = frng.random(width) < fault.density
+        if fmask.any():
+            mask = fmask if mask is None else (mask ^ fmask)
+    return mask
+
+
+def restricted(mask, footprint, shape):
+    out = np.zeros(shape, dtype=np.uint8)
+    if mask is not None:
+        for start, end in footprint:
+            out[:, start:end] = mask[:, start:end]
+    return out
+
+
+def assert_window_exact(overlay, bank, row, shape, footprint):
+    """Windowed mask == oracle restricted to the footprint; None iff zero."""
+    expected = restricted(full_row_oracle(overlay, bank, row, shape), footprint, shape)
+    got = overlay.mask_for_row(bank, row, shape, footprint)
+    if expected.any():
+        assert got is not None
+        assert got.dtype == np.uint8 and got.shape == shape
+        assert np.array_equal(got, expected)
+    else:
+        assert got is None
+
+
+KINDS = (FaultType.ROW, FaultType.COLUMN, FaultType.PIN_LINE, FaultType.MAT)
+
+
+@st.composite
+def footprints(draw, total_bits):
+    spans = draw(st.lists(
+        st.tuples(st.integers(0, total_bits - 1), st.integers(1, total_bits)),
+        min_size=1, max_size=4,
+    ))
+    return merge_spans((start, min(start + length, total_bits)) for start, length in spans)
+
+
+@st.composite
+def structured_faults(draw, pins, total_bits):
+    kind = draw(st.sampled_from(KINDS))
+    start = draw(st.integers(0, total_bits - 1))
+    count = draw(st.integers(1, total_bits + 8))  # may run past the row end
+    # faults of other banks shift a fault's list index, which seeds its substream
+    return FaultInstance(
+        kind, bank=draw(st.integers(0, 1)), row_start=draw(st.integers(0, 2)),
+        row_count=draw(st.integers(1, 3)),
+        pin=-1 if kind is FaultType.ROW else draw(st.integers(0, pins - 1)),
+        bit_start=start, bit_count=1 if kind is FaultType.COLUMN else count,
+        density=draw(st.sampled_from([0.05, 0.5, 1.0])),
+    )
+
+
+class TestFootprintWindow:
+    @given(
+        pins=st.integers(1, 5),
+        total_bits=st.integers(1, 70),
+        ber=st.sampled_from([0.0, 0.01, 0.2]),
+        cluster=st.sampled_from([0.0, 0.01, 0.2]),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        bank=st.integers(0, 1),
+        row=st.integers(0, 3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_windowed_mask_is_the_restricted_full_mask(
+        self, pins, total_bits, ber, cluster, data, seed, bank, row
+    ):
+        shape = (pins, total_bits)
+        footprint = data.draw(footprints(total_bits))
+        faults = data.draw(st.lists(structured_faults(pins, total_bits), max_size=4))
+        rates = clean_rates(single_cell_ber=ber, cell_cluster_per_bit=cluster)
+        overlay = FaultOverlay(DDR5_X8, rates, seed=seed, faults=faults)
+        assert_window_exact(overlay, bank, row, shape, footprint)
+        assert_window_exact(overlay, bank, row, shape, ((0, total_bits),))
+
+    def test_weak_cells_only(self):
+        overlay = FaultOverlay(DDR5_X8, clean_rates(single_cell_ber=1e-3), seed=11, faults=[])
+        for footprint in (((592, 608), (7717, 7718)), ((0, 1920), (7680, 7808))):
+            for row in range(8):
+                assert_window_exact(overlay, 3, row, SHAPE, footprint)
+
+    def test_clusters_without_weak_cells_start_at_draw_zero(self):
+        rates = clean_rates(cell_cluster_per_bit=2e-3)
+        overlay = FaultOverlay(DDR5_X8, rates, seed=12, faults=[])
+        for row in range(8):
+            assert_window_exact(overlay, 0, row, SHAPE, ((0, 1920), (7680, 7808)))
+        both = FaultOverlay(
+            DDR5_X8, clean_rates(single_cell_ber=1e-3, cell_cluster_per_bit=2e-3),
+            seed=12, faults=[],
+        )
+        for row in range(8):
+            assert_window_exact(both, 0, row, SHAPE, ((0, 1920), (7680, 7808)))
+
+    def test_cluster_anchor_just_left_of_an_interval(self):
+        rates = clean_rates(cell_cluster_per_bit=1e-3)
+        overlay = FaultOverlay(DDR5_X8, rates, seed=13, faults=[])
+        anchors = np.random.default_rng([13, 0, 0, 0xCE11]).random(SHAPE) < 1e-3
+        pin, offset = next(
+            (p, o) for p, o in zip(*np.nonzero(anchors)) if 0 < o < SHAPE[1] - 8
+        )
+        footprint = ((int(offset) + 1, int(offset) + 8),)
+        mask = overlay.mask_for_row(0, 0, SHAPE, footprint)
+        assert mask is not None and mask[pin, offset + 1] == 1
+        assert mask[pin, offset] == 0  # the anchor itself lies outside
+        assert_window_exact(overlay, 0, 0, SHAPE, footprint)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_structured_fault_edges_crossing_intervals(self, kind):
+        fault = FaultInstance(
+            kind, bank=1, row_start=0, row_count=4,
+            pin=-1 if kind is FaultType.ROW else 5,
+            bit_start=1900, bit_count=1 if kind is FaultType.COLUMN else 6000,
+            density=0.5,
+        )
+        overlay = FaultOverlay(DDR5_X8, clean_rates(), seed=14, faults=[fault])
+        for footprint in (
+            ((0, 1920), (7680, 7808)),  # crosses the data interval's end
+            ((1900, 1901),),  # the fault's first bit only
+            ((1890, 1910), (7890, 7910)),  # both fault edges inside
+            ((0, 1899),),  # misses the fault
+        ):
+            assert_window_exact(overlay, 1, 2, SHAPE, footprint)
+
+    def test_first_and_last_pin_and_bit(self):
+        last_pin, last_bit = SHAPE[0] - 1, SHAPE[1] - 1
+        faults = [
+            FaultInstance(FaultType.ROW, 0, 0, 1, -1, 0, SHAPE[1], 1.0),
+            FaultInstance(FaultType.COLUMN, 0, 0, 1, 0, 0, 1, 1.0),
+            FaultInstance(FaultType.COLUMN, 0, 0, 1, last_pin, last_bit, 1, 1.0),
+        ]
+        footprint = ((0, 1), (last_bit, last_bit + 1))
+        for used in (faults[:1], faults[1:], faults):
+            overlay = FaultOverlay(
+                DDR5_X8, clean_rates(single_cell_ber=0.3), seed=15, faults=used
+            )
+            assert_window_exact(overlay, 0, 0, SHAPE, footprint)
+
+    def test_cancelling_faults_give_no_mask(self):
+        fault = FaultInstance(FaultType.MAT, 0, 0, 1, 2, 100, 50, 1.0)
+        overlay = FaultOverlay(DDR5_X8, clean_rates(), seed=16, faults=[fault, fault])
+        assert overlay.mask_for_row(0, 0, SHAPE, ((90, 200),)) is None
+        assert overlay.mask_for_row(0, 0, SHAPE) is None
+
+    def test_masks_are_cached_per_footprint(self):
+        overlay = FaultOverlay(DDR5_X8, clean_rates(single_cell_ber=1e-2), seed=17, faults=[])
+        narrow = overlay.mask_for_row(0, 0, SHAPE, ((0, 16),))
+        full = overlay.mask_for_row(0, 0, SHAPE)
+        assert overlay.mask_for_row(0, 0, SHAPE, ((0, 16),)) is narrow
+        assert not narrow[:, 16:].any() and full[:, 16:].any()
