@@ -17,7 +17,7 @@ import pytest
 from repro.analysis import format_table
 from repro.codes.crc import CRC8_DDR5
 from repro.dram import DDR5_4800
-from repro.reliability import ExactRunConfig, run_burst_lengths
+from repro.reliability import ExactRunConfig, run_burst_lengths_batched
 from repro.schemes import PairScheme
 
 LENGTHS = [2, 4, 8, 12, 16]
@@ -49,7 +49,7 @@ def crc_detection_rate(burst_beats: int, trials: int, seed: int = 0) -> float:
 @pytest.fixture(scope="module")
 def comparison():
     pair = PairScheme()
-    pair_tallies = run_burst_lengths(pair, LENGTHS, ExactRunConfig(trials=20, seed=0))
+    pair_tallies = run_burst_lengths_batched(pair, LENGTHS, ExactRunConfig(trials=20, seed=0))
     rows = []
     for b in LENGTHS:
         tally = pair_tallies[b]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import format_series, format_table
-from repro.reliability import ExactRunConfig, build_model, run_burst_lengths
+from repro.reliability import ExactRunConfig, build_model, run_burst_lengths_batched
 from repro.schemes import PairScheme
 
 LENGTHS = [2, 4, 8, 12, 16]
@@ -29,7 +29,7 @@ def test_f8_burst_survival(benchmark, orientations, report):
     def run():
         out = {}
         for name, scheme in orientations.items():
-            tallies = run_burst_lengths(
+            tallies = run_burst_lengths_batched(
                 scheme, LENGTHS, ExactRunConfig(trials=TRIALS, seed=0)
             )
             out[name] = [

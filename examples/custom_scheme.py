@@ -16,7 +16,7 @@ import numpy as np
 from repro import PairScheme
 from repro.dram import DDR5_X8
 from repro.faults import FaultRates
-from repro.reliability import ExactRunConfig, run_iid
+from repro.reliability import ExactRunConfig, run_iid_batched
 
 
 def main() -> None:
@@ -47,7 +47,7 @@ def main() -> None:
     config = ExactRunConfig(trials=100, seed=1)
     print("\nexact Monte-Carlo at BER 2e-3 (100 reads each):")
     for scheme in (stock, lite):
-        tally = run_iid(scheme, rates, config)
+        tally = run_iid_batched(scheme, rates, config)
         print(f"  {scheme.code.n:3d}-symbol segments: "
               f"ok+ce={tally.ok + tally.ce:3d}  due={tally.due:3d}  sdc={tally.sdc}")
     print("\nsame overhead, half the codeword length, half the correction")

@@ -42,7 +42,7 @@ from . import (
 from .codes import DecodeStatus, HammingSEC, ReedSolomonCode, SinglyExtendedRS
 from .dram import DDR5_X4, DDR5_X8, DDR5_X16, DeviceConfig, DramDevice, RankConfig
 from .faults import FaultRates, FaultType
-from .reliability import Outcome, build_model, classify, run_iid
+from .reliability import Outcome, build_model, classify, run_iid_batched
 from .maintenance import MaintenanceController, Scrubber, SpareManager
 from .schemes import (
     ConventionalIecc,
@@ -99,6 +99,6 @@ __all__ = [
     "default_schemes",
     "Outcome",
     "classify",
-    "run_iid",
+    "run_iid_batched",
     "build_model",
 ]

@@ -24,7 +24,8 @@ from ..perf.timing_sim import simulate
 from ..perf.trace import generate_trace
 from ..perf.workloads import WORKLOADS
 from ..reliability.analytic import build_model
-from ..reliability.exact import ExactRunConfig, run_burst_lengths
+from ..reliability.batch import run_burst_lengths_batched
+from ..reliability.exact import ExactRunConfig
 from ..schemes import EccScheme, default_schemes
 from ..utils.atomic_io import atomic_write_text
 from .sweep import geomean, log_space
@@ -118,7 +119,7 @@ def section_bursts(schemes: list[EccScheme], config: ReportConfig) -> str:
     lengths = [2, 4, 8, 12, 16]
     rows = []
     for s in schemes:
-        tallies = run_burst_lengths(
+        tallies = run_burst_lengths_batched(
             s, lengths, ExactRunConfig(trials=config.burst_trials, seed=0)
         )
         rows.append(

@@ -1,8 +1,8 @@
 """Resilient Monte-Carlo campaign runner.
 
 Checkpoint/resume over the batched reliability engines, supervised worker
-processes with retry/backoff and quarantine, graceful degradation from the
-vectorized decode path to the scalar fallback, and a deterministic
+processes with retry/backoff and quarantine (a chunk that keeps failing is
+surfaced, never routed to another engine), and a deterministic
 chaos-injection harness that proves all of it under test.  See DESIGN.md
 §6d and ``python -m repro campaign --help``.
 """
@@ -10,8 +10,6 @@ chaos-injection harness that proves all of it under test.  See DESIGN.md
 from .chaos import ChaosInjected, ChaosSchedule, FleetChaos
 from .manifest import Manifest, fingerprint
 from .plan import (
-    ENGINE_BATCHED,
-    ENGINE_SEQUENTIAL,
     PLAN_VERSION,
     CampaignPlan,
     ChunkSpec,
@@ -45,8 +43,6 @@ __all__ = [
     "ChaosSchedule",
     "ChunkOutcome",
     "ChunkSpec",
-    "ENGINE_BATCHED",
-    "ENGINE_SEQUENTIAL",
     "FleetAgent",
     "FleetChaos",
     "FleetPolicy",

@@ -12,9 +12,9 @@ Fault kinds
   kill or segfault; the supervisor sees a dead process with no result.
 * ``hang``    - the worker sleeps far past any reasonable deadline; the
   supervisor must enforce the per-chunk timeout and terminate it.
-* ``raise``   - the *batched* engine raises (simulating a bug in the
-  vectorized kernels) on every attempt; only the sequential-fallback
-  retry can complete the chunk, proving graceful degradation.
+* ``raise``   - the engine raises inside the worker (simulating a bug in
+  the decode kernels); the supervisor reports it, retries on the same
+  engine, and quarantines the chunk once its attempts are spent.
 * ``corrupt`` - the worker returns a numerically invalid tally (negative
   count), which must be caught by the NumericalGuard, not merged.
 * ``abort``   - runner-level: stop the whole campaign after N chunks have
@@ -26,8 +26,8 @@ Schedules parse from a compact spec string (used by the CLI and CI smoke)::
     crash:1,hang:2,raise:0,corrupt:3@1,abort:2
 
 ``kind:chunk`` injects on attempt 0 by default; ``@a`` (pipe-separated
-``@0|2`` for several) names explicit attempts.  ``raise`` ignores attempt
-numbers (it models a deterministic kernel bug, not a transient).
+``@0|2`` for several) names explicit attempts.  Every kind keys on
+attempts the same way.
 
 Network chaos (the fleet harness)
 ---------------------------------
@@ -87,7 +87,7 @@ class ChaosSchedule:
 
     crash: dict[int, frozenset[int]] = field(default_factory=dict)
     hang: dict[int, frozenset[int]] = field(default_factory=dict)
-    raise_batched: dict[int, frozenset[int]] = field(default_factory=dict)
+    raises: dict[int, frozenset[int]] = field(default_factory=dict)
     corrupt: dict[int, frozenset[int]] = field(default_factory=dict)
     abort_after: int | None = None
 
@@ -96,7 +96,7 @@ class ChaosSchedule:
         """Build a schedule from the compact spec string (see module doc)."""
         crash: dict[int, frozenset[int]] = {}
         hang: dict[int, frozenset[int]] = {}
-        raise_batched: dict[int, frozenset[int]] = {}
+        raises: dict[int, frozenset[int]] = {}
         corrupt: dict[int, frozenset[int]] = {}
         abort_after = None
         for item in filter(None, (part.strip() for part in spec.split(","))):
@@ -115,30 +115,26 @@ class ChaosSchedule:
                 attempts = frozenset(int(a) for a in attempts_text.split("|"))
             else:
                 chunk_text, attempts = rest, frozenset({0})
-            target = {"crash": crash, "hang": hang, "raise": raise_batched,
+            target = {"crash": crash, "hang": hang, "raise": raises,
                       "corrupt": corrupt}[kind]
             target[int(chunk_text)] = attempts
-        return cls(crash=crash, hang=hang, raise_batched=raise_batched,
+        return cls(crash=crash, hang=hang, raises=raises,
                    corrupt=corrupt, abort_after=abort_after)
 
     # -- worker-side hooks ----------------------------------------------------
 
-    def fire_pre_execute(self, chunk: int, attempt: int, engine: str) -> None:
-        """Apply crash/hang/raise faults before the chunk computes.
+    def fire_pre_execute(self, chunk: int, attempt: int) -> None:
+        """Apply crash/hang/raise faults scheduled for this attempt.
 
-        Runs inside the worker process.  ``crash`` and ``hang`` key on the
-        attempt number; ``raise`` fires whenever the batched engine is used
-        on a scheduled chunk (a deterministic vectorized-kernel bug), so the
-        supervisor can only get past it by degrading to the sequential path.
+        Runs inside the worker process, before the chunk computes.
         """
         if attempt in self.crash.get(chunk, frozenset()):
             os._exit(13)  # simulate OOM-kill/segfault: no cleanup, no result
         if attempt in self.hang.get(chunk, frozenset()):
             time.sleep(HANG_SECONDS)
-        if engine == "batched" and chunk in self.raise_batched:
+        if attempt in self.raises.get(chunk, frozenset()):
             raise ChaosInjected(
-                f"injected vectorized-kernel failure in chunk {chunk} "
-                f"(attempt {attempt})"
+                f"injected engine failure in chunk {chunk} (attempt {attempt})"
             )
 
     def corrupt_tally(self, chunk: int, attempt: int, tally: Tally) -> Tally:

@@ -283,7 +283,6 @@ class FleetAgent:
                                   lease: dict[str, Any]) -> None:
         assert self._plan is not None
         chunk = int(lease["chunk"])
-        engine = str(lease["engine"])
         spec = self._plan.chunks[chunk]
         plan = self._plan
         loop = asyncio.get_running_loop()
@@ -297,11 +296,11 @@ class FleetAgent:
                 _obs.enable()
             with _obs_trace.span(
                 "agent.chunk", trace_id=trace,
-                agent=self.name, chunk=chunk, engine=engine,
+                agent=self.name, chunk=chunk,
             ) as rec:
                 tally = execute_chunk(
                     plan.kind, plan.scheme, plan.rates, plan.config, spec,
-                    engine, self.backend,
+                    self.backend,
                 )
             if self.collect_obs:
                 snap = _obs.snapshot(f"agent-{self.name}-chunk-{chunk}")
@@ -337,7 +336,6 @@ class FleetAgent:
             "lease_id": lease["lease_id"],
             "chunk": chunk,
             "attempt": lease.get("attempt", 0),
-            "engine": engine,
             "counts": list(counts),
         }
         if snap is not None:

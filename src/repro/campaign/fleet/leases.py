@@ -38,7 +38,6 @@ class Lease:
     chunk: int
     agent: str
     attempt: int
-    engine: str
     issued: float  # monotonic grant time
     deadline: float  # monotonic expiry unless heartbeats extend it
     stolen_from: str | None = None  # lease id this one speculates against
@@ -53,7 +52,6 @@ class Lease:
             "chunk": self.chunk,
             "agent": self.agent,
             "attempt": self.attempt,
-            "engine": self.engine,
             "stolen_from": self.stolen_from,
         }
 
@@ -70,13 +68,13 @@ class LeaseTable:
     expired: int = 0
     stolen: int = 0
 
-    def grant(self, chunk: int, agent: str, attempt: int, engine: str,
+    def grant(self, chunk: int, agent: str, attempt: int,
               now: float | None = None,
               stolen_from: str | None = None) -> Lease:
         now = time.monotonic() if now is None else now
         lease = Lease(
             lease_id=f"L{self._next_id:06d}", chunk=chunk, agent=agent,
-            attempt=attempt, engine=engine, issued=now,
+            attempt=attempt, issued=now,
             deadline=now + self.timeout, stolen_from=stolen_from,
         )
         self._next_id += 1

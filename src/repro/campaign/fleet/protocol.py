@@ -48,7 +48,7 @@ from ...errors import FleetProtocolError
 from ..chaos import FleetChaos
 
 #: wire protocol version; a mismatched agent is rejected, never guessed at.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: hard ceiling on one frame (a result frame with an obs snapshot is ~KBs;
 #: anything near this size is a corrupt length prefix, not a real message).

@@ -19,8 +19,8 @@ failure the chaos harness can throw:
   between two runs of one deterministic chunk is corruption and stops the
   campaign (:class:`repro.errors.DuplicateMismatch`);
 * **engine failures**: agent-reported raises and guard-rejected tallies
-  reuse the supervisor's taxonomy - retry with seeded-jitter backoff,
-  degrade ``batched`` -> ``sequential``, quarantine after the budget;
+  reuse the supervisor's taxonomy - retry with seeded-jitter backoff on
+  the same engine, quarantine after the budget;
 * **its own death**: every commit goes through the manifest's debounced
   atomic writer and every exit path flushes, so a SIGKILLed scheduler
   restarted on the same directory re-plans, re-leases exactly the missing
@@ -65,7 +65,6 @@ from ...reliability.outcomes import Tally
 from ...utils.atomic_io import atomic_write_json
 from ..chaos import FleetChaos
 from ..manifest import Manifest
-from ..plan import ENGINE_BATCHED, ENGINE_SEQUENTIAL
 from ..runner import CampaignConfig, CampaignResult, start_campaign
 from ..supervisor import (
     FAIL_CRASH,
@@ -82,9 +81,6 @@ from .telemetry import FleetTelemetry
 
 #: the scheduler's endpoint/lease sidecar, next to manifest.json.
 SIDECAR_NAME = "fleet.json"
-
-#: failure kinds that degrade the engine on the retry (same as supervisor).
-_DEGRADE_ON = frozenset({FAIL_RAISE, FAIL_NUMERICAL})
 
 _C_LEASES = _obs.counter("fleet.leases_granted")
 _C_EXPIRED = _obs.counter("fleet.leases_expired")
@@ -120,7 +116,6 @@ class _ChunkState:
     """Retry bookkeeping for one not-yet-committed chunk."""
 
     attempt: int = 0
-    engine: str = ENGINE_BATCHED
     failures: list[str] = field(default_factory=list)
 
 
@@ -352,7 +347,7 @@ class FleetScheduler:
         chunk = self._pop_ready(now)
         if chunk is not None:
             state = self._chunk_state[chunk]
-            lease = self.leases.grant(chunk, agent, state.attempt, state.engine, now)
+            lease = self.leases.grant(chunk, agent, state.attempt, now)
             if _obs.enabled():
                 _C_LEASES.add(1)
             self.events.emit(
@@ -370,7 +365,7 @@ class FleetScheduler:
         )
         if victim is not None:
             lease = self.leases.grant(
-                victim.chunk, agent, victim.attempt, victim.engine, now,
+                victim.chunk, agent, victim.attempt, now,
                 stolen_from=victim.lease_id,
             )
             if _obs.enabled():
@@ -395,7 +390,6 @@ class FleetScheduler:
             "lease_id": lease.lease_id,
             "chunk": lease.chunk,
             "attempt": lease.attempt,
-            "engine": lease.engine,
             "stolen": lease.is_steal,
             # the trace id joins the scheduler's fleet.chunk span to the
             # agent's agent.chunk span for this exact (chunk, attempt)
@@ -447,7 +441,6 @@ class FleetScheduler:
         except NumericalGuard as exc:
             self._requeue_failure(chunk, attempt, FAIL_NUMERICAL, str(exc))
             return
-        engine = str(frame.get("engine", ENGINE_BATCHED))
         now = time.monotonic()
         duration = now - lease.issued if lease is not None else 0.0
         trace = self._trace_id(chunk, attempt)
@@ -458,8 +451,7 @@ class FleetScheduler:
                 _obs.absorb(snap)
             rec = _obs_trace.record_span(
                 "fleet.chunk", duration, trace_id=trace, chunk=chunk,
-                agent=agent, attempt=attempt + 1, engine=engine,
-                trials=spec.trials,
+                agent=agent, attempt=attempt + 1, trials=spec.trials,
             )
             span_dict = rec.as_dict() if rec is not None else None
         if snap and snap.get("source"):
@@ -468,14 +460,14 @@ class FleetScheduler:
         self.telemetry.chunk_done(agent, duration, now)
         self.events.emit(
             "chunk_commit", agent=agent, chunk=chunk, attempt=attempt + 1,
-            engine=engine, counts=list(counts), duration_s=round(duration, 6),
+            counts=list(counts), duration_s=round(duration, 6),
             trace_id=trace, agent_span=frame.get("span"),
         )
         tally = Tally(ok=int(counts[0]), ce=int(counts[1]),
                       due=int(counts[2]), sdc=int(counts[3]),
                       extra={"weighted": weighted} if weighted else {})
         self.manifest.record_chunk(
-            chunk, tally, spec.trials, attempt + 1, engine, span=span_dict,
+            chunk, tally, spec.trials, attempt + 1, span=span_dict,
         )
         self._pending.discard(chunk)
         self._chunk_state.pop(chunk, None)
@@ -520,7 +512,7 @@ class FleetScheduler:
 
     def _requeue_failure(self, chunk: int, attempt: int, kind: str,
                          message: str) -> None:
-        """Supervisor-taxonomy retry: backoff+jitter, degrade, quarantine."""
+        """Supervisor-taxonomy retry: backoff+jitter, quarantine."""
         if chunk in self.manifest.chunks:
             return  # committed while the failure was in flight
         if self.leases.copies(chunk) > 0:
@@ -528,7 +520,7 @@ class FleetScheduler:
         if chunk in self._pending:
             return  # already queued for retry
         state = self._chunk_state.setdefault(chunk, _ChunkState())
-        state.failures.append(f"attempt {attempt} [{state.engine}] {kind}: {message}")
+        state.failures.append(f"attempt {attempt} {kind}: {message}")
         attempts_done = attempt + 1
         if attempts_done > self.policy.retries:
             spec = self.plan.chunks[chunk]
@@ -543,11 +535,8 @@ class FleetScheduler:
                 self._done.set()
             return
         state.attempt = attempts_done
-        if kind in _DEGRADE_ON:
-            state.engine = ENGINE_SEQUENTIAL
         self.events.emit(
             "chunk_requeue", chunk=chunk, kind=kind, attempt=attempts_done,
-            engine=state.engine,
         )
         delay = min(self.policy.backoff_cap, self.policy.backoff * 2**attempt)
         jitter = 0.5 + float(self._jitter_rng.random())  # in [0.5, 1.5)

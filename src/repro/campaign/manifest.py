@@ -10,7 +10,9 @@ leaves either the previous or the next complete manifest - never a torn
 one.  Resume loads the manifest, recomputes the fingerprint of the
 requested config and refuses with :class:`repro.errors.EngineMismatch` on
 any difference, because merging tallies across different configs would be
-silent nonsense.
+silent nonsense.  A manifest on disk is untrusted input: every record is
+checked for its keys and types on load, and a malformed one raises
+:class:`repro.errors.CampaignError` naming the file and the chunk.
 
 Saves are *debounced*: ``save_every`` (default 1: save on every mutation,
 the historical behaviour) batches chunk records so a long campaign is not
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from ..errors import CampaignError, EngineMismatch
+from ..errors import CampaignError, EngineMismatch, guard_weighted
 from ..obs.metrics import merge_snapshots
 from ..obs.trace import span_dicts_snapshot
 from ..reliability.outcomes import Tally
@@ -38,6 +40,14 @@ from ..utils.atomic_io import atomic_write_json
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
+
+#: integer fields of a committed chunk record (``extra`` is optional).
+_CHUNK_FIELDS = ("ok", "ce", "due", "sdc", "trials", "attempts")
+#: keys older builds wrote into chunk records; read and ignored.
+_LEGACY_CHUNK_KEYS = frozenset({"engine"})
+#: string and non-negative integer fields of a quarantine record.
+_QUARANTINE_STRS = ("error", "message")
+_QUARANTINE_INTS = ("attempts", "seed")
 
 
 def fingerprint(config_dict: dict[str, Any]) -> str:
@@ -62,7 +72,6 @@ class ChunkRecord:
     sdc: int
     trials: int
     attempts: int
-    engine: str
     extra: dict[str, Any] | None = None
 
     def tally(self) -> Tally:
@@ -78,6 +87,73 @@ class QuarantineRecord:
     message: str
     attempts: int
     seed: int
+
+
+def _is_count(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _section(path: Path, raw: dict[str, Any], name: str,
+             total_chunks: int) -> dict[int, Any]:
+    """``raw[name]`` as ``{chunk index: record}``; keys must be in range."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise CampaignError(f"campaign manifest {path}: {name!r} is not an object")
+    out = {}
+    for key, rec in section.items():
+        try:
+            index = int(key)
+        except ValueError:
+            raise CampaignError(
+                f"campaign manifest {path}: {name} key {key!r} is not a chunk index"
+            ) from None
+        if not 0 <= index < total_chunks:
+            raise CampaignError(
+                f"campaign manifest {path}: {name} chunk {index} is outside "
+                f"the plan's {total_chunks} chunks"
+            )
+        if not isinstance(rec, dict):
+            raise CampaignError(
+                f"campaign manifest {path}: {name} chunk {index} is a "
+                f"{type(rec).__name__}, not a record"
+            )
+        out[index] = rec
+    return out
+
+
+def _check_keys(where: str, rec: dict[str, Any], required: tuple[str, ...],
+                optional: frozenset[str] = frozenset()) -> None:
+    missing = [key for key in required if key not in rec]
+    unknown = sorted(set(rec) - set(required) - optional)
+    if missing or unknown:
+        raise CampaignError(f"{where} lacks {missing} or has unknown keys {unknown}")
+
+
+def _chunk_record(path: Path, index: int, rec: dict[str, Any]) -> ChunkRecord:
+    where = f"campaign manifest {path}: chunk {index}"
+    _check_keys(where, rec, _CHUNK_FIELDS, _LEGACY_CHUNK_KEYS | {"extra"})
+    bad = [key for key in _CHUNK_FIELDS if not _is_count(rec[key])]
+    if bad:
+        raise CampaignError(f"{where} has invalid {bad}: want non-negative integers")
+    if rec["ok"] + rec["ce"] + rec["due"] + rec["sdc"] != rec["trials"]:
+        raise CampaignError(f"{where} counts do not sum to its {rec['trials']} trials")
+    extra = rec.get("extra")
+    if extra is not None:
+        if not isinstance(extra, dict):
+            raise CampaignError(f"{where} extra is not an object")
+        if "weighted" in extra:
+            guard_weighted(extra["weighted"], expected_total=rec["trials"], context=where)
+    return ChunkRecord(**{key: rec[key] for key in _CHUNK_FIELDS}, extra=extra)
+
+
+def _quarantine_record(path: Path, index: int, rec: dict[str, Any]) -> QuarantineRecord:
+    where = f"campaign manifest {path}: quarantined chunk {index}"
+    _check_keys(where, rec, _QUARANTINE_STRS + _QUARANTINE_INTS)
+    bad = [key for key in _QUARANTINE_STRS if not isinstance(rec[key], str)]
+    bad += [key for key in _QUARANTINE_INTS if not _is_count(rec[key])]
+    if bad:
+        raise CampaignError(f"{where} has invalid {bad}")
+    return QuarantineRecord(**rec)
 
 
 @dataclass
@@ -122,10 +198,12 @@ class Manifest:
             raise CampaignError(f"no campaign manifest at {path}")
         try:
             raw = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise CampaignError(
                 f"campaign manifest {path} is unreadable or corrupt: {exc}"
             ) from exc
+        if not isinstance(raw, dict):
+            raise CampaignError(f"campaign manifest {path} is not a JSON object")
         for key in ("version", "fingerprint", "config", "total_chunks"):
             if key not in raw:
                 raise CampaignError(f"campaign manifest {path} lacks {key!r}")
@@ -134,6 +212,13 @@ class Manifest:
                 f"campaign manifest {path} has version {raw['version']}, "
                 f"this build reads version {MANIFEST_VERSION}"
             )
+        if not isinstance(raw["config"], dict):
+            raise CampaignError(f"campaign manifest {path}: config is not an object")
+        if not _is_count(raw["total_chunks"]):
+            raise CampaignError(
+                f"campaign manifest {path}: total_chunks {raw['total_chunks']!r} "
+                "is not a chunk count"
+            )
         stored = fingerprint(raw["config"])
         if stored != raw["fingerprint"]:
             raise EngineMismatch(
@@ -141,16 +226,17 @@ class Manifest:
                 "(file was edited or mixed between campaigns)",
                 expected=stored, got=raw["fingerprint"],
             )
+        total = raw["total_chunks"]
         manifest = cls(
             path=path,
             config=raw["config"],
             fingerprint=raw["fingerprint"],
-            total_chunks=int(raw["total_chunks"]),
+            total_chunks=total,
         )
-        for key, rec in raw.get("chunks", {}).items():
-            manifest.chunks[int(key)] = ChunkRecord(**rec)
-        for key, rec in raw.get("quarantined", {}).items():
-            manifest.quarantined[int(key)] = QuarantineRecord(**rec)
+        for index, rec in _section(path, raw, "chunks", total).items():
+            manifest.chunks[index] = _chunk_record(path, index, rec)
+        for index, rec in _section(path, raw, "quarantined", total).items():
+            manifest.quarantined[index] = _quarantine_record(path, index, rec)
         obs = raw.get("obs")
         if isinstance(obs, dict):
             manifest.obs = obs
@@ -195,11 +281,11 @@ class Manifest:
     # -- mutation (persisted atomically; chunk records are debounced) ---------
 
     def record_chunk(self, index: int, tally: Tally, trials: int,
-                     attempts: int, engine: str,
+                     attempts: int,
                      span: dict[str, Any] | None = None) -> None:
         self.chunks[index] = ChunkRecord(
             ok=tally.ok, ce=tally.ce, due=tally.due, sdc=tally.sdc,
-            trials=trials, attempts=attempts, engine=engine,
+            trials=trials, attempts=attempts,
             extra=dict(tally.extra) if tally.extra else None,
         )
         if span is not None:

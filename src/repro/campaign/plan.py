@@ -11,7 +11,8 @@ campaign config.  Two consequences the whole subsystem leans on:
   run, so a resume only needs to know *which chunk indices* are done;
 * tallies are commutative counts, so merging chunks in any order (including
   a mix of freshly-run and checkpointed ones) gives the same result as one
-  uninterrupted :func:`repro.reliability.exact.run_iid` - bit for bit.
+  uninterrupted :func:`repro.reliability.batch.run_iid_batched` - bit for
+  bit.
 
 Chunks carry their pre-sampled coordinates/specs as picklable payloads, so
 a chunk can execute in a supervised worker process with no shared state.
@@ -26,10 +27,8 @@ from ..faults.rates import FaultRates
 from ..faults.types import FaultType
 from ..reliability.batch import (
     iid_chunk_tally,
-    iid_chunk_tally_sequential,
     iid_epochs,
     single_fault_chunk_tally,
-    single_fault_chunk_tally_sequential,
     single_fault_specs,
 )
 from ..reliability.exact import ExactRunConfig
@@ -39,10 +38,6 @@ from ..schemes.base import EccScheme
 #: bumped whenever chunking/seed derivation changes; part of the campaign
 #: fingerprint, so an old manifest refuses to resume under a new plan.
 PLAN_VERSION = 1
-
-#: supervisor engine names: the batched decode path and its scalar fallback.
-ENGINE_BATCHED = "batched"
-ENGINE_SEQUENTIAL = "sequential"
 
 
 @dataclass(frozen=True)
@@ -174,32 +169,21 @@ def build_plan(
 
 def execute_chunk(plan_kind: str, scheme: EccScheme, rates: FaultRates,
                   config: ExactRunConfig, spec: ChunkSpec,
-                  engine: str = ENGINE_BATCHED,
                   backend: str | None = None) -> Tally:
-    """Run one chunk to a tally on the requested engine.
-
-    ``engine=ENGINE_BATCHED`` takes the vectorized decode path (the normal
-    case); ``ENGINE_SEQUENTIAL`` takes the scalar fallback
-    (:meth:`~repro.schemes.base.EccScheme.read_lines_sequential`), which by
-    the conformance contract yields the identical tally.
+    """Run one chunk to a tally.
 
     ``backend`` pins the GF kernel backend for the chunk (the supervisor
     passes the parent process's active selection so workers inherit it).
     Deliberately *not* part of the campaign fingerprint: backends are
     bit-identical, so the choice cannot affect any tally.
     """
-    if engine not in (ENGINE_BATCHED, ENGINE_SEQUENTIAL):
-        raise ValueError(f"unknown engine {engine!r}")
-    batched = engine == ENGINE_BATCHED
     if plan_kind == "rareevent" and isinstance(spec.payload, dict):
-        # tilted importance-sampling chunk; the count-level sampler has no
-        # scalar twin, so both engine names run the same (deterministic)
-        # function - degradation still clears transient worker failures.
+        # tilted importance-sampling chunk (count-level sampler)
         from ..reliability.rareevent import rareevent_chunk_tally
 
         return rareevent_chunk_tally(scheme, rates, config, spec.payload, backend)
     if plan_kind in ("iid", "rareevent"):
-        fn = iid_chunk_tally if batched else iid_chunk_tally_sequential
-        return fn(scheme, rates, spec.payload, backend)
-    fn = single_fault_chunk_tally if batched else single_fault_chunk_tally_sequential
-    return fn(scheme, rates.with_ber(0.0), config.seed, spec.payload, backend)
+        return iid_chunk_tally(scheme, rates, spec.payload, backend)
+    return single_fault_chunk_tally(
+        scheme, rates.with_ber(0.0), config.seed, spec.payload, backend
+    )

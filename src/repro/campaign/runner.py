@@ -6,8 +6,8 @@ the supervisor; each committed chunk is checkpointed atomically, so the
 process can die at any instant (SIGKILL included) and ``resume_campaign``
 will finish exactly the chunks that are missing.  Because chunk inputs are
 deterministic and tallies merge commutatively, the resumed result is
-bit-identical to an uninterrupted run - and to the plain sequential
-:func:`repro.reliability.exact.run_iid` for ``kind="iid"``.
+bit-identical to an uninterrupted run - and to the plain in-process
+:func:`repro.reliability.batch.run_iid_batched` for ``kind="iid"``.
 
 Resume refuses to touch a manifest whose config fingerprint differs from
 the requested one (:class:`repro.errors.EngineMismatch`): checkpoints from
@@ -172,11 +172,10 @@ def _run_pending(manifest: Manifest, config: CampaignConfig,
     # re-runs - deterministic chunks make the lost work bit-identical.
     manifest.save_every = max(1, policy.manifest_save_every)
 
-    def on_success(spec: ChunkSpec, tally: Tally, attempts: int, engine: str,
+    def on_success(spec: ChunkSpec, tally: Tally, attempts: int,
                    span: dict[str, Any] | None = None) -> None:
         nonlocal committed
-        manifest.record_chunk(spec.index, tally, spec.trials, attempts, engine,
-                              span=span)
+        manifest.record_chunk(spec.index, tally, spec.trials, attempts, span=span)
         committed += 1
         if chaos is not None and chaos.should_abort(committed):
             manifest.flush()

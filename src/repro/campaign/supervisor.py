@@ -1,4 +1,4 @@
-"""Supervised chunk execution: timeouts, retry with backoff, degradation.
+"""Supervised chunk execution: timeouts, retry with backoff, quarantine.
 
 Each chunk runs in its own worker *process* (crash isolation: an OOM kill
 or segfault loses one attempt, not the campaign).  The supervisor keeps at
@@ -12,16 +12,15 @@ most ``workers`` chunks in flight and watches each through three channels:
 Failed attempts are retried up to ``retries`` extra times with exponential
 backoff plus deterministic jitter (seeded generator - the REPRO101/102
 rules apply here too; jitter affects only sleep lengths, never tallies).
-A failure that *raised from the engine* (or produced a numerically invalid
-tally) retries on the sequential fallback engine instead - graceful
-degradation from the vectorized kernels to the scalar path, which is
-bit-identical by the conformance contract.  Chunks that exhaust their
-budget are quarantined through a callback and surfaced, never silently
-dropped.
+Every retry runs the same engine: a chunk that *raised from the engine*
+(or produced a numerically invalid tally) is a bug to surface, not to
+route around, so once its budget is spent it is quarantined like any
+other failure.  Quarantined chunks are reported through a callback and
+surfaced, never silently dropped.
 
 Scheduling order never affects results: chunks are deterministic and
 tallies merge commutatively, so ``workers=4`` equals ``workers=1`` equals
-an uninterrupted sequential run, bit for bit.
+an uninterrupted run, bit for bit.
 """
 
 from __future__ import annotations
@@ -44,25 +43,21 @@ from ..reliability.exact import ExactRunConfig
 from ..reliability.outcomes import Tally
 from ..schemes.base import EccScheme
 from .chaos import ChaosSchedule
-from .plan import ENGINE_BATCHED, ENGINE_SEQUENTIAL, ChunkSpec, execute_chunk
+from .plan import ChunkSpec, execute_chunk
 
-#: failure kinds the supervisor distinguishes when deciding how to retry.
+#: failure kinds the supervisor distinguishes (counters, quarantine records).
 FAIL_CRASH = "crash"
 FAIL_TIMEOUT = "timeout"
 FAIL_RAISE = "raise"
 FAIL_NUMERICAL = "numerical"
 
-#: failure kinds that trigger engine degradation on the next attempt.
-_DEGRADE_ON = frozenset({FAIL_RAISE, FAIL_NUMERICAL})
-
 # Observability (DESIGN.md 6e).  Supervision events are rare relative to the
 # decode work they wrap, so these record unconditionally interesting facts:
-# retries, per-kind failures, quarantines, engine degradations, and how long
-# the supervisor chose to wait before re-dispatching a failed chunk.
+# retries, per-kind failures, quarantines, and how long the supervisor
+# chose to wait before re-dispatching a failed chunk.
 _C_CHUNKS_OK = _obs.counter("campaign.chunks_ok")
 _C_RETRIES = _obs.counter("campaign.retries")
 _C_QUARANTINES = _obs.counter("campaign.quarantines")
-_C_FALLBACKS = _obs.counter("campaign.fallback_activations")
 _C_FAILURES = {
     kind: _obs.counter(f"campaign.failures.{kind}")
     for kind in (FAIL_CRASH, FAIL_TIMEOUT, FAIL_RAISE, FAIL_NUMERICAL)
@@ -92,7 +87,6 @@ class ChunkOutcome:
     spec: ChunkSpec
     tally: Tally | None = None
     attempts: int = 0
-    engine: str = ENGINE_BATCHED
     failures: list[str] = field(default_factory=list)
 
     @property
@@ -106,7 +100,6 @@ class _Job:
 
     spec: ChunkSpec
     attempt: int
-    engine: str
     process: multiprocessing.process.BaseProcess
     conn: Any  # Connection (parent's receive end)
     deadline: float
@@ -143,7 +136,7 @@ def terminate_worker(process: multiprocessing.process.BaseProcess,
 
 
 def _worker_entry(conn: Any, kind: str, scheme: EccScheme, rates: FaultRates,
-                  config: ExactRunConfig, spec: ChunkSpec, engine: str,
+                  config: ExactRunConfig, spec: ChunkSpec,
                   chaos: ChaosSchedule | None, attempt: int,
                   obs_enabled: bool = False,
                   backend: str | None = None) -> None:
@@ -164,8 +157,8 @@ def _worker_entry(conn: Any, kind: str, scheme: EccScheme, rates: FaultRates,
             _obs_trace.reset()
             _obs.enable()
         if chaos is not None:
-            chaos.fire_pre_execute(spec.index, attempt, engine)
-        tally = execute_chunk(kind, scheme, rates, config, spec, engine, backend)
+            chaos.fire_pre_execute(spec.index, attempt)
+        tally = execute_chunk(kind, scheme, rates, config, spec, backend)
         if chaos is not None:
             tally = chaos.corrupt_tally(spec.index, attempt, tally)
         snap = (
@@ -198,7 +191,7 @@ class Supervisor:
         config: ExactRunConfig,
         policy: SupervisorPolicy,
         chaos: ChaosSchedule | None = None,
-        on_success: Callable[[ChunkSpec, Tally, int, str, dict | None], None] | None = None,
+        on_success: Callable[[ChunkSpec, Tally, int, dict | None], None] | None = None,
         on_quarantine: Callable[[ChunkSpec, str, str, int], None] | None = None,
     ):
         self.kind = kind
@@ -221,9 +214,9 @@ class Supervisor:
     def run(self, specs: list[ChunkSpec]) -> dict[int, ChunkOutcome]:
         """Execute ``specs``; returns per-chunk outcomes (also via callbacks)."""
         outcomes = {spec.index: ChunkOutcome(spec=spec) for spec in specs}
-        # ready-time priority queue: (ready_at, chunk_index, spec, attempt, engine)
-        pending: list[tuple[float, int, ChunkSpec, int, str]] = [
-            (0.0, spec.index, spec, 0, ENGINE_BATCHED) for spec in specs
+        # ready-time priority queue: (ready_at, chunk_index, spec, attempt)
+        pending: list[tuple[float, int, ChunkSpec, int]] = [
+            (0.0, spec.index, spec, 0) for spec in specs
         ]
         heapq.heapify(pending)
         active: list[_Job] = []
@@ -235,8 +228,8 @@ class Supervisor:
                     and len(active) < self.policy.workers
                     and pending[0][0] <= now
                 ):
-                    _, _, spec, attempt, engine = heapq.heappop(pending)
-                    active.append(self._launch(spec, attempt, engine))
+                    _, _, spec, attempt = heapq.heappop(pending)
+                    active.append(self._launch(spec, attempt))
                 progressed = self._reap(active, pending, outcomes)
                 if not progressed and (pending or active):
                     time.sleep(self.policy.poll_interval)
@@ -245,12 +238,12 @@ class Supervisor:
                 self._terminate(job)
         return outcomes
 
-    def _launch(self, spec: ChunkSpec, attempt: int, engine: str) -> _Job:
+    def _launch(self, spec: ChunkSpec, attempt: int) -> _Job:
         recv_conn, send_conn = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_worker_entry,
             args=(send_conn, self.kind, self.scheme, self.rates, self.config,
-                  spec, engine, self.chaos, attempt, _obs.enabled(),
+                  spec, self.chaos, attempt, _obs.enabled(),
                   self.backend),
             daemon=True,
         )
@@ -258,7 +251,7 @@ class Supervisor:
         send_conn.close()  # parent keeps only the receive end
         started = time.monotonic()
         return _Job(
-            spec=spec, attempt=attempt, engine=engine, process=process,
+            spec=spec, attempt=attempt, process=process,
             conn=recv_conn, deadline=started + self.policy.timeout,
             started=started,
         )
@@ -338,7 +331,6 @@ class Supervisor:
             outcome = outcomes[job.spec.index]
             outcome.tally = tally
             outcome.attempts = job.attempt + 1
-            outcome.engine = job.engine
             span_dict = None
             if _obs.enabled():
                 _C_CHUNKS_OK.add(1)
@@ -349,12 +341,11 @@ class Supervisor:
                     time.monotonic() - job.started,
                     chunk=job.spec.index,
                     attempt=job.attempt + 1,
-                    engine=job.engine,
                     trials=job.spec.trials,
                 )
                 span_dict = rec.as_dict() if rec is not None else None
             if self.on_success is not None:
-                self.on_success(job.spec, tally, job.attempt + 1, job.engine, span_dict)
+                self.on_success(job.spec, tally, job.attempt + 1, span_dict)
         else:
             _, exc_type, exc_message = message
             self._handle_failure(
@@ -367,7 +358,7 @@ class Supervisor:
     def _handle_failure(self, job: _Job, kind: str, message: str, pending: list,
                         outcomes: dict[int, ChunkOutcome]) -> None:
         outcome = outcomes[job.spec.index]
-        outcome.failures.append(f"attempt {job.attempt} [{job.engine}] {kind}: {message}")
+        outcome.failures.append(f"attempt {job.attempt} {kind}: {message}")
         if _obs.enabled():
             _C_FAILURES[kind].add(1)
         attempts_done = job.attempt + 1
@@ -378,15 +369,10 @@ class Supervisor:
             if self.on_quarantine is not None:
                 self.on_quarantine(job.spec, kind, message, attempts_done)
             return
-        engine = ENGINE_SEQUENTIAL if kind in _DEGRADE_ON else job.engine
         delay = min(self.policy.backoff_cap, self.policy.backoff * 2**job.attempt)
         jitter = 0.5 + float(self._jitter_rng.random())  # in [0.5, 1.5)
         if _obs.enabled():
             _C_RETRIES.add(1)
-            if engine != job.engine:
-                _C_FALLBACKS.add(1)
             _H_BACKOFF.observe(delay * jitter)
         ready_at = time.monotonic() + delay * jitter
-        heapq.heappush(
-            pending, (ready_at, job.spec.index, job.spec, attempts_done, engine)
-        )
+        heapq.heappush(pending, (ready_at, job.spec.index, job.spec, attempts_done))

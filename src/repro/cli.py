@@ -60,7 +60,7 @@ from typing import Sequence
 from .analysis import format_series, format_table, geomean
 from .dram import AddressMapper, RANK_X8_5CHIP
 from .perf import WORKLOADS, generate_trace, simulate
-from .reliability import ExactRunConfig, build_model, run_burst_lengths
+from .reliability import ExactRunConfig, build_model, run_burst_lengths_batched
 from .schemes import EccScheme, default_schemes
 
 
@@ -255,7 +255,7 @@ def cmd_burst(args: argparse.Namespace) -> None:
     _obs_begin(args)
     series = {}
     for s in schemes:
-        tallies = run_burst_lengths(s, args.lengths, config)
+        tallies = run_burst_lengths_batched(s, args.lengths, config)
         series[s.name] = [
             f"{(tallies[b].ok + tallies[b].ce) / tallies[b].total:.2f}"
             for b in args.lengths

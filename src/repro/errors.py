@@ -145,14 +145,15 @@ def guard_weighted(weighted: dict, expected_total: int | None = None,
     not match ``expected_total``.
     """
     where = f" in {context}" if context else ""
-    if not isinstance(weighted, dict) or "outcomes" not in weighted:
+    if not isinstance(weighted, dict) or not isinstance(weighted.get("outcomes"), dict):
         raise NumericalGuard(f"weighted tally is not an accumulator dict{where}")
     for key in ("version", "estimator", "tilt", "defensive", "n"):
         if key not in weighted:
             raise NumericalGuard(f"weighted tally lacks {key!r}{where}")
     for key in ("tilt", "defensive"):
-        value = float(weighted[key])
-        if value != value or value in (float("inf"), float("-inf")):
+        value = weighted[key]
+        if not isinstance(value, (int, float)) or value != value or \
+                value in (float("inf"), float("-inf")):
             raise NumericalGuard(f"weighted tally {key} is not finite{where}")
     total = 0
     for name in ("ok", "ce", "due", "sdc"):
@@ -178,7 +179,7 @@ def guard_weighted(weighted: dict, expected_total: int | None = None,
                     f"weighted {name}.{key} {value!r} is not finite{where}"
                 )
         total += count
-    if total != int(weighted["n"]):
+    if not isinstance(weighted["n"], int) or total != weighted["n"]:
         raise NumericalGuard(
             f"weighted counts sum to {total}, recorded n={weighted['n']}{where}"
         )

@@ -1,10 +1,11 @@
 """Batched Monte-Carlo reliability engines.
 
-Array-at-a-time counterparts of the sequential engines in
-:mod:`repro.reliability.exact`.  The restructuring has three parts:
+The decoder-in-the-loop engines, array at a time; their scalar reference
+(one :meth:`~repro.schemes.base.EccScheme.read_line` per trial) is the
+test oracle ``tests/oracle.py``.  The restructuring has three parts:
 
 1. **Coordinate pre-sampling.**  Every per-trial random draw is made up
-   front with the *same generator and call order* as the sequential engine,
+   front with the *same generator and call order* as the scalar loop,
    so the sampled trial set is bit-identical.  (Vectorised ``rng.integers``
    with ``size=`` draws a different stream than repeated scalar calls, so
    the pre-sampling loop deliberately stays scalar - it is a negligible
@@ -20,7 +21,7 @@ Array-at-a-time counterparts of the sequential engines in
    ``ProcessPoolExecutor``.  Tallies are pure counts and merge
    commutatively; each chunk's inputs are deterministic, so the merged
    tally is identical for every ``workers`` setting - ``workers=N`` equals
-   ``workers=1`` equals the sequential engine, bit for bit.
+   ``workers=1`` equals the scalar oracle, bit for bit.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ def _merge_dispatch(
 
 
 def _sample_iid_coords(scheme: EccScheme, config: ExactRunConfig) -> list[tuple[int, int, int]]:
-    """(bank, row, col) per trial, same draw order as :func:`exact.run_iid`."""
+    """(bank, row, col) per trial, drawn in the scalar loop's order."""
     rng = np.random.default_rng([config.seed, 0xE4AC7])
     device = scheme.rank.device
     coords = []
@@ -131,7 +132,7 @@ def iid_epochs(
 
     One epoch per ``resample_faults_every`` run of trials, chip seed
     ``config.seed + first_trial`` - exactly the rebuild points of the
-    sequential engine.  This is the shared chunking vocabulary: both
+    scalar loop.  This is the shared chunking vocabulary: both
     :func:`run_iid_batched` and the campaign planner
     (:mod:`repro.campaign.plan`) derive their chunks from it, which is what
     makes a resumed campaign bit-identical to an uninterrupted run.
@@ -173,28 +174,6 @@ def iid_chunk_tally(
     return _iid_chunk(scheme, rates, epochs, backend)
 
 
-def iid_chunk_tally_sequential(
-    scheme: EccScheme, rates: FaultRates, epochs: list, backend: str | None = None
-) -> Tally:
-    """Scalar-engine twin of :func:`iid_chunk_tally`.
-
-    Builds the same devices from the same seeds but decodes through the
-    scheme's one-line-at-a-time fallback path
-    (:meth:`~repro.schemes.base.EccScheme.read_lines_sequential`), bypassing
-    any batched override.  Bit-identical by the scheme conformance contract;
-    the campaign supervisor degrades to this when the vectorized path raises.
-    """
-    expected = _zero_line(scheme)
-    tally = Tally()
-    with use_backend(backend, strict=False):
-        for chip_seed, coords in epochs:
-            chips = _make_chips(scheme, rates, seed=chip_seed)
-            reads = [(chips, bank, row, col, None) for bank, row, col in coords]
-            for result in scheme.read_lines_sequential(reads):
-                tally.add(classify(result, expected))
-    return tally
-
-
 def run_iid_batched(
     scheme: EccScheme,
     rates: FaultRates,
@@ -203,13 +182,13 @@ def run_iid_batched(
     chunk_trials: int = DEFAULT_CHUNK_TRIALS,
     backend: str | None = None,
 ) -> Tally:
-    """Batched :func:`repro.reliability.exact.run_iid`; identical tally.
+    """Monte-Carlo over random accesses under the full fault process.
 
-    Trials are grouped into fault-universe epochs (one per
-    ``resample_faults_every`` run of trials, chip seed ``config.seed +
-    first_trial`` exactly as the sequential engine rebuilds them), epochs
-    into chunks of roughly ``chunk_trials`` trials, and chunks across
-    ``workers`` processes.
+    Each trial reads one random line; classification is against the
+    all-zero expected line.  Trials are grouped into fault-universe epochs
+    (one per ``resample_faults_every`` run of trials, chip seed
+    ``config.seed + first_trial``), epochs into chunks of roughly
+    ``chunk_trials`` trials, and chunks across ``workers`` processes.
     """
     epochs = iid_epochs(scheme, config)
     every = max(1, config.resample_faults_every)
@@ -232,11 +211,11 @@ def run_iid_batched(
 def _sample_single_fault_trials(
     scheme: EccScheme, kind: FaultType, rates: FaultRates, config: ExactRunConfig
 ) -> list[tuple[int, int, FaultInstance, TransferBurst | None]]:
-    """(trial, col, fault, burst) per trial, same draw order as the original.
+    """(trial, col, fault, burst) per trial, drawn in the scalar loop's order.
 
-    The sequential engine draws the burst parameters *after* building the
-    chips, but chip construction never touches this generator, so drawing
-    them here keeps the stream identical.
+    The scalar loop draws the burst parameters *after* building the chips,
+    but chip construction never touches this generator, so drawing them
+    here keeps the stream identical.
     """
     rng = np.random.default_rng([config.seed, 0xFA3])
     device = scheme.rank.device
@@ -298,21 +277,6 @@ def single_fault_chunk_tally(
     return _single_fault_chunk(scheme, clean, seed, specs, backend)
 
 
-def single_fault_chunk_tally_sequential(
-    scheme: EccScheme, clean: FaultRates, seed: int, specs: list,
-    backend: str | None = None,
-) -> Tally:
-    """Scalar-engine twin of :func:`single_fault_chunk_tally` (fallback path)."""
-    expected = _zero_line(scheme)
-    tally = Tally()
-    with use_backend(backend, strict=False):
-        for result in scheme.read_lines_sequential(
-            _single_fault_reads(scheme, clean, seed, specs)
-        ):
-            tally.add(classify(result, expected))
-    return tally
-
-
 def run_single_fault_batched(
     scheme: EccScheme,
     kind: FaultType,
@@ -322,7 +286,13 @@ def run_single_fault_batched(
     chunk_trials: int = DEFAULT_CHUNK_TRIALS,
     backend: str | None = None,
 ) -> Tally:
-    """Batched :func:`repro.reliability.exact.run_single_fault`; identical tally."""
+    """Outcome distribution *given* one structured fault under the access.
+
+    Plants exactly one fault of ``kind`` in chip 0 so that its footprint
+    intersects the read location, then classifies the read.  This isolates
+    each fault class's per-event severity (experiment F3); combining with
+    occurrence rates is done by the bench.
+    """
     specs = _sample_single_fault_trials(scheme, kind, rates, config)
     clean = rates.with_ber(0.0)
     chunks = [specs[i : i + chunk_trials] for i in range(0, len(specs), chunk_trials)]
@@ -380,10 +350,12 @@ def run_burst_lengths_batched(
     workers: int = 1,
     backend: str | None = None,
 ) -> dict[int, Tally]:
-    """Batched :func:`repro.reliability.exact.run_burst_lengths`; identical tallies.
+    """Correction coverage of write-path transfer bursts (experiment F4).
 
-    Each burst length is an independent run with its own generator stream,
-    so lengths are the parallelism unit.
+    For each burst length, injects a burst on a random pin of chip 0 (no
+    other faults) and classifies the read.  Each burst length is an
+    independent run with its own generator stream, so lengths are the
+    parallelism unit.
     """
     backend = backend or active_backend().name
     if workers <= 1 or len(lengths) <= 1:

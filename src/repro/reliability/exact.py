@@ -1,10 +1,13 @@
-"""Decoder-in-the-loop Monte-Carlo reliability engine.
+"""Shared set-up of the decoder-in-the-loop Monte-Carlo engines.
 
-This engine runs the *real* datapath: fault overlays on real devices, real
-gather/decode/reconstruct logic, classification against known data.  It is
-the ground truth the semi-analytic engine (:mod:`repro.reliability.analytic`)
-is validated against, and the workhorse for structured-fault and burst
-experiments where correlations matter.
+The engines themselves live in :mod:`repro.reliability.batch`; they run
+the *real* datapath: fault overlays on real devices, real
+gather/decode/reconstruct logic, classification against known data.  They
+are the ground truth the semi-analytic engine
+(:mod:`repro.reliability.analytic`) is validated against, and the
+workhorse for structured-fault and burst experiments where correlations
+matter.  This module holds what every run shares: the run config, the
+per-trial chip construction and the planting of one structured fault.
 
 Because every scheme here is linear, the all-zero line is a valid encoded
 state of every scheme (encode(0) = 0), so trials run against zero-filled
@@ -22,9 +25,8 @@ import numpy as np
 from ..dram.device import DramDevice
 from ..faults.rates import FaultRates
 from ..faults.sampler import FaultOverlay
-from ..faults.types import FaultInstance, FaultType, TransferBurst
+from ..faults.types import FaultInstance, FaultType
 from ..schemes.base import EccScheme
-from .outcomes import Outcome, Tally, classify
 
 
 @dataclass
@@ -55,70 +57,6 @@ def _make_chips(scheme: EccScheme, rates: FaultRates, seed: int,
             )
         )
     return scheme.make_devices(overlays)
-
-
-def run_iid(scheme: EccScheme, rates: FaultRates, config: ExactRunConfig) -> Tally:
-    """Monte-Carlo over random accesses under the full fault process.
-
-    Each trial reads one random line of a fresh fault universe; classification
-    is against the all-zero expected line.
-    """
-    rng = np.random.default_rng([config.seed, 0xE4AC7])
-    device = scheme.rank.device
-    tally = Tally()
-    expected = _zero_line(scheme)
-    chips = None
-    for trial in range(config.trials):
-        if chips is None or trial % config.resample_faults_every == 0:
-            chips = _make_chips(scheme, rates, seed=config.seed + trial)
-        bank = int(rng.integers(device.banks))
-        row = int(rng.integers(device.rows_per_bank))
-        col = int(rng.integers(device.columns_per_row))
-        result = scheme.read_line(chips, bank, row, col)
-        tally.add(classify(result, expected))
-    return tally
-
-
-def run_single_fault(
-    scheme: EccScheme,
-    kind: FaultType,
-    rates: FaultRates,
-    config: ExactRunConfig,
-) -> Tally:
-    """Outcome distribution *given* one structured fault under the access.
-
-    Plants exactly one fault of ``kind`` in chip 0 so that its footprint
-    intersects the read location, then classifies the read.  This isolates
-    each fault class's per-event severity (experiment F3); combining with
-    occurrence rates is done by the bench.
-    """
-    rng = np.random.default_rng([config.seed, 0xFA3])
-    device = scheme.rank.device
-    tally = Tally()
-    expected = _zero_line(scheme)
-    clean = rates.with_ber(0.0)
-    total_bits = device.data_bits_per_pin_per_row + device.spare_bits_per_pin_per_row
-    for trial in range(config.trials):
-        bank, row, col = 0, 64, int(rng.integers(device.columns_per_row))
-        fault = _plant_fault(kind, rates, device, row, col, total_bits, rng)
-        faults_per_chip: list[list[FaultInstance]] = [[] for _ in range(scheme.rank.chips)]
-        faults_per_chip[0] = [fault]
-        chips = _make_chips(
-            scheme, clean, seed=config.seed * 7919 + trial, faults_per_chip=faults_per_chip
-        )
-        if kind is FaultType.TRANSFER_BURST:
-            burst = TransferBurst(
-                pin=int(rng.integers(device.pins)),
-                beat_start=int(
-                    rng.integers(device.burst_length - min(rates.transfer_burst_length, device.burst_length) + 1)
-                ),
-                length=min(rates.transfer_burst_length, device.burst_length),
-            )
-            result = scheme.read_line(chips, bank, row, col, bursts={0: burst})
-        else:
-            result = scheme.read_line(chips, bank, row, col)
-        tally.add(classify(result, expected))
-    return tally
 
 
 def _plant_fault(
@@ -167,40 +105,3 @@ def _plant_fault(
             pin=0, bit_start=0, bit_count=1, density=0.0,
         )
     raise ValueError(f"cannot plant fault kind {kind}")
-
-
-def run_burst_lengths(
-    scheme: EccScheme,
-    lengths: list[int],
-    config: ExactRunConfig,
-) -> dict[int, Tally]:
-    """Correction coverage of write-path transfer bursts (experiment F4).
-
-    For each burst length, injects a burst on a random pin of chip 0 (no
-    other faults) and classifies the read.
-    """
-    device = scheme.rank.device
-    out: dict[int, Tally] = {}
-    expected = _zero_line(scheme)
-    clean = FaultRates(
-        single_cell_ber=0.0, row_faults_per_device=0.0, column_faults_per_device=0.0,
-        pin_faults_per_device=0.0, mat_faults_per_device=0.0,
-        transfer_burst_per_access=0.0,
-    )
-    for length in lengths:
-        rng = np.random.default_rng([config.seed, 0xB0057, length])
-        tally = Tally()
-        length_eff = min(length, device.burst_length)
-        chips = _make_chips(scheme, clean, seed=config.seed)
-        for trial in range(config.trials):
-            bank, row = 0, int(rng.integers(device.rows_per_bank))
-            col = int(rng.integers(device.columns_per_row))
-            burst = TransferBurst(
-                pin=int(rng.integers(device.pins)),
-                beat_start=int(rng.integers(device.burst_length - length_eff + 1)),
-                length=length_eff,
-            )
-            result = scheme.read_line(chips, bank, row, col, bursts={0: burst})
-            tally.add(classify(result, expected))
-        out[length] = tally
-    return out

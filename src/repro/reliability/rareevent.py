@@ -4,9 +4,8 @@ The paper's headline comparison lives in a tail regime naive Monte-Carlo
 cannot reach: resolving a ~1e-13 per-read failure probability to a useful
 CI needs ~1e15 plain trials.  This module adds two variance-reduction
 tiers over the i.i.d. weak-cell process, both built on the *count-level*
-line law the validated analytic models and :mod:`repro.reliability.fastmc`
-already share (binomial per-word error counts x measured conditional
-decoder tables):
+line law the validated analytic models already use (binomial per-word
+error counts x measured conditional decoder tables):
 
 **Importance sampling by exponential tilting** (:func:`run_rareevent_iid`).
 The per-bit/per-symbol error rate ``q`` is tilted in log-odds space by
@@ -26,9 +25,9 @@ exponentiating a deep-tail number.
 ``tilt=0`` is special-cased to the exact decoder-in-the-loop engine
 (:func:`repro.reliability.batch.run_iid_batched`): the counts are
 bit-identical to that engine's and the attached weights are all 1.  The
-tilted path (``tilt != 0``) samples counts instead of decoding, exactly
-like :mod:`repro.reliability.fastmc` - its unbiasedness against the
-analytic closed forms is what the statistical test tier certifies.
+tilted path (``tilt != 0``) samples counts instead of decoding - its
+unbiasedness against the analytic closed forms is what the statistical
+test tier certifies.
 
 **Fixed-effort multilevel splitting** (:func:`run_splitting_iid`) for the
 "k faults land in one codeword" event.  The level function is the maximum
@@ -288,7 +287,7 @@ def _log_weights(
 def _sample_word_states(
     rng: np.random.Generator, law: LineLaw, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(flagged, bad) per word given counts - same idiom as fastmc."""
+    """(flagged, bad) per word given counts, by one uniform per word."""
     clipped = np.minimum(counts, len(law.p_flag) - 1)
     u = rng.random(counts.shape)
     flagged = u < law.p_flag[clipped]
@@ -339,9 +338,8 @@ def rareevent_chunk_tally(
     is a pure function of the campaign config (REPRO201/211: no generators
     or closures cross the process boundary).  ``backend`` is accepted for
     signature parity with the decode chunk executors; the count-level
-    sampler never touches the GF kernels.  The supervisor's "sequential"
-    degradation re-runs the same function: there is no scalar twin, and the
-    vectorized path is the definition of the engine.
+    sampler never touches the GF kernels.  A retry re-runs the same
+    function: the vectorized path is the definition of the engine.
     """
     del backend
     ber = require_pure_ber(rates, context="rareevent campaign chunk")

@@ -11,10 +11,8 @@ Per fault class the composition is::
                   x P(scheme fails | fault under the access) x reads/year
 
 with the last conditional taken from the exact decoder-in-the-loop engine
-(:func:`repro.reliability.batch.run_single_fault_batched`, tally-identical
-to the sequential :func:`repro.reliability.exact.run_single_fault`) and the
-weak-cell term
-from the validated analytic models.  Footprint hit probabilities follow
+(:func:`repro.reliability.batch.run_single_fault_batched`) and the
+weak-cell term from the validated analytic models.  Footprint hit probabilities follow
 from the geometry in :mod:`repro.faults.types`.
 """
 

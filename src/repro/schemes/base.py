@@ -28,11 +28,6 @@ from ..dram.device import DramDevice, FaultOverlayProtocol
 from ..dram.mapping import Footprint
 from ..dram.timing import SchemeTimingOverlay
 from ..faults.types import TransferBurst
-from ..obs import metrics as _obs
-
-# Reads taken through the scalar fallback loop rather than a batched
-# override - a nonzero rate during a campaign means engine degradation fired.
-_C_SEQUENTIAL_READS = _obs.counter("schemes.sequential_reads")
 
 #: One batched read request: ``(chips, bank, row, col, bursts)`` - the same
 #: tuple :meth:`EccScheme.read_line` takes positionally.
@@ -151,20 +146,6 @@ class EccScheme(abc.ABC):
             self.read_line(chips, bank, row, col, bursts)
             for chips, bank, row, col, bursts in reads
         ]
-
-    def read_lines_sequential(self, reads: list[LineRead]) -> list[LineReadResult]:
-        """One-line-at-a-time decode, bypassing any :meth:`read_lines` override.
-
-        Degradation hook for the campaign supervisor: when a chunk raises
-        from a scheme's vectorized decode path, the retry goes through this
-        method, which always takes the scalar :meth:`read_line` loop.  By the
-        conformance contract the results are identical to the batched path,
-        so falling back never changes a tally - it only trades speed for
-        robustness.
-        """
-        if _obs.enabled():
-            _C_SEQUENTIAL_READS.add(len(reads))
-        return EccScheme.read_lines(self, reads)
 
     @property
     def line_shape(self) -> tuple[int, int, int]:

@@ -1,10 +1,12 @@
-"""Campaign end-to-end: supervision, degradation, checkpoint/resume.
+"""Campaign end-to-end: supervision, retry, quarantine, checkpoint/resume.
 
 The headline contract under test: a campaign that suffers crashes, hangs,
-corrupted tallies and a mid-run kill still completes (via retry, timeout
-enforcement, engine degradation and resume), and its merged tally is
-bit-identical to one uninterrupted sequential run of the same seed.
+engine raises, corrupted tallies and a mid-run kill still completes (via
+retry, timeout enforcement and resume), and its merged tally is
+bit-identical to the scalar oracle's run of the same seed.
 """
+
+import json
 
 import pytest
 
@@ -19,8 +21,10 @@ from repro.campaign import (
 )
 from repro.errors import CampaignAborted, CampaignError, EngineMismatch
 from repro.faults import DEFAULT_RATES, FaultType
-from repro.reliability import ExactRunConfig, run_iid, run_single_fault
+from repro.reliability import ExactRunConfig
 from repro.schemes import default_schemes
+
+from .. import oracle
 
 RATES = DEFAULT_RATES.with_ber(3e-3)
 TRIALS, SEED, CHUNK = 32, 7, 8  # -> 4 chunks
@@ -51,8 +55,8 @@ def pair_scheme():
 
 @pytest.fixture(scope="module")
 def reference(pair_scheme):
-    """The uninterrupted sequential engine run every campaign must match."""
-    return run_iid(pair_scheme, RATES, ExactRunConfig(trials=TRIALS, seed=SEED))
+    """The scalar oracle's run every campaign must match bit for bit."""
+    return oracle.run_iid(pair_scheme, RATES, ExactRunConfig(trials=TRIALS, seed=SEED))
 
 
 class TestHappyPath:
@@ -63,7 +67,7 @@ class TestHappyPath:
         assert counts(result.tally) == counts(reference)
 
     def test_single_fault_kind_matches_engine(self, tmp_path, pair_scheme):
-        ref = run_single_fault(
+        ref = oracle.run_single_fault(
             pair_scheme, FaultType.ROW, RATES, ExactRunConfig(trials=16, seed=2)
         )
         result = start_campaign(
@@ -101,20 +105,32 @@ class TestChaosRecovery:
         # the crashed and hung chunks took more than one attempt
         assert manifest.chunks[1].attempts >= 2 or manifest.chunks[2].attempts >= 2
 
-    def test_batched_kernel_failure_degrades_to_sequential(
-        self, tmp_path, reference
-    ):
-        # "raise" fires on every batched attempt: only the sequential
-        # fallback can complete chunk 0.
+    def test_engine_raise_retries_on_the_same_engine(self, tmp_path, reference):
+        # chunk 0 raises on attempt 0 only; the retry runs the same engine
         result = start_campaign(
             tmp_path, config(), policy(), ChaosSchedule.parse("raise:0")
         )
         assert result.complete
         assert counts(result.tally) == counts(reference)
         manifest = Manifest.load(tmp_path)
-        assert manifest.chunks[0].engine == "sequential"
         assert manifest.chunks[0].attempts == 2
-        assert manifest.chunks[1].engine == "batched"
+        assert manifest.chunks[1].attempts == 1
+
+    def test_persistent_engine_raise_is_quarantined(self, tmp_path, reference):
+        # a raise on every attempt is a bug to surface: no other engine
+        # takes over, the chunk is quarantined as "raise"
+        result = start_campaign(
+            tmp_path, config(), policy(retries=2), ChaosSchedule.parse("raise:0@0|1|2")
+        )
+        assert not result.complete
+        assert sorted(result.quarantined) == [0]
+        assert result.quarantined[0].error == "raise"
+        assert result.quarantined[0].attempts == 3
+        assert "ChaosInjected" in result.quarantined[0].message
+        assert result.tally.total == TRIALS - CHUNK
+        resumed = resume_campaign(tmp_path, policy())
+        assert resumed.complete
+        assert counts(resumed.tally) == counts(reference)
 
     def test_corrupt_tally_is_guarded_not_merged(self, tmp_path, reference):
         result = start_campaign(
@@ -147,6 +163,28 @@ class TestChaosRecovery:
         )
         assert sorted(result.quarantined) == [0]
         assert result.quarantined[0].error == "timeout"
+
+
+class TestLegacyManifest:
+    def test_manifest_with_engine_fields_resumes_to_same_tally(
+        self, tmp_path, reference
+    ):
+        # Manifests written before the engine name was retired carry an
+        # "engine" key per chunk record, "sequential" after a degraded
+        # retry.  They still load, and a resume finishes them bit-identically.
+        with pytest.raises(CampaignAborted):
+            start_campaign(tmp_path, config(), policy(), ChaosSchedule.parse("abort:2"))
+        path = tmp_path / "manifest.json"
+        raw = json.loads(path.read_text())
+        for index, engine in zip(sorted(raw["chunks"]), ("batched", "sequential")):
+            raw["chunks"][index]["engine"] = engine
+        path.write_text(json.dumps(raw))
+        assert campaign_status(tmp_path)["chunks_done"] == 2
+        result = resume_campaign(tmp_path, policy())
+        assert result.complete
+        assert counts(result.tally) == counts(reference)
+        rewritten = json.loads(path.read_text())
+        assert all("engine" not in rec for rec in rewritten["chunks"].values())
 
 
 class TestResumeRefusals:

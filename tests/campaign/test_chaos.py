@@ -35,17 +35,20 @@ class TestParse:
 
 
 class TestHooks:
-    def test_raise_fires_only_on_batched_engine(self):
-        schedule = ChaosSchedule.parse("raise:4")
+    def test_raise_keys_on_attempts(self):
+        schedule = ChaosSchedule.parse("raise:4,raise:5@1|2")
+        assert schedule.raises == {4: frozenset({0}), 5: frozenset({1, 2})}
         with pytest.raises(ChaosInjected):
-            schedule.fire_pre_execute(4, 0, "batched")
-        with pytest.raises(ChaosInjected):  # any attempt, same kernel bug
-            schedule.fire_pre_execute(4, 3, "batched")
-        schedule.fire_pre_execute(4, 0, "sequential")  # fallback passes
+            schedule.fire_pre_execute(4, 0)
+        schedule.fire_pre_execute(4, 1)  # the retry is clean
+        schedule.fire_pre_execute(5, 0)
+        for attempt in (1, 2):
+            with pytest.raises(ChaosInjected):
+                schedule.fire_pre_execute(5, attempt)
 
     def test_unscheduled_chunk_untouched(self):
         schedule = ChaosSchedule.parse("raise:4,corrupt:2")
-        schedule.fire_pre_execute(0, 0, "batched")
+        schedule.fire_pre_execute(0, 0)
         tally = Tally(ok=8)
         assert schedule.corrupt_tally(0, 0, tally) is tally
 

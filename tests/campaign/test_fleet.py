@@ -149,8 +149,7 @@ class TestProtocol:
 class TestLeaseTable:
     def test_grant_heartbeat_expire(self):
         table = LeaseTable(timeout=1.0)
-        lease = table.grant(chunk=3, agent="a0", attempt=0, engine="batched",
-                            now=100.0)
+        lease = table.grant(chunk=3, agent="a0", attempt=0, now=100.0)
         assert lease.deadline == 101.0
         assert table.heartbeat(lease.lease_id, now=100.8)
         assert table.expire_due(now=101.5) == []  # the heartbeat extended it
@@ -161,8 +160,8 @@ class TestLeaseTable:
 
     def test_release_chunk_retires_all_copies(self):
         table = LeaseTable(timeout=5.0)
-        first = table.grant(1, "a0", 0, "batched", now=0.0)
-        steal = table.grant(1, "a1", 0, "batched", now=1.0,
+        first = table.grant(1, "a0", 0, now=0.0)
+        steal = table.grant(1, "a1", 0, now=1.0,
                             stolen_from=first.lease_id)
         assert steal.is_steal and table.stolen == 1
         assert table.copies(1) == 2
@@ -172,27 +171,27 @@ class TestLeaseTable:
 
     def test_steal_candidate_oldest_not_self_not_capped(self):
         table = LeaseTable(timeout=5.0)
-        old = table.grant(1, "a0", 0, "batched", now=0.0)
-        table.grant(2, "a1", 0, "batched", now=1.0)
+        old = table.grant(1, "a0", 0, now=0.0)
+        table.grant(2, "a1", 0, now=1.0)
         # oldest outstanding lease wins: target the worst straggler
         assert table.steal_candidate("a2", max_copies=2) is old
         # an agent never steals its own lease
         assert table.steal_candidate("a0", max_copies=2).chunk == 2
         # copy cap: once chunk 1 has two live leases it stops being a candidate
-        table.grant(1, "a2", 0, "batched", now=2.0, stolen_from=old.lease_id)
+        table.grant(1, "a2", 0, now=2.0, stolen_from=old.lease_id)
         assert table.steal_candidate("a3", max_copies=2).chunk == 2
 
     def test_drop_agent_returns_only_its_leases(self):
         table = LeaseTable(timeout=5.0)
-        table.grant(1, "a0", 0, "batched", now=0.0)
-        table.grant(2, "a1", 1, "sequential", now=0.0)
+        table.grant(1, "a0", 0, now=0.0)
+        table.grant(2, "a1", 1, now=0.0)
         dropped = table.drop_agent("a0")
         assert [le.chunk for le in dropped] == [1]
         assert table.covered_chunks() == {2}
 
     def test_journal_is_json_safe(self):
         table = LeaseTable(timeout=5.0)
-        table.grant(1, "a0", 0, "batched", now=0.0)
+        table.grant(1, "a0", 0, now=0.0)
         journal = json.loads(json.dumps(table.journal()))
         assert journal["granted"] == 1
         assert journal["active"][0]["chunk"] == 1
@@ -260,7 +259,7 @@ class TestSchedulerGuards:
             sched = FleetScheduler(tmp_path / "c", config(), policy=policy())
             spec = sched.plan.chunks[0]
             ok = {"type": "result", "chunk": 0, "lease_id": "",
-                  "counts": [spec.trials, 0, 0, 0], "engine": "batched"}
+                  "counts": [spec.trials, 0, 0, 0]}
             sched._on_result("a0", ok)
             assert 0 in sched.manifest.chunks
             # a second execution of the same deterministic chunk disagrees:
@@ -277,7 +276,7 @@ class TestSchedulerGuards:
         sched = FleetScheduler(tmp_path / "c", config(), policy=policy())
         spec = sched.plan.chunks[0]
         frame = {"type": "result", "chunk": 0, "lease_id": "",
-                 "counts": [spec.trials, 0, 0, 0], "engine": "batched"}
+                 "counts": [spec.trials, 0, 0, 0]}
         sched._on_result("a0", frame)
         sched._on_result("a1", dict(frame))
         assert sched.duplicates_dropped == 1
@@ -287,13 +286,13 @@ class TestSchedulerGuards:
         sched = FleetScheduler(tmp_path / "c", config(), policy=policy())
         chunk = sched._pop_ready(0.0)  # lease it out, as the wire would
         bad = {"type": "result", "chunk": chunk, "lease_id": "",
-               "counts": [1, -1, 0, 0], "engine": "batched"}
+               "counts": [1, -1, 0, 0]}
         sched._on_result("a0", bad)
         assert chunk not in sched.manifest.chunks
         assert chunk in sched._pending  # requeued, not merged
-        # a numerical failure degrades the retry engine, like the supervisor
-        assert sched._chunk_state[chunk].engine == "sequential"
+        # a numerical failure retries on the same engine, like the supervisor
         assert sched._chunk_state[chunk].attempt == 1
+        assert not hasattr(sched._chunk_state[chunk], "engine")
 
     def test_restart_requires_matching_config(self, tmp_path):
         Manifest.create(tmp_path / "c", config().fingerprint_dict(),

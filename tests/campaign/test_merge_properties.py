@@ -1,7 +1,7 @@
 """Property tests for the commutative-merge substrate (Hypothesis).
 
 Everything the fleet does - work-stealing, lease requeues, late results,
-crash-restart, degradation to the in-process supervisor - is safe only
+crash-restart, the no-agent fallback to the in-process supervisor - is safe only
 because merging chunk tallies is order-independent and committing the same
 chunk record twice is idempotent.  These properties are the load-bearing
 wall; they get adversarial inputs, not examples.
@@ -36,11 +36,10 @@ def fresh_manifest(total):
                     save_every=10**9)
 
 
-# records keyed by chunk index, as (counts, attempts, engine) payloads
+# records keyed by chunk index, as (counts, attempts) payloads
 records_st = st.dictionaries(
     keys=st.integers(min_value=0, max_value=63),
-    values=st.tuples(counts_st, st.integers(min_value=1, max_value=5),
-                     st.sampled_from(["batched", "sequential"])),
+    values=st.tuples(counts_st, st.integers(min_value=1, max_value=5)),
     min_size=1, max_size=16,
 )
 
@@ -90,9 +89,9 @@ class TestManifestMergeOrder:
         for order in (order_a, order_b):
             m = fresh_manifest(total=64)
             for index in order:
-                quad, attempts, engine = records[index]
+                quad, attempts = records[index]
                 m.record_chunk(index, tally(quad), trials=sum(quad),
-                               attempts=attempts, engine=engine)
+                               attempts=attempts)
             manifests.append(m)
         a, b = manifests
         assert a.merged_tally() == b.merged_tally()
@@ -114,9 +113,9 @@ class TestManifestMergeOrder:
         once = fresh_manifest(total=64)
         for target, indices in ((once, order), (m, list(order) + dupes)):
             for index in indices:
-                quad, attempts, engine = records[index]
+                quad, attempts = records[index]
                 target.record_chunk(index, tally(quad), trials=sum(quad),
-                                    attempts=attempts, engine=engine)
+                                    attempts=attempts)
         assert m.chunks == once.chunks
         assert m.merged_tally() == once.merged_tally()
 
@@ -124,10 +123,10 @@ class TestManifestMergeOrder:
     @settings(max_examples=50, deadline=None)
     def test_merged_tally_totals_match_components(self, records):
         m = fresh_manifest(total=64)
-        for index, (quad, attempts, engine) in records.items():
+        for index, (quad, attempts) in records.items():
             m.record_chunk(index, tally(quad), trials=sum(quad),
-                           attempts=attempts, engine=engine)
+                           attempts=attempts)
         merged = m.merged_tally()
-        assert merged.total == sum(sum(quad) for quad, _, _ in records.values())
-        assert merged.ok == sum(quad[0] for quad, _, _ in records.values())
-        assert merged.sdc == sum(quad[3] for quad, _, _ in records.values())
+        assert merged.total == sum(sum(quad) for quad, _ in records.values())
+        assert merged.ok == sum(quad[0] for quad, _ in records.values())
+        assert merged.sdc == sum(quad[3] for quad, _ in records.values())

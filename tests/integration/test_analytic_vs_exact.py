@@ -8,12 +8,10 @@ must agree on the failure probabilities of every scheme.
 import pytest
 
 from repro.faults import FaultRates
-from repro.reliability import (
-    ExactRunConfig,
-    run_iid,
-    wilson_interval,
-)
+from repro.reliability import ExactRunConfig, wilson_interval
 from repro.schemes import ConventionalIecc, Duo, NoEcc, PairScheme, Xed
+
+from ..oracle import run_iid
 
 TRIALS = 400
 

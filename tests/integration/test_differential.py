@@ -6,8 +6,9 @@ question - "what fraction of reads fail at this BER?" - is answered by
 three unrelated mechanisms:
 
 1. the semi-analytic model (:func:`repro.reliability.build_model`);
-2. the batched Monte-Carlo engine (:func:`repro.reliability.run_iid_batched`);
-3. the scalar fallback path (:meth:`EccScheme.read_lines_sequential`).
+2. the batched Monte-Carlo engine (:func:`repro.reliability.run_iid_batched`)
+   and the campaign chunk executors built on it;
+3. the scalar oracle (``tests/oracle.py``), one ``read_line`` per trial.
 
 (1) must sit inside a Wilson confidence band of (2) at an elevated BER
 chosen per scheme so failures are observable, and (2) must be bit-identical
@@ -28,10 +29,8 @@ from repro.reliability import (
 )
 from repro.reliability.batch import (
     iid_chunk_tally,
-    iid_chunk_tally_sequential,
     iid_epochs,
     single_fault_chunk_tally,
-    single_fault_chunk_tally_sequential,
     single_fault_specs,
 )
 from repro.schemes import (
@@ -44,6 +43,8 @@ from repro.schemes import (
     RankSecDed,
     Xed,
 )
+
+from .. import oracle
 
 TRIALS = 300
 SEED = 33
@@ -128,9 +129,8 @@ def test_batched_bit_identical_to_scalar_fallback(name, get_scheme):
     scheme = get_scheme(factory)
     rates = iid_rates(ber)
     config = ExactRunConfig(trials=48, seed=7, resample_faults_every=8)
-    epochs = iid_epochs(scheme, config)
-    a = iid_chunk_tally(scheme, rates, epochs)
-    b = iid_chunk_tally_sequential(scheme, rates, epochs)
+    a = iid_chunk_tally(scheme, rates, iid_epochs(scheme, config))
+    b = oracle.run_iid(scheme, rates, config)
     assert counts(a) == counts(b), name
 
 
@@ -143,5 +143,5 @@ def test_single_fault_batched_bit_identical_to_scalar(kind):
     specs = single_fault_specs(scheme, kind, DEFAULT_RATES, config)
     clean = DEFAULT_RATES.with_ber(0.0)
     a = single_fault_chunk_tally(scheme, clean, config.seed, specs)
-    b = single_fault_chunk_tally_sequential(scheme, clean, config.seed, specs)
+    b = oracle.run_single_fault(scheme, kind, DEFAULT_RATES, config)
     assert counts(a) == counts(b), kind

@@ -1,8 +1,11 @@
-"""Three-engine agreement: exact datapath MC vs fast symbol MC vs analytic.
+"""Engine agreement: decoder-in-the-loop MC vs analytic vs rare-event tiers.
 
-The reliability story rests on three implementations of the same question
-("what fraction of reads fail?") with very different mechanics.  At a BER
-where all three have statistics, they must agree.
+The reliability story rests on several implementations of the same
+question ("what fraction of reads fail?") with very different mechanics:
+the scalar oracle and the batched engine decode every read, the analytic
+model closes the form over measured tables, importance sampling and
+splitting sample counts.  At a BER where all of them have statistics, they
+must agree.
 """
 
 import pytest
@@ -11,13 +14,16 @@ from repro.faults import FaultRates
 from repro.reliability import (
     ExactRunConfig,
     RareEventParams,
-    run_fast,
-    run_iid,
+    run_iid_batched,
     run_rareevent_iid,
     run_splitting_iid,
     wilson_interval,
 )
 from repro.schemes import Duo, PairScheme
+
+from .. import oracle
+
+EXACT_TRIALS = 300
 
 
 def iid_rates(ber):
@@ -28,25 +34,42 @@ def iid_rates(ber):
     )
 
 
+@pytest.fixture(scope="module")
+def exact_run():
+    """The scalar oracle's tally per (scheme, ber), shared across tests."""
+    cache = {}
+
+    def run(scheme, ber):
+        key = (scheme.name, ber)
+        if key not in cache:
+            cache[key] = oracle.run_iid(
+                scheme, iid_rates(ber), ExactRunConfig(trials=EXACT_TRIALS, seed=21)
+            )
+        return cache[key]
+
+    return run
+
+
 @pytest.mark.parametrize(
     "scheme_factory,ber",
     [(PairScheme, 3e-3), (Duo, 1e-2)],
     ids=["pair", "duo"],
 )
-def test_three_engines_agree_on_due(scheme_factory, ber, get_scheme, get_model):
+def test_three_engines_agree_on_due(scheme_factory, ber, get_scheme, get_model,
+                                    exact_run):
     scheme = get_scheme(scheme_factory)
-    exact_trials = 300
-    exact = run_iid(scheme, iid_rates(ber), ExactRunConfig(trials=exact_trials, seed=21))
-    fast = run_fast(scheme, ber, trials=50_000, seed=21)
+    exact = exact_run(scheme, ber)
+    batched = run_iid_batched(
+        scheme, iid_rates(ber), ExactRunConfig(trials=EXACT_TRIALS, seed=21)
+    )
     analytic = get_model(scheme, 300, seed=21).line_probs(ber)["due"]
 
-    lo, hi = wilson_interval(exact.due, exact_trials)
-    # fast and analytic both sit inside (slightly widened) exact confidence
+    # the batched engine is the scalar oracle, bit for bit
+    assert batched.as_dict() == exact.as_dict()
+    # and the analytic model sits inside the (slightly widened) exact band
+    lo, hi = wilson_interval(exact.due, EXACT_TRIALS)
     slack = 0.03
-    assert lo - slack <= fast.due_rate <= hi + slack
     assert lo - slack <= analytic <= hi + slack
-    # and fast agrees tightly with analytic (same tables, sampled mixing)
-    assert fast.due_rate == pytest.approx(analytic, rel=0.15)
 
 
 @pytest.mark.parametrize(
@@ -55,15 +78,12 @@ def test_three_engines_agree_on_due(scheme_factory, ber, get_scheme, get_model):
     ids=["pair", "duo"],
 )
 def test_rareevent_engine_joins_the_agreement(
-    scheme_factory, ber, get_scheme, get_model
+    scheme_factory, ber, get_scheme, get_model, exact_run
 ):
     """The tilted estimator must agree with the other engines where they
     all have statistics - not only in the deep tail it was built for."""
     scheme = get_scheme(scheme_factory)
-    exact_trials = 300
-    exact = run_iid(
-        scheme, iid_rates(ber), ExactRunConfig(trials=exact_trials, seed=21)
-    )
+    exact = exact_run(scheme, ber)
     analytic = get_model(scheme, 300, seed=21).line_probs(ber)
     rare = run_rareevent_iid(
         scheme, iid_rates(ber), ExactRunConfig(trials=60_000, seed=21),
@@ -72,7 +92,7 @@ def test_rareevent_engine_joins_the_agreement(
     fail_est = rare.estimates()["outcomes"]["fail"]
 
     # inside the (slightly widened) exact engine's confidence band
-    lo, hi = wilson_interval(exact.due + exact.sdc, exact_trials)
+    lo, hi = wilson_interval(exact.due + exact.sdc, EXACT_TRIALS)
     slack = 0.03
     assert lo - slack <= fail_est["p_ht"] <= hi + slack
     # and tightly on the analytic closed form (same conditional tables)

@@ -1,4 +1,4 @@
-"""Batched Monte-Carlo engines: bit-identical to sequential, worker-invariant."""
+"""Batched Monte-Carlo engines: bit-identical to the scalar oracle, worker-invariant."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,14 @@ import pytest
 from repro.faults import DEFAULT_RATES, FaultType
 from repro.reliability import (
     ExactRunConfig,
-    run_burst_lengths,
     run_burst_lengths_batched,
-    run_iid,
     run_iid_batched,
-    run_single_fault,
     run_single_fault_batched,
 )
 from repro.schemes import Duo, PairScheme
 from repro.schemes.iecc_sec import ConventionalIecc
+
+from .. import oracle
 
 
 def counts(tally):
@@ -32,16 +31,16 @@ class TestIidBatched:
         rates = DEFAULT_RATES.with_ber(1e-4)
         config = ExactRunConfig(trials=40, seed=seed)
         for scheme in schemes:
-            a = run_iid(scheme, rates, config)
+            a = oracle.run_iid(scheme, rates, config)
             b = run_iid_batched(scheme, rates, config)
             assert counts(a) == counts(b), scheme.name
 
     def test_resample_grouping_matches(self, schemes):
-        # Epoch grouping must honour the sequential rebuild points exactly.
+        # Epoch grouping must honour the scalar loop's rebuild points exactly.
         rates = DEFAULT_RATES.with_ber(5e-5)
         config = ExactRunConfig(trials=30, seed=9, resample_faults_every=7)
         scheme = schemes[0]
-        assert counts(run_iid(scheme, rates, config)) == counts(
+        assert counts(oracle.run_iid(scheme, rates, config)) == counts(
             run_iid_batched(scheme, rates, config)
         )
 
@@ -77,7 +76,7 @@ class TestSingleFaultBatched:
     def test_bit_identical_to_sequential(self, schemes, kind):
         config = ExactRunConfig(trials=12, seed=2)
         for scheme in schemes:
-            a = run_single_fault(scheme, kind, DEFAULT_RATES, config)
+            a = oracle.run_single_fault(scheme, kind, DEFAULT_RATES, config)
             b = run_single_fault_batched(scheme, kind, DEFAULT_RATES, config)
             assert counts(a) == counts(b), (scheme.name, kind)
 
@@ -98,7 +97,7 @@ class TestBurstLengthsBatched:
         lengths = [1, 4, 16]
         config = ExactRunConfig(trials=8, seed=0)
         for scheme in schemes:
-            a = run_burst_lengths(scheme, lengths, config)
+            a = oracle.run_burst_lengths(scheme, lengths, config)
             b = run_burst_lengths_batched(scheme, lengths, config)
             assert list(a) == list(b), scheme.name
             for length in lengths:
@@ -162,18 +161,13 @@ class TestBrokenPoolHardening:
         assert excinfo.value.chunk_id == 0
 
     def test_sequential_path_fallback_matches_batched(self, schemes):
-        # The campaign's degradation target: scalar fallback executors must
-        # be bit-identical to the batched chunk executors.
-        from repro.reliability.batch import (
-            iid_chunk_tally,
-            iid_chunk_tally_sequential,
-            iid_epochs,
-        )
+        # The campaign's chunk executor, fed every epoch of a run, must be
+        # bit-identical to the scalar oracle's sequential loop.
+        from repro.reliability.batch import iid_chunk_tally, iid_epochs
 
         rates = DEFAULT_RATES.with_ber(2e-4)
         config = ExactRunConfig(trials=24, seed=11, resample_faults_every=4)
         for scheme in schemes:
-            epochs = iid_epochs(scheme, config)
-            a = iid_chunk_tally(scheme, rates, epochs)
-            b = iid_chunk_tally_sequential(scheme, rates, epochs)
+            a = iid_chunk_tally(scheme, rates, iid_epochs(scheme, config))
+            b = oracle.run_iid(scheme, rates, config)
             assert counts(a) == counts(b), scheme.name

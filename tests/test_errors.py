@@ -10,7 +10,9 @@ from repro.errors import (
     EngineMismatch,
     NumericalGuard,
     guard_tally,
+    guard_weighted,
 )
+from repro.reliability.stats import unit_weighted_tally
 
 
 class TestTaxonomy:
@@ -65,3 +67,20 @@ class TestGuardTally:
     def test_context_in_message(self):
         with pytest.raises(NumericalGuard, match="chunk 7"):
             guard_tally((0, 0, 0, -2), context="chunk 7")
+
+
+class TestGuardWeighted:
+    def accumulator(self):
+        return unit_weighted_tally({"ok": 6, "ce": 1, "due": 1, "sdc": 0})
+
+    def test_valid_accumulator_passes(self):
+        guard_weighted(self.accumulator(), expected_total=8)
+
+    @pytest.mark.parametrize("key,value", [
+        ("tilt", "1.5"), ("defensive", None), ("n", "8"), ("outcomes", [1, 2]),
+    ])
+    def test_wrong_typed_field_is_a_numerical_guard(self, key, value):
+        # accumulators arrive from result frames and manifests: untrusted
+        weighted = dict(self.accumulator(), **{key: value})
+        with pytest.raises(NumericalGuard):
+            guard_weighted(weighted, context="chunk 2")
