@@ -7,6 +7,9 @@ onward (CI uploads the ``--benchmark-json`` output as ``BENCH_rs_decode.json``):
 * scalar decode of a dirty word (key equation + Chien + Forney),
 * ``decode_batch`` throughput on a Monte-Carlo-shaped batch (mostly clean
   rows, a dirty minority),
+* ``decode_batch`` on a dense beyond-bound batch (every word carries
+  t+1..t+8 single-bit symbol errors: the F2 conditional-table regime, where
+  the vectorised key-equation solve runs),
 * the dense syndrome screen per kernel backend (numpy / bitsliced / numba
   when installed) - the tracked number behind the bitsliced tier's >=3x
   acceptance bar, recorded with a ``backend`` tag in ``extra_info``,
@@ -20,13 +23,14 @@ the committed baseline via ``benchmarks/check_regression.py``.
 import numpy as np
 import pytest
 
-from repro.codes import SinglyExtendedRS
+from repro.codes import DecodeStatus, SinglyExtendedRS
 from repro.galois import GF256
 from repro.galois.backends import BackendUnavailableError, backend_names, get_backend
 
 BATCH = 1024
 DIRTY_PER_BATCH = 32  # ~3% dirty rows, the Monte-Carlo regime
 SCREEN_BATCH = 4096  # dense regime: every row dirty (burst/beyond-bound studies)
+BEYOND_BATCH = 400  # one F2 table cell: samples=400 words at one error count
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +75,25 @@ def test_decode_batch_throughput(benchmark, code, mc_batch):
     benchmark.extra_info["batch"] = BATCH
     benchmark.extra_info["dirty_rows"] = DIRTY_PER_BATCH
     benchmark.extra_info["words_per_second"] = BATCH / benchmark.stats["mean"]
+
+
+@pytest.fixture(scope="module")
+def beyond_bound_batch(code):
+    rng = np.random.default_rng(0xBE70)
+    words = np.zeros((BEYOND_BATCH, code.n), dtype=np.int64)
+    for i in range(BEYOND_BATCH):
+        n_err = int(rng.integers(code.t + 1, code.t + 9))
+        pos = rng.choice(code.n, n_err, replace=False)
+        words[i, pos] = 1 << rng.integers(0, 8, size=n_err)
+    return words
+
+
+def test_decode_beyond_bound_batch(benchmark, code, beyond_bound_batch):
+    results = benchmark(code.decode_batch, beyond_bound_batch)
+    assert len(results) == BEYOND_BATCH
+    assert all(r.status is not DecodeStatus.OK for r in results)
+    benchmark.extra_info["batch"] = BEYOND_BATCH
+    benchmark.extra_info["words_per_second"] = BEYOND_BATCH / benchmark.stats["mean"]
 
 
 def _available_backends():

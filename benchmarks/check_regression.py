@@ -13,7 +13,9 @@ baseline ``BENCH_rs_decode.json`` and fails (exit 1) when:
 Tracked benchmarks are the kernel micro-benchmarks (scalar decodes, batch
 throughput, per-backend dense screens).  The F2 sweep wall-clock is
 reported but not gated: it spans the whole pipeline and moves with every
-subsystem, which would make the gate noisy for unrelated PRs.  The numba
+subsystem, which would make the gate noisy for unrelated PRs.  The dense
+beyond-bound batch decode is reported but not gated either, until a
+baseline recorded on the CI runner class includes it.  The numba
 screen is gated only when present in *both* files (availability differs
 across environments).
 
@@ -51,7 +53,7 @@ TRACKED = (
 TRACKED_OPTIONAL = ("test_syndrome_screen_backend[numba]",)
 
 #: informational only - printed, never gated.
-INFORMATIONAL = ("test_f2_sweep_wall_clock",)
+INFORMATIONAL = ("test_f2_sweep_wall_clock", "test_decode_beyond_bound_batch")
 
 SPEEDUP_NUM = "test_syndrome_screen_backend[numpy]"
 SPEEDUP_DEN = "test_syndrome_screen_backend[bitsliced]"
@@ -100,9 +102,9 @@ def check(
             )
     for name in INFORMATIONAL:
         if name in candidate:
-            note = f"  [info] {name}: {candidate[name]:.2f} s"
+            note = f"  [info] {name}: {candidate[name]:.4g} s"
             if name in baseline:
-                note += f" (baseline {baseline[name]:.2f} s; not gated)"
+                note += f" (baseline {baseline[name]:.4g} s; not gated)"
             print(note)
     num, den = candidate.get(SPEEDUP_NUM), candidate.get(SPEEDUP_DEN)
     if num is None or den is None or den <= 0:

@@ -1,7 +1,7 @@
 """Reed-Solomon codes: systematic codec with errors-and-erasures decoding.
 
 This is the coding core of the PAIR architecture.  Three variants are
-provided, all sharing one solver:
+provided, all sharing one decoder:
 
 * :class:`ReedSolomonCode` - classic (possibly shortened) RS over GF(2^m),
   BCH view, generator roots ``alpha^fcr .. alpha^(fcr+r-1)``;
@@ -15,20 +15,30 @@ provided, all sharing one solver:
   ``f`` erasures plus ``v`` errors whenever ``2v + f <= r``.
 
 Decoding pipeline: syndromes -> (erasure locator, modified syndromes) ->
-Sugiyama extended-Euclid key-equation solver -> Chien search -> Forney
-magnitudes -> verification re-check.  Decoding is bounded-distance: words
-beyond half the design distance are usually *detected* but can miscorrect
-with the (physically real) probability that the reliability analysis cares
-about.
+key-equation solve -> Chien search -> Forney magnitudes -> verification
+re-check.  Decoding is bounded-distance: words beyond half the design
+distance are usually *detected* but can miscorrect with the (physically
+real) probability that the reliability analysis cares about.
 
 Decoding is batched-first: :meth:`decode_batch` computes all syndromes in
 one vectorised pass (see :mod:`repro.galois.batch`), short-circuits the
-overwhelmingly common all-zero-syndrome rows, runs the scalar key-equation
-solver only on the dirty minority, and batch-verifies every candidate
-correction.  The scalar :meth:`decode` is a one-row batch, so both paths are
-the same code by construction.  The solver itself works on plain-int
-coefficient lists (numpy per-call overhead dominates at these tiny
-polynomial degrees) with Chien-search tables cached per ``(field, n)``.
+overwhelmingly common all-zero-syndrome rows, solves the key equation only
+for the dirty rows, and batch-verifies every candidate correction.  The
+scalar :meth:`decode` is a one-row batch.  The key equation has two
+solvers, chosen per hypothesis by the number of dirty rows against
+:data:`_BATCH_SOLVE_MIN`:
+
+* few rows (the sparse Monte-Carlo regime, and every scalar ``decode``):
+  the Sugiyama extended-Euclid solver on plain-int coefficient lists
+  (numpy per-call overhead dominates at these tiny polynomial degrees);
+* many rows (the dense F2 conditional tables, all words dirty and most
+  beyond the bound): one errors-and-erasures Berlekamp-Massey pass over the
+  ``(rows, r)`` syndrome matrix, one batched Chien search behind
+  :meth:`KernelBackend.chien_roots`, and Forney evaluated only at the roots.
+
+Both solvers reject a locator whose evaluator degree reaches its own degree
+before the Chien search, so they accept the same rows with the same roots
+and magnitudes: results and obs counters are identical whichever runs.
 """
 
 from __future__ import annotations
@@ -55,6 +65,16 @@ _C_DETECTED = _obs.counter("rs.decode.detected")
 _C_CORRECTED = _obs.counter("rs.decode.corrected_words")
 _C_CHIEN_SEARCHES = _obs.counter("rs.chien.searches")
 _C_CHIEN_POINTS = _obs.counter("rs.chien.points")
+
+#: Rows per key-equation solve from which :func:`_solve_rows` takes the
+#: vectorised Berlekamp-Massey pass instead of the scalar Sugiyama solver.
+#: Measured crossover on PAIR's RS(256,240) and DUO's RS(76,64) (x86-64,
+#: numpy tier): the scalar solver costs 50-110 us per row, the batched pass
+#: 0.3-0.6 ms per call plus a few us per row, so they meet at 8-16 rows.
+_BATCH_SOLVE_MIN = 12
+#: Rows per vectorised pass (its largest temporary, the Forney evaluator
+#: products, is ``rows * r * (t + 1)`` int64 values: ~1.4 MB for PAIR).
+_BATCH_SOLVE_ROWS = 1024
 
 
 class RSDecodeFailure(Exception):
@@ -146,12 +166,12 @@ def chien_points(field: GF2m, n: int) -> np.ndarray:
     return chien_tables(field, n, 1)["points"]
 
 
-def _chien_roots(field: GF2m, n: int, psi: list[int]) -> np.ndarray:
-    """Coefficient indices ``c`` in ``0..n-1`` with ``psi(alpha^-c) = 0``."""
+def _chien_roots(field: GF2m, n: int, locators: np.ndarray) -> np.ndarray:
+    """``(rows, n)`` root mask: ``out[b, c]`` iff ``locators[b](alpha^-c) = 0``."""
     if _obs.enabled():
-        _C_CHIEN_SEARCHES.add(1)
-        _C_CHIEN_POINTS.add(n)
-    return active_backend().chien_roots(field, n, psi)
+        _C_CHIEN_SEARCHES.add(locators.shape[0])
+        _C_CHIEN_POINTS.add(locators.shape[0] * n)
+    return active_backend().chien_roots(field, n, locators)
 
 
 def _solve_key_equation(
@@ -260,16 +280,21 @@ def _solve_key_equation(
     # Combined locator covers both errors and erasures.
     psi = _pmul(sigma, gamma, mt) if f else sigma
     nu = _pdeg(psi)
-    if nu == 0:
-        return []
+
+    # A true errata locator of degree nu has an evaluator of degree < nu
+    # (which also rejects nu = 0: the syndromes are nonzero here).
+    # Rejecting the others before the Chien search is exactly the batched
+    # solver's acceptance test, so both paths search the same locators.
+    omega = _ptrim(_pmul_low(s_poly, psi, r, mt))
+    if _pdeg(omega) >= nu:
+        raise RSDecodeFailure("error evaluator degree reaches the locator's")
 
     # Chien search over valid coefficient indices only (shortened support).
-    roots = _chien_roots(field, n, psi)
+    roots = np.flatnonzero(_chien_roots(field, n, np.array([psi], dtype=np.int64))[0])
     if roots.size != nu:
         raise RSDecodeFailure("locator roots do not match its degree")
 
     # Forney: e_c = X^(1-fcr) * Omega(X^-1) / Psi'(X^-1),  X = alpha^c.
-    omega = _ptrim(_pmul_low(s_poly, psi, r, mt))
     psi_deriv = psi[1:]
     psi_deriv[1::2] = [0] * len(psi_deriv[1::2])
     corrections: list[tuple[int, int]] = []
@@ -298,6 +323,163 @@ def exp_log_div(log: list[int], a: int, b: int, q1: int) -> int:
     return (log[a] - log[b] + q1) % q1
 
 
+def _solve_key_equation_batch(
+    field: GF2m,
+    syndromes: np.ndarray,
+    erasure_coeffs: Sequence[tuple[int, ...]],
+    fcr: int,
+    n: int,
+) -> list[list[tuple[int, int]] | None]:
+    """:func:`_solve_key_equation` for every row of a ``(rows, r)`` matrix.
+
+    Returns each row's corrections, or ``None`` where the scalar solver
+    raises :class:`RSDecodeFailure`.  Three vectorised steps:
+
+    * errors-and-erasures Berlekamp-Massey: ``C`` starts at the erasure
+      locator ``Gamma`` with ``L = f``; steps ``k < f`` are masked per row
+      and the length changes when ``2L <= k + f``.  A row is accepted iff
+      ``2(L - f) <= r - f`` and ``deg C = L``, which is exactly the set of
+      rows whose Sugiyama locator passes the scalar solver's degree,
+      constant-term and evaluator-degree checks (the accepted locators
+      agree up to a scalar, which changes neither roots nor magnitudes);
+    * one batched Chien search over the accepted locators;
+    * Forney, evaluated only at the roots.
+    """
+    q1 = field.order - 1
+    exp_z, log_z = field.zero_tables()
+    zero_log = log_z[0]
+    rows, r = syndromes.shape
+    out: list[list[tuple[int, int]] | None] = [None] * rows
+    f_all = np.array([len(e) for e in erasure_coeffs], dtype=np.int64)
+    live = np.flatnonzero(f_all <= r)  # more erasures than r: failed, unsolved
+    if _obs.enabled():
+        _C_SOLVES.add(int(live.size))
+    if live.size == 0:
+        return out
+    f = f_all[live]
+    log_s = log_z[syndromes[live]]
+    width = r + 1  # deg C <= L <= r throughout
+    locs = np.zeros((live.size, width), dtype=np.int64)
+    locs[:, 0] = 1
+    erased = np.flatnonzero(f)
+    if erased.size:
+        mt = field.mul_rows()
+        for row in erased.tolist():
+            gamma = [1]
+            for c in erasure_coeffs[live[row]]:
+                gamma = _pmul(gamma, [1, field._exp_list[c % q1]], mt)
+            locs[row, : len(gamma)] = gamma
+
+    # Berlekamp-Massey.  ``log_shift`` holds log(x^m B), shifted once per
+    # active step; deg C <= L <= k at step k, so C[:, :k+1] is all of C.
+    log_shift = log_z[locs]
+    length = f.copy()
+    log_b = np.zeros(live.size, dtype=np.int64)
+    for k in range(int(f.min()), r):
+        log_locs = log_z[locs]
+        terms = exp_z[log_locs[:, : k + 1] + log_s[:, k::-1]]
+        delta = np.bitwise_xor.reduce(terms, axis=1)
+        moved = np.full_like(log_shift, zero_log)
+        moved[:, 1:] = log_shift[:, :-1]
+        step = delta != 0
+        if erased.size:
+            active = f <= k
+            moved = np.where(active[:, None], moved, log_shift)
+            step &= active
+        log_delta = log_z[delta]
+        coef = np.where(step, (log_delta - log_b) % q1, zero_log)
+        grow = step & (2 * length <= k + f)
+        locs = locs ^ exp_z[coef[:, None] + moved]
+        log_shift = np.where(grow[:, None], log_locs, moved)
+        log_b = np.where(grow, log_delta, log_b)
+        length = np.where(grow, k + 1 + f - length, length)
+    degree = width - 1 - np.argmax(locs[:, ::-1] != 0, axis=1)
+    accepted = (2 * (length - f) <= r - f) & (degree == length)
+    for row in np.flatnonzero(accepted & (length == 0)).tolist():
+        out[int(live[row])] = []  # clean syndromes, no erasures
+
+    sel = np.flatnonzero(accepted & (length > 0))
+    if sel.size == 0:
+        return out
+    nu = length[sel]
+    top = int(nu.max()) + 1
+    mask = _chien_roots(field, n, locs[sel, :top])
+    found = mask.sum(axis=1) == nu
+    sel, mask = sel[found], mask[found]
+    if sel.size == 0:
+        return out
+
+    # Forney: e_c = X^(1-fcr) * Omega(X^-1) / Psi'(X^-1),  X = alpha^c, with
+    # Omega = S * Psi mod x^r.  ``lag[j, i] = j - i`` indexes S_(j-i); the
+    # negative lags read an appended zero column.
+    log_psi = log_z[locs[sel, :top]]
+    lag = np.arange(r)[:, None] - np.arange(top)[None, :]
+    log_s_pad = np.concatenate(
+        [log_s[sel], np.full((sel.size, 1), zero_log, dtype=np.int64)], axis=1
+    )
+    terms = exp_z[log_s_pad[:, np.where(lag >= 0, lag, r)] + log_psi[:, None, :]]
+    log_omega = log_z[np.bitwise_xor.reduce(terms, axis=2)]
+    logm = chien_tables(field, n, r)["logm"]
+    root_row, root_c = np.nonzero(mask)
+    num = np.bitwise_xor.reduce(
+        exp_z[log_omega[root_row] + logm[:r, root_c].T], axis=1
+    )
+    odd = np.arange(1, top, 2)
+    den = np.bitwise_xor.reduce(
+        exp_z[log_psi[root_row][:, odd] + logm[odd - 1][:, root_c].T], axis=1
+    )
+    log_mag = (root_c * (1 - fcr)) % q1 + (field._log[num] - field._log[den]) % q1
+    mag = np.where(num != 0, field._exp[log_mag], 0)
+    bad = den == 0
+    if erased.size:
+        hints = np.zeros((sel.size, n), dtype=bool)
+        for i, row in enumerate(sel.tolist()):
+            hints[i, list(erasure_coeffs[live[row]])] = True
+        bad |= (mag == 0) & ~hints[root_row, root_c]
+    else:
+        bad |= mag == 0
+    failed = np.zeros(sel.size, dtype=bool)
+    failed[root_row[bad]] = True
+    corrections: list[list[tuple[int, int]]] = [[] for _ in range(sel.size)]
+    for i, c, e in zip(root_row.tolist(), root_c.tolist(), mag.tolist()):
+        if e:
+            corrections[i].append((c, e))
+    for i in np.flatnonzero(~failed).tolist():
+        out[int(live[sel[i]])] = corrections[i]
+    return out
+
+
+def _solve_rows(
+    field: GF2m,
+    syndromes: np.ndarray,
+    erasure_coeffs: Sequence[tuple[int, ...]],
+    fcr: int,
+    n: int,
+) -> list[list[tuple[int, int]] | None]:
+    """Corrections per syndrome row (``None`` = failed), batched when it pays.
+
+    Fewer than :data:`_BATCH_SOLVE_MIN` rows run the scalar Sugiyama solver
+    one at a time; more run :func:`_solve_key_equation_batch`, at most
+    :data:`_BATCH_SOLVE_ROWS` rows per pass to bound its working set.  The
+    two give identical results and identical obs counts on every row.
+    """
+    out: list[list[tuple[int, int]] | None] = []
+    rows = len(erasure_coeffs)
+    if rows >= _BATCH_SOLVE_MIN:
+        for start in range(0, rows, _BATCH_SOLVE_ROWS):
+            stop = start + _BATCH_SOLVE_ROWS
+            out += _solve_key_equation_batch(
+                field, syndromes[start:stop], erasure_coeffs[start:stop], fcr, n
+            )
+        return out
+    for synd, ers in zip(syndromes, erasure_coeffs):
+        try:
+            out.append(_solve_key_equation(field, synd, ers, fcr, n))
+        except RSDecodeFailure:
+            out.append(None)
+    return out
+
+
 def _record_batch_outcomes(results: "list[DecodeResult | None]", clean: int) -> None:
     """Tally one decode_batch call's outcomes (only when obs is enabled)."""
     if not _obs.enabled():
@@ -314,9 +496,13 @@ def _record_batch_outcomes(results: "list[DecodeResult | None]", clean: int) -> 
 
 
 def _normalize_erasures(
-    erasures: Sequence[tuple[int, ...]] | None, batch: int
+    erasures: Sequence[tuple[int, ...]] | None, batch: int, n: int
 ) -> list[tuple[int, ...]]:
-    """Per-word erasure tuples for a batch (None -> no erasures anywhere)."""
+    """Per-word erasure tuples for a batch (None -> no erasures anywhere).
+
+    Raises ``ValueError`` for a position outside ``[0, n)`` or a position
+    listed twice: either would build a wrong erasure locator silently.
+    """
     if erasures is None:
         return [()] * batch
     erasures = list(erasures)
@@ -324,7 +510,15 @@ def _normalize_erasures(
         raise ValueError(
             f"expected one erasure tuple per word ({batch}), got {len(erasures)}"
         )
-    return [tuple(e) for e in erasures]
+    out = []
+    for ers in erasures:
+        ers = tuple(int(p) for p in ers)
+        if len(set(ers)) != len(ers) or not all(0 <= p < n for p in ers):
+            raise ValueError(
+                f"erasure positions must be distinct and in [0, {n}), got {ers}"
+            )
+        out.append(ers)
+    return out
 
 
 class ReedSolomonCode(BlockCode):
@@ -464,35 +658,43 @@ class ReedSolomonCode(BlockCode):
         Element-wise identical to calling :meth:`decode` per row (the scalar
         path *is* a one-row batch): syndromes are computed for the whole
         batch in one vectorised pass, all-zero-syndrome rows short-circuit to
-        ``OK``, the scalar key-equation solver runs only on the dirty
-        minority, and the post-correction verification re-check is batched
-        over every candidate.
+        ``OK``, the key equation is solved for the dirty rows only (batched
+        when there are many, see :func:`_solve_rows`), and the
+        post-correction verification re-check is batched over every
+        candidate.
 
         ``erasures``, when given, is one tuple of codeword positions per row.
         """
         words = np.asarray(words, dtype=np.int64)
         if words.ndim != 2 or words.shape[1] != self.n:
             raise ValueError(f"expected (batch, {self.n}) matrix, got {words.shape}")
-        per_word_erasures = _normalize_erasures(erasures, words.shape[0])
+        per_word_erasures = _normalize_erasures(erasures, words.shape[0], self.n)
         synds = batch_syndromes(self.field, words, self.r, self.fcr)
         results: list[DecodeResult | None] = [None] * words.shape[0]
-        candidates: list[tuple[int, np.ndarray, list[int]]] = []
+        dirty: list[int] = []
         clean = 0
         for i in range(words.shape[0]):
-            received = words[i]
-            ers = per_word_erasures[i]
-            if not synds[i].any() and not ers:
+            if not synds[i].any() and not per_word_erasures[i]:
                 clean += 1
                 results[i] = DecodeResult(
-                    DecodeStatus.OK, received[: self.k].copy(), codeword=received.copy()
+                    DecodeStatus.OK, words[i][: self.k].copy(), codeword=words[i].copy()
                 )
-                continue
-            erasure_coeffs = tuple(self.coeff_of_position(p) for p in ers)
-            try:
-                corrections = _solve_key_equation(
-                    self.field, synds[i], erasure_coeffs, self.fcr, self.n
-                )
-            except RSDecodeFailure:
+            else:
+                dirty.append(i)
+        if not dirty:
+            _record_batch_outcomes(results, clean)
+            return results
+        solved = _solve_rows(
+            self.field,
+            synds[dirty],
+            [tuple(self.coeff_of_position(p) for p in per_word_erasures[i]) for i in dirty],
+            self.fcr,
+            self.n,
+        )
+        candidates: list[tuple[int, np.ndarray, list[int]]] = []
+        for i, corrections in zip(dirty, solved):
+            received = words[i]
+            if corrections is None:
                 results[i] = DecodeResult(
                     DecodeStatus.DETECTED, received[: self.k].copy()
                 )
@@ -584,29 +786,35 @@ class SinglyExtendedRS(BlockCode):
         self,
         syndromes: np.ndarray,
         fcr: int,
-        erasure_positions: tuple[int, ...],
-    ) -> list[tuple[int, int]] | None:
-        """Solve one decoding hypothesis.
+        erasure_positions: list[tuple[int, ...]],
+    ) -> list[list[tuple[int, int]] | None]:
+        """Solve one decoding hypothesis for every row of ``syndromes``.
 
-        Accepts when the errors-and-erasures budget holds for this
+        Accepts a row when the errors-and-erasures budget holds for this
         hypothesis's syndrome count: ``2 * true_errors + erasures <= m``.
         """
-        erasure_coeffs = tuple(self.inner.coeff_of_position(p) for p in erasure_positions)
-        try:
-            corrections = _solve_key_equation(
-                self.field, syndromes, erasure_coeffs, fcr, self.inner.n
-            )
-        except RSDecodeFailure:
-            return None
-        erased = set(erasure_positions)
-        true_errors = sum(
-            1
-            for coeff_idx, _ in corrections
-            if self.inner.position_of_coeff(coeff_idx) not in erased
+        if not erasure_positions:
+            return []
+        solved = _solve_rows(
+            self.field,
+            syndromes,
+            [tuple(self.inner.coeff_of_position(p) for p in ers) for ers in erasure_positions],
+            fcr,
+            self.inner.n,
         )
-        if 2 * true_errors + len(erased) > len(syndromes):
-            return None
-        return corrections
+        out: list[list[tuple[int, int]] | None] = []
+        for corrections, ers in zip(solved, erasure_positions):
+            if corrections is not None:
+                erased = set(ers)
+                true_errors = sum(
+                    1
+                    for coeff_idx, _ in corrections
+                    if self.inner.position_of_coeff(coeff_idx) not in erased
+                )
+                if 2 * true_errors + len(erased) > syndromes.shape[1]:
+                    corrections = None
+            out.append(corrections)
+        return out
 
     def _apply(
         self, inner_rx: np.ndarray, corrections: list[tuple[int, int]]
@@ -633,21 +841,22 @@ class SinglyExtendedRS(BlockCode):
         Element-wise identical to per-row :meth:`decode`.  Inner syndromes
         and the extension check ``S_0`` are computed for the whole batch in
         one pass; clean rows short-circuit; dirty rows run the two-hypothesis
-        scalar solve (extension clean, then extension corrupted), with each
-        hypothesis's verification re-check batched across the rows that
-        reached it.
+        solve: case A (extension clean) over all dirty rows, then case B
+        (extension corrupted) over the rows case A could not settle.  Each
+        hypothesis is one :func:`_solve_rows` call and one batched
+        verification re-check.
         """
         words = np.asarray(words, dtype=np.int64)
         if words.ndim != 2 or words.shape[1] != self.n:
             raise ValueError(f"expected (batch, {self.n}) matrix, got {words.shape}")
-        per_word_erasures = _normalize_erasures(erasures, words.shape[0])
+        per_word_erasures = _normalize_erasures(erasures, words.shape[0], self.n)
         inner_words = words[:, :-1]
         synds = batch_syndromes(self.field, inner_words, self.inner.r, 1)
         # S_0 = e(1) ^ e_ext: XOR of every symbol including the extension.
         s0s = np.bitwise_xor.reduce(words, axis=1)
         results: list[DecodeResult | None] = [None] * words.shape[0]
+        case_a: list[int] = []
         case_b: list[int] = []
-        a_candidates: list[tuple[int, np.ndarray, list[int]]] = []
         clean = 0
         for i in range(words.shape[0]):
             ers = per_word_erasures[i]
@@ -658,15 +867,21 @@ class SinglyExtendedRS(BlockCode):
                     words[i][: self.k].copy(),
                     codeword=words[i].copy(),
                 )
-                continue
-            # Case A: extension symbol assumed correct -> S_0 is a true
-            # syndrome, giving r+1 consecutive syndromes starting at alpha^0.
-            if (self.n - 1) in ers:
+            elif (self.n - 1) in ers:
                 case_b.append(i)
-                continue
-            inner_ers = tuple(p for p in ers if p < self.n - 1)
-            synd_a = np.concatenate([[s0s[i]], synds[i]])
-            corrections = self._try_case(synd_a, 0, inner_ers)
+            else:
+                case_a.append(i)
+        if not case_a and not case_b:
+            _record_batch_outcomes(results, clean)
+            return results
+        # Case A: extension symbol assumed correct -> S_0 is a true
+        # syndrome, giving r+1 consecutive syndromes starting at alpha^0.
+        # (Case-A rows have no erasure at the extension position.)
+        synd_a = np.concatenate([s0s[:, None], synds], axis=1)[case_a]
+        a_candidates: list[tuple[int, np.ndarray, list[int]]] = []
+        for i, corrections in zip(
+            case_a, self._try_case(synd_a, 0, [per_word_erasures[i] for i in case_a])
+        ):
             if corrections is None:
                 case_b.append(i)
                 continue
@@ -694,10 +909,10 @@ class SinglyExtendedRS(BlockCode):
         # Case B: extension symbol corrupted (or erased) -> it costs one unit
         # of the distance budget; decode the inner word alone.
         b_candidates: list[tuple[int, np.ndarray, list[int]]] = []
-        for i in case_b:
-            ers = per_word_erasures[i]
-            inner_ers = tuple(p for p in ers if p < self.n - 1)
-            corrections = self._try_case(synds[i], 1, inner_ers)
+        inner_ers = [
+            tuple(p for p in per_word_erasures[i] if p < self.n - 1) for i in case_b
+        ]
+        for i, corrections in zip(case_b, self._try_case(synds[case_b], 1, inner_ers)):
             if corrections is None:
                 results[i] = DecodeResult(
                     DecodeStatus.DETECTED, inner_words[i][: self.k].copy()

@@ -6,7 +6,8 @@ is built on:
 * the **batched syndrome pass** (``syndromes``) - the screen that separates
   clean words from the dirty minority;
 * the **Chien screen** (``chien_roots``) - locator-root search over the
-  valid coefficient indices of a (possibly shortened) codeword;
+  valid coefficient indices of a (possibly shortened) codeword, for a whole
+  ``(batch, degree + 1)`` matrix of locators at once;
 * the **clean-row screen** (``clean_row_mask``) - the all-zero-row skip
   every engine applies before touching field arithmetic.
 
@@ -127,8 +128,16 @@ class KernelBackend(abc.ABC):
         """
 
     @abc.abstractmethod
-    def chien_roots(self, field: GF2m, n: int, psi: list[int]) -> np.ndarray:
-        """Coefficient indices ``c`` in ``0..n-1`` with ``psi(alpha^-c) = 0``."""
+    def chien_roots(
+        self, field: GF2m, n: int, locators: np.ndarray, chunk: int = 1 << 16
+    ) -> np.ndarray:
+        """``(batch, n)`` root mask: ``out[b, c]`` iff ``locators[b](alpha^-c) = 0``.
+
+        ``locators`` is a ``(batch, width)`` ``int64`` matrix of ascending
+        coefficients (rows shorter than ``width`` are zero-padded).
+        Implementations must bound their working set to about ``chunk``
+        evaluated terms at a time.
+        """
 
     def clean_row_mask(self, words: np.ndarray) -> np.ndarray:
         """Boolean mask of rows that carry at least one nonzero symbol."""

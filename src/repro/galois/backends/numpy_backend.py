@@ -24,9 +24,10 @@ _C_DENSE = _obs.counter("galois.syndromes.dense_path_rows")
 #
 # A Chien search evaluates the locator at every point ``alpha^-c`` for
 # ``c = 0..n-1``.  Both the point array and the log-domain power matrix
-# ``logm[j, c] = log(alpha^(-c*j))`` are cached so scalar decodes stop
-# rebuilding them per call; the evaluation itself is one fancy-indexed
-# exp-lookup over the locator's nonzero coefficients, XOR-reduced.
+# ``logm[j, c] = log(alpha^(-c*j))`` are cached so decodes stop rebuilding
+# them per call; the evaluation itself is one fancy-indexed exp-lookup per
+# chunk of locator rows (zero coefficients read the zero-absorbing tail of
+# ``GF2m.zero_tables``), XOR-reduced over the coefficient axis.
 
 _CHIEN_CACHE: dict[tuple[GF2m, int], dict[str, np.ndarray]] = {}
 
@@ -87,13 +88,19 @@ class NumpyBackend(KernelBackend):
             out[rows] = np.bitwise_xor.reduce(prod, axis=2)
         return out
 
-    def chien_roots(self, field: GF2m, n: int, psi: list[int]) -> np.ndarray:
-        logm = chien_tables(field, n, len(psi) - 1)["logm"]
-        log = field._log_list
-        nz = [j for j, cj in enumerate(psi) if cj]
-        logs = np.array([log[psi[j]] for j in nz], dtype=np.int64)
-        values = np.bitwise_xor.reduce(field._exp[logm[nz] + logs[:, None]], axis=0)
-        return np.flatnonzero(values == 0)
+    def chien_roots(
+        self, field: GF2m, n: int, locators: np.ndarray, chunk: int = 1 << 16
+    ) -> np.ndarray:
+        rows, width = locators.shape
+        logm = chien_tables(field, n, width - 1)["logm"][:width]
+        exp_z, log_z = field.zero_tables()
+        out = np.empty((rows, n), dtype=bool)
+        step = max(1, chunk // (width * n))
+        for start in range(0, rows, step):
+            logc = log_z[locators[start : start + step]]
+            terms = exp_z[logc[:, :, None] + logm[None, :, :]]
+            out[start : start + step] = np.bitwise_xor.reduce(terms, axis=1) == 0
+        return out
 
     def clear_cache(self) -> None:
         _CHIEN_CACHE.clear()

@@ -106,12 +106,31 @@ class GF2m:
         log[0] = -1  # sentinel: log of zero is undefined
         self._exp = exp
         self._log = log
+        self._zero_tables: tuple[np.ndarray, np.ndarray] | None = None
         # Plain-list mirrors of the tables: indexing a Python list with a
         # Python int is ~5x faster than indexing a numpy array, which is what
         # the scalar Reed-Solomon key-equation solver spends its time on.
         self._exp_list: list[int] = exp.tolist()
         self._log_list: list[int] = log.tolist()
         self._mul_rows_cache: list[list[int]] | _OnTheFlyMulRows | None = None
+
+    def zero_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(exp_z, log_z)``: log/antilog tables that absorb zero.
+
+        ``log_z[0]`` is a sentinel past every sum of two real logs and every
+        index from ``2 * (order - 1)`` on reads zero, so a product of
+        possibly-zero symbols is ``exp_z[log_z[a] + log_z[b]]`` with no
+        masking.  Built on first use (only the batched decode kernels need
+        them).
+        """
+        if self._zero_tables is None:
+            zero_log = 2 * (self.order - 1)
+            log_z = self._log.copy()
+            log_z[0] = zero_log
+            exp_z = np.zeros(2 * zero_log + 1, dtype=np.int64)
+            exp_z[:zero_log] = self._exp[:zero_log]
+            self._zero_tables = (exp_z, log_z)
+        return self._zero_tables
 
     # -- scalar/array arithmetic ------------------------------------------
 

@@ -4,12 +4,21 @@ The batched Monte-Carlo engines rely on this contract for bit-identical
 tallies, so it is exercised across the whole outcome space: clean words,
 correctable errors, erasure mixes, and beyond-bound words (where bounded-
 distance decoders either flag or miscorrect - both must match).
+
+A large batch solves its key equations with the vectorised
+Berlekamp-Massey pass, while ``decode`` on one word runs the scalar
+Sugiyama solver, so the comparisons against per-word ``decode`` below
+cover both solvers without any hook: batches of :data:`BIG` dirty words
+are above the crossover, and beyond the correction bound (up to ``r + 4``
+errors, small fields where miscorrection is common) the two solvers'
+accepted locators, results and obs counters must still agree.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.codes import (
     DecodeStatus,
     HammingSEC,
@@ -17,13 +26,21 @@ from repro.codes import (
     ReedSolomonCode,
     SinglyExtendedRS,
 )
-from repro.codes.rs import chien_points
-from repro.galois import GF256
+from repro.codes.rs import _BATCH_SOLVE_MIN, chien_points
+from repro.galois import GF256, get_field
 
 RS = ReedSolomonCode(GF256, 76, 64)
 RS_FCR0 = ReedSolomonCode(GF256, 40, 32, fcr=0)
 EXT = SinglyExtendedRS(GF256, 20, 12)
 EXT_FULL = SinglyExtendedRS(GF256, 256, 240)
+RS8_FCR0 = ReedSolomonCode(get_field(3), 7, 3, fcr=0)
+RS16 = ReedSolomonCode(get_field(4), 15, 10)
+RS16_FCR0 = ReedSolomonCode(get_field(4), 15, 9, fcr=0)
+EXT16 = SinglyExtendedRS(get_field(4), 16, 10)
+EXT8 = SinglyExtendedRS(get_field(3), 8, 4)
+
+#: rows per batch that certainly take the vectorised key-equation solve.
+BIG = 3 * _BATCH_SOLVE_MIN
 
 
 def assert_same_result(a, b, ctx=""):
@@ -35,20 +52,24 @@ def assert_same_result(a, b, ctx=""):
         assert np.array_equal(a.codeword, b.codeword), ctx
 
 
-def random_words(code, rng, count, max_errors):
+def random_words(code, rng, count, max_errors, min_errors=0):
     """Corrupted zero codewords plus per-word erasure hints."""
     words = np.zeros((count, code.n), dtype=np.int64)
     erasures = []
     for i in range(count):
-        n_err = int(rng.integers(0, max_errors + 1))
+        n_err = int(rng.integers(min_errors, max_errors + 1))
         pos = rng.choice(code.n, n_err, replace=False)
-        words[i, pos] = rng.integers(1, 256, size=n_err)
+        words[i, pos] = rng.integers(1, code.field.order, size=n_err)
         # erase a mix of genuinely-corrupted and clean positions
         hint = set(int(p) for p in pos[: int(rng.integers(0, n_err + 1))])
         while rng.random() < 0.3:
             hint.add(int(rng.integers(code.n)))
         erasures.append(tuple(sorted(hint)))
     return words, erasures
+
+
+def rs_counters():
+    return {k: v for k, v in obs.snapshot()["counters"].items() if k.startswith("rs.")}
 
 
 @settings(max_examples=25, deadline=None)
@@ -95,6 +116,76 @@ def test_extended_rs_full_size_batch():
         EXT_FULL.decode_batch(words, erasures), words, erasures
     ):
         assert_same_result(batch_result, EXT_FULL.decode(word, ers))
+
+
+LARGE_BATCH_CODES = [RS, RS_FCR0, EXT_FULL, RS8_FCR0, RS16, RS16_FCR0, EXT16, EXT8]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    code=st.sampled_from(LARGE_BATCH_CODES),
+    erase=st.booleans(),
+)
+def test_large_batch_equals_scalar(seed, code, erase):
+    # Every word is dirty and the batch is above the crossover, so the
+    # batch takes the vectorised solve and each scalar decode the Sugiyama
+    # one; error counts run to r + 4, far beyond the correction bound.
+    rng = np.random.default_rng(seed)
+    r = code.n - code.k
+    words, erasures = random_words(code, rng, BIG, min(r + 4, code.n), min_errors=1)
+    if not erase:
+        erasures = [()] * BIG
+    for batch_result, word, ers in zip(code.decode_batch(words, erasures), words, erasures):
+        assert_same_result(batch_result, code.decode(word, ers), f"seed={seed} {code}")
+
+
+def test_batch_solve_chunks_agree(monkeypatch):
+    # Passes of at most _BATCH_SOLVE_ROWS rows, including a last pass below
+    # the crossover, give the same results as one pass.
+    from repro.codes import rs
+
+    rng = np.random.default_rng(11)
+    words, erasures = random_words(EXT16, rng, 50, EXT16.n - EXT16.k + 2, min_errors=1)
+    whole = EXT16.decode_batch(words, erasures)
+    monkeypatch.setattr(rs, "_BATCH_SOLVE_ROWS", 16)
+    for a, b in zip(EXT16.decode_batch(words, erasures), whole):
+        assert_same_result(a, b)
+
+
+def test_large_batch_sees_miscorrections():
+    # Sanity for the property above: on GF(2^4) beyond the bound, both
+    # miscorrections (CORRECTED to a wrong codeword) and detections occur.
+    rng = np.random.default_rng(3)
+    for code in (EXT16, RS16_FCR0):
+        words, _ = random_words(code, rng, 400, code.n - code.k + 4, min_errors=code.t + 1)
+        results = code.decode_batch(words)
+        wrong = [r for r in results if r.status is DecodeStatus.CORRECTED and r.data.any()]
+        assert wrong, code
+        assert any(r.status is DecodeStatus.DETECTED for r in results), code
+
+
+def test_obs_counters_match_word_by_word():
+    # rs.decode.solver_calls and rs.chien.* count per locator, so one batch
+    # and the same words decoded one at a time record the same numbers,
+    # beyond-bound and erased words included.
+    for code in (RS, EXT_FULL, EXT16, RS8_FCR0):
+        rng = np.random.default_rng(code.n)
+        words, erasures = random_words(code, rng, BIG, min(code.n - code.k + 4, code.n))
+        obs.reset()
+        with obs.enabled_scope(True):
+            code.decode_batch(words, erasures)
+            batched = rs_counters()
+            obs.reset()
+            for word, ers in zip(words, erasures):
+                code.decode(word, ers)
+            one_by_one = rs_counters()
+            obs.reset()
+        assert batched == one_by_one, code
+        assert batched["rs.chien.searches"] > 0
+        assert batched["rs.chien.points"] == batched["rs.chien.searches"] * (
+            code.inner.n if isinstance(code, SinglyExtendedRS) else code.n
+        )
 
 
 def test_batch_statuses_cover_all_outcomes():

@@ -98,6 +98,45 @@ class TestErasureEdges:
         assert result.believed_good
         assert np.array_equal(result.data, data)
 
+    @pytest.mark.parametrize("erasures", [(10, 10), (3, 10, 3), (0, 0)])
+    def test_duplicate_erasure_positions_rejected(self, erasures):
+        rs = ReedSolomonCode(GF256, 100, 84)
+        word = rs.encode(np.arange(84) % 256)
+        with pytest.raises(ValueError, match="distinct"):
+            rs.decode(word, erasures=erasures)
+        with pytest.raises(ValueError, match="distinct"):
+            rs.decode_batch(np.stack([word, word]), [(), erasures])
+
+    @pytest.mark.parametrize("erasures", [(81,), (-1,), (5, 76), (200,)])
+    def test_out_of_range_erasure_positions_rejected(self, erasures):
+        # (81,) used to turn a one-error word into DETECTED.
+        rs = ReedSolomonCode(GF256, 76, 64)
+        word = rs.encode(np.arange(64))
+        word[3] ^= 1
+        with pytest.raises(ValueError, match=r"in \[0, 76\)"):
+            rs.decode(word, erasures=erasures)
+
+    def test_extended_code_rejects_positions_past_the_extension(self):
+        # Position 261 used to be dropped silently; 255 (the extension
+        # symbol) stays a valid erasure.
+        code = SinglyExtendedRS(GF256, 256, 240)
+        word = code.encode(np.arange(240) % 256)
+        with pytest.raises(ValueError, match=r"in \[0, 256\)"):
+            code.decode(word, erasures=(261,))
+        with pytest.raises(ValueError, match=r"in \[0, 256\)"):
+            code.decode(word, erasures=(-2,))
+        with pytest.raises(ValueError, match="distinct"):
+            code.decode(word, erasures=(255, 255))
+        assert code.decode(word, erasures=(255,)).believed_good
+
+    def test_numpy_integer_erasure_positions_accepted(self):
+        rs = ReedSolomonCode(GF256, 100, 84)
+        word = rs.encode(np.arange(84))
+        word[7] ^= 9
+        result = rs.decode(word, erasures=tuple(np.array([7, 20])))
+        assert result.believed_good
+        assert result.corrected_positions == (7,)
+
 
 class TestBoundedDistanceBehaviour:
     def test_exactly_t_plus_one_never_returns_ok(self):

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.galois import batch, get_field
+from repro.galois import batch, get_field, poly
 from repro.galois import backends as reg
 from repro.galois.backends import (
     BackendUnavailableError,
@@ -223,18 +223,48 @@ def test_numba_accumulate_is_pure_python_when_absent():
         assert not hasattr(_accumulate_jit, "py_func")  # not jitted
 
 
+def _brute_force_roots(field, n, locator):
+    """Root mask by direct evaluation at every ``alpha^-c``."""
+    out = np.zeros(n, dtype=bool)
+    for c in range(n):
+        x = field.alpha_pow(-c)
+        acc = 0
+        for coeff in reversed([int(v) for v in locator]):
+            acc = field.mul(acc, x) ^ coeff
+        out[c] = acc == 0
+    return out
+
+
 def test_chien_roots_identical_across_backends():
-    field = get_field(8)
-    rng = np.random.default_rng(7)
-    reference = NumpyBackend()
-    for _ in range(16):
-        degree = int(rng.integers(1, 9))
-        psi = [1] + [int(v) for v in rng.integers(0, 256, size=degree)]
-        for n in (255, 100, 17):
-            ref = reference.chien_roots(field, n, psi)
+    """Batched contract: a ``(rows, width)`` locator matrix in, a
+    ``(rows, n)`` root mask out, identical on every backend and equal to
+    direct evaluation, whatever the chunk size."""
+    for m in (4, 8):
+        field = get_field(m)
+        rng = np.random.default_rng(7 + m)
+        reference = NumpyBackend()
+        # zero-padded rows of mixed degree, a constant row, and products of
+        # linear factors so that real roots occur
+        locators = np.zeros((20, 10), dtype=np.int64)
+        locators[:, 0] = 1
+        for row in range(16):
+            degree = int(rng.integers(1, 10))
+            locators[row, 1 : degree + 1] = rng.integers(0, field.order, size=degree)
+        for row in range(16, 19):
+            points = [field.alpha_pow(-int(c)) for c in rng.choice(12, row - 14, replace=False)]
+            psi = poly.from_roots(field, points)
+            locators[row, : psi.size] = psi
+        for n in (field.order - 1, 13, 5):
+            ref = reference.chien_roots(field, n, locators)
+            assert ref.shape == (locators.shape[0], n)
+            for row in range(locators.shape[0]):
+                assert np.array_equal(ref[row], _brute_force_roots(field, n, locators[row]))
+            if n >= 12:  # every planted root lies inside the searched support
+                assert ref[16:19].sum(axis=1).tolist() == [2, 3, 4]
+            assert np.array_equal(reference.chien_roots(field, n, locators, chunk=1), ref)
             for backend in all_available():
-                got = backend.chien_roots(field, n, psi)
-                assert np.array_equal(got, ref), (backend.name, n, psi)
+                got = backend.chien_roots(field, n, locators)
+                assert np.array_equal(got, ref), (backend.name, m, n)
 
 
 @pytest.mark.parametrize("backend_name",
@@ -336,7 +366,7 @@ def test_clear_cache_drops_chien_tables():
     from repro.galois.backends import numpy_backend
 
     field = get_field(8)
-    get_backend("numpy").chien_roots(field, 255, [1, 3, 5])
+    get_backend("numpy").chien_roots(field, 255, np.array([[1, 3, 5]]))
     assert len(numpy_backend._CHIEN_CACHE) >= 1
     batch.clear_cache()
     assert len(numpy_backend._CHIEN_CACHE) == 0

@@ -98,6 +98,14 @@ class TestScalarArithmetic:
         with pytest.raises(ValueError):
             GF256.log(0)
 
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_zero_tables_multiply_every_pair(self, m):
+        field = get_field(m)
+        exp_z, log_z = field.zero_tables()
+        assert field.zero_tables()[0] is exp_z  # built once
+        a, b = np.meshgrid(np.arange(field.order), np.arange(field.order))
+        assert np.array_equal(exp_z[log_z[a] + log_z[b]], field.mul(a, b))
+
     def test_multiplicative_order_of_alpha(self):
         """alpha must generate the whole multiplicative group."""
         field = get_field(6)
