@@ -9,6 +9,13 @@ most ``workers`` chunks in flight and watches each through three channels:
 * a deadline     - a worker past its per-chunk timeout is terminated
   (``timeout``), because a hung chunk must not starve the campaign.
 
+Before the first launch the parent primes the set-up every chunk would
+repeat (:func:`~repro.campaign.plan.prime_chunk`), so forked workers
+inherit warm caches.  Between events the parent blocks in
+:func:`multiprocessing.connection.wait` on every result pipe and process
+sentinel, until the earliest deadline or, with a worker slot free, the
+earliest backoff expiry - it never polls.
+
 Failed attempts are retried up to ``retries`` extra times with exponential
 backoff plus deterministic jitter (seeded generator - the REPRO101/102
 rules apply here too; jitter affects only sleep lengths, never tallies).
@@ -30,6 +37,7 @@ import multiprocessing
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_ready
 from typing import Any
 
 import numpy as np
@@ -43,7 +51,7 @@ from ..reliability.exact import ExactRunConfig
 from ..reliability.outcomes import Tally
 from ..schemes.base import EccScheme
 from .chaos import ChaosSchedule
-from .plan import ChunkSpec, execute_chunk
+from .plan import ChunkSpec, execute_chunk, prime_chunk
 
 #: failure kinds the supervisor distinguishes (counters, quarantine records).
 FAIL_CRASH = "crash"
@@ -75,7 +83,6 @@ class SupervisorPolicy:
     retries: int = 2  # extra attempts after the first
     backoff: float = 0.5  # base backoff, seconds (doubles per attempt)
     backoff_cap: float = 30.0
-    poll_interval: float = 0.02
     term_grace: float = 5.0  # SIGTERM -> SIGKILL escalation window, seconds
     manifest_save_every: int = 8  # manifest debounce (see Manifest.save_every)
 
@@ -214,6 +221,8 @@ class Supervisor:
     def run(self, specs: list[ChunkSpec]) -> dict[int, ChunkOutcome]:
         """Execute ``specs``; returns per-chunk outcomes (also via callbacks)."""
         outcomes = {spec.index: ChunkOutcome(spec=spec) for spec in specs}
+        if specs:
+            prime_chunk(self.kind, self.scheme, self.rates, specs[0])
         # ready-time priority queue: (ready_at, chunk_index, spec, attempt)
         pending: list[tuple[float, int, ChunkSpec, int]] = [
             (0.0, spec.index, spec, 0) for spec in specs
@@ -232,7 +241,7 @@ class Supervisor:
                     active.append(self._launch(spec, attempt))
                 progressed = self._reap(active, pending, outcomes)
                 if not progressed and (pending or active):
-                    time.sleep(self.policy.poll_interval)
+                    self._wait(active, pending)
         finally:
             for job in active:
                 self._terminate(job)
@@ -270,6 +279,24 @@ class Supervisor:
 
     # -- event handling --------------------------------------------------------
 
+    def _wait(self, active: list[_Job], pending: list) -> None:
+        """Block until a job can have progressed or a backoff has ended.
+
+        Wakes on any result pipe or process sentinel, at the earliest
+        deadline, and - when a worker slot is free - at the earliest
+        ``ready_at`` of a retry backing off.  With nothing in flight it
+        just sleeps until that retry is ready.
+        """
+        wake = [job.deadline for job in active]
+        if pending and len(active) < self.policy.workers:
+            wake.append(pending[0][0])
+        timeout = max(0.0, min(wake) - time.monotonic())
+        if not active:
+            time.sleep(timeout)
+            return
+        wait_ready([job.conn for job in active]
+                   + [job.process.sentinel for job in active], timeout)
+
     def _reap(self, active: list[_Job], pending: list,
               outcomes: dict[int, ChunkOutcome]) -> bool:
         """Collect finished/dead/overdue jobs; returns True if any progressed."""
@@ -287,7 +314,7 @@ class Supervisor:
                 job.conn.close()
                 self._handle_message(job, message, pending, outcomes)
                 progressed = True
-            elif not job.process.is_alive():
+            elif wait_ready([job.process.sentinel], 0):
                 active.remove(job)
                 job.process.join()
                 job.conn.close()

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..codes.base import BlockCode, DecodeStatus
+from ..obs import metrics as _obs
 
 
 @dataclass
@@ -44,6 +45,18 @@ class WordConditionals:
 
 _TABLE_CACHE: dict[tuple, WordConditionals] = {}
 
+# Observability (DESIGN.md 6e): how often a table was measured versus served
+# from the cache - a campaign should measure each table once, in its parent.
+_C_BUILT = _obs.counter("reliability.tables.built")
+_C_REUSED = _obs.counter("reliability.tables.reused")
+
+
+def _cached(key: tuple) -> WordConditionals | None:
+    table = _TABLE_CACHE.get(key)
+    if _obs.enabled():
+        (_C_BUILT if table is None else _C_REUSED).add(1)
+    return table
+
 
 def measure_bit_code(
     code: BlockCode,
@@ -59,8 +72,9 @@ def measure_bit_code(
     """
     key = ("bit", type(code).__name__, code.n, code.k, j_max, samples, seed,
            silent_on_detect)
-    if key in _TABLE_CACHE:
-        return _TABLE_CACHE[key]
+    cached = _cached(key)
+    if cached is not None:
+        return cached
     rng = np.random.default_rng([seed, 0xC0DE])
     j_values = np.arange(j_max + 1)
     p_flag = np.zeros(j_max + 1)
@@ -106,8 +120,9 @@ def measure_symbol_code(
     """
     key = ("sym", type(code).__name__, code.n, code.k, j_max, samples, seed,
            symbol_bits, window_symbols)
-    if key in _TABLE_CACHE:
-        return _TABLE_CACHE[key]
+    cached = _cached(key)
+    if cached is not None:
+        return cached
     rng = np.random.default_rng([seed, 0x5C0DE])
     j_values = np.arange(j_max + 1)
     p_flag = np.zeros(j_max + 1)

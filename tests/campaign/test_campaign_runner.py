@@ -42,8 +42,7 @@ def config(**overrides):
 
 
 def policy(**overrides):
-    base = dict(workers=1, timeout=30.0, retries=2, backoff=0.01,
-                poll_interval=0.005)
+    base = dict(workers=1, timeout=30.0, retries=2, backoff=0.01)
     base.update(overrides)
     return SupervisorPolicy(**base)
 
@@ -163,6 +162,34 @@ class TestChaosRecovery:
         )
         assert sorted(result.quarantined) == [0]
         assert result.quarantined[0].error == "timeout"
+
+
+class TestEventWait:
+    """Each way the supervisor's event wait wakes up, at two workers."""
+
+    def test_crash_wakes_on_sentinel_and_hang_at_deadline(self, tmp_path, reference):
+        # chunk 1's worker dies with no result message, so only its sentinel
+        # fires; chunk 2's worker never reports, so only its deadline does
+        result = start_campaign(
+            tmp_path, config(), policy(workers=2, timeout=1.0),
+            ChaosSchedule.parse("crash:1,hang:2"),
+        )
+        assert result.complete
+        assert counts(result.tally) == counts(reference)
+        chunks = Manifest.load(tmp_path).chunks
+        assert (chunks[1].attempts, chunks[2].attempts) == (2, 2)
+
+    def test_lone_retry_wakes_after_its_backoff(self, tmp_path, pair_scheme):
+        # one chunk: after its crash nothing is in flight, so the supervisor
+        # sleeps out the backoff and relaunches the retry
+        ref = oracle.run_iid(pair_scheme, RATES, ExactRunConfig(trials=CHUNK, seed=SEED))
+        result = start_campaign(
+            tmp_path, config(trials=CHUNK), policy(workers=2, retries=1),
+            ChaosSchedule.parse("crash:0@0"),
+        )
+        assert result.complete
+        assert counts(result.tally) == counts(ref)
+        assert Manifest.load(tmp_path).chunks[0].attempts == 2
 
 
 class TestLegacyManifest:

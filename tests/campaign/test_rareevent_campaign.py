@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.campaign import (
     CampaignConfig,
     ChaosSchedule,
@@ -24,9 +25,12 @@ from repro.campaign import (
 from repro.campaign.manifest import MANIFEST_NAME
 from repro.errors import CampaignAborted, EngineMismatch
 from repro.faults import DEFAULT_RATES
+from repro.galois import batch as gf_batch
+from repro.obs import metrics
 from repro.reliability import (
     ExactRunConfig,
     RareEventParams,
+    conditional,
     run_rareevent_iid,
     weighted_summary,
 )
@@ -49,9 +53,14 @@ def config(**overrides):
     return CampaignConfig(**base)
 
 
+def cold():
+    """Empty the table and GF caches, as a fresh process starts."""
+    conditional.clear_cache()
+    gf_batch.clear_cache()
+
+
 def policy(**overrides):
-    base = dict(workers=1, timeout=30.0, retries=2, backoff=0.01,
-                poll_interval=0.005)
+    base = dict(workers=1, timeout=30.0, retries=2, backoff=0.01)
     base.update(overrides)
     return SupervisorPolicy(**base)
 
@@ -61,14 +70,18 @@ def pair_scheme():
     return next(s for s in default_schemes() if s.name == "pair")
 
 
-@pytest.fixture(scope="module")
-def reference(pair_scheme):
+def engine_run(scheme):
     """Uninterrupted in-process engine run with the campaign's chunking."""
     return run_rareevent_iid(
-        pair_scheme, RATES, ExactRunConfig(trials=TRIALS, seed=SEED),
+        scheme, RATES, ExactRunConfig(trials=TRIALS, seed=SEED),
         RareEventParams(tilt=TILT, defensive=DEFENSIVE, samples=SAMPLES),
         chunk_trials=CHUNK,
     )
+
+
+@pytest.fixture(scope="module")
+def reference(pair_scheme):
+    return engine_run(pair_scheme)
 
 
 class TestHappyPath:
@@ -142,6 +155,60 @@ class TestChaosResume:
         with pytest.raises(EngineMismatch):
             start_campaign(tmp_path, config(rare_samples=SAMPLES + 1),
                            policy())
+
+
+class TestColdCaches:
+    """The parent measures the tables once and forked workers inherit them.
+
+    The module's ``reference`` fixture can warm the caches before a
+    campaign runs, which would hide any warm/cold difference; here both
+    sides start from empty caches.
+    """
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cold_campaign_and_resume_bit_identical(
+        self, tmp_path, pair_scheme, workers
+    ):
+        cold()
+        reference = engine_run(pair_scheme)
+        cold()
+        whole = start_campaign(tmp_path / "whole", config(), policy(workers=workers))
+        cold()
+        with pytest.raises(CampaignAborted):
+            start_campaign(tmp_path / "resumed", config(), policy(workers=workers),
+                           ChaosSchedule.parse("abort:2"))
+        cold()
+        resumed = resume_campaign(tmp_path / "resumed", policy(workers=workers))
+        for result in (whole, resumed):
+            assert result.complete
+            assert counts(result.tally) == counts(reference.tally)
+            assert result.tally.extra["weighted"] == \
+                reference.tally.extra["weighted"]
+
+    def test_tables_measured_once_in_the_parent(self, tmp_path, monkeypatch):
+        # every worker snapshot the parent absorbs is recorded, so a table
+        # measured inside a worker cannot hide in the merged counters
+        absorbed = []
+        absorb = metrics.absorb
+
+        def spy(snap):
+            absorbed.append(snap)
+            absorb(snap)
+
+        monkeypatch.setattr(metrics, "absorb", spy)
+        cold()
+        try:
+            with obs.enabled_scope(True):
+                result = start_campaign(tmp_path, config(), policy(workers=2))
+        finally:
+            obs.reset_all()
+        assert result.complete
+        merged = Manifest.load(tmp_path).obs["metrics"]["counters"]
+        assert merged["reliability.tables.built"] == 1
+        assert len(absorbed) == TRIALS // CHUNK
+        for snap in absorbed:
+            assert "reliability.tables.built" not in snap["counters"]
+            assert snap["counters"]["reliability.tables.reused"] >= 1
 
 
 class TestConfigValidation:
