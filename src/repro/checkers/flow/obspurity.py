@@ -8,7 +8,7 @@ cannot see that contract because it is a dataflow property; this family
 makes it mechanical:
 
 * REPRO221 - inside the instrumented hot layers (``galois``, ``codes``,
-  ``reliability``, ``schemes``, ``perf``), a value *read* from the obs
+  ``faults``, ``reliability``, ``schemes``, ``perf``), a value *read* from the obs
   layer (a snapshot, a counter/gauge/histogram read, a span record or its
   duration) reaches a ``return`` expression or a ``Tally``/``guard_tally``
   argument.  Writing (``counter.add``, ``histogram.observe``) stays legal
@@ -39,7 +39,9 @@ OBS_INTO_RESULT = Rule(
 )
 
 #: second path component of modules the rule applies to (the hot layers).
-_HOT_LAYERS = frozenset({"galois", "codes", "reliability", "schemes", "perf"})
+_HOT_LAYERS = frozenset(
+    {"galois", "codes", "faults", "reliability", "schemes", "perf"}
+)
 
 #: obs-module calls whose return value carries measurement data.  The
 #: streaming layer (DESIGN.md 6j) extends the family: encoded deltas,

@@ -73,7 +73,10 @@ class DramDevice:
 
         Only faults inside ``footprint`` are applied (all of them when None).
         """
-        data = self.row_view(bank, row).copy()
+        self._check_coords(bank, row)
+        stored = self._rows.get((bank, row))
+        # a row never written reads as zeros; reading it allocates no storage
+        data = np.zeros(self._row_shape, np.uint8) if stored is None else stored.copy()
         if self.fault_overlay is not None:
             mask = self.fault_overlay.mask_for_row(bank, row, self._row_shape, footprint)
             if mask is not None:

@@ -13,9 +13,24 @@ faults are rarer), and the reliability benches report sensitivity to them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .types import FaultType
+
+
+#: fields that are per-bit or per-access probabilities, or densities.
+_PROBABILITIES = (
+    "single_cell_ber", "cell_cluster_per_bit", "transfer_burst_per_access",
+    "row_density", "column_density", "pin_density", "mat_density",
+)
+#: expected structured-fault counts per device (Poisson means).
+_PER_DEVICE = (
+    "row_faults_per_device", "column_faults_per_device",
+    "pin_faults_per_device", "mat_faults_per_device",
+)
+#: footprint extents, in rows, bits or beats.
+_EXTENTS = ("mat_rows", "mat_bits", "column_rows", "transfer_burst_length")
 
 
 @dataclass(frozen=True)
@@ -60,6 +75,20 @@ class FaultRates:
     column_rows: int = 4096
     transfer_burst_per_access: float = 1e-9
     transfer_burst_length: int = 8
+
+    def __post_init__(self) -> None:
+        for name in _PROBABILITIES:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and 0.0 <= value <= 1.0):
+                raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
+        for name in _PER_DEVICE:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be a finite rate >= 0, got {value!r}")
+        for name in _EXTENTS:
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value!r}")
 
     def with_ber(self, ber: float) -> "FaultRates":
         """Copy with a different single-cell BER (the sweep knob)."""

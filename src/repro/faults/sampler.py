@@ -13,12 +13,23 @@ fault universe - the comparisons in the paper are paired.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Iterator, Sequence
+from typing import NamedTuple
+
 import numpy as np
 
 from ..dram.config import DeviceConfig
 from ..dram.mapping import Footprint
+from ..obs import metrics as _obs
 from .rates import FaultRates
+from .rng import Runs, seed_states, uniforms
 from .types import FaultInstance, FaultType, TransferBurst
+
+#: stream tags: a key is ``[seed, tag]`` (fault sampling) or
+#: ``[seed, bank, row, tag]`` (a row's weak cells and cluster anchors, or
+#: structured fault ``index`` with tag ``_FAULT_TAG + index``).
+_SAMPLER_TAG, _CELL_TAG, _FAULT_TAG = 0xFA017, 0xCE11, 0xFA1137
 
 
 class FaultSampler:
@@ -29,9 +40,19 @@ class FaultSampler:
         self.rates = rates
         self.seed = seed
 
-    def sample_faults(self) -> list[FaultInstance]:
-        """Poisson-sample all persistent structured faults of the device."""
-        rng = np.random.default_rng([self.seed, 0xFA017])
+    @property
+    def key(self) -> tuple[int, int]:
+        """The seed key of the sampler's stream."""
+        return (self.seed, _SAMPLER_TAG)
+
+    def sample_faults(self, rng: np.random.Generator | None = None) -> list[FaultInstance]:
+        """Poisson-sample all persistent structured faults of the device.
+
+        ``rng`` is this sampler's stream, ``default_rng(self.key)`` unless
+        the caller seeded it already: the batched engines seed every
+        sampler of a chunk at once (:func:`repro.faults.rng.seed_states`).
+        """
+        rng = rng if rng is not None else np.random.default_rng(self.key)
         faults: list[FaultInstance] = []
         faults += self._sample_rows(rng)
         faults += self._sample_columns(rng)
@@ -122,38 +143,13 @@ class FaultSampler:
         return out
 
 
-class _Substream:
-    """One PCG64 substream read at chosen draw positions.
+#: draws held at once while masks are built, bounding their memory.
+_BATCH_CELLS = 1 << 16
 
-    numpy's PCG64 spends exactly one 64-bit output per double and
-    ``advance(k)`` skips exactly ``k`` outputs, so draw ``i`` of the stream
-    has the same value whether or not the draws before it were taken.
-    Positions must be read in increasing order.
-    """
+_C_PRIMED = _obs.counter("faults.masks.primed")
 
-    __slots__ = ("_rng", "_pos")
-
-    def __init__(self, key: list[int]):
-        self._rng = np.random.default_rng(key)
-        self._pos = 0
-
-    def window(self, base: int, stride: int, rows: int, spans: Footprint) -> np.ndarray:
-        """Draws ``base + r * stride + offset``, shape ``(rows, span bits)``.
-
-        Row ``r`` holds the draws at every offset of ``spans`` in order.
-        """
-        width = sum(end - start for start, end in spans)
-        out = np.empty((rows, width))
-        for r in range(rows):
-            col = 0
-            for start, end in spans:
-                pos = base + r * stride + start
-                if pos != self._pos:
-                    self._rng.bit_generator.advance(pos - self._pos)
-                self._rng.random(out=out[r, col : col + end - start])
-                col += end - start
-                self._pos = pos + end - start
-        return out
+#: one mask a read needs: ``(overlay, bank, row, shape, footprint)``.
+MaskRequest = tuple["FaultOverlay", int, int, tuple[int, int], Footprint]
 
 
 class FaultOverlay:
@@ -163,9 +159,10 @@ class FaultOverlay:
     footprint intersects the row.  Each process draws the cells of a row
     matrix in C order from its own ``(seed, bank, row, ...)`` substream; a
     mask asked for over a read's footprint takes only the draws of the cells
-    inside it (:class:`_Substream`), so it equals the whole-row mask with
-    every cell outside the footprint zeroed.  Masks are cached (bounded, per
-    row and footprint) because schemes repeatedly read the same hot rows.
+    inside it, so it equals the whole-row mask with every cell outside the
+    footprint zeroed.  Masks are cached (bounded, per row and footprint)
+    because schemes repeatedly read the same hot rows; :func:`prime_masks`
+    fills the caches of many overlays in one pass.
     """
 
     def __init__(
@@ -206,74 +203,96 @@ class FaultOverlay:
         """
         if footprint is None:
             footprint = ((0, shape[1]),)
-        key = (bank, row)
-        masks = self._cache.get(key)
+        masks = self._cache.get((bank, row))
+        if masks is not None and footprint in masks:
+            return masks[footprint]
+        mask = _build_masks([(self, bank, row, shape, footprint)])[0]
+        self._store(bank, row, footprint, mask)
+        return mask
+
+    def _cached(self, bank: int, row: int, footprint: Footprint) -> bool:
+        return footprint in self._cache.get((bank, row), ())
+
+    def _store(
+        self, bank: int, row: int, footprint: Footprint, mask: np.ndarray | None
+    ) -> None:
+        masks = self._cache.get((bank, row))
         if masks is None:
             if len(self._cache) >= self._cache_rows:
                 self._cache.clear()
-            masks = self._cache[key] = {}
-        elif footprint in masks:
-            return masks[footprint]
-        mask = masks[footprint] = self._build_mask(bank, row, shape, footprint)
-        return mask
+            masks = self._cache[(bank, row)] = {}
+        masks[footprint] = mask
 
-    def _build_mask(
-        self, bank: int, row: int, shape: tuple[int, int], footprint: Footprint
-    ) -> np.ndarray | None:
-        pins, total_bits = shape
-        # (rows, spans, bits, op) to combine, in the order the processes draw
-        parts: list[tuple[slice, Footprint, np.ndarray, np.ufunc]] = []
-        ber = self.rates.single_cell_ber
-        cluster = self.rates.cell_cluster_per_bit
-        if ber > 0 or cluster > 0:
-            stream = _Substream([self.seed, bank, row, 0xCE11])
-            if ber > 0:
-                flips = stream.window(0, total_bits, pins, footprint) < ber
-                if flips.any():
-                    parts.append((slice(None), footprint, flips, np.bitwise_or))
-            if cluster > 0:
-                # an anchor flips itself and its along-pin right neighbour
-                # (clusters never wrap), so each span also needs the anchor
-                # just left of it
-                wide = tuple((max(start - 1, 0), end) for start, end in footprint)
-                base = pins * total_bits if ber > 0 else 0
-                anchors = stream.window(base, total_bits, pins, wide) < cluster
-                if anchors.any():
-                    pairs, col = [], 0
-                    for (start, end), (lo, _) in zip(footprint, wide):
-                        own = anchors[:, col : col + end - lo]
-                        cells = own[:, start - lo :].copy()
-                        cells[:, 1 - (start - lo) :] |= own[:, :-1]
-                        pairs.append(cells)
-                        col += end - lo
-                    parts.append((slice(None), footprint, np.hstack(pairs), np.bitwise_or))
-        for index, fault in self._by_bank.get(bank, ()):
-            if fault.affects_row(bank, row):
-                part = self._fault_flips(fault, index, bank, row, shape, footprint)
-                if part is not None:
-                    parts.append(part)
-        if not parts:
-            return None
-        mask = np.zeros(shape, dtype=np.uint8)
-        for rows, where, bits, op in parts:
-            col = 0
-            for start, end in where:
-                view = mask[rows, start:end]
-                op(view, bits[:, col : col + end - start], out=view)
-                col += end - start
-        # two structured faults can cancel each other's flips
-        return mask if mask.any() else None
 
-    def _fault_flips(
-        self, fault: FaultInstance, index: int, bank: int, row: int,
-        shape: tuple[int, int], footprint: Footprint,
-    ) -> tuple[slice, Footprint, np.ndarray, np.ufunc] | None:
-        """One structured fault's flips inside ``footprint``, or None if none.
+def prime_masks(
+    requests: Sequence[MaskRequest], rng: np.random.Generator | None = None
+) -> None:
+    """Build the masks of many reads in one pass into their overlays' caches.
 
-        The fault's substream draws its ``(pins, width)`` block (one pin's
-        ``width`` bits for a single-pin fault) in C order.
-        """
-        pins, total_bits = shape
+    Each mask equals what :meth:`FaultOverlay.mask_for_row` would build for
+    the request; masks already cached are skipped.  ``rng`` is a scratch
+    Generator for the long runs (:func:`repro.faults.rng.scratch_generator`).
+    """
+    todo = list({
+        (id(request[0]), request[1], request[2], request[4]): request
+        for request in requests
+        if not request[0]._cached(request[1], request[2], request[4])
+    }.values())
+    if _obs.enabled():
+        _C_PRIMED.add(len(todo))
+    for (overlay, bank, row, _, footprint), mask in zip(todo, _build_masks(todo, rng)):
+        overlay._store(bank, row, footprint, mask)
+
+
+@functools.lru_cache(maxsize=8192)
+def _runs(base: int, stride: int, rows: int, spans: Footprint) -> Runs:
+    """Stream positions ``base + r * stride + offset`` for ``offset`` in spans."""
+    runs: list[tuple[int, int]] = []
+    for r in range(rows):
+        for start, end in spans:
+            pos = base + r * stride + start
+            if runs and sum(runs[-1]) == pos:
+                runs[-1] = (runs[-1][0], runs[-1][1] + end - start)
+            else:
+                runs.append((pos, end - start))
+    return tuple(runs)
+
+
+class _Draw(NamedTuple):
+    """One block of a mask: a stream's draws over some cells, thresholded."""
+
+    request: int
+    key: tuple[int, int, int, int]
+    runs: Runs
+    threshold: float
+    op: np.ufunc  # how the block combines into the mask
+    rows: slice  # mask rows the block covers
+    spans: Footprint  # mask columns it covers
+    wide: Footprint | None  # cluster anchors: the spans widened one bit left
+
+
+def _draws_of(index: int, request: MaskRequest) -> list[_Draw]:
+    """The blocks of one request's mask, in the order they combine."""
+    overlay, bank, row, (pins, total_bits), footprint = request
+    out: list[_Draw] = []
+    ber = overlay.rates.single_cell_ber
+    cluster = overlay.rates.cell_cluster_per_bit
+    key = (overlay.seed, bank, row, _CELL_TAG)
+    every = slice(None)
+    if ber > 0:
+        runs = _runs(0, total_bits, pins, footprint)
+        out.append(_Draw(index, key, runs, ber, np.bitwise_or, every, footprint, None))
+    if cluster > 0:
+        # an anchor flips itself and its along-pin right neighbour (clusters
+        # never wrap), so each span also needs the anchor just left of it
+        wide = tuple((max(start - 1, 0), end) for start, end in footprint)
+        runs = _runs(pins * total_bits if ber > 0 else 0, total_bits, pins, wide)
+        out.append(_Draw(index, key, runs, cluster, np.bitwise_or, every, footprint, wide))
+    for fault_index, fault in overlay._by_bank.get(bank, ()):
+        if not fault.affects_row(bank, row):
+            continue
+        # the fault draws its (pins, width) block (one pin's width bits for
+        # a single-pin fault) in C order
         bit_start = fault.bit_start
         bit_end = min(bit_start + fault.bit_count, total_bits)
         inside = tuple(
@@ -282,15 +301,109 @@ class FaultOverlay:
             if start < bit_end and end > bit_start
         )
         if not inside:
-            return None
-        stream = _Substream([self.seed, bank, row, 0xFA1137 + index])
+            continue
         local = tuple((start - bit_start, end - bit_start) for start, end in inside)
         if fault.pin < 0:
-            rows, draws = slice(None), stream.window(0, bit_end - bit_start, pins, local)
+            rows, runs = every, _runs(0, bit_end - bit_start, pins, local)
         else:
-            rows, draws = slice(fault.pin, fault.pin + 1), stream.window(0, 0, 1, local)
-        flips = draws < fault.density
-        return (rows, inside, flips, np.bitwise_xor) if flips.any() else None
+            rows, runs = slice(fault.pin, fault.pin + 1), _runs(0, 0, 1, local)
+        fault_key = (overlay.seed, bank, row, _FAULT_TAG + fault_index)
+        out.append(_Draw(
+            index, fault_key, runs, fault.density, np.bitwise_xor, rows, inside, None
+        ))
+    return out
+
+
+def _build_masks(
+    requests: Sequence[MaskRequest], rng: np.random.Generator | None = None
+) -> list[np.ndarray | None]:
+    """The one mask builder: every request's mask, all streams seeded at once.
+
+    Draws sharing a layout of stream positions are drawn together
+    (:func:`repro.faults.rng.uniforms`), a bounded batch at a time.
+    """
+    draws = [
+        draw for index, request in enumerate(requests) for draw in _draws_of(index, request)
+    ]
+    masks: list[np.ndarray | None] = [None] * len(requests)
+    if not draws:
+        return masks
+    stream_of: dict[tuple[int, int, int, int], int] = {}
+    for draw in draws:
+        stream_of.setdefault(draw.key, len(stream_of))
+    streams = seed_states(list(stream_of))
+    by_runs: dict[Runs, list[int]] = {}
+    for at, draw in enumerate(draws):
+        by_runs.setdefault(draw.runs, []).append(at)
+    # blocks[at]: the flips of draw ``at``, None when it flips nothing
+    blocks: list[np.ndarray | None] = [None] * len(draws)
+    for batch in _batches(by_runs):
+        groups = [
+            (runs, np.array([stream_of[draws[at].key] for at in members]))
+            for runs, members in batch
+        ]
+        for (_, members), values in zip(batch, uniforms(streams, groups, rng)):
+            thresholds = np.array([draws[at].threshold for at in members])
+            flips = values < thresholds[:, None]
+            for hit in np.flatnonzero(flips.any(axis=1)):
+                blocks[members[hit]] = flips[hit].copy()
+    parts: dict[int, list[tuple[_Draw, np.ndarray]]] = {}
+    for draw, block in zip(draws, blocks):
+        if block is not None:
+            parts.setdefault(draw.request, []).append((draw, block))
+    for index, found in parts.items():
+        masks[index] = _combine(requests[index][3], found)
+    return masks
+
+
+def _batches(
+    by_runs: dict[Runs, list[int]]
+) -> Iterator[list[tuple[Runs, list[int]]]]:
+    """Split the draws into batches of about ``_BATCH_CELLS`` cells."""
+    batch: list[tuple[Runs, list[int]]] = []
+    cells = 0
+    for runs, members in by_runs.items():
+        width = sum(length for _, length in runs)
+        step = max(1, _BATCH_CELLS // width)
+        for at in range(0, len(members), step):
+            batch.append((runs, members[at : at + step]))
+            cells += width * len(batch[-1][1])
+            if cells >= _BATCH_CELLS:
+                yield batch
+                batch, cells = [], 0
+    if batch:
+        yield batch
+
+
+def _combine(
+    shape: tuple[int, int], parts: list[tuple[_Draw, np.ndarray]]
+) -> np.ndarray | None:
+    """OR the weak-cell blocks, then XOR the structured faults, in order."""
+    mask = np.zeros(shape, dtype=np.uint8)
+    for draw, block in parts:
+        width = sum(end - start for start, end in draw.wide or draw.spans)
+        flips = block.reshape(-1, width)
+        if draw.wide is not None:
+            flips = _cluster_pairs(flips, draw.spans, draw.wide)
+        col = 0
+        for start, end in draw.spans:
+            view = mask[draw.rows, start:end]
+            draw.op(view, flips[:, col : col + end - start], out=view)
+            col += end - start
+    # two structured faults can cancel each other's flips
+    return mask if mask.any() else None
+
+
+def _cluster_pairs(anchors: np.ndarray, spans: Footprint, wide: Footprint) -> np.ndarray:
+    """Cells flipped by cluster anchors: each anchor and its right neighbour."""
+    pairs, col = [], 0
+    for (start, end), (lo, _) in zip(spans, wide):
+        own = anchors[:, col : col + end - lo]
+        cells = own[:, start - lo :].copy()
+        cells[:, 1 - (start - lo) :] |= own[:, :-1]
+        pairs.append(cells)
+        col += end - lo
+    return np.hstack(pairs)
 
 
 def sample_transfer_burst(

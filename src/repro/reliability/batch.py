@@ -34,12 +34,14 @@ import numpy as np
 
 from ..errors import ChunkFailure
 from ..faults.rates import FaultRates
+from ..faults.rng import scratch_generator
+from ..faults.sampler import FaultOverlay, MaskRequest, prime_masks
 from ..faults.types import FaultInstance, FaultType, TransferBurst
 from ..galois.backends import active_backend, use_backend
 from ..obs import metrics as _obs
 from ..obs import trace as _trace
 from ..schemes.base import EccScheme
-from .exact import ExactRunConfig, _make_chips, _plant_fault, _zero_line
+from .exact import ExactRunConfig, _make_chips, _plant_fault, _sample_overlays, _zero_line
 from .outcomes import Tally, classify
 
 #: default number of trials grouped into one dispatch unit; bounds both the
@@ -62,6 +64,25 @@ def _observe_chunk(span: "_trace.SpanRecord | None", reads: int) -> None:
     _C_CHUNKS.add(1)
     if span.duration > 0:
         _H_ROWS_PER_S.observe(reads / span.duration)
+
+
+def _prime_reads(scheme: EccScheme, reads: list, rng: np.random.Generator) -> None:
+    """Build every fault mask the reads will ask their chips for, in one pass.
+
+    ``rng`` is the chunk's scratch Generator
+    (:func:`repro.faults.rng.scratch_generator`).
+    """
+    device = scheme.rank.device
+    width = device.data_bits_per_pin_per_row + device.spare_bits_per_pin_per_row
+    requests: list[MaskRequest] = []
+    for chips, bank, row, col, _ in reads:
+        footprint = scheme.read_footprint(col) or ((0, width),)
+        requests.extend(
+            (chip.fault_overlay, bank, row, (device.pins, width), footprint)
+            for chip in chips
+            if isinstance(chip.fault_overlay, FaultOverlay)
+        )
+    prime_masks(requests, rng)
 
 
 def _tally_reads(scheme: EccScheme, reads: list) -> Tally:
@@ -150,6 +171,8 @@ def _iid_chunk(
 ) -> Tally:
     """One dispatch unit: a run of (chip_seed, coords) fault-universe epochs.
 
+    Every chip's fault sampler is seeded in one pass, and every read's masks
+    are built in one pass (:func:`_prime_reads`) before the reads run.
     ``backend`` pins the GF kernel backend for the duration of the chunk
     (``None`` keeps the process's own selection).  Lenient resolution: an
     unavailable backend in a worker process degrades to the default with a
@@ -158,10 +181,13 @@ def _iid_chunk(
     with use_backend(backend, strict=False), _trace.span(
         "reliability.iid_chunk", epochs=len(epochs)
     ) as sp:
+        rng = scratch_generator()
+        overlay_sets = _sample_overlays(scheme, rates, [seed for seed, _ in epochs], rng)
         reads = []
-        for chip_seed, coords in epochs:
-            chips = _make_chips(scheme, rates, seed=chip_seed)
+        for overlays, (_, coords) in zip(overlay_sets, epochs):
+            chips = scheme.make_devices(list(overlays))
             reads.extend((chips, bank, row, col, None) for bank, row, col in coords)
+        _prime_reads(scheme, reads, rng)
         tally = _tally_reads(scheme, reads)
     _observe_chunk(sp, len(reads))
     return tally
@@ -264,7 +290,9 @@ def _single_fault_chunk(
     with use_backend(backend, strict=False), _trace.span(
         "reliability.single_fault_chunk", trials=len(specs)
     ) as sp:
-        tally = _tally_reads(scheme, _single_fault_reads(scheme, clean, seed, specs))
+        reads = _single_fault_reads(scheme, clean, seed, specs)
+        _prime_reads(scheme, reads, scratch_generator())
+        tally = _tally_reads(scheme, reads)
     _observe_chunk(sp, len(specs))
     return tally
 

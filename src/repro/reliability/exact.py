@@ -24,7 +24,8 @@ import numpy as np
 
 from ..dram.device import DramDevice
 from ..faults.rates import FaultRates
-from ..faults.sampler import FaultOverlay
+from ..faults.rng import seed_states
+from ..faults.sampler import FaultOverlay, FaultSampler
 from ..faults.types import FaultInstance, FaultType
 from ..schemes.base import EccScheme
 
@@ -43,20 +44,47 @@ def _zero_line(scheme: EccScheme) -> np.ndarray:
     return np.zeros(scheme._line_shape(), dtype=np.uint8)
 
 
+def _chip_seeds(scheme: EccScheme, seed: int) -> list[int]:
+    """Fault-universe seed of each chip of the rank."""
+    return [seed * 1009 + chip_idx for chip_idx in range(scheme.rank.chips)]
+
+
 def _make_chips(scheme: EccScheme, rates: FaultRates, seed: int,
                 faults_per_chip: list[list[FaultInstance]] | None = None) -> list[DramDevice]:
     overlays = []
-    for chip_idx in range(scheme.rank.chips):
+    for chip_idx, chip_seed in enumerate(_chip_seeds(scheme, seed)):
         forced = None if faults_per_chip is None else faults_per_chip[chip_idx]
         overlays.append(
-            FaultOverlay(
-                scheme.rank.device,
-                rates,
-                seed=seed * 1009 + chip_idx,
-                faults=forced,
-            )
+            FaultOverlay(scheme.rank.device, rates, seed=chip_seed, faults=forced)
         )
     return scheme.make_devices(overlays)
+
+
+def _sample_overlays(
+    scheme: EccScheme, rates: FaultRates, seeds: list[int], rng: np.random.Generator
+) -> list[list[FaultOverlay]]:
+    """The overlays ``_make_chips`` builds for each seed, every fault sampler
+    seeded in one pass.
+
+    ``rng`` is a scratch Generator (:func:`repro.faults.rng.scratch_generator`)
+    each sampler's stream is loaded into in turn.
+    """
+    device = scheme.rank.device
+    samplers = [
+        FaultSampler(device, rates, chip_seed)
+        for seed in seeds
+        for chip_seed in _chip_seeds(scheme, seed)
+    ]
+    streams = seed_states([sampler.key for sampler in samplers])
+    overlays = [
+        FaultOverlay(
+            device, rates, seed=sampler.seed,
+            faults=sampler.sample_faults(streams.load(k, rng)),
+        )
+        for k, sampler in enumerate(samplers)
+    ]
+    chips = scheme.rank.chips
+    return [overlays[at : at + chips] for at in range(0, len(overlays), chips)]
 
 
 def _plant_fault(

@@ -472,6 +472,24 @@ def test_write_only_obs_usage_is_clean():
     assert flow_codes(src) == []
 
 
+def test_obs_read_in_fault_layer_flagged():
+    """The fault layer seeds the streams every mask draws from: a count it
+    read back must not reach a mask or a seed."""
+    src = {
+        "src/repro/faults/hot_mod.py": """
+            from repro.obs import metrics
+
+            _SEEDED = metrics.counter("fixture.seeded")
+
+            def seed_states(keys):
+                _SEEDED.add(len(keys))
+                return keys, _SEEDED.value()
+        """,
+    }
+    findings = flow_findings(src)
+    assert ("REPRO221", "src/repro/faults/hot_mod.py", 8) in findings
+
+
 def test_obs_reads_outside_hot_layers_allowed():
     """The obs layer's own report/summarize code must read snapshots."""
     src = {

@@ -36,3 +36,43 @@ class TestFaultRates:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             DEFAULT_RATES.single_cell_ber = 0.5
+
+
+class TestValidation:
+    @pytest.mark.parametrize("field", [
+        "single_cell_ber", "cell_cluster_per_bit", "transfer_burst_per_access",
+        "row_density", "column_density", "pin_density", "mat_density",
+    ])
+    @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan"), float("inf")])
+    def test_probabilities_outside_unit_interval(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FaultRates(**{field: value})
+
+    @pytest.mark.parametrize("field", [
+        "row_faults_per_device", "column_faults_per_device",
+        "pin_faults_per_device", "mat_faults_per_device",
+    ])
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_per_device_rates_finite_and_non_negative(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FaultRates(**{field: value})
+
+    @pytest.mark.parametrize("field", [
+        "mat_rows", "mat_bits", "column_rows", "transfer_burst_length",
+    ])
+    def test_extents_at_least_one(self, field):
+        with pytest.raises(ValueError, match=field):
+            FaultRates(**{field: 0})
+        assert getattr(FaultRates(**{field: 1}), field) == 1
+
+    def test_boundaries_accepted(self):
+        rates = FaultRates(
+            single_cell_ber=1.0, row_density=0.0, row_faults_per_device=0.0,
+            mat_faults_per_device=50.0,
+        )
+        assert rates.single_cell_ber == 1.0
+        assert rates.with_ber(0.0).single_cell_ber == 0.0
+
+    def test_replace_validates(self):
+        with pytest.raises(ValueError, match="single_cell_ber"):
+            DEFAULT_RATES.with_ber(2.0)

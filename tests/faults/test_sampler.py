@@ -17,6 +17,7 @@ from repro.faults import (
     burst_mask,
     sample_transfer_burst,
 )
+from repro.faults.sampler import prime_masks
 
 SHAPE = (8, 8192)
 
@@ -382,6 +383,47 @@ class TestFootprintWindow:
         overlay = FaultOverlay(DDR5_X8, clean_rates(), seed=16, faults=[fault, fault])
         assert overlay.mask_for_row(0, 0, SHAPE, ((90, 200),)) is None
         assert overlay.mask_for_row(0, 0, SHAPE) is None
+
+    @pytest.mark.parametrize("min_runs", [0, 10**9])
+    def test_primed_masks_for_every_default_scheme(self, min_runs, monkeypatch):
+        """One prime_masks pass over many overlays, each read's footprint
+        taken from the scheme, builds the masks the oracle describes - with
+        every short run jumped, and with every run drawn in C."""
+        from repro.faults import rng
+        from repro.faults.rng import scratch_generator
+        from repro.schemes import default_schemes
+
+        monkeypatch.setattr(rng, "_JUMP_MIN_RUNS", min_runs)
+        faults = [
+            FaultInstance(FaultType.PIN_LINE, 0, 0, DDR5_X8.rows_per_bank, 4, 0, 8192, 0.01),
+            FaultInstance(FaultType.ROW, 1, 3, 1, -1, 0, 8192, 0.02),
+            FaultInstance(FaultType.COLUMN, 0, 0, 8, 6, 7681, 1, 1.0),
+        ]
+        rates = clean_rates(single_cell_ber=2e-3, cell_cluster_per_bit=1e-3)
+        for scheme in default_schemes():
+            overlays = [
+                FaultOverlay(DDR5_X8, rates, seed=seed, faults=faults)
+                for seed in (5, 2**40 + 1)
+            ]
+            reads = [(0, 2, 0), (1, 3, 1), (0, 2, 127), (1, 3, 64)]
+            requests = [
+                (overlay, bank, row, SHAPE, scheme.read_footprint(col))
+                for overlay in overlays
+                for bank, row, col in reads
+            ]
+            prime_masks(requests, scratch_generator())
+            for overlay, bank, row, shape, footprint in requests:
+                assert footprint in overlay._cache[(bank, row)]  # primed, not lazy
+                assert_window_exact(overlay, bank, row, shape, footprint)
+
+    def test_priming_respects_cache_rows(self):
+        overlay = FaultOverlay(
+            DDR5_X8, clean_rates(single_cell_ber=1e-2), seed=18, faults=[], cache_rows=4
+        )
+        prime_masks([(overlay, 0, row, SHAPE, ((0, 16),)) for row in range(10)])
+        assert len(overlay._cache) <= 4
+        for row in range(10):
+            assert_window_exact(overlay, 0, row, SHAPE, ((0, 16),))
 
     def test_masks_are_cached_per_footprint(self):
         overlay = FaultOverlay(DDR5_X8, clean_rates(single_cell_ber=1e-2), seed=17, faults=[])

@@ -61,3 +61,16 @@ class TestDisabledIsSilent:
         assert snap["counters"] == {}
         assert snap["histograms"] == {}
         assert obs.finished_spans() == []
+
+
+class TestFaultStreamCounters:
+    def test_chunk_seeds_and_primes_in_one_pass(self):
+        """Each trial seeds one sampler and one weak-cell stream per chip,
+        and primes the one mask per chip its read needs."""
+        scheme = PairScheme()
+        trials, chips = 40, scheme.rank.chips
+        with obs.enabled_scope(True):
+            run_iid_batched(scheme, rates(3e-4), ExactRunConfig(trials=trials, seed=9))
+        counters = obs.snapshot()["counters"]
+        assert counters["faults.masks.primed"] == trials * chips
+        assert counters["faults.streams.seeded"] == 2 * trials * chips

@@ -1,5 +1,7 @@
 """Batched Monte-Carlo engines: bit-identical to the scalar oracle, worker-invariant."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,49 @@ class TestIidBatched:
         one = run_iid_batched(scheme, rates, config, workers=1, chunk_trials=8)
         many = run_iid_batched(scheme, rates, config, workers=2, chunk_trials=8)
         assert counts(one) == counts(many)
+
+
+class TestSeededChunks:
+    """A chunk seeds every chip and primes every read's masks in one pass;
+    the scalar oracle builds each mask lazily, one stream at a time."""
+
+    def test_multi_word_chip_seeds(self, schemes):
+        # chip seeds seed * 1009 + chip pass 2**32, so every key is multi-word
+        rates = DEFAULT_RATES.with_ber(1e-4)
+        config = ExactRunConfig(trials=24, seed=5_000_000)
+        assert config.seed * 1009 >= 2**32
+        for scheme in schemes:
+            a = oracle.run_iid(scheme, rates, config)
+            b = run_iid_batched(scheme, rates, config)
+            assert counts(a) == counts(b), scheme.name
+
+    def test_clusters_structured_faults_and_resampling(self, schemes):
+        # pin and bank-long column faults land under most reads, so primed
+        # masks combine weak cells, cluster pairs and structured faults
+        rates = replace(
+            DEFAULT_RATES, single_cell_ber=1e-4, cell_cluster_per_bit=5e-5,
+            pin_faults_per_device=6.0, column_faults_per_device=6.0,
+            column_rows=PairScheme().rank.device.rows_per_bank,
+        )
+        config = ExactRunConfig(trials=30, seed=21, resample_faults_every=4)
+        for scheme in schemes:
+            a = oracle.run_iid(scheme, rates, config)
+            b = run_iid_batched(scheme, rates, config, chunk_trials=12)
+            assert counts(a) == counts(b), scheme.name
+            assert a.ok < config.trials, scheme.name  # the faults were seen
+
+    def test_batch_seeded_samplers_draw_the_same_faults(self, schemes):
+        from repro.faults.rng import scratch_generator
+        from repro.reliability.exact import _make_chips, _sample_overlays
+
+        rates = replace(DEFAULT_RATES, row_faults_per_device=3.0, mat_faults_per_device=3.0)
+        seeds = [0, 17, 5_000_000]
+        scheme = schemes[0]
+        sets = _sample_overlays(scheme, rates, seeds, scratch_generator())
+        for seed, overlays in zip(seeds, sets):
+            lazy = _make_chips(scheme, rates, seed)
+            assert [o.faults for o in overlays] == [c.fault_overlay.faults for c in lazy]
+            assert any(o.faults for o in overlays)
 
 
 class TestSingleFaultBatched:
