@@ -20,8 +20,15 @@ module reaches the same draws without one Generator per key:
   32-bit limbs; longer runs are cheaper drawn by numpy's C generator,
   pointed at the stream with :meth:`Streams.load` and moved with
   ``advance``.
+* :func:`trial_words` makes many rows of ``Generator.choice(n, j,
+  replace=False)`` draws, each followed by ``integers(0, symbol_bits,
+  size=j)``, in one array pass.  In the regime where numpy runs Floyd's
+  algorithm, every one of those draws is a Lemire-bounded uint32, and
+  every uint32 is one half of a PCG64 output, so the whole sequence can be
+  read from one block of ``random_raw`` outputs.
 
-``tests/faults/test_rng.py`` checks both against ``default_rng(key)``.
+``tests/faults/test_rng.py`` checks all three against numpy's own
+generator.
 """
 
 from __future__ import annotations
@@ -412,3 +419,123 @@ def _draw_jumped(
         state, inc = (state[0][:n], state[1][:n]), (inc[0][:n], inc[1][:n])
         flat[cell[:n] + step] = _doubles(state)
         state = _add(_mul(state, _MULT_U128), inc)
+
+
+# -- bounded draws: Generator.choice and integers -------------------------------
+
+#: numpy's ``choice(n, j, replace=False)`` runs Floyd's algorithm when
+#: ``n <= _FLOYD_MAX_POP or j <= n // _FLOYD_CUTOFF``, else a tail shuffle.
+_FLOYD_MAX_POP = 10000
+_FLOYD_CUTOFF = 50
+#: draws checked per pass once a Lemire rejection has been seen (the window
+#: doubles while passes find none), and spare outputs drawn per top-up of a
+#: stream that rejections ran short.
+_REJECT_WINDOW = 64
+
+
+def trial_words(
+    rng: np.random.Generator, n: int, j: int, rows: int, symbol_bits: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` draws of ``j`` distinct positions out of ``n``, made at once.
+
+    Row ``i`` of ``positions`` equals the ``i``-th ``rng.choice(n, j,
+    replace=False)`` of a loop; when ``symbol_bits`` is given, each choice
+    is followed by ``rng.integers(0, symbol_bits, size=j)``, returned as
+    row ``i`` of ``bits`` (else ``bits`` has no columns).  ``rng`` is left in
+    exactly the state that loop leaves it in.
+
+    numpy draws one row as uint32 Lemire draws in this order: ``j`` Floyd
+    steps (step ``k`` uniform on ``[0, n - j + k]``, a repeat becoming
+    ``n - j + k``), ``j - 1`` Fisher-Yates swaps of columns ``j - 1 .. 1``
+    (column ``i`` with one uniform on ``[0, i]``), then ``j`` bit draws.
+    Only numpy's Floyd regime is reproduced: ``n <= 10000 or j <= n //
+    50``, with ``n < 2**32``; other arguments raise ``ValueError``.
+    """
+    bits_gen = rng.bit_generator
+    if not isinstance(bits_gen, np.random.PCG64):
+        raise TypeError("trial words are drawn by a PCG64 Generator")
+    if not 0 <= j <= n:
+        raise ValueError(f"j must be in [0, n={n}], got {j}")
+    if n >= 2**32 or (n > _FLOYD_MAX_POP and j > n // _FLOYD_CUTOFF):
+        raise ValueError(
+            f"choice({n}, {j}) is outside numpy's Floyd regime "
+            f"(n <= {_FLOYD_MAX_POP} or j <= n // {_FLOYD_CUTOFF}, n < 2**32)"
+        )
+    if rows < 0:
+        raise ValueError(f"rows must be >= 0, got {rows}")
+    if symbol_bits is not None and not 1 <= symbol_bits < 2**32:
+        raise ValueError(f"symbol_bits must be in [1, 2**32), got {symbol_bits}")
+    # the number of values each of one row's draws is uniform over
+    floyd = np.arange(n - j + 1, n + 1)
+    swaps = np.arange(j, 1, -1)
+    ranges = np.concatenate([floyd, swaps, np.full(j if symbol_bits else 0, symbol_bits)])
+    values = np.zeros((rows, len(ranges)), dtype=np.int64)
+    live = ranges > 1  # a single-valued draw takes no uint32
+    draws = _bounded(bits_gen, np.tile(ranges[live].astype(np.uint64), rows))
+    values[:, live] = draws.reshape(rows, int(live.sum()))
+    picks = values[:, :j]
+    for k in range(1, j):
+        repeat = (picks[:, :k] == picks[:, k : k + 1]).any(axis=1)
+        picks[repeat, k] = n - j + k
+    every = np.arange(rows)
+    for col, other in zip(range(j - 1, 0, -1), values[:, j : j + len(swaps)].T):
+        held = picks[every, other]
+        picks[every, other] = picks[:, col]
+        picks[:, col] = held
+    bits = values[:, j + len(swaps) :]
+    return np.ascontiguousarray(picks), np.ascontiguousarray(bits)
+
+
+def _halves(raw: np.ndarray) -> np.ndarray:
+    """The uint32 words of 64-bit outputs, low half first, as numpy uses them."""
+    words = np.empty(2 * len(raw), dtype=np.uint64)
+    words[0::2] = raw & _M32
+    words[1::2] = raw >> 32
+    return words
+
+
+def _bounded(bits: np.random.PCG64, ranges: np.ndarray) -> np.ndarray:
+    """numpy's Lemire draws, one per entry of ``ranges`` in turn.
+
+    Draw ``i`` is uniform on ``[0, ranges[i])`` (each range in ``[2,
+    2**32)``).  A uint32 ``u`` gives ``m = u * range``; the draw is ``m >>
+    32`` unless the low word of ``m`` is below ``(2**32 - range) % range``,
+    when it is rejected and the next uint32 is tried, moving every later
+    draw one word on.  ``bits`` ends as numpy's own loop would leave it.
+    """
+    saved = bits.state
+    pending = int(saved["has_uint32"])
+    head = np.array([saved["uinteger"]] * pending, dtype=np.uint64)
+    count = len(ranges)
+    words = np.concatenate([head, _halves(bits.random_raw((count - pending + 1) // 2))])
+    threshold = (np.uint64(2**32) - ranges) % ranges
+    out = np.empty(count, dtype=np.uint64)
+    pos = shift = 0  # next unresolved draw; uint32 words rejected so far
+    window = count
+    while pos < count:
+        end = min(count, pos + window)
+        if end + shift > len(words):
+            extra = bits.random_raw((end + shift - len(words) + 1) // 2 + _REJECT_WINDOW)
+            words = np.concatenate([words, _halves(extra)])
+        m = words[pos + shift : end + shift] * ranges[pos:end]
+        reject = (m & _M32) < threshold[pos:end]
+        if not reject.any():
+            out[pos:end] = m >> 32
+            pos, window = end, 2 * window
+            continue
+        first = int(reject.argmax())
+        out[pos : pos + first] = m[:first] >> 32
+        pos, shift = pos + first, shift + 1
+        window = max(_REJECT_WINDOW, 2 * first)
+    # rewind past the over-drawn outputs to where numpy's loop stops
+    bits.state = saved
+    if count + shift:
+        taken = count + shift - pending  # uint32 words taken from fresh outputs
+        raws = (taken + 1) // 2
+        if raws:
+            bits.advance(raws)
+        state = bits.state
+        state["has_uint32"] = taken % 2
+        state["uinteger"] = int(words[pending + 2 * raws - 1]) if raws else saved["uinteger"]
+        bits.state = state
+    return out.astype(np.int64)

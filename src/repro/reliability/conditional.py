@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..codes.base import BlockCode, DecodeStatus
+from ..faults.rng import trial_words
 from ..obs import metrics as _obs
 
 
@@ -43,7 +44,7 @@ class WordConditionals:
     p_bad_window: np.ndarray
 
 
-_TABLE_CACHE: dict[tuple, WordConditionals] = {}
+_TABLE_CACHE: dict[tuple[object, ...], WordConditionals] = {}
 
 # Observability (DESIGN.md 6e): how often a table was measured versus served
 # from the cache - a campaign should measure each table once, in its parent.
@@ -51,11 +52,29 @@ _C_BUILT = _obs.counter("reliability.tables.built")
 _C_REUSED = _obs.counter("reliability.tables.reused")
 
 
-def _cached(key: tuple) -> WordConditionals | None:
+def _cached(key: tuple[object, ...]) -> WordConditionals | None:
     table = _TABLE_CACHE.get(key)
     if _obs.enabled():
         (_C_BUILT if table is None else _C_REUSED).add(1)
     return table
+
+
+def _code_key(code: BlockCode) -> tuple[object, ...]:
+    """What makes two codes decode alike: class, shape, field and ``fcr``.
+
+    A singly extended RS code keys on its inner code's ``fcr``.
+    """
+    field = getattr(code, "field", None)
+    fcr = getattr(getattr(code, "inner", code), "fcr", None)
+    gf = None if field is None else (field.m, field.poly)
+    return (type(code).__name__, code.n, code.k, gf, fcr)
+
+
+def _check_args(code: BlockCode, j_max: int, samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if not 0 <= j_max <= code.n:
+        raise ValueError(f"j_max must be in [0, code.n={code.n}], got {j_max}")
 
 
 def measure_bit_code(
@@ -70,8 +89,8 @@ def measure_bit_code(
     ``silent_on_detect`` models conventional IECC, which forwards raw data
     on detection instead of flagging: detections count as bad-if-wrong.
     """
-    key = ("bit", type(code).__name__, code.n, code.k, j_max, samples, seed,
-           silent_on_detect)
+    _check_args(code, j_max, samples)
+    key = ("bit", *_code_key(code), j_max, samples, seed, silent_on_detect)
     cached = _cached(key)
     if cached is not None:
         return cached
@@ -79,17 +98,13 @@ def measure_bit_code(
     j_values = np.arange(j_max + 1)
     p_flag = np.zeros(j_max + 1)
     p_bad = np.zeros(j_max + 1)
-    for j in j_values:
-        if j == 0:
-            continue
+    for j in range(1, j_max + 1):
         flags = 0
         bads = 0
-        # Draw every trial word first (same rng call order as one-at-a-time
-        # generation), then push the whole batch through the decoder.
+        # Every trial word at once, drawn as a choice() loop would draw them.
+        positions, _ = trial_words(rng, code.n, j, samples)
         words = np.zeros((samples, code.n), dtype=np.uint8)
-        for s in range(samples):
-            positions = rng.choice(code.n, j, replace=False)
-            words[s, positions] = 1
+        np.put_along_axis(words, positions, 1, axis=1)
         for result in code.decode_batch(words):
             flagged = result.status is DecodeStatus.DETECTED and not silent_on_detect
             if flagged:
@@ -118,8 +133,14 @@ def measure_symbol_code(
     probability that a random aligned window of that many *data* symbols is
     wrong (what an access-level read consumes from a long codeword).
     """
-    key = ("sym", type(code).__name__, code.n, code.k, j_max, samples, seed,
-           symbol_bits, window_symbols)
+    _check_args(code, j_max, samples)
+    if window_symbols is not None and not (
+        1 <= window_symbols <= code.k and code.k % window_symbols == 0
+    ):
+        raise ValueError(
+            f"window_symbols must divide code.k={code.k}, got {window_symbols}"
+        )
+    key = ("sym", *_code_key(code), j_max, samples, seed, symbol_bits, window_symbols)
     cached = _cached(key)
     if cached is not None:
         return cached
@@ -129,18 +150,15 @@ def measure_symbol_code(
     p_bad = np.zeros(j_max + 1)
     p_bad_window = np.zeros(j_max + 1)
     windows = (code.k // window_symbols) if window_symbols else 1
-    for j in j_values:
-        if j == 0:
-            continue
+    for j in range(1, j_max + 1):
         flags = 0
         bads = 0
         bad_windows = 0.0
-        # Draw every trial word first (same rng call order as one-at-a-time
-        # generation), then push the whole batch through the decoder.
+        # Every trial word at once, drawn as a choice() + integers() loop
+        # would draw them.
+        positions, bits = trial_words(rng, code.n, j, samples, symbol_bits)
         words = np.zeros((samples, code.n), dtype=np.int64)
-        for s in range(samples):
-            positions = rng.choice(code.n, j, replace=False)
-            words[s, positions] = 1 << rng.integers(0, symbol_bits, size=j)
+        np.put_along_axis(words, positions, 1 << bits, axis=1)
         for result in code.decode_batch(words):
             if result.status is DecodeStatus.DETECTED:
                 flags += 1

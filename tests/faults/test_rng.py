@@ -135,3 +135,72 @@ class TestUniforms:
         streams = rng.seed_states([[1, 2]])
         (out,) = rng.uniforms(streams, [(((0, 5),), np.array([], dtype=np.int64))])
         assert out.shape == (0, 5)
+
+
+def loop_words(gen, n, j, rows, symbol_bits):
+    """The per-row loop :func:`rng.trial_words` replaces."""
+    positions = np.zeros((rows, j), dtype=np.int64)
+    bits = np.zeros((rows, j if symbol_bits else 0), dtype=np.int64)
+    for row in range(rows):
+        positions[row] = gen.choice(n, j, replace=False)
+        if symbol_bits:
+            bits[row] = gen.integers(0, symbol_bits, size=j)
+    return positions, bits
+
+
+def assert_same_as_loop(seed, n, j, rows, symbol_bits, odd_start):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    if odd_start:  # leave half of a 64-bit output pending
+        ours.integers(0, 7)
+        theirs.integers(0, 7)
+    got = rng.trial_words(ours, n, j, rows, symbol_bits)
+    want = loop_words(theirs, n, j, rows, symbol_bits)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert ours.random() == theirs.random()
+
+
+class TestTrialWords:
+    @given(
+        j=st.integers(1, 32),
+        extra=st.integers(0, 10000),
+        rows=st.integers(1, 500),
+        symbol_bits=st.sampled_from([None, 5, 8, 10]),
+        odd_start=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_choice_loop(self, j, extra, rows, symbol_bits, odd_start, seed):
+        n = min(j + extra, 10000)
+        assert_same_as_loop(seed, n, j, rows, symbol_bits, odd_start)
+
+    @given(
+        n=st.integers(2_900_000_000, 3_100_000_000),
+        j=st.integers(1, 3),
+        rows=st.integers(1, 40),
+        symbol_bits=st.sampled_from([None, 5]),
+        odd_start=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_lemire_rejections(self, n, j, rows, symbol_bits, odd_start, seed):
+        """Near 3e9 about a third of the Floyd draws are rejected and redrawn."""
+        assert (2**32 - n) % n / 2**32 > 0.25
+        assert_same_as_loop(seed, n, j, rows, symbol_bits, odd_start)
+
+    @pytest.mark.parametrize("n, j, rows, symbol_bits", [
+        (5, 0, 4, 8), (5, 5, 4, 8), (1, 1, 3, None), (9, 3, 0, 8), (40, 3, 6, 1),
+        (10001, 200, 3, None), (2**32 - 1, 2, 5, None),
+    ])
+    def test_edges(self, n, j, rows, symbol_bits):
+        for odd_start in (False, True):
+            assert_same_as_loop(17, n, j, rows, symbol_bits, odd_start)
+
+    @pytest.mark.parametrize("n, j", [(10001, 201), (2**32, 1), (4, 5), (4, -1)])
+    def test_outside_the_floyd_regime_raises(self, n, j):
+        gen = np.random.default_rng(0)
+        before = gen.bit_generator.state
+        with pytest.raises(ValueError):
+            rng.trial_words(gen, n, j, 3)
+        assert gen.bit_generator.state == before

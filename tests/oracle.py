@@ -7,16 +7,21 @@ documented order, builds its chips, and decodes one line through
 ``read_lines`` override.  The batched engines, the campaign chunk
 executors and every worker count must reproduce these tallies bit for bit
 (``test_batch_engine.py``, ``test_differential.py``, the campaign and
-agreement suites).  The oracle lives in ``tests/`` because nothing in the
-library needs a second, slower copy of the same answer.
+agreement suites).  Likewise one ``choice()`` loop per conditional table of
+:mod:`repro.reliability.conditional`, which draws every trial word in one
+array pass (``test_conditional.py``).  The oracle lives in ``tests/``
+because nothing in the library needs a second, slower copy of the same
+answer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.codes.base import BlockCode, DecodeStatus
 from repro.faults.rates import FaultRates
 from repro.faults.types import FaultInstance, FaultType, TransferBurst
+from repro.reliability.conditional import WordConditionals
 from repro.reliability.exact import ExactRunConfig, _make_chips, _plant_fault, _zero_line
 from repro.reliability.outcomes import Tally, classify
 from repro.schemes.base import EccScheme
@@ -101,3 +106,68 @@ def run_burst_lengths(
             tally.add(classify(scheme.read_line(chips, 0, row, col, {0: burst}), expected))
         out[length] = tally
     return out
+
+
+def measure_bit_code(
+    code: BlockCode,
+    j_max: int,
+    samples: int = 2000,
+    seed: int = 0,
+    silent_on_detect: bool = False,
+) -> WordConditionals:
+    """``conditional.measure_bit_code`` with one ``choice()`` per trial word."""
+    rng = np.random.default_rng([seed, 0xC0DE])
+    j_values = np.arange(j_max + 1)
+    p_flag = np.zeros(j_max + 1)
+    p_bad = np.zeros(j_max + 1)
+    for j in range(1, j_max + 1):
+        words = np.zeros((samples, code.n), dtype=np.uint8)
+        for s in range(samples):
+            words[s, rng.choice(code.n, j, replace=False)] = 1
+        flags = bads = 0
+        for result in code.decode_batch(words):
+            if result.status is DecodeStatus.DETECTED and not silent_on_detect:
+                flags += 1
+            elif np.any(result.data):
+                bads += 1
+        p_flag[j] = flags / samples
+        p_bad[j] = bads / samples
+    return WordConditionals(j_values, p_flag, p_bad, p_bad.copy())
+
+
+def measure_symbol_code(
+    code: BlockCode,
+    j_max: int,
+    samples: int = 1500,
+    seed: int = 0,
+    symbol_bits: int = 8,
+    window_symbols: int | None = None,
+) -> WordConditionals:
+    """``conditional.measure_symbol_code`` with one ``choice()`` and one
+    ``integers()`` per trial word."""
+    rng = np.random.default_rng([seed, 0x5C0DE])
+    j_values = np.arange(j_max + 1)
+    p_flag = np.zeros(j_max + 1)
+    p_bad = np.zeros(j_max + 1)
+    p_bad_window = np.zeros(j_max + 1)
+    windows = (code.k // window_symbols) if window_symbols else 1
+    for j in range(1, j_max + 1):
+        words = np.zeros((samples, code.n), dtype=np.int64)
+        for s in range(samples):
+            positions = rng.choice(code.n, j, replace=False)
+            words[s, positions] = 1 << rng.integers(0, symbol_bits, size=j)
+        flags = bads = 0
+        bad_windows = 0.0
+        for result in code.decode_batch(words):
+            if result.status is DecodeStatus.DETECTED:
+                flags += 1
+                continue
+            wrong = np.nonzero(result.data)[0]
+            if wrong.size:
+                bads += 1
+                if window_symbols:
+                    bad_windows += np.unique(wrong // window_symbols).size / windows
+        p_flag[j] = flags / samples
+        p_bad[j] = bads / samples
+        p_bad_window[j] = (bad_windows / samples) if window_symbols else p_bad[j]
+    return WordConditionals(j_values, p_flag, p_bad, p_bad_window)

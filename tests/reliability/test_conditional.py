@@ -1,12 +1,18 @@
 """Tests for measured conditional-outcome tables."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.codes import HammingSEC, HsiaoSECDED, ReedSolomonCode, SinglyExtendedRS
-from repro.galois import GF256
-from repro.reliability import measure_bit_code, measure_symbol_code
+from repro.galois import GF256, get_field
+from repro.obs import metrics
+from repro.reliability import analytic, build_model, measure_bit_code, measure_symbol_code
 from repro.reliability.conditional import clear_cache
+from repro.schemes import PairScheme, RankSecDed, default_schemes
+from tests import oracle
 
 
 @pytest.fixture(autouse=True)
@@ -69,3 +75,111 @@ class TestSymbolCodeTables:
             code, j_max=9, samples=100, seed=6, window_symbols=2
         )
         assert np.all(table.p_bad_window <= table.p_bad + 1e-12)
+
+
+def assert_same_table(got, want):
+    for field in dataclasses.fields(want):
+        np.testing.assert_array_equal(getattr(got, field.name), getattr(want, field.name))
+
+
+def model_calls(monkeypatch, schemes, samples, seed):
+    """Every table call the schemes' analytic models make, with its result."""
+    calls = []
+    for name in ("measure_bit_code", "measure_symbol_code"):
+        measure = getattr(analytic, name)
+
+        def record(code, *args, _name=name, _measure=measure, **kwargs):
+            table = _measure(code, *args, **kwargs)
+            calls.append((_name, code, args, kwargs, table))
+            return table
+
+        monkeypatch.setattr(analytic, name, record)
+    for scheme in schemes:
+        build_model(scheme, samples=samples, seed=seed)
+    return calls
+
+
+PARITY_SCHEMES = [*default_schemes(), PairScheme(orientation="beat"), RankSecDed()]
+
+
+class TestLoopParity:
+    """The one-pass draws equal a ``choice()`` loop's words, table for table."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 1009])
+    @pytest.mark.parametrize("samples", [16, 400])
+    def test_model_tables_equal_the_loop(self, monkeypatch, seed, samples):
+        calls = model_calls(monkeypatch, PARITY_SCHEMES, samples, seed)
+        kinds = {(name, "silent_on_detect" in kw, "window_symbols" in kw)
+                 for name, _, _, kw, _ in calls}
+        assert ("measure_bit_code", True, False) in kinds  # conventional IECC
+        assert ("measure_symbol_code", False, True) in kinds  # PAIR windows
+        windows = {kw.get("window_symbols") for _, _, _, kw, _ in calls}
+        assert {2, 16} <= windows  # pin- and beat-aligned PAIR
+        for name, code, args, kwargs, table in calls:
+            assert_same_table(table, getattr(oracle, name)(code, *args, **kwargs))
+
+    def test_obs_on_equals_obs_off(self):
+        code = SinglyExtendedRS(GF256, 256, 240)
+        off = measure_symbol_code(code, j_max=10, samples=37, seed=3, window_symbols=16)
+        clear_cache()
+        metrics.reset()
+        with obs.enabled_scope(True):
+            on = measure_symbol_code(code, j_max=10, samples=37, seed=3, window_symbols=16)
+            again = measure_symbol_code(code, j_max=10, samples=37, seed=3, window_symbols=16)
+            bit = measure_bit_code(HammingSEC(136, 128), j_max=4, samples=37, seed=3)
+        assert again is on
+        assert_same_table(on, off)
+        assert_same_table(bit, oracle.measure_bit_code(HammingSEC(136, 128), 4, 37, 3))
+        counters = metrics.snapshot()["counters"]
+        assert counters["reliability.tables.built"] == 2
+        assert counters["reliability.tables.reused"] == 1
+
+
+class TestCacheKey:
+    def test_field_and_fcr_get_their_own_tables(self):
+        wide = ReedSolomonCode(get_field(10), 40, 36, fcr=1)
+        byte = ReedSolomonCode(get_field(8), 40, 36, fcr=0)
+        byte_fcr1 = ReedSolomonCode(get_field(8), 40, 36, fcr=1)
+        tables = [measure_symbol_code(code, j_max=6, samples=200, seed=0)
+                  for code in (byte, wide, byte_fcr1)]
+        assert len({id(table) for table in tables}) == 3
+        for code, table in zip((byte, wide, byte_fcr1), tables):
+            assert_same_table(table, oracle.measure_symbol_code(code, 6, 200, 0))
+        # the cached table of one code is not what the other code measures
+        assert np.any(tables[0].p_bad[3:] != tables[1].p_bad[3:])
+
+    def test_same_code_shares_a_table(self):
+        first = measure_symbol_code(ReedSolomonCode(get_field(8), 40, 36), j_max=4,
+                                    samples=20)
+        again = measure_symbol_code(ReedSolomonCode(get_field(8), 40, 36), j_max=4,
+                                    samples=20)
+        assert first is again
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"samples": 0}, "samples"),
+        ({"samples": -3}, "samples"),
+        ({"j_max": 137}, "j_max"),
+        ({"j_max": -1}, "j_max"),
+    ])
+    def test_bit_code(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            measure_bit_code(HammingSEC(136, 128), **{"j_max": 3, **kwargs})
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"samples": 0}, "samples"),
+        ({"j_max": 257}, "j_max"),
+        ({"window_symbols": 0}, "window_symbols"),
+        ({"window_symbols": 241}, "window_symbols"),
+        ({"window_symbols": 7}, "window_symbols"),  # 7 does not divide k = 240
+    ])
+    def test_symbol_code(self, kwargs, name):
+        code = SinglyExtendedRS(GF256, 256, 240)
+        with pytest.raises(ValueError, match=name):
+            measure_symbol_code(code, **{"j_max": 3, **kwargs})
+
+    def test_full_population_is_accepted(self):
+        code = HammingSEC(12, 8)
+        table = measure_bit_code(code, j_max=code.n, samples=5)
+        assert_same_table(table, oracle.measure_bit_code(code, code.n, 5))
