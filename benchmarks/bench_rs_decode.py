@@ -10,9 +10,7 @@ onward (CI uploads the ``--benchmark-json`` output as ``BENCH_rs_decode.json``):
 * ``decode_batch`` on a dense beyond-bound batch (every word carries
   t+1..t+8 single-bit symbol errors: the F2 conditional-table regime, where
   the vectorised key-equation solve runs),
-* the dense syndrome screen per kernel backend (numpy / bitsliced / numba
-  when installed) - the tracked number behind the bitsliced tier's >=3x
-  acceptance bar, recorded with a ``backend`` tag in ``extra_info``,
+* the dense syndrome screen (every row of a 4096-row batch dirty),
 * the F2 reliability sweep itself - the tentpole's headline wall-clock.
 
 Run with ``pytest benchmarks/bench_rs_decode.py --benchmark-only
@@ -25,7 +23,7 @@ import pytest
 
 from repro.codes import DecodeStatus, SinglyExtendedRS
 from repro.galois import GF256
-from repro.galois.backends import BackendUnavailableError, backend_names, get_backend
+from repro.galois.backends import KERNEL
 
 BATCH = 1024
 DIRTY_PER_BATCH = 32  # ~3% dirty rows, the Monte-Carlo regime
@@ -96,39 +94,18 @@ def test_decode_beyond_bound_batch(benchmark, code, beyond_bound_batch):
     benchmark.extra_info["words_per_second"] = BEYOND_BATCH / benchmark.stats["mean"]
 
 
-def _available_backends():
-    names = []
-    for name in backend_names():
-        try:
-            get_backend(name)
-        except BackendUnavailableError:
-            continue
-        names.append(name)
-    return names
-
-
 @pytest.fixture(scope="module")
 def screen_batch(code):
     rng = np.random.default_rng(0x5C4EE)
     return rng.integers(0, 256, size=(SCREEN_BATCH, code.inner.n), dtype=np.int64)
 
 
-@pytest.mark.parametrize("backend_name", _available_backends())
-def test_syndrome_screen_backend(benchmark, code, screen_batch, backend_name):
-    """Dense-batch syndrome screen, one benchmark entry per backend.
-
-    Every backend must be bit-identical to the numpy reference (asserted
-    here on the benchmarked inputs as a last line of defence behind the
-    equivalence suite); the recorded means feed the CI regression gate and
-    the bitsliced >=3x speedup check.
-    """
+def test_syndrome_screen_dense(benchmark, code, screen_batch):
+    """Dense-batch syndrome screen: every row dirty, so the kernel's dense
+    branch runs over all of them; the recorded mean feeds the CI gate."""
     inner = code.inner
-    backend = get_backend(backend_name)
-    reference = get_backend("numpy").syndromes(GF256, screen_batch, inner.r, inner.fcr)
-    warm = backend.syndromes(GF256, screen_batch, inner.r, inner.fcr)  # builds tables
-    assert np.array_equal(warm, reference)
-    benchmark(backend.syndromes, GF256, screen_batch, inner.r, inner.fcr)
-    benchmark.extra_info["backend"] = backend_name
+    KERNEL.syndromes(GF256, screen_batch, inner.r, inner.fcr)  # builds tables
+    benchmark(KERNEL.syndromes, GF256, screen_batch, inner.r, inner.fcr)
     benchmark.extra_info["batch"] = SCREEN_BATCH
     benchmark.extra_info["rows_per_second"] = SCREEN_BATCH / benchmark.stats["mean"]
 

@@ -5,19 +5,14 @@ baseline ``BENCH_rs_decode.json`` and fails (exit 1) when:
 
 * any **tracked** kernel benchmark's mean regresses by more than
   ``--threshold`` (default 25%) relative to the baseline mean, or
-* a tracked benchmark disappeared from the candidate run, or
-* the bitsliced backend's dense-screen speedup over numpy - a *ratio
-  within one run*, so host-speed independent - falls below
-  ``--min-speedup`` (default 3x).
+* a tracked benchmark disappeared from the candidate run.
 
 Tracked benchmarks are the kernel micro-benchmarks (scalar decodes, batch
-throughput, per-backend dense screens).  The F2 sweep wall-clock is
+throughput, the dense syndrome screen).  The F2 sweep wall-clock is
 reported but not gated: it spans the whole pipeline and moves with every
 subsystem, which would make the gate noisy for unrelated PRs.  The dense
 beyond-bound batch decode is reported but not gated either, until a
-baseline recorded on the CI runner class includes it.  The numba
-screen is gated only when present in *both* files (availability differs
-across environments).
+baseline recorded on the CI runner class includes it.
 
 Absolute-time comparisons across different hosts are meaningless, so CI
 runs both the candidate and its verdict on the same runner class that
@@ -29,8 +24,8 @@ perf change, or when CI runner hardware shifts)::
     python benchmarks/check_regression.py BENCH_rs_decode.json  # self-check
     git add BENCH_rs_decode.json   # commit with the PR that changed perf
 
-(the self-check against itself validates the schema and the speedup floor;
-the regression legs trivially pass at ratio 1.0).
+(the self-check against itself validates the schema; the regression legs
+trivially pass at ratio 1.0).
 """
 
 from __future__ import annotations
@@ -45,18 +40,11 @@ TRACKED = (
     "test_decode_clean_word",
     "test_decode_dirty_word",
     "test_decode_batch_throughput",
-    "test_syndrome_screen_backend[numpy]",
-    "test_syndrome_screen_backend[bitsliced]",
+    "test_syndrome_screen_dense",
 )
-
-#: tracked when present in both baseline and candidate (optional deps).
-TRACKED_OPTIONAL = ("test_syndrome_screen_backend[numba]",)
 
 #: informational only - printed, never gated.
 INFORMATIONAL = ("test_f2_sweep_wall_clock", "test_decode_beyond_bound_batch")
-
-SPEEDUP_NUM = "test_syndrome_screen_backend[numpy]"
-SPEEDUP_DEN = "test_syndrome_screen_backend[bitsliced]"
 
 
 def load_means(path: Path) -> dict[str, float]:
@@ -70,14 +58,10 @@ def check(
     candidate: dict[str, float],
     baseline: dict[str, float],
     threshold: float,
-    min_speedup: float,
 ) -> list[str]:
     """All gate violations (empty list = pass)."""
     problems: list[str] = []
-    gated = list(TRACKED) + [
-        name for name in TRACKED_OPTIONAL if name in baseline and name in candidate
-    ]
-    for name in gated:
+    for name in TRACKED:
         base = baseline.get(name)
         cand = candidate.get(name)
         if base is None:
@@ -106,24 +90,6 @@ def check(
             if name in baseline:
                 note += f" (baseline {baseline[name]:.4g} s; not gated)"
             print(note)
-    num, den = candidate.get(SPEEDUP_NUM), candidate.get(SPEEDUP_DEN)
-    if num is None or den is None or den <= 0:
-        problems.append(
-            "cannot compute the bitsliced speedup: per-backend screen "
-            "benchmarks missing from the candidate run"
-        )
-    else:
-        speedup = num / den
-        marker = "ok" if speedup >= min_speedup else "FAIL"
-        print(
-            f"  [{marker:4s}] bitsliced dense-screen speedup over numpy: "
-            f"{speedup:.2f}x (floor {min_speedup:.1f}x)"
-        )
-        if speedup < min_speedup:
-            problems.append(
-                f"bitsliced backend speedup {speedup:.2f}x is below the "
-                f"{min_speedup:.1f}x floor"
-            )
     return problems
 
 
@@ -137,8 +103,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="committed baseline JSON (default: repo root)")
     parser.add_argument("--threshold", type=float, default=0.25,
                         help="allowed fractional regression (default 0.25)")
-    parser.add_argument("--min-speedup", type=float, default=3.0,
-                        help="required numpy/bitsliced mean ratio (default 3.0)")
     args = parser.parse_args(argv)
 
     if not args.baseline.exists():
@@ -147,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     candidate = load_means(args.candidate)
     baseline = load_means(args.baseline)
     print(f"perf gate: {args.candidate} vs baseline {args.baseline}")
-    problems = check(candidate, baseline, args.threshold, args.min_speedup)
+    problems = check(candidate, baseline, args.threshold)
     if problems:
         print("\nperf gate FAILED:", file=sys.stderr)
         for problem in problems:

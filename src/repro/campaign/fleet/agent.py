@@ -12,7 +12,7 @@ the agent's only obligations are the two halves of the liveness contract:
   not the plan: the agent reconstructs
   :class:`~repro.campaign.runner.CampaignConfig` and calls
   ``build_plan()`` itself, so the wire never ships payloads, RNGs or
-  backend objects (the REPRO21x worker-boundary discipline) and any agent
+  open handles (the REPRO21x worker-boundary discipline) and any agent
   anywhere computes the bit-identical tally for chunk *i*.
 
 Chunks execute in a thread (``run_in_executor``) so heartbeats keep
@@ -86,7 +86,6 @@ class FleetAgent:
                  directory: str | Path | None = None,
                  chaos: FleetChaos | None = None,
                  policy: AgentPolicy | None = None,
-                 backend: str | None = None,
                  collect_obs: bool = False,
                  stream: bool = False):
         if directory is None and (host is None or port is None):
@@ -100,7 +99,6 @@ class FleetAgent:
         self.directory = Path(directory) if directory is not None else None
         self.chaos = chaos
         self.policy = policy or AgentPolicy()
-        self.backend = backend
         # streaming needs something to stream: it implies per-chunk obs
         self.collect_obs = collect_obs or stream
         self.stream = stream
@@ -203,8 +201,6 @@ class FleetAgent:
             config = CampaignConfig.from_manifest_dict(reply["config"])
             self._plan = config.build_plan()
             self._plan_fingerprint = str(reply["fingerprint"])
-        if self.backend is None:
-            self.backend = reply.get("backend")
         interval = float(reply.get("heartbeat_interval",
                                    self.policy.heartbeat_interval))
         self._heartbeat_interval = interval
@@ -298,10 +294,7 @@ class FleetAgent:
                 "agent.chunk", trace_id=trace,
                 agent=self.name, chunk=chunk,
             ) as rec:
-                tally = execute_chunk(
-                    plan.kind, plan.scheme, plan.rates, plan.config, spec,
-                    self.backend,
-                )
+                tally = execute_chunk(plan.kind, plan.scheme, plan.rates, plan.config, spec)
             if self.collect_obs:
                 snap = _obs.snapshot(f"agent-{self.name}-chunk-{chunk}")
                 snap["source"] = self.name  # per-agent sections in obs report
@@ -358,12 +351,11 @@ def run_agent(name: str, host: str | None = None, port: int | None = None,
               directory: str | Path | None = None,
               chaos: FleetChaos | None = None,
               policy: AgentPolicy | None = None,
-              backend: str | None = None,
               collect_obs: bool = False,
               stream: bool = False) -> AgentSummary:
     """Synchronous entry point: run one agent to completion."""
     agent = FleetAgent(
         name, host=host, port=port, directory=directory, chaos=chaos,
-        policy=policy, backend=backend, collect_obs=collect_obs, stream=stream,
+        policy=policy, collect_obs=collect_obs, stream=stream,
     )
     return asyncio.run(agent.run())

@@ -4,11 +4,11 @@ One frame is a 4-byte big-endian length followed by that many bytes of
 UTF-8 JSON encoding a single object with a ``type`` key.  JSON (not pickle)
 is deliberate: the wire carries only *names and counts* - chunk indices,
 lease ids, tally quadruples, obs snapshots - never executable payloads,
-resolved backend objects, Generators or open handles.  Agents rebuild
-everything process-local (the chunk plan, the GF backend, their RNGs) from
-the campaign config dict, exactly the REPRO21x worker-boundary discipline;
-:func:`write_frame` calls are recognized by the flow checkers as worker
-dispatch sites so that discipline is machine-enforced.
+Generators or open handles.  Agents rebuild everything process-local (the
+chunk plan, their RNGs) from the campaign config dict, exactly the REPRO21x
+worker-boundary discipline; :func:`write_frame` calls are recognized by the
+flow checkers as worker dispatch sites so that discipline is
+machine-enforced.
 
 Frame types
 -----------

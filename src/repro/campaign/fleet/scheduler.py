@@ -56,7 +56,6 @@ from ...errors import (
     guard_tally,
     guard_weighted,
 )
-from ...galois.backends import active_backend
 from ...obs import metrics as _obs
 from ...obs import trace as _obs_trace
 from ...obs.openmetrics import render_openmetrics
@@ -145,7 +144,6 @@ class FleetScheduler:
             )
         self.manifest.save_every = max(1, self.policy.manifest_save_every)
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
-        self.backend = active_backend().name
         self.leases = LeaseTable(timeout=self.policy.lease_timeout)
         # ready-time heap over pending chunks + the set that validates it
         self._pending_heap: list[tuple[float, int]] = []
@@ -333,7 +331,6 @@ class FleetScheduler:
             "protocol": PROTOCOL_VERSION,
             "fingerprint": self.manifest.fingerprint,
             "config": self.manifest.config,
-            "backend": self.backend,
             "heartbeat_interval": self.policy.heartbeat_interval,
             "lease_timeout": self.policy.lease_timeout,
         })

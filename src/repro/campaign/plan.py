@@ -191,22 +191,13 @@ def prime_chunk(plan_kind: str, scheme: EccScheme, rates: FaultRates,
 
 
 def execute_chunk(plan_kind: str, scheme: EccScheme, rates: FaultRates,
-                  config: ExactRunConfig, spec: ChunkSpec,
-                  backend: str | None = None) -> Tally:
-    """Run one chunk to a tally.
-
-    ``backend`` pins the GF kernel backend for the chunk (the supervisor
-    passes the parent process's active selection so workers inherit it).
-    Deliberately *not* part of the campaign fingerprint: backends are
-    bit-identical, so the choice cannot affect any tally.
-    """
+                  config: ExactRunConfig, spec: ChunkSpec) -> Tally:
+    """Run one chunk to a tally."""
     if plan_kind == "rareevent" and isinstance(spec.payload, dict):
         # tilted importance-sampling chunk (count-level sampler)
         from ..reliability.rareevent import rareevent_chunk_tally
 
-        return rareevent_chunk_tally(scheme, rates, config, spec.payload, backend)
+        return rareevent_chunk_tally(scheme, rates, config, spec.payload)
     if plan_kind in ("iid", "rareevent"):
-        return iid_chunk_tally(scheme, rates, spec.payload, backend)
-    return single_fault_chunk_tally(
-        scheme, rates.with_ber(0.0), config.seed, spec.payload, backend
-    )
+        return iid_chunk_tally(scheme, rates, spec.payload)
+    return single_fault_chunk_tally(scheme, rates.with_ber(0.0), config.seed, spec.payload)

@@ -44,7 +44,6 @@ import numpy as np
 
 from ..errors import NumericalGuard, guard_tally, guard_weighted
 from ..faults.rates import FaultRates
-from ..galois.backends import active_backend
 from ..obs import metrics as _obs
 from ..obs import trace as _obs_trace
 from ..reliability.exact import ExactRunConfig
@@ -145,18 +144,13 @@ def terminate_worker(process: multiprocessing.process.BaseProcess,
 def _worker_entry(conn: Any, kind: str, scheme: EccScheme, rates: FaultRates,
                   config: ExactRunConfig, spec: ChunkSpec,
                   chaos: ChaosSchedule | None, attempt: int,
-                  obs_enabled: bool = False,
-                  backend: str | None = None) -> None:
+                  obs_enabled: bool = False) -> None:
     """Worker-process body: chaos hooks, chunk execution, result report.
 
     When the parent has observability on, the worker resets its (possibly
     fork-inherited) registry, records the chunk's own metrics, and ships the
     snapshot back alongside the counts; the parent absorbs it, so worker
     metrics merge into one process-local view exactly like tallies merge.
-
-    ``backend`` is the parent's active GF kernel backend name; the chunk
-    executor pins it (leniently) so workers inherit the parent's selection
-    under both fork and spawn start methods.
     """
     try:
         if obs_enabled:
@@ -165,7 +159,7 @@ def _worker_entry(conn: Any, kind: str, scheme: EccScheme, rates: FaultRates,
             _obs.enable()
         if chaos is not None:
             chaos.fire_pre_execute(spec.index, attempt)
-        tally = execute_chunk(kind, scheme, rates, config, spec, backend)
+        tally = execute_chunk(kind, scheme, rates, config, spec)
         if chaos is not None:
             tally = chaos.corrupt_tally(spec.index, attempt, tally)
         snap = (
@@ -209,9 +203,6 @@ class Supervisor:
         self.chaos = chaos
         self.on_success = on_success
         self.on_quarantine = on_quarantine
-        # captured once so every worker (fork or spawn) pins the same GF
-        # kernel backend the parent resolved; a perf knob, never a result knob
-        self.backend = active_backend().name
         self._ctx = _mp_context()
         # deterministic jitter: affects sleep lengths only, never results
         self._jitter_rng = np.random.default_rng([config.seed, 0xBAC0FF])
@@ -252,8 +243,7 @@ class Supervisor:
         process = self._ctx.Process(
             target=_worker_entry,
             args=(send_conn, self.kind, self.scheme, self.rates, self.config,
-                  spec, self.chaos, attempt, _obs.enabled(),
-                  self.backend),
+                  spec, self.chaos, attempt, _obs.enabled()),
             daemon=True,
         )
         process.start()

@@ -10,7 +10,7 @@ Two tiers share the rule/violation model in :mod:`repro.checkers.core`:
 * **Project-wide dataflow rules (REPRO2xx)** in :mod:`repro.checkers.flow`
   load the whole file set, resolve names through aliases/re-exports and
   track dataflow across module boundaries - seed provenance (20x),
-  worker-boundary safety (21x), obs purity (22x), backend contract (23x).
+  worker-boundary safety (21x), obs purity (22x), GF-kernel contract (23x).
   Catalogue: DESIGN.md section 6g.
 
 ``python -m repro check`` runs both tiers in one pass

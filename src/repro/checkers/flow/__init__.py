@@ -11,7 +11,7 @@ the reproduction's numbers rest on:
 * ``REPRO20x`` seed provenance       (:mod:`.seeds`)
 * ``REPRO21x`` worker-boundary safety (:mod:`.workers`)
 * ``REPRO22x`` obs purity            (:mod:`.obspurity`)
-* ``REPRO23x`` backend contract      (:mod:`.backends`)
+* ``REPRO23x`` GF-kernel contract    (:mod:`.backends`)
 
 Suppression works exactly like the per-file tier: a ``# repro:
 noqa-REPRO201`` comment on the flagged line waives that rule there.  Entry

@@ -1,24 +1,17 @@
-"""Backend-contract rules (REPRO23x).
+"""GF-kernel contract rules (REPRO23x).
 
-The GF(2^m) kernel tiers under ``galois/backends/`` are hot-swappable
-precisely because they obey three structural contracts (DESIGN.md 6f):
-tiers stay independent (the registry in ``__init__`` is the only composition
-point), every precomputed table is surrendered through ``clear_cache`` so
-``repro.galois.batch.clear_cache()`` really drops all state, and kernels
-never mutate their input arrays (the same ``words`` matrix is re-screened
-by fallback paths and differential tests).  This family pins each:
+The GF(2^m) kernel in ``repro.galois.backends`` obeys two structural
+contracts (DESIGN.md 6f): every precomputed table is surrendered through
+``clear_cache`` so ``repro.galois.batch.clear_cache()`` really drops all
+state, and kernels never mutate their input arrays (the same ``words``
+matrix is re-screened by the decoders and by differential tests).  This
+family pins each:
 
-* REPRO231 - a backend module imports a *sibling* backend module (anything
-  under ``galois/backends/`` other than ``base``).  Lateral coupling makes
-  tiers non-swappable; shared substrate belongs in ``base``.  The two
-  historical exceptions (the bitsliced tier delegating its Chien screen to
-  numpy, the numba tier subclassing bitsliced) carry audited ``noqa``
-  justifications.
-* REPRO232 - a module-level mutable container in a backend module that no
+* REPRO232 - a module-level mutable container in the kernel module that no
   ``clear_cache``-family function in the same module clears.  An uncleared
   module cache survives ``clear_cache()`` and leaks stale per-field tables
   across field rebuilds.
-* REPRO233 - a backend function writes through one of its parameters
+* REPRO233 - a kernel function writes through one of its parameters
   (subscript/augmented assignment, a mutating ndarray method, or ``out=``
   aliasing), including through local views of a parameter.  Input mutation
   would make kernel results order-dependent and corrupt the shared arrays
@@ -33,23 +26,12 @@ from collections.abc import Iterator
 from ..core import Rule, Violation
 from .dataflow import FlowChecker
 from .project import ModuleInfo, Project
-from .symbols import Resolver, attr_chain
-
-SIBLING_IMPORT = Rule(
-    code="REPRO231",
-    name="backend-sibling-import",
-    summary="backend modules must not import sibling backend tiers",
-    hint="move shared substrate into backends/base.py",
-    rationale=(
-        "lateral imports entangle tiers so they can no longer be swapped or "
-        "benchmarked independently; base owns the shared state"
-    ),
-)
+from .symbols import Resolver
 
 UNCLEARED_CACHE = Rule(
     code="REPRO232",
     name="uncleared-backend-cache",
-    summary="every module-level cache in a backend module must be dropped by clear_cache",
+    summary="every module-level cache in the GF kernel module must be dropped by clear_cache",
     hint="clear it inside a clear_cache/clear_*_cache function in the same module",
     rationale=(
         "a cache that survives clear_cache() leaks stale per-field tables "
@@ -60,15 +42,15 @@ UNCLEARED_CACHE = Rule(
 INPLACE_MUTATION = Rule(
     code="REPRO233",
     name="backend-mutates-input",
-    summary="backend kernels must not mutate their input arrays in place",
+    summary="GF kernels must not mutate their input arrays in place",
     hint="operate on a copy or write into a locally allocated output array",
     rationale=(
-        "the engines re-screen the same arrays on fallback paths; in-place "
-        "writes would make tiers diverge and break bit-identity"
+        "the decoders re-screen the same arrays; in-place writes would make "
+        "results depend on call order and break bit-identity"
     ),
 )
 
-_BACKENDS_PKG = "repro.galois.backends"
+_KERNEL_MODULE = "repro.galois.backends"
 
 #: ndarray methods that mutate the receiver.
 _MUTATING_METHODS = frozenset(
@@ -86,49 +68,14 @@ def _violation(rule: Rule, module: ModuleInfo, node: ast.AST, message: str) -> V
     )
 
 
-def _backend_modules(project: Project) -> Iterator[ModuleInfo]:
-    """Backend tier modules (excluding the registry ``__init__``)."""
-    for module in project.modules.values():
-        if not module.name.startswith(f"{_BACKENDS_PKG}."):
-            continue
-        if module.name.endswith(".__init__"):
-            continue
-        yield module
-
-
 class BackendContractChecker(FlowChecker):
-    rules = (SIBLING_IMPORT, UNCLEARED_CACHE, INPLACE_MUTATION)
+    rules = (UNCLEARED_CACHE, INPLACE_MUTATION)
 
     def check_project(self, project: Project, resolver: Resolver) -> Iterator[Violation]:
-        for module in _backend_modules(project):
-            is_base = module.name == f"{_BACKENDS_PKG}.base"
-            if not is_base:
-                yield from self._check_sibling_imports(module)
+        module = project.modules.get(_KERNEL_MODULE)
+        if module is not None:
             yield from self._check_uncleared_caches(module)
             yield from self._check_inplace_mutation(module)
-
-    # -- REPRO231 --------------------------------------------------------------
-
-    def _check_sibling_imports(self, module: ModuleInfo) -> Iterator[Violation]:
-        seen: set[tuple[str, int]] = set()
-        for binding in module.imports.values():
-            target = binding.target
-            if not target.startswith(f"{_BACKENDS_PKG}."):
-                continue
-            sibling = target[len(_BACKENDS_PKG) + 1:].split(".")[0]
-            if sibling in ("base", "__init__"):
-                continue
-            if f"{_BACKENDS_PKG}.{sibling}" == module.name:
-                continue
-            key = (sibling, binding.line)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield _violation(
-                SIBLING_IMPORT, module,
-                _line_anchor(binding.line),
-                f"backend module imports sibling tier {sibling!r}",
-            )
 
     # -- REPRO232 --------------------------------------------------------------
 

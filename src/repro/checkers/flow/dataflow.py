@@ -306,7 +306,7 @@ _POOL_CTOR_QUALS = frozenset(
 #: fleet frame-send call tails: the scheduler/agent socket boundary.  A
 #: frame crosses into another *process on another machine*, so everything
 #: the 21x rules forbid across a fork/spawn boundary is forbidden here too
-#: (and more: frames are JSON, so RNGs/backends/handles cannot even be
+#: (and more: frames are JSON, so RNGs/handles cannot even be
 #: pickled across - they must be flagged at the send site).
 _FLEET_SEND_TAILS = frozenset({"write_frame", "send_frame"})
 

@@ -1,7 +1,7 @@
 """Project model for the dataflow tier: parsed modules plus the import graph.
 
 The REPRO2xx rules are *whole-program* checks: they reason about how values
-travel between modules (seeds into workers, backend objects across process
+travel between modules (seeds into workers, open handles across process
 boundaries, obs reads into tallies).  That needs more than one file's AST -
 it needs a map of the project:
 

@@ -5,9 +5,9 @@ Turns a local attribute chain (``_obs.counter``, ``np.random.default_rng``,
 module's import bindings, and - when the target lands in a loaded package
 ``__init__`` that merely re-exports it - chases the re-export chain to the
 defining module.  That is what lets a rule written against
-``repro.galois.backends.active_backend`` fire regardless of whether a call
-site spells it ``active_backend()``, ``backends.active_backend()`` or
-``reg.active_backend()``.
+``repro.campaign.plan.execute_chunk`` fire regardless of whether a call
+site spells it ``execute_chunk()``, ``plan.execute_chunk()`` or
+``cp.execute_chunk()``.
 """
 
 from __future__ import annotations

@@ -2,24 +2,19 @@
 
 A campaign worker is a separate *process*: everything it needs must arrive
 by value (pickled through the dispatch call) and everything process-local -
-open handles, module-global mutable state, resolved backend objects - must
-be re-created on the worker side.  ``campaign/supervisor.py`` is the
-reference pattern: workers receive plain data plus the *name* of the GF
-kernel backend and re-resolve it locally.  The fleet wire
+open handles, module-global mutable state - must be re-created on the
+worker side.  ``campaign/supervisor.py`` is the reference pattern: workers
+receive plain data and rebuild everything else locally.  The fleet wire
 (``campaign/fleet``) is the same boundary stretched over a socket - its
 frame sends are dispatch sites too, and JSON framing makes the invariants
-even harder: an RNG, backend object or handle cannot cross at all, so it
-must be flagged where the send happens.  These rules pin that pattern:
+even harder: an RNG or handle cannot cross at all, so it must be flagged
+where the send happens.  These rules pin that pattern:
 
 * REPRO211 - the callable shipped to a worker is a closure (lambda or
   nested def) capturing enclosing-scope state, or a module-level function
   that reads its own module's mutable globals.  Under ``fork`` such state
   is a stale copy, under ``spawn`` it is re-imported fresh - either way the
   worker and parent silently disagree.
-* REPRO212 - a resolved backend object (``active_backend()`` /
-  ``get_backend(...)`` result) is shipped across the boundary.  Backends
-  hold process-local caches; workers must receive the backend *name* and
-  re-resolve it, as the supervisor does.
 * REPRO213 - an open file handle (``open(...)`` / ``*.open(...)`` result)
   is shipped across the boundary.  Descriptors do not survive pickling and
   fork-inherited handles corrupt each other's buffers; workers must open
@@ -47,17 +42,6 @@ WORKER_CLOSURE = Rule(
     ),
 )
 
-BACKEND_TO_WORKER = Rule(
-    code="REPRO212",
-    name="backend-shipped-to-worker",
-    summary="resolved backend objects must not cross the worker boundary",
-    hint="ship the backend name and re-resolve with use_backend(name) in the worker",
-    rationale=(
-        "backends hold process-local caches; shipping the object forks "
-        "stale tables instead of letting the worker resolve its own tier"
-    ),
-)
-
 HANDLE_TO_WORKER = Rule(
     code="REPRO213",
     name="handle-shipped-to-worker",
@@ -69,15 +53,6 @@ HANDLE_TO_WORKER = Rule(
     ),
 )
 
-#: qualified names whose call results are process-local backend objects.
-_BACKEND_RESOLVERS = frozenset(
-    {
-        "repro.galois.backends.active_backend",
-        "repro.galois.backends.get_backend",
-    }
-)
-_BACKEND_RESOLVER_TAILS = frozenset({"active_backend", "get_backend"})
-
 
 def _violation(rule: Rule, module: ModuleInfo, node: ast.AST, message: str) -> Violation:
     return Violation(
@@ -87,18 +62,6 @@ def _violation(rule: Rule, module: ModuleInfo, node: ast.AST, message: str) -> V
         col=getattr(node, "col_offset", 0),
         message=message,
     )
-
-
-def _is_backend_resolution(expr: ast.expr, module: ModuleInfo, resolver: Resolver) -> bool:
-    if not isinstance(expr, ast.Call):
-        return False
-    chain = attr_chain(expr.func)
-    if not chain:
-        return False
-    qual = resolver.qualify(module, chain)
-    if qual is not None:
-        return qual in _BACKEND_RESOLVERS
-    return chain[-1] in _BACKEND_RESOLVER_TAILS
 
 
 def _is_handle_open(expr: ast.expr) -> bool:
@@ -129,15 +92,15 @@ def _expr_traces_to(
 
 
 class WorkerBoundaryChecker(FlowChecker):
-    rules = (WORKER_CLOSURE, BACKEND_TO_WORKER, HANDLE_TO_WORKER)
+    rules = (WORKER_CLOSURE, HANDLE_TO_WORKER)
 
     def check_project(self, project: Project, resolver: Resolver) -> Iterator[Violation]:
         for module in project.modules.values():
             for _name, scope in iter_function_scopes(module):
                 for site in iter_dispatch_sites(scope, module, resolver):
-                    yield from self._check_callable(site.target, scope, module, resolver)
+                    yield from self._check_callable(site.target, scope, module)
                     for expr in site.shipped:
-                        yield from self._check_shipped(expr, scope, module, resolver)
+                        yield from self._check_shipped(expr, scope, module)
 
     # -- REPRO211 --------------------------------------------------------------
 
@@ -146,7 +109,6 @@ class WorkerBoundaryChecker(FlowChecker):
         target: ast.expr | None,
         scope: Scope,
         module: ModuleInfo,
-        resolver: Resolver,
     ) -> Iterator[Violation]:
         if target is None:
             return
@@ -219,20 +181,11 @@ class WorkerBoundaryChecker(FlowChecker):
                 out.append((sub.id, sub))
         return out
 
-    # -- REPRO212 / REPRO213 ---------------------------------------------------
+    # -- REPRO213 --------------------------------------------------------------
 
     def _check_shipped(
-        self, expr: ast.expr, scope: Scope, module: ModuleInfo, resolver: Resolver
+        self, expr: ast.expr, scope: Scope, module: ModuleInfo
     ) -> Iterator[Violation]:
-        def backend_test(e: ast.expr) -> bool:
-            return _is_backend_resolution(e, module, resolver)
-
-        if _expr_traces_to(expr, scope, backend_test):
-            yield _violation(
-                BACKEND_TO_WORKER, module, expr,
-                "resolved backend object shipped into a worker; pass "
-                "active_backend().name and re-resolve with use_backend()",
-            )
         if _expr_traces_to(expr, scope, _is_handle_open):
             yield _violation(
                 HANDLE_TO_WORKER, module, expr,

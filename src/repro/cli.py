@@ -19,9 +19,6 @@ Twelve subcommands expose the library's engines without writing any code:
 * ``obs``                     - observability: merge and render metric/span
   exports (``report``), from an ``obs.jsonl`` or a campaign directory,
   plus a live ANSI fleet dashboard (``top``);
-* ``backends``                - GF(2^m) kernel backend registry: which tiers
-  exist, which are available here, which one is active
-  (``REPRO_GF_BACKEND``);
 * ``check``                   - static invariant checks: per-file REPRO1xx
   rules plus the project-wide REPRO2xx dataflow tier, with a fingerprint
   baseline (``--baseline`` / ``--update-baseline``) and SARIF 2.1.0 export
@@ -585,24 +582,6 @@ def cmd_fleet_status(args: argparse.Namespace) -> None:
     print(f"{'agents_seen':14s} {' '.join(fleet.get('agents_seen', [])) or '-'}")
 
 
-def cmd_backends(args: argparse.Namespace) -> None:
-    from .galois.backends import backends_report
-
-    report = backends_report()
-    if args.json:
-        import json
-
-        print(json.dumps(report, sort_keys=True))
-        return
-    env = report["env_value"]
-    source = f"{report['env_var']}={env}" if env else f"default ({report['default']})"
-    print(f"GF(2^m) kernel backends - active: {report['active']} via {source}")
-    for row in report["backends"]:
-        marker = "*" if row["active"] else " "
-        status = "available" if row["available"] else f"unavailable ({row['reason']})"
-        print(f"  {marker} {row['name']:10s} {status}")
-
-
 def cmd_check(args: argparse.Namespace) -> None:
     from .checkers import (
         Baseline,
@@ -967,13 +946,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fstatus.add_argument("--no-color", action="store_true",
                            help="plain ASCII output for --watch")
     p_fstatus.set_defaults(func=cmd_fleet_status)
-
-    p_back = sub.add_parser(
-        "backends", help="list GF(2^m) kernel backends and the active one"
-    )
-    p_back.add_argument("--json", action="store_true",
-                        help="print the registry state as JSON")
-    p_back.set_defaults(func=cmd_backends)
 
     p_check = sub.add_parser(
         "check",

@@ -48,9 +48,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..galois import poly
-from ..galois.backends import active_backend
-from ..galois.backends.numpy_backend import chien_tables
-from ..galois.batch import batch_syndromes, syndrome_tables
+from ..galois.backends import KERNEL, chien_tables
+from ..galois.batch import batch_syndromes, check_symbols, syndrome_tables
 from ..galois.gf2m import GF2m, MulRows
 from ..obs import metrics as _obs
 from .base import BlockCode, DecodeResult, DecodeStatus
@@ -68,8 +67,8 @@ _C_CHIEN_POINTS = _obs.counter("rs.chien.points")
 
 #: Rows per key-equation solve from which :func:`_solve_rows` takes the
 #: vectorised Berlekamp-Massey pass instead of the scalar Sugiyama solver.
-#: Measured crossover on PAIR's RS(256,240) and DUO's RS(76,64) (x86-64,
-#: numpy tier): the scalar solver costs 50-110 us per row, the batched pass
+#: Measured crossover on PAIR's RS(256,240) and DUO's RS(76,64) (x86-64):
+#: the scalar solver costs 50-110 us per row, the batched pass
 #: 0.3-0.6 ms per call plus a few us per row, so they meet at 8-16 rows.
 _BATCH_SOLVE_MIN = 12
 #: Rows per vectorised pass (its largest temporary, the Forney evaluator
@@ -156,9 +155,8 @@ def _peval(p: list[int], x: int, mt: MulRows) -> int:
 # -- Chien search ------------------------------------------------------------
 #
 # The point/log tables (cached per ``(field, n)``) and the search itself
-# moved into the kernel-backend layer (``repro.galois.backends``); this
-# module keeps the decode-path obs accounting and the public
-# ``chien_points`` helper.
+# live in the GF kernel (``repro.galois.backends``); this module keeps the
+# decode-path obs accounting and the public ``chien_points`` helper.
 
 
 def chien_points(field: GF2m, n: int) -> np.ndarray:
@@ -171,7 +169,7 @@ def _chien_roots(field: GF2m, n: int, locators: np.ndarray) -> np.ndarray:
     if _obs.enabled():
         _C_CHIEN_SEARCHES.add(locators.shape[0])
         _C_CHIEN_POINTS.add(locators.shape[0] * n)
-    return active_backend().chien_roots(field, n, locators)
+    return KERNEL.chien_roots(field, n, locators)
 
 
 def _solve_key_equation(
@@ -669,6 +667,7 @@ class ReedSolomonCode(BlockCode):
         if words.ndim != 2 or words.shape[1] != self.n:
             raise ValueError(f"expected (batch, {self.n}) matrix, got {words.shape}")
         per_word_erasures = _normalize_erasures(erasures, words.shape[0], self.n)
+        # batch_syndromes sees the whole word, so it also checks the symbol range
         synds = batch_syndromes(self.field, words, self.r, self.fcr)
         results: list[DecodeResult | None] = [None] * words.shape[0]
         dirty: list[int] = []
@@ -849,6 +848,7 @@ class SinglyExtendedRS(BlockCode):
         words = np.asarray(words, dtype=np.int64)
         if words.ndim != 2 or words.shape[1] != self.n:
             raise ValueError(f"expected (batch, {self.n}) matrix, got {words.shape}")
+        check_symbols(self.field, words)  # the extension symbol skips batch_syndromes
         per_word_erasures = _normalize_erasures(erasures, words.shape[0], self.n)
         inner_words = words[:, :-1]
         synds = batch_syndromes(self.field, inner_words, self.inner.r, 1)

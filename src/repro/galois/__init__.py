@@ -1,7 +1,6 @@
 """Galois-field substrate: GF(2^m) arithmetic, polynomials, GF(2) linear algebra."""
 
 from . import backends, batch, linalg2, poly
-from .backends import active_backend, set_backend, use_backend
 from .batch import batch_syndromes, syndrome_tables
 from .gf2m import (
     GF256,
@@ -25,9 +24,6 @@ __all__ = [
     "linalg2",
     "batch",
     "backends",
-    "active_backend",
-    "set_backend",
-    "use_backend",
     "batch_syndromes",
     "syndrome_tables",
 ]

@@ -11,23 +11,35 @@ where ``C`` is the ``(batch, n)`` received-word matrix and ``V`` the
 ``(r, n)`` Vandermonde matrix of generator-root powers.  ``V`` (and its log
 table) is cached per ``(field, n, r, fcr)``.
 
-As of the backend-registry PR this module is a *routing facade*: input
-validation and degenerate-shape handling live here, the arithmetic itself
-lives in :mod:`repro.galois.backends` and runs on whichever tier is active
-(``numpy`` log tables by default, ``bitsliced``/``numba`` XOR planes via
-``REPRO_GF_BACKEND`` or :func:`repro.galois.backends.set_backend`).  Every
-tier is bit-identical, so callers cannot observe the choice except in speed.
+Input validation and degenerate-shape handling live here; the arithmetic
+itself lives in :mod:`repro.galois.backends`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import backends as _backends
-from .backends import active_backend, clear_backend_caches, syndrome_tables
+from .backends import KERNEL, syndrome_tables
 from .gf2m import GF2m
 
-__all__ = ["batch_syndromes", "syndrome_tables", "clear_cache"]
+__all__ = ["batch_syndromes", "check_symbols", "syndrome_tables", "clear_cache"]
+
+
+def check_symbols(field: GF2m, words: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every symbol of ``words`` lies in ``[0, 2^m)``.
+
+    ``words`` is a ``(batch, n)`` integer matrix; the error names the first
+    offending row, its position and its value.
+    """
+    # two reductions without a temporary: a third of the cost of one
+    # ``(words >> m).any()`` pass on a (400, 256) int64 batch
+    if words.size == 0 or (words.min() >= 0 and words.max() < field.order):
+        return
+    row, pos = np.argwhere((words < 0) | (words >= field.order))[0]
+    raise ValueError(
+        f"row {row}, position {pos}: symbol {words[row, pos]} is outside "
+        f"GF(2^{field.m}) [0, {field.order})"
+    )
 
 
 def batch_syndromes(
@@ -40,27 +52,18 @@ def batch_syndromes(
     skipped outright (their syndromes are zero by linearity) - in the
     Monte-Carlo engines that is the common case, so the multiply only runs
     over the nonzero minority, ``chunk`` rows at a time to bound the
-    per-chunk intermediates.  Dispatches to the active kernel backend.
+    per-chunk intermediates.
     """
     words = np.asarray(words, dtype=np.int64)
     if words.ndim != 2:
         raise ValueError(f"expected (batch, n) matrix, got {words.shape}")
+    check_symbols(field, words)
     batch, n = words.shape
     if r == 0 or n == 0:
         return np.zeros((batch, r), dtype=np.int64)
-    return active_backend().syndromes(field, words, r, fcr, chunk)
+    return KERNEL.syndromes(field, words, r, fcr, chunk)
 
 
 def clear_cache() -> None:
-    """Drop every cached kernel table: Vandermonde, Chien, backend planes.
-
-    Fans out to each registered backend's :meth:`KernelBackend.clear_cache`
-    so tests and long campaigns cannot hold stale per-field state (e.g.
-    bitsliced multiplication planes) across field rebuilds.
-    """
-    clear_backend_caches()
-
-
-# Back-compat alias: the pre-registry cache lived in this module; tests and
-# downstream code may still introspect it via the backends package.
-_VANDERMONDE_CACHE = _backends.base._VANDERMONDE_CACHE
+    """Drop every cached kernel table: Vandermonde and Chien."""
+    KERNEL.clear_cache()

@@ -37,7 +37,6 @@ from ..faults.rates import FaultRates
 from ..faults.rng import scratch_generator
 from ..faults.sampler import FaultOverlay, MaskRequest, prime_masks
 from ..faults.types import FaultInstance, FaultType, TransferBurst
-from ..galois.backends import active_backend, use_backend
 from ..obs import metrics as _obs
 from ..obs import trace as _trace
 from ..schemes.base import EccScheme
@@ -166,21 +165,13 @@ def iid_epochs(
     ]
 
 
-def _iid_chunk(
-    scheme: EccScheme, rates: FaultRates, epochs: list, backend: str | None = None
-) -> Tally:
+def _iid_chunk(scheme: EccScheme, rates: FaultRates, epochs: list) -> Tally:
     """One dispatch unit: a run of (chip_seed, coords) fault-universe epochs.
 
     Every chip's fault sampler is seeded in one pass, and every read's masks
     are built in one pass (:func:`_prime_reads`) before the reads run.
-    ``backend`` pins the GF kernel backend for the duration of the chunk
-    (``None`` keeps the process's own selection).  Lenient resolution: an
-    unavailable backend in a worker process degrades to the default with a
-    warning - the tally is bit-identical either way.
     """
-    with use_backend(backend, strict=False), _trace.span(
-        "reliability.iid_chunk", epochs=len(epochs)
-    ) as sp:
+    with _trace.span("reliability.iid_chunk", epochs=len(epochs)) as sp:
         rng = scratch_generator()
         overlay_sets = _sample_overlays(scheme, rates, [seed for seed, _ in epochs], rng)
         reads = []
@@ -193,11 +184,9 @@ def _iid_chunk(
     return tally
 
 
-def iid_chunk_tally(
-    scheme: EccScheme, rates: FaultRates, epochs: list, backend: str | None = None
-) -> Tally:
+def iid_chunk_tally(scheme: EccScheme, rates: FaultRates, epochs: list) -> Tally:
     """Public alias of the i.i.d. chunk executor (campaign worker entry)."""
-    return _iid_chunk(scheme, rates, epochs, backend)
+    return _iid_chunk(scheme, rates, epochs)
 
 
 def run_iid_batched(
@@ -206,7 +195,6 @@ def run_iid_batched(
     config: ExactRunConfig,
     workers: int = 1,
     chunk_trials: int = DEFAULT_CHUNK_TRIALS,
-    backend: str | None = None,
 ) -> Tally:
     """Monte-Carlo over random accesses under the full fault process.
 
@@ -220,10 +208,9 @@ def run_iid_batched(
     every = max(1, config.resample_faults_every)
     per_chunk = max(1, chunk_trials // every)
     chunks = [epochs[i : i + per_chunk] for i in range(0, len(epochs), per_chunk)]
-    backend = backend or active_backend().name
     return _merge_dispatch(
         _iid_chunk,
-        [(scheme, rates, chunk, backend) for chunk in chunks],
+        [(scheme, rates, chunk) for chunk in chunks],
         workers,
         labels=[
             f"iid chunk {i} (chip_seed={chunk[0][0]})" for i, chunk in enumerate(chunks)
@@ -284,12 +271,9 @@ def _single_fault_reads(
 
 
 def _single_fault_chunk(
-    scheme: EccScheme, clean: FaultRates, seed: int, specs: list,
-    backend: str | None = None,
+    scheme: EccScheme, clean: FaultRates, seed: int, specs: list
 ) -> Tally:
-    with use_backend(backend, strict=False), _trace.span(
-        "reliability.single_fault_chunk", trials=len(specs)
-    ) as sp:
+    with _trace.span("reliability.single_fault_chunk", trials=len(specs)) as sp:
         reads = _single_fault_reads(scheme, clean, seed, specs)
         _prime_reads(scheme, reads, scratch_generator())
         tally = _tally_reads(scheme, reads)
@@ -298,11 +282,10 @@ def _single_fault_chunk(
 
 
 def single_fault_chunk_tally(
-    scheme: EccScheme, clean: FaultRates, seed: int, specs: list,
-    backend: str | None = None,
+    scheme: EccScheme, clean: FaultRates, seed: int, specs: list
 ) -> Tally:
     """Public alias of the single-fault chunk executor (campaign worker entry)."""
-    return _single_fault_chunk(scheme, clean, seed, specs, backend)
+    return _single_fault_chunk(scheme, clean, seed, specs)
 
 
 def run_single_fault_batched(
@@ -312,7 +295,6 @@ def run_single_fault_batched(
     config: ExactRunConfig,
     workers: int = 1,
     chunk_trials: int = DEFAULT_CHUNK_TRIALS,
-    backend: str | None = None,
 ) -> Tally:
     """Outcome distribution *given* one structured fault under the access.
 
@@ -324,10 +306,9 @@ def run_single_fault_batched(
     specs = _sample_single_fault_trials(scheme, kind, rates, config)
     clean = rates.with_ber(0.0)
     chunks = [specs[i : i + chunk_trials] for i in range(0, len(specs), chunk_trials)]
-    backend = backend or active_backend().name
     return _merge_dispatch(
         _single_fault_chunk,
-        [(scheme, clean, config.seed, chunk, backend) for chunk in chunks],
+        [(scheme, clean, config.seed, chunk) for chunk in chunks],
         workers,
         labels=[
             f"single-fault[{kind.value}] chunk {i} (first_trial={chunk[0][0]}, "
@@ -341,8 +322,7 @@ def run_single_fault_batched(
 
 
 def _burst_length_tally(
-    scheme: EccScheme, length: int, config: ExactRunConfig,
-    backend: str | None = None,
+    scheme: EccScheme, length: int, config: ExactRunConfig
 ) -> tuple[int, Tally]:
     device = scheme.rank.device
     rng = np.random.default_rng([config.seed, 0xB0057, length])
@@ -352,9 +332,7 @@ def _burst_length_tally(
         pin_faults_per_device=0.0, mat_faults_per_device=0.0,
         transfer_burst_per_access=0.0,
     )
-    with use_backend(backend, strict=False), _trace.span(
-        "reliability.burst_chunk", length=length
-    ) as sp:
+    with _trace.span("reliability.burst_chunk", length=length) as sp:
         chips = _make_chips(scheme, clean, seed=config.seed)
         reads = []
         for _ in range(config.trials):
@@ -376,7 +354,6 @@ def run_burst_lengths_batched(
     lengths: list[int],
     config: ExactRunConfig,
     workers: int = 1,
-    backend: str | None = None,
 ) -> dict[int, Tally]:
     """Correction coverage of write-path transfer bursts (experiment F4).
 
@@ -385,17 +362,12 @@ def run_burst_lengths_batched(
     independent run with its own generator stream, so lengths are the
     parallelism unit.
     """
-    backend = backend or active_backend().name
     if workers <= 1 or len(lengths) <= 1:
-        return {
-            length: _burst_length_tally(scheme, length, config, backend)[1]
-            for length in lengths
-        }
+        return {length: _burst_length_tally(scheme, length, config)[1] for length in lengths}
     out: dict[int, Tally] = {}
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_burst_length_tally, scheme, length, config, backend)
-            for length in lengths
+            pool.submit(_burst_length_tally, scheme, length, config) for length in lengths
         ]
         for length, future in zip(lengths, futures):
             try:

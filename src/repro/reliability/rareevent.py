@@ -328,7 +328,6 @@ def rareevent_chunk_tally(
     rates: FaultRates,
     config: ExactRunConfig,
     payload: dict[str, Any],
-    backend: str | None = None,
 ) -> Tally:
     """One tilted importance-sampling chunk (campaign worker entry point).
 
@@ -336,12 +335,9 @@ def rareevent_chunk_tally(
     trial index, which keys the chunk's private rng stream), ``trials``,
     ``tilt``, ``defensive``, ``samples`` and ``table_seed`` - so the chunk
     is a pure function of the campaign config (REPRO201/211: no generators
-    or closures cross the process boundary).  ``backend`` is accepted for
-    signature parity with the decode chunk executors; the count-level
-    sampler never touches the GF kernels.  A retry re-runs the same
+    or closures cross the process boundary).  A retry re-runs the same
     function: the vectorized path is the definition of the engine.
     """
-    del backend
     ber = require_pure_ber(rates, context="rareevent campaign chunk")
     law = line_law(
         scheme, ber,
@@ -451,7 +447,6 @@ def run_rareevent_iid(
     params: RareEventParams | None = None,
     workers: int = 1,
     chunk_trials: int | None = None,
-    backend: str | None = None,
 ) -> RareEventResult:
     """Estimate per-read outcome probabilities under the weak-cell process.
 
@@ -465,7 +460,7 @@ def run_rareevent_iid(
     if isinstance(params.tilt, (int, float)) and float(params.tilt) == 0.0:
         tally = run_iid_batched(
             scheme, rates, config, workers=workers,
-            chunk_trials=chunk_trials or DEFAULT_CHUNK_TRIALS, backend=backend,
+            chunk_trials=chunk_trials or DEFAULT_CHUNK_TRIALS,
         )
         tally.extra["weighted"] = unit_weighted_tally(
             {"ok": tally.ok, "ce": tally.ce, "due": tally.due, "sdc": tally.sdc},
@@ -496,7 +491,7 @@ def run_rareevent_iid(
     ]
     tally = _merge_dispatch(
         rareevent_chunk_tally,
-        [(scheme, rates, config, payload, backend) for payload in payloads],
+        [(scheme, rates, config, payload) for payload in payloads],
         workers,
         labels=[
             f"rareevent chunk {i} (start={p['start']}, tilt={tilt:.3f})"

@@ -135,16 +135,11 @@ def evaluate_system(
     samples: int = 300,
     seed: int = 0,
     workers: int = 1,
-    backend: str | None = None,
     estimator: str = "analytic",
     rare_trials: int = 200_000,
     rare_tilt: float | str = "auto",
 ) -> SystemReliability:
     """Expected SDC/DUE events per device-year under the composite model.
-
-    ``backend`` selects the GF kernel backend for the decode engine
-    (``None`` inherits the active selection, e.g. ``REPRO_GF_BACKEND``);
-    it is a throughput knob only - results are bit-identical across tiers.
 
     ``estimator`` picks the source of the weak-cell term: ``"analytic"``
     (default) uses the closed-form models; ``"rareevent"`` runs the tilted
@@ -171,7 +166,6 @@ def evaluate_system(
             RareEventParams(tilt=rare_tilt, samples=samples,
                             table_seed=seed),
             workers=workers,
-            backend=backend,
         )
         outcomes = rare.estimates()["outcomes"]
         cell = {"sdc": outcomes["sdc"]["p_ht"], "due": outcomes["due"]["p_ht"]}
@@ -197,9 +191,7 @@ def evaluate_system(
             sdc[kind.value] = due[kind.value] = 0.0
             p_sdc[kind.value] = p_due[kind.value] = 0.0
             continue
-        tally: Tally = run_single_fault_batched(
-            scheme, kind, rates, config, workers=workers, backend=backend
-        )
+        tally: Tally = run_single_fault_batched(scheme, kind, rates, config, workers=workers)
         hit = _footprint_hit_probability(kind, scheme, rates)
         reads_hitting = hit * reads_per_year
         sev_sdc = tally.sdc / tally.total

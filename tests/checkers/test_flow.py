@@ -94,8 +94,8 @@ def test_rng_captured_by_worker_lambda_flagged():
 
 
 def test_supervisor_pattern_ships_seeds_not_rngs():
-    """The blessed pattern (campaign/supervisor.py): ship ints and the
-    pinned backend *name*; workers rebuild their own Generator."""
+    """The blessed pattern (campaign/supervisor.py): ship ints and plain
+    names; workers rebuild their own Generator."""
     src = {
         f"{PKG}/engine.py": """
             import numpy as np
@@ -262,25 +262,6 @@ def test_self_contained_worker_is_clean():
     assert flow_codes(src) == []
 
 
-def test_backend_object_shipped_to_worker_flagged():
-    src = {
-        f"{PKG}/dispatch.py": """
-            from concurrent.futures import ProcessPoolExecutor
-
-            from repro.galois.backends import active_backend
-
-            def kernel(backend, x):
-                return backend.syndromes(x)
-
-            def run(xs):
-                backend = active_backend()
-                with ProcessPoolExecutor() as pool:
-                    return [pool.submit(kernel, backend, x) for x in xs]
-        """,
-    }
-    assert "REPRO212" in flow_codes(src)
-
-
 def test_backend_name_string_shipped_is_clean():
     src = {
         f"{PKG}/dispatch.py": """
@@ -371,21 +352,6 @@ def test_rng_shipped_in_fleet_frame_flagged():
     assert "REPRO201" in flow_codes(src)
 
 
-def test_backend_object_in_framelink_send_flagged():
-    src = {
-        f"{PKG}/wire.py": """
-            from repro.campaign.fleet.protocol import FrameLink
-            from repro.galois.backends import active_backend
-
-            async def welcome(reader, writer):
-                link = FrameLink(reader, writer)
-                backend = active_backend()
-                await link.send({"type": "welcome", "backend": backend})
-        """,
-    }
-    assert "REPRO212" in flow_codes(src)
-
-
 def test_open_handle_in_fleet_frame_flagged():
     src = {
         f"{PKG}/wire.py": """
@@ -401,19 +367,14 @@ def test_open_handle_in_fleet_frame_flagged():
 
 def test_names_and_counts_frames_are_clean():
     """The blessed wire shape (scheduler/agent): chunk indices, lease ids,
-    tally counts, backend *names* - never process-local objects."""
+    tally counts, config dicts - never process-local objects."""
     src = {
         f"{PKG}/wire.py": """
             from repro.campaign.fleet.protocol import FrameLink, write_frame
-            from repro.galois.backends import active_backend
 
             async def welcome(reader, writer, config):
                 link = FrameLink(reader, writer)
-                await link.send({
-                    "type": "welcome",
-                    "config": config,
-                    "backend": active_backend().name,
-                })
+                await link.send({"type": "welcome", "config": config})
 
             async def report(writer, chunk, counts):
                 await write_frame(writer, {"chunk": chunk, "counts": counts})
@@ -539,37 +500,12 @@ def test_stream_reads_in_fleet_layer_allowed():
     assert flow_codes(src) == []
 
 
-# -- REPRO23x: backend contract ----------------------------------------------
-
-
-def test_sibling_backend_import_flagged():
-    src = {
-        "src/repro/galois/backends/fixture_tier.py": """
-            from .numpy_backend import NumpyBackend
-
-            class FixtureBackend(NumpyBackend):
-                name = "fixture"
-        """,
-    }
-    findings = flow_findings(src)
-    assert ("REPRO231", "src/repro/galois/backends/fixture_tier.py", 2) in findings
-
-
-def test_base_import_from_backend_allowed():
-    src = {
-        "src/repro/galois/backends/fixture_tier.py": """
-            from .base import syndrome_tables
-
-            def kernel(words):
-                return syndrome_tables(words)
-        """,
-    }
-    assert flow_codes(src) == []
+# -- REPRO23x: GF-kernel contract --------------------------------------------
 
 
 def test_uncleared_backend_cache_flagged_and_cleared_one_allowed():
     src = {
-        "src/repro/galois/backends/fixture_tier.py": """
+        "src/repro/galois/backends.py": """
             _LEAKY = {}
             _MANAGED = {}
 
@@ -578,12 +514,12 @@ def test_uncleared_backend_cache_flagged_and_cleared_one_allowed():
         """,
     }
     findings = flow_findings(src)
-    assert findings == [("REPRO232", "src/repro/galois/backends/fixture_tier.py", 2)]
+    assert findings == [("REPRO232", "src/repro/galois/backends.py", 2)]
 
 
 def test_backend_mutating_input_flagged_copy_is_clean():
     src = {
-        "src/repro/galois/backends/fixture_tier.py": """
+        "src/repro/galois/backends.py": """
             def bad_kernel(words):
                 words[0] = 0
                 return words
@@ -600,7 +536,7 @@ def test_backend_mutating_input_flagged_copy_is_clean():
 
 def test_backend_mutation_through_view_alias_flagged():
     src = {
-        "src/repro/galois/backends/fixture_tier.py": """
+        "src/repro/galois/backends.py": """
             def kernel(acc):
                 row = acc[0]
                 row += 1
@@ -631,7 +567,7 @@ def test_flow_select_and_ignore_prefixes():
 
             RNG = np.random.default_rng(42)
         """,
-        "src/repro/galois/backends/fixture_tier.py": """
+        "src/repro/galois/backends.py": """
             _LEAKY = {}
         """,
     }

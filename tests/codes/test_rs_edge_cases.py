@@ -195,3 +195,33 @@ class TestExtendedEdges:
         code = SinglyExtendedRS(GF256, 256, 240)
         with pytest.raises(ValueError):
             code.decode(np.zeros(255, dtype=np.int64))
+
+
+class TestSymbolRange:
+    """Received symbols outside [0, 2^m) are a caller error, not a word."""
+
+    @pytest.mark.parametrize("value", [-1, 256])
+    def test_plain_code_rejects_out_of_range_symbol(self, value):
+        rs = ReedSolomonCode(GF256, 40, 36)
+        words = np.zeros((2, 40), dtype=np.int64)
+        words[1, 3] = value
+        with pytest.raises(ValueError, match=rf"row 1, position 3: symbol {value} "):
+            rs.decode_batch(words)
+        with pytest.raises(ValueError, match=rf"position 3: symbol {value} "):
+            rs.decode(words[1])
+
+    @pytest.mark.parametrize("value", [-3, 256])
+    def test_extended_code_checks_the_extension_symbol(self, value):
+        code = SinglyExtendedRS(GF256, 64, 48)
+        words = np.zeros((2, 64), dtype=np.int64)
+        words[0, 63] = value
+        with pytest.raises(ValueError, match=rf"row 0, position 63: symbol {value} "):
+            code.decode_batch(words)
+        with pytest.raises(ValueError, match=rf"position 63: symbol {value} "):
+            code.decode(words[0])
+
+    def test_largest_symbol_still_decodes(self):
+        rs = ReedSolomonCode(GF256, 40, 36)
+        word = rs.encode(np.zeros(36, dtype=np.int64))
+        word[5] = 255
+        assert rs.decode(word).status is DecodeStatus.CORRECTED

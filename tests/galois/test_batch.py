@@ -76,6 +76,21 @@ class TestBatchSyndromes:
         with pytest.raises(ValueError):
             batch_syndromes(GF256, np.zeros(10, dtype=np.int64), 4, 1)
 
+    @pytest.mark.parametrize("value", [-1, 256, 1 << 40])
+    def test_rejects_symbols_outside_the_field(self, value):
+        # numpy indexing would wrap a negative symbol into the log table
+        # and raise IndexError past the top; both must be a ValueError
+        # naming the row, the position and the value
+        words = np.zeros((3, 40), dtype=np.int64)
+        words[1, 7] = 5
+        words[2, 9] = value
+        with pytest.raises(ValueError, match=rf"row 2, position 9: symbol {value} "):
+            batch_syndromes(GF256, words, 4, 1)
+
+    def test_accepts_every_field_symbol(self):
+        words = np.arange(16, dtype=np.int64).reshape(1, 16)
+        assert batch_syndromes(get_field(4), words, 4, 1).shape == (1, 4)
+
 
 class TestEvaluateBatch:
     def test_matches_scalar_evaluate(self):

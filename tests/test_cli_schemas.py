@@ -3,9 +3,9 @@
 ``--json`` payloads are a contract: downstream tooling (CI dashboards,
 result scrapers) keys off exact field names.  These tests pin the key sets
 and value types of every JSON surface - ``report --json``,
-``campaign status --json``, ``backends --json``, ``check --json``, and
-``obs report --json`` - so a rename or a dropped field fails loudly here
-instead of silently breaking a consumer.
+``campaign status --json``, ``check --json``, and ``obs report --json`` -
+so a rename or a dropped field fails loudly here instead of silently
+breaking a consumer.
 
 Golden key sets are asserted with ``==`` (not ``<=``): adding a field is
 also a schema change and should be a conscious one (update the golden set
@@ -83,53 +83,6 @@ class TestCampaignStatusSchema:
         assert payload["trials_done"] == payload["tally"]["trials"] == 16
         assert payload["quarantined"] == []
         assert isinstance(payload["fingerprint"], str) and payload["fingerprint"]
-
-
-class TestBackendsSchema:
-    @pytest.fixture(autouse=True)
-    def _default_selection(self, monkeypatch):
-        from repro.galois import backends as reg
-
-        monkeypatch.delenv(reg.ENV_VAR, raising=False)
-        reg.reset_selection()
-        yield
-        reg.reset_selection()
-
-    def test_golden_keys(self, capsys):
-        payload = run_json(capsys, ["backends", "--json"])
-        assert set(payload) == {
-            "kind", "default", "env_var", "env_value", "active", "backends",
-        }
-        assert payload["kind"] == "gf_backends"
-        assert payload["default"] == "numpy"
-        assert payload["env_var"] == "REPRO_GF_BACKEND"
-        assert payload["env_value"] is None
-        assert payload["active"] == "numpy"
-        names = [row["name"] for row in payload["backends"]]
-        assert names[:2] == ["numpy", "bitsliced"]  # available tiers first
-        assert "numba" in names
-        for row in payload["backends"]:
-            assert set(row) == {"name", "available", "reason", "active"}
-            assert isinstance(row["available"], bool)
-            assert row["reason"] is None or isinstance(row["reason"], str)
-            assert (row["reason"] is None) == row["available"]
-            assert row["active"] == (row["name"] == payload["active"])
-
-    def test_env_var_reflected(self, capsys, monkeypatch):
-        from repro.galois import backends as reg
-
-        monkeypatch.setenv(reg.ENV_VAR, "bitsliced")
-        reg.reset_selection()
-        payload = run_json(capsys, ["backends", "--json"])
-        assert payload["env_value"] == "bitsliced"
-        assert payload["active"] == "bitsliced"
-
-    def test_human_output_lists_every_backend(self, capsys):
-        main(["backends"])
-        out = capsys.readouterr().out
-        assert "active: numpy" in out
-        for name in ("numpy", "bitsliced", "numba"):
-            assert name in out
 
 
 class TestCheckSchema:
