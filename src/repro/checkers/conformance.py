@@ -1,15 +1,17 @@
 """Decode API conformance rules (REPRO13x).
 
-The batched Monte-Carlo engines (PR 1) call ``decode_batch`` wherever the
-scalar path calls ``decode``, and the two must agree element-wise.  The
+The batched Monte-Carlo engines call ``decode_batch`` wherever the scalar
+path calls ``decode``, and the two must agree row by row
+(``decode_batch(W).row(i) == decode(W[i])``).  The
 static side of that contract - backed by the ``typing.Protocol``s in
 :mod:`repro.codes.protocols` - is enforced here:
 
 * REPRO131 - a ``Code`` subclass that defines ``decode`` must also define
-  ``decode_batch``.  Inheriting :class:`~repro.codes.base.BlockCode`'s
-  per-row fallback loop is allowed only for the abstract base itself:
-  a concrete code that overrides ``decode`` without thinking about the
-  batch path is exactly how the scalar/batched paths drift apart.
+  ``decode_batch``.  :class:`~repro.codes.base.BlockCode` declares both
+  abstract, so a concrete code missing one fails at instantiation; the
+  rule reports it statically, and also covers subclasses of a concrete
+  code that override ``decode`` without thinking about the batch path -
+  exactly how the scalar/batched paths drift apart.
 * REPRO132 - ``decode`` and ``decode_batch`` signatures must be
   compatible: every extra parameter of ``decode`` (after the received
   word) must exist on ``decode_batch`` under the same name, and any extra
@@ -33,8 +35,8 @@ MISSING_DECODE_BATCH = Rule(
     "or derive the scalar decode from a one-row batch",
     rationale=(
         "the batched engines call decode_batch for every codeword the "
-        "scalar path decodes; a missing override silently falls back to a "
-        "per-row loop and hides divergence between the two paths"
+        "scalar path decodes; a decode override without a matching "
+        "decode_batch lets the two paths diverge unseen"
     ),
 )
 
@@ -54,7 +56,7 @@ SIGNATURE_MISMATCH = Rule(
 #: base-class names that mark a class as a block code implementation.
 _CODE_BASE = re.compile(r"(^|\.)(BlockCode|[A-Za-z0-9_]*Code|[A-Za-z0-9_]*RS)$")
 
-#: classes allowed to rely on the generic per-row fallback.
+#: the abstract base, which declares decode and decode_batch abstract.
 _ABSTRACT_BASES = frozenset({"BlockCode"})
 
 

@@ -1,7 +1,7 @@
 """Coding substrate: Reed-Solomon, Hamming/Hsiao, parity and interleaving."""
 
 from . import protocols
-from .base import BlockCode, DecodeResult, DecodeStatus
+from .base import BatchDecode, BlockCode, DecodeResult, DecodeStatus
 from .crc import CRC8_DDR5, CRC16_CCITT, CrcCode
 from .hamming import HammingSEC, HsiaoSECDED
 from .interleave import (
@@ -15,6 +15,7 @@ from .parity import XorParity
 from .rs import ReedSolomonCode, RSDecodeFailure, SinglyExtendedRS
 
 __all__ = [
+    "BatchDecode",
     "BlockCode",
     "DecodeResult",
     "DecodeStatus",

@@ -1,9 +1,10 @@
 """Common interfaces for the block codes used by the ECC schemes.
 
 Every code in :mod:`repro.codes` encodes a fixed-length message into a
-fixed-length codeword and decodes a (possibly corrupted) word into a
-:class:`DecodeResult`.  Schemes in :mod:`repro.schemes` compose these codes
-into full read/write datapaths.
+fixed-length codeword.  ``decode_batch`` decodes a ``(batch, n)`` matrix of
+(possibly corrupted) words into one columnar :class:`BatchDecode`, and
+``decode`` is its one-row view, a :class:`DecodeResult`.  Schemes in
+:mod:`repro.schemes` compose these codes into full read/write datapaths.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+
+from ..obs import metrics as _obs
 
 
 class DecodeStatus(Enum):
@@ -61,6 +64,91 @@ class DecodeResult:
         return self.status in (DecodeStatus.OK, DecodeStatus.CORRECTED)
 
 
+#: :class:`DecodeStatus` of each int8 code in :attr:`BatchDecode.status`.
+_STATUSES = tuple(DecodeStatus)
+STATUS_OK, STATUS_CORRECTED, STATUS_DETECTED, STATUS_FAILED = range(len(_STATUSES))
+
+
+class BatchDecode:
+    """Columnar result of decoding a ``(batch, n)`` matrix of words.
+
+    Attributes
+    ----------
+    status:
+        ``(batch,)`` int8; ``STATUS_OK`` .. ``STATUS_FAILED`` index the
+        :class:`DecodeStatus` members in definition order.
+    codewords:
+        ``(batch, n)`` corrected words.  A row the decoder did not settle
+        (detected or failed) holds the received word unchanged.
+    corrected:
+        ``(batch, n)`` bool mask of the positions the decoder modified.
+
+    :meth:`row` is the per-word view: ``code.decode_batch(words).row(i)``
+    equals ``code.decode(words[i])``.  There is deliberately no
+    ``__iter__``: walking the words one at a time is the cost the columnar
+    form exists to avoid, so callers that need it say so with :meth:`rows`.
+    """
+
+    __slots__ = ("status", "codewords", "corrected", "k")
+
+    def __init__(self, status: np.ndarray, codewords: np.ndarray, corrected: np.ndarray, k: int):
+        self.status = status
+        self.codewords = codewords
+        self.corrected = corrected
+        self.k = k
+
+    @property
+    def data(self) -> np.ndarray:
+        """``(batch, k)`` decoded message symbols (a view of :attr:`codewords`)."""
+        return self.codewords[:, : self.k]
+
+    @property
+    def detected(self) -> np.ndarray:
+        """``(batch,)`` bool: the decoder flagged the word uncorrectable."""
+        return self.status == STATUS_DETECTED
+
+    @property
+    def corrections(self) -> np.ndarray:
+        """``(batch,)`` number of positions corrected per word."""
+        return np.count_nonzero(self.corrected, axis=1)
+
+    def __len__(self) -> int:
+        return len(self.status)
+
+    def row(self, i: int) -> DecodeResult:
+        """Word ``i`` as a :class:`DecodeResult` (copies, not views)."""
+        status = _STATUSES[self.status[i]]
+        word = self.codewords[i]
+        return DecodeResult(
+            status,
+            word[: self.k].copy(),
+            tuple(self.corrected[i].nonzero()[0].tolist()),
+            word.copy() if self.status[i] <= STATUS_CORRECTED else None,
+        )
+
+    def rows(self) -> list[DecodeResult]:
+        """Every word as a :class:`DecodeResult`, in order."""
+        return [self.row(i) for i in range(len(self))]
+
+
+class OutcomeCounters:
+    """Per-decoder outcome counters: ``<prefix>.words``, ``.detected``,
+    ``.corrected_words`` (DESIGN.md 6e), counted from a status array."""
+
+    def __init__(self, prefix: str):
+        self.words = _obs.counter(f"{prefix}.words")
+        self.detected = _obs.counter(f"{prefix}.detected")
+        self.corrected = _obs.counter(f"{prefix}.corrected_words")
+
+    def record(self, status: np.ndarray) -> None:
+        """Count one ``decode_batch`` call's outcomes (only when obs is on)."""
+        if not _obs.enabled():
+            return
+        self.words.add(len(status))
+        self.detected.add(int(np.count_nonzero(status == STATUS_DETECTED)))
+        self.corrected.add(int(np.count_nonzero(status == STATUS_CORRECTED)))
+
+
 class BlockCode(abc.ABC):
     """An (n, k) block code over bits or GF(2^m) symbols."""
 
@@ -89,16 +177,16 @@ class BlockCode(abc.ABC):
 
     @abc.abstractmethod
     def decode(self, received: np.ndarray) -> DecodeResult:
-        """Decode a received ``n``-symbol word."""
+        """Decode a received ``n``-symbol word: ``decode_batch`` of one row."""
 
-    def decode_batch(self, words: np.ndarray) -> list[DecodeResult]:
+    @abc.abstractmethod
+    def decode_batch(self, words: np.ndarray) -> BatchDecode:
         """Decode a ``(batch, n)`` matrix of received words.
 
-        The contract is element-wise equivalence with :meth:`decode`; codes
-        with a vectorisable decoder override this with a batched kernel (the
-        Monte-Carlo engines feed whole trial batches through it).
+        Contract: ``decode_batch(words).row(i)`` equals ``decode(words[i])``
+        for every row - the Monte-Carlo engines and the conditional tables
+        rely on it for bit-identical results.
         """
-        return [self.decode(word) for word in np.asarray(words)]
 
     def is_codeword(self, word: np.ndarray) -> bool:
         """Whether ``word`` is a valid codeword (default: re-encode check)."""

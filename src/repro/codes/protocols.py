@@ -7,10 +7,12 @@ Monte-Carlo engines only require *structural* compatibility - anything with
 and mypy checks call sites against these protocols without forcing
 inheritance from :class:`~repro.codes.base.BlockCode`.
 
-``BatchDecoder`` is the contract PR 1's engines rely on: ``decode_batch``
-must be element-wise identical to mapping ``decode`` over the rows.  The
-protocols are ``runtime_checkable`` so tests can assert conformance of every
-concrete code class with a plain ``isinstance`` check.
+``BatchDecoder`` is the contract the batched engines and the conditional
+tables rely on: ``decode_batch`` returns one columnar
+:class:`~repro.codes.base.BatchDecode`, and its per-word view
+``decode_batch(words).row(i)`` must equal ``decode(words[i])`` for every
+row.  The protocols are ``runtime_checkable`` so tests can assert
+conformance of every concrete code class with a plain ``isinstance`` check.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .base import DecodeResult
+from .base import BatchDecode, DecodeResult
 
 
 @runtime_checkable
@@ -43,12 +45,13 @@ class Decoder(Protocol):
 class BatchDecoder(Decoder, Protocol):
     """The scalar/batched pair the Monte-Carlo engines drive.
 
-    Contract: ``decode_batch(words)[i]`` equals ``decode(words[i])`` for
-    every row - byte for byte, status for status.  Engines exploit this to
-    screen clean rows and batch the dirty minority.
+    Contract: ``decode_batch(words).row(i)`` equals ``decode(words[i])``
+    for every row - byte for byte, status for status.  Engines exploit this
+    to screen clean rows and batch the dirty minority, and read the result's
+    status, codeword and corrected-position arrays without a per-word walk.
     """
 
-    def decode_batch(self, words: np.ndarray) -> list[DecodeResult]: ...
+    def decode_batch(self, words: np.ndarray) -> BatchDecode: ...
 
 
 @runtime_checkable
@@ -61,7 +64,7 @@ class ErasureDecoder(Protocol):
 
     def decode_batch(
         self, words: np.ndarray, erasures: object = None
-    ) -> list[DecodeResult]: ...
+    ) -> BatchDecode: ...
 
 
 @runtime_checkable

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codes.base import BlockCode, DecodeStatus
+from ..codes.base import BlockCode
 from ..faults.rng import trial_words
 from ..obs import metrics as _obs
 
@@ -99,20 +99,14 @@ def measure_bit_code(
     p_flag = np.zeros(j_max + 1)
     p_bad = np.zeros(j_max + 1)
     for j in range(1, j_max + 1):
-        flags = 0
-        bads = 0
         # Every trial word at once, drawn as a choice() loop would draw them.
         positions, _ = trial_words(rng, code.n, j, samples)
         words = np.zeros((samples, code.n), dtype=np.uint8)
         np.put_along_axis(words, positions, 1, axis=1)
-        for result in code.decode_batch(words):
-            flagged = result.status is DecodeStatus.DETECTED and not silent_on_detect
-            if flagged:
-                flags += 1
-            elif np.any(result.data):
-                bads += 1
-        p_flag[j] = flags / samples
-        p_bad[j] = bads / samples
+        decoded = code.decode_batch(words)
+        flagged = np.zeros(samples, dtype=bool) if silent_on_detect else decoded.detected
+        p_flag[j] = np.count_nonzero(flagged) / samples
+        p_bad[j] = np.count_nonzero(~flagged & decoded.data.any(axis=1)) / samples
     table = WordConditionals(j_values, p_flag, p_bad, p_bad.copy())
     _TABLE_CACHE[key] = table
     return table
@@ -151,28 +145,26 @@ def measure_symbol_code(
     p_bad_window = np.zeros(j_max + 1)
     windows = (code.k // window_symbols) if window_symbols else 1
     for j in range(1, j_max + 1):
-        flags = 0
-        bads = 0
-        bad_windows = 0.0
         # Every trial word at once, drawn as a choice() + integers() loop
         # would draw them.
         positions, bits = trial_words(rng, code.n, j, samples, symbol_bits)
         words = np.zeros((samples, code.n), dtype=np.int64)
         np.put_along_axis(words, positions, 1 << bits, axis=1)
-        for result in code.decode_batch(words):
-            if result.status is DecodeStatus.DETECTED:
-                flags += 1
-                continue
-            wrong = np.nonzero(result.data)[0]
-            if wrong.size:
-                bads += 1
-                if window_symbols:
-                    # fraction of aligned windows containing a wrong symbol
-                    hit = np.unique(wrong // window_symbols)
-                    bad_windows += hit.size / windows
-        p_flag[j] = flags / samples
-        p_bad[j] = bads / samples
-        p_bad_window[j] = (bad_windows / samples) if window_symbols else p_bad[j]
+        decoded = code.decode_batch(words)
+        detected = decoded.detected
+        wrong = decoded.data[~detected & decoded.data.any(axis=1)] != 0
+        p_flag[j] = np.count_nonzero(detected) / samples
+        p_bad[j] = len(wrong) / samples
+        if window_symbols:
+            # Fraction of aligned windows holding a wrong symbol, per bad
+            # word.  Summed left to right, as word-by-word ``+=`` would, so
+            # the float sum is bit-identical to it.
+            hits = wrong.reshape(len(wrong), windows, window_symbols).any(axis=2)
+            fractions = np.count_nonzero(hits, axis=1) / windows
+            bad_windows = np.add.accumulate(fractions)[-1] if len(wrong) else 0.0
+            p_bad_window[j] = bad_windows / samples
+        else:
+            p_bad_window[j] = p_bad[j]
     table = WordConditionals(j_values, p_flag, p_bad, p_bad_window)
     _TABLE_CACHE[key] = table
     return table

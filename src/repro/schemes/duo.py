@@ -89,6 +89,16 @@ class Duo(EccScheme):
         bits = ((np.asarray(symbols, dtype=np.int64)[:, None] >> shifts) & 1).astype(np.uint8)
         return bits.reshape(device.burst_length, device.pins).T
 
+    def _symbols_to_lines(self, symbols: np.ndarray) -> np.ndarray:
+        """``(reads, data_symbols)`` -> lines ``(reads, data_chips, pins, BL)``."""
+        device = self.rank.device
+        shifts = np.arange(8, dtype=np.int64)
+        bits = ((np.asarray(symbols, dtype=np.int64)[..., None] >> shifts) & 1).astype(np.uint8)
+        lines = bits.reshape(
+            len(bits), self.rank.data_chips, device.burst_length, device.pins
+        )
+        return np.ascontiguousarray(lines.transpose(0, 1, 3, 2))
+
     def _spare_symbol_slots(self, col: int) -> tuple[np.ndarray, np.ndarray]:
         """(pins, offsets) of a chip's per-access spare symbol (8 bits)."""
         device = self.rank.device
@@ -172,16 +182,8 @@ class Duo(EccScheme):
         )
         result = self.code.decode(received)
         decoded = result.data if result.believed_good else received[: self.data_symbols]
-        out = np.stack(
-            [
-                self._symbols_to_window(
-                    decoded[c * self.symbols_per_chip : (c + 1) * self.symbols_per_chip]
-                )
-                for c in range(self.rank.data_chips)
-            ]
-        )
         return LineReadResult(
-            data=out,
+            data=self._symbols_to_lines(decoded[None, :])[0],
             believed_good=result.status is not DecodeStatus.DETECTED,
             corrections=result.corrections,
         )
@@ -228,22 +230,14 @@ class Duo(EccScheme):
             )
             pending.append(i)
         if pending:
-            decoded_batch = self.code.decode_batch(np.stack(received_rows))
-            for i, received, result in zip(pending, received_rows, decoded_batch):
-                decoded = (
-                    result.data if result.believed_good else received[: self.data_symbols]
-                )
-                out = np.stack(
-                    [
-                        self._symbols_to_window(
-                            decoded[c * self.symbols_per_chip : (c + 1) * self.symbols_per_chip]
-                        )
-                        for c in range(self.rank.data_chips)
-                    ]
-                )
+            decoded = self.code.decode_batch(np.stack(received_rows))
+            # A row the decoder did not settle holds its received word: the
+            # raw data the scalar path forwards on detection.
+            lines = self._symbols_to_lines(decoded.data)
+            believed = (~decoded.detected).tolist()
+            counts = decoded.corrections.tolist()
+            for row, i in enumerate(pending):
                 results[i] = LineReadResult(
-                    data=out,
-                    believed_good=result.status is not DecodeStatus.DETECTED,
-                    corrections=result.corrections,
+                    data=lines[row], believed_good=believed[row], corrections=counts[row]
                 )
         return results

@@ -205,8 +205,8 @@ class PairScheme(EccScheme):
         bl = self.rank.device.burst_length
         count = len(reads)
         outs = [np.zeros(self._line_shape(), dtype=np.uint8) for _ in range(count)]
-        believed = [True] * count
-        corrections = [0] * count
+        believed = np.ones(count, dtype=bool)
+        corrections = np.zeros(count, dtype=np.int64)
         dirty: list[tuple[int, int, int, np.ndarray, tuple[int, ...]]] = []
         words: list[np.ndarray] = []
         for i, (chips, bank, row, col, bursts) in enumerate(reads):
@@ -223,20 +223,22 @@ class PairScheme(EccScheme):
                 dirty.append((i, chip_idx, col, row_bits, cws))
                 words.append(self.layout.gather_many(row_bits, cws))
         if words:
-            results = self.code.decode_batch(np.concatenate(words, axis=0))
-            pos = 0
-            for i, chip_idx, col, row_bits, cws in dirty:
-                for cw in cws:
-                    result = results[pos]
-                    pos += 1
-                    corrections[i] += result.corrections
-                    if result.status is DecodeStatus.DETECTED:
-                        believed[i] = False
-                    elif result.corrections:
-                        # row_bits is already a private copy, safe to fix up
-                        self.layout.scatter(row_bits, cw, result.codeword)
+            decoded = self.code.decode_batch(np.concatenate(words, axis=0))
+            # decoded word -> its entry of ``dirty``, its read and its codeword
+            entry = np.repeat(np.arange(len(dirty)), [len(d[4]) for d in dirty])
+            read = np.array([d[0] for d in dirty])[entry]
+            codeword_ids = [cw for *_, cws in dirty for cw in cws]
+            counts = decoded.corrections
+            np.add.at(corrections, read, counts)
+            believed[read[decoded.detected]] = False
+            for w in np.flatnonzero((counts > 0) & ~decoded.detected).tolist():
+                # the chip row is already a private copy, safe to fix up
+                self.layout.scatter(dirty[entry[w]][3], codeword_ids[w], decoded.codewords[w])
+            for i, chip_idx, col, row_bits, _ in dirty:
                 outs[i][chip_idx] = access_window(row_bits, col, bl)
         return [
-            LineReadResult(data=outs[i], believed_good=believed[i], corrections=corrections[i])
+            LineReadResult(
+                data=outs[i], believed_good=bool(believed[i]), corrections=int(corrections[i])
+            )
             for i in range(count)
         ]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.codes.base import BlockCode
 from repro.codes.hamming import HammingSEC, HsiaoSECDED
@@ -141,16 +142,41 @@ def test_real_code_classes_satisfy_the_protocols():
 
 
 def test_protocol_contract_on_a_real_decode_batch():
-    """decode_batch rows agree with scalar decode - the contract the static
-    rules exist to protect."""
+    """decode_batch(W).row(i) equals decode(W[i]) for all four codes - the
+    contract the static rules exist to protect."""
     field = get_field(8)
-    code = ReedSolomonCode(field, 20, 16)
     rng = np.random.default_rng(20260805)
-    data = rng.integers(0, 256, size=(5, code.k), dtype=np.int64)
-    words = np.stack([code.encode(row) for row in data])
-    words[0, 3] ^= 0x5A  # one correctable error
-    batch = code.decode_batch(words)
-    for row, result in zip(words, batch):
-        scalar = code.decode(row)
-        assert result.status is scalar.status
-        assert np.array_equal(result.data, scalar.data)
+    for code in (
+        ReedSolomonCode(field, 20, 16),
+        SinglyExtendedRS(field, 21, 16),
+        HammingSEC(7, 4),
+        HsiaoSECDED(72, 64),
+    ):
+        order = getattr(getattr(code, "field", None), "order", 2)
+        data = rng.integers(0, order, size=(5, code.k), dtype=np.int64)
+        words = np.stack([code.encode(row) for row in data])
+        words[0, 3] ^= 1  # one correctable error
+        words[1, [2, 5, 6]] ^= 1  # beyond every code's bound
+        batch = code.decode_batch(words)
+        assert len(batch) == len(words)
+        for i, row in enumerate(words):
+            result, scalar = batch.row(i), code.decode(row)
+            assert result.status is scalar.status
+            assert np.array_equal(result.data, scalar.data)
+            assert result.corrected_positions == scalar.corrected_positions
+
+
+def test_block_code_requires_decode_batch():
+    """The runtime side of REPRO131: BlockCode has no per-row fallback."""
+
+    class ScalarOnly(BlockCode):
+        n, k = 3, 1
+
+        def encode(self, data):
+            return np.repeat(data, 3)
+
+        def decode(self, received):  # repro: noqa-REPRO131
+            raise NotImplementedError
+
+    with pytest.raises(TypeError, match="decode_batch"):
+        ScalarOnly()

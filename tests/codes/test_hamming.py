@@ -149,3 +149,48 @@ class TestHsiaoSECDED:
             else:
                 outcomes["det"] += 1
         assert outcomes["mis"] > 0  # the SDC path the XED/rank models measure
+
+
+class TestBitRange:
+    """Entries other than 0 and 1 are a caller error, never a folded bit."""
+
+    @pytest.mark.parametrize("code", [HammingSEC(136, 128), HsiaoSECDED(72, 64)], ids=repr)
+    @pytest.mark.parametrize(
+        "position, value", [(5, 2), (7, -1), (9, 257), (0, 3)]
+    )
+    def test_decode_rejects_non_bits(self, code, position, value):
+        # At one time a 2 decoded OK with the error gone, a -1 was
+        # "corrected" and a 257 read as 1.
+        word = np.zeros(code.n, dtype=np.int64)
+        word[position] = value
+        with pytest.raises(ValueError, match=rf"position {position}: {value} is not a bit"):
+            code.decode(word)
+        words = np.zeros((3, code.n), dtype=np.int64)
+        words[2, position] = value
+        with pytest.raises(
+            ValueError, match=rf"row 2, position {position}: {value} is not a bit"
+        ):
+            code.decode_batch(words)
+
+    def test_uint8_entries_above_one_rejected(self):
+        code = HammingSEC(136, 128)
+        word = np.zeros(code.n, dtype=np.uint8)
+        word[11] = 2
+        with pytest.raises(ValueError, match="position 11: 2 is not a bit"):
+            code.decode(word)
+
+    def test_encode_rejects_non_bits(self):
+        code = HsiaoSECDED(72, 64)
+        data = np.zeros(code.k, dtype=np.int64)
+        data[3] = 2
+        with pytest.raises(ValueError, match="position 3: 2 is not a bit"):
+            code.encode(data)
+
+    def test_bool_and_int_words_decode_alike(self):
+        code = HammingSEC(136, 128)
+        word = np.zeros(code.n, dtype=np.int64)
+        word[[4, 40]] = 1
+        a, b = code.decode(word), code.decode(word.astype(bool))
+        assert a.status is b.status
+        assert a.corrected_positions == b.corrected_positions
+        assert np.array_equal(a.data, b.data)

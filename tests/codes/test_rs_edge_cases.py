@@ -225,3 +225,53 @@ class TestSymbolRange:
         word = rs.encode(np.zeros(36, dtype=np.int64))
         word[5] = 255
         assert rs.decode(word).status is DecodeStatus.CORRECTED
+
+
+class TestBatchRows:
+    """The edge words above, decoded as one batch: ``decode_batch(W).row(i)``
+    equals ``decode(W[i])`` row for row."""
+
+    @staticmethod
+    def assert_rows_match(code, words, erasures):
+        batch = code.decode_batch(words, erasures)
+        assert len(batch) == len(words)
+        for i, (word, ers) in enumerate(zip(words, erasures)):
+            row, scalar = batch.row(i), code.decode(word, ers)
+            assert row.status is scalar.status, i
+            assert np.array_equal(row.data, scalar.data), i
+            assert row.corrected_positions == scalar.corrected_positions, i
+            assert (row.codeword is None) == (scalar.codeword is None), i
+            if row.codeword is not None:
+                assert np.array_equal(row.codeword, scalar.codeword), i
+        return batch
+
+    def test_plain_code_edge_words(self):
+        rng = np.random.default_rng(8)
+        rs = ReedSolomonCode(GF256, 100, 84)  # r = 16, t = 8
+        cw = rs.encode(rng.integers(0, 256, 84))
+        words = np.stack([cw] * 7)
+        words[1, [0, 83, 84, 99]] ^= 7  # correctable, at region boundaries
+        words[2, 84:93] ^= 1  # nine parity errors: beyond t
+        words[3, :16] = 0  # f = r erasures covering every corruption
+        words[4, [83, 84, 85]] ^= 0x5A  # erased at the data/parity boundary
+        words[5, [10, 20]] ^= 3  # one erased error, one unerased
+        words[6] = 0  # the all-zero codeword
+        erasures = [(), (), (), tuple(range(16)), (83, 84, 85), (10,), ()]
+        batch = self.assert_rows_match(rs, words, erasures)
+        statuses = {row.status for row in batch.rows()}
+        assert {DecodeStatus.OK, DecodeStatus.CORRECTED} <= statuses
+
+    def test_extended_code_edge_words(self):
+        code = SinglyExtendedRS(GF256, 256, 240)
+        rng = np.random.default_rng(9)
+        cw = code.encode(rng.integers(0, 256, 240))
+        words = np.stack([cw] * 6)
+        words[1, 255] ^= 0x10  # extension symbol only: case A fails, B fixes
+        words[2, [0, 255]] ^= 0x21  # an inner error plus the extension
+        words[3, 255] ^= 0x33  # extension erased: case B only
+        words[4, rng.choice(255, 9, replace=False)] ^= 1  # beyond t
+        words[5, [3, 4]] ^= 9  # erased inner errors
+        erasures = [(), (), (), (255,), (), (3, 4)]
+        batch = self.assert_rows_match(code, words, erasures)
+        assert batch.row(1).corrected_positions == (255,)
+        assert batch.corrected[3, 255]

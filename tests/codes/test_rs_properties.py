@@ -51,6 +51,16 @@ def rs_with_errors(draw):
     return code, positions, magnitudes, seed
 
 
+def assert_same_row(row, scalar):
+    """A ``decode_batch`` row equals the scalar ``decode`` of its word."""
+    assert row.status is scalar.status
+    assert np.array_equal(row.data, scalar.data)
+    assert row.corrected_positions == scalar.corrected_positions
+    assert (row.codeword is None) == (scalar.codeword is None)
+    if row.codeword is not None:
+        assert np.array_equal(row.codeword, scalar.codeword)
+
+
 def random_data(code, seed):
     rng = np.random.default_rng(seed)
     return rng.integers(0, code.field.order, code.k, dtype=np.int64)
@@ -109,11 +119,8 @@ class TestErrorCorrection:
         for pos, mag in zip(positions, magnitudes):
             dirty[pos] ^= mag
         batch = code.decode_batch(np.stack([clean, dirty]))
-        for row, word in zip(batch, (clean, dirty)):
-            scalar = code.decode(word)
-            assert row.status is scalar.status
-            assert np.array_equal(row.data, scalar.data)
-            assert row.corrected_positions == scalar.corrected_positions
+        for i, word in enumerate((clean, dirty)):
+            assert_same_row(batch.row(i), code.decode(word))
 
 
 class TestErasures:
@@ -214,8 +221,5 @@ class TestExpandability:
             for pos in rng.choice(code.n, n_errors, replace=False):
                 dirty[int(pos)] ^= int(rng.integers(1, code.field.order))
         batch = code.decode_batch(np.stack([clean, dirty]))
-        for row, word in zip(batch, (clean, dirty)):
-            scalar = code.decode(word)
-            assert row.status is scalar.status
-            assert np.array_equal(row.data, scalar.data)
-            assert row.corrected_positions == scalar.corrected_positions
+        for i, word in enumerate((clean, dirty)):
+            assert_same_row(batch.row(i), code.decode(word))

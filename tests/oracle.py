@@ -115,7 +115,8 @@ def measure_bit_code(
     seed: int = 0,
     silent_on_detect: bool = False,
 ) -> WordConditionals:
-    """``conditional.measure_bit_code`` with one ``choice()`` per trial word."""
+    """``conditional.measure_bit_code`` with one ``choice()`` and one scalar
+    ``decode`` per trial word."""
     rng = np.random.default_rng([seed, 0xC0DE])
     j_values = np.arange(j_max + 1)
     p_flag = np.zeros(j_max + 1)
@@ -125,7 +126,8 @@ def measure_bit_code(
         for s in range(samples):
             words[s, rng.choice(code.n, j, replace=False)] = 1
         flags = bads = 0
-        for result in code.decode_batch(words):
+        for word in words:
+            result = code.decode(word)
             if result.status is DecodeStatus.DETECTED and not silent_on_detect:
                 flags += 1
             elif np.any(result.data):
@@ -143,8 +145,8 @@ def measure_symbol_code(
     symbol_bits: int = 8,
     window_symbols: int | None = None,
 ) -> WordConditionals:
-    """``conditional.measure_symbol_code`` with one ``choice()`` and one
-    ``integers()`` per trial word."""
+    """``conditional.measure_symbol_code`` with one ``choice()``, one
+    ``integers()`` and one scalar ``decode`` per trial word."""
     rng = np.random.default_rng([seed, 0x5C0DE])
     j_values = np.arange(j_max + 1)
     p_flag = np.zeros(j_max + 1)
@@ -158,7 +160,8 @@ def measure_symbol_code(
             words[s, positions] = 1 << rng.integers(0, symbol_bits, size=j)
         flags = bads = 0
         bad_windows = 0.0
-        for result in code.decode_batch(words):
+        for word in words:
+            result = code.decode(word)
             if result.status is DecodeStatus.DETECTED:
                 flags += 1
                 continue
