@@ -607,7 +607,7 @@ class FleetScheduler:
             retries=self.policy.retries,
             backoff=self.policy.backoff,
             backoff_cap=self.policy.backoff_cap,
-            manifest_save_every=self.policy.manifest_save_every,
+            manifest_save_every=max(1, self.policy.manifest_save_every),
         )
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(

@@ -170,7 +170,7 @@ def _run_pending(manifest: Manifest, config: CampaignConfig,
     # of O(chunks**2) over a long campaign); every exit path below flushes,
     # and a SIGKILL loses at most save_every-1 records, which resume simply
     # re-runs - deterministic chunks make the lost work bit-identical.
-    manifest.save_every = max(1, policy.manifest_save_every)
+    manifest.save_every = policy.manifest_save_every
 
     def on_success(spec: ChunkSpec, tally: Tally, attempts: int,
                    span: dict[str, Any] | None = None) -> None:

@@ -333,10 +333,13 @@ def _print_campaign_result(result) -> None:
 def _campaign_policy(args: argparse.Namespace):
     from .campaign import SupervisorPolicy
 
-    return SupervisorPolicy(
-        workers=args.workers, timeout=args.timeout, retries=args.retries,
-        backoff=args.backoff,
-    )
+    try:
+        return SupervisorPolicy(
+            workers=args.workers, timeout=args.timeout, retries=args.retries,
+            backoff=args.backoff,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"campaign: {exc}") from None
 
 
 def _campaign_chaos(args: argparse.Namespace):
@@ -377,10 +380,10 @@ def cmd_campaign_run(args: argparse.Namespace) -> None:
     from .errors import CampaignAborted
 
     config = _campaign_config_from_args(args)
+    policy = _campaign_policy(args)
     _obs_begin(args)
     try:
-        result = start_campaign(args.dir, config, _campaign_policy(args),
-                                _campaign_chaos(args))
+        result = start_campaign(args.dir, config, policy, _campaign_chaos(args))
     except CampaignAborted as exc:
         print(f"campaign aborted: {exc}")
         raise SystemExit(3) from None
@@ -393,10 +396,10 @@ def cmd_campaign_resume(args: argparse.Namespace) -> None:
     from .campaign import resume_campaign
     from .errors import CampaignAborted
 
+    policy = _campaign_policy(args)
     _obs_begin(args)
     try:
-        result = resume_campaign(args.dir, _campaign_policy(args),
-                                 _campaign_chaos(args))
+        result = resume_campaign(args.dir, policy, _campaign_chaos(args))
     except CampaignAborted as exc:
         print(f"campaign aborted: {exc}")
         raise SystemExit(3) from None

@@ -7,17 +7,22 @@ bit-identical to the scalar oracle's run of the same seed.
 """
 
 import json
+import math
+import multiprocessing
 
 import pytest
 
+from repro import obs
 from repro.campaign import (
     CampaignConfig,
     ChaosSchedule,
     Manifest,
+    Supervisor,
     SupervisorPolicy,
     campaign_status,
     resume_campaign,
     start_campaign,
+    supervisor,
 )
 from repro.errors import CampaignAborted, CampaignError, EngineMismatch
 from repro.faults import DEFAULT_RATES, FaultType
@@ -192,6 +197,95 @@ class TestEventWait:
         assert Manifest.load(tmp_path).chunks[0].attempts == 2
 
 
+def obs_on_campaign(directory, cfg, pol, chaos=None):
+    """Run ``cfg`` with obs on; returns the result and the merged counters."""
+    try:
+        with obs.enabled_scope(True):
+            result = start_campaign(directory, cfg, pol, chaos)
+    finally:
+        obs.reset_all()
+    return result, Manifest.load(directory).obs["metrics"]["counters"]
+
+
+class TestWorkerReuse:
+    """Each worker runs chunks until an attempt fails; the count shows it."""
+
+    @pytest.mark.parametrize("chunks, workers, spec, started", [
+        (16, 2, None, 2),  # both workers run every chunk
+        (16, 2, "crash:1", 3),  # the crashed worker is replaced once
+        (4, 1, "raise:0", 2),  # a failed worker is never reused
+    ])
+    def test_workers_started(self, tmp_path, chunks, workers, spec, started):
+        cfg = config(trials=chunks * CHUNK)
+        chaos = ChaosSchedule.parse(spec) if spec else None
+        result, counters = obs_on_campaign(
+            tmp_path / "on", cfg, policy(workers=workers), chaos
+        )
+        assert counters["campaign.workers_started"] == started
+        plain = start_campaign(tmp_path / "off", cfg, policy(workers=workers), chaos)
+        assert result.complete and plain.complete
+        assert counts(result.tally) == counts(plain.tally)
+
+    def test_worker_that_died_while_idle_is_replaced(self, pair_scheme, reference):
+        # kill the only worker while it waits for its second chunk: the
+        # failed send forks a replacement, and no attempt is charged for it
+        plan = config().build_plan()
+        killed = []
+
+        def kill_idle_worker(spec, tally, attempts, span):
+            if not killed:
+                for child in multiprocessing.active_children():
+                    child.kill()
+                    child.join(timeout=10)
+                    killed.append(child)
+
+        sup = Supervisor("iid", pair_scheme, RATES, plan.config, policy(),
+                         on_success=kill_idle_worker)
+        with obs.enabled_scope(True):
+            outcomes = sup.run(list(plan.chunks))
+            counters = obs.snapshot()["counters"]
+        obs.reset_all()
+        assert len(killed) == 1
+        assert counters["campaign.workers_started"] == 2
+        assert "campaign.failures.crash" not in counters
+        assert [o.attempts for o in outcomes.values()] == [1] * len(plan.chunks)
+        merged = outcomes[0].tally
+        for index in range(1, len(plan.chunks)):
+            merged = merged.merge(outcomes[index].tally)
+        assert counts(merged) == counts(reference)
+
+
+class TestWorkerLifecycle:
+    """No worker process outlives a run, however the run ends."""
+
+    @pytest.mark.parametrize("spec, overrides, raises", [
+        (None, {}, None),
+        ("abort:2", {"workers": 2}, CampaignAborted),
+        ("raise:1@0|1", {"workers": 2, "retries": 1}, None),  # quarantined
+        ("hang:0", {"timeout": 0.5, "retries": 0}, None),  # timed out
+    ])
+    def test_no_child_survives_run(self, tmp_path, spec, overrides, raises):
+        chaos = ChaosSchedule.parse(spec) if spec else None
+        if raises is None:
+            start_campaign(tmp_path, config(), policy(**overrides), chaos)
+        else:
+            with pytest.raises(raises):
+                start_campaign(tmp_path, config(), policy(**overrides), chaos)
+        assert multiprocessing.active_children() == []
+
+    def test_spawned_workers_match_forked_bit_for_bit(self, tmp_path, monkeypatch):
+        # workers get everything they need as picklable arguments; nothing
+        # relies on state inherited at fork
+        cfg = config(trials=2 * CHUNK)
+        forked = start_campaign(tmp_path / "fork", cfg, policy())
+        monkeypatch.setattr(supervisor, "_mp_context",
+                            lambda: multiprocessing.get_context("spawn"))
+        spawned = start_campaign(tmp_path / "spawn", cfg, policy())
+        assert forked.complete and spawned.complete
+        assert counts(spawned.tally) == counts(forked.tally)
+        assert multiprocessing.active_children() == []
+
+
 class TestLegacyManifest:
     def test_manifest_with_engine_fields_resumes_to_same_tally(
         self, tmp_path, reference
@@ -252,6 +346,23 @@ class TestValidation:
     def test_bad_trials_rejected(self):
         with pytest.raises(ValueError):
             config(trials=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("workers", 0), ("workers", -1), ("retries", -1),
+        ("timeout", 0.0), ("timeout", -1.0), ("timeout", math.nan),
+        ("timeout", math.inf), ("backoff", -0.5), ("backoff", math.nan),
+        ("backoff_cap", math.inf), ("term_grace", -1.0),
+        ("manifest_save_every", 0),
+    ])
+    def test_bad_policy_names_field_and_value(self, field, value):
+        with pytest.raises(ValueError) as excinfo:
+            SupervisorPolicy(**{field: value})
+        assert f"SupervisorPolicy.{field}" in str(excinfo.value)
+        assert repr(value) in str(excinfo.value)
+
+    def test_policy_edge_values_accepted(self):
+        SupervisorPolicy(workers=1, timeout=1e-3, retries=0, backoff=0.0,
+                         backoff_cap=0.0, term_grace=0.0, manifest_save_every=1)
 
     def test_unknown_scheme_surfaces(self, tmp_path):
         with pytest.raises(CampaignError, match="unknown scheme"):

@@ -124,6 +124,21 @@ class TestCampaign:
         with pytest.raises(CampaignError):
             main(["campaign", "resume", "--dir", str(tmp_path / "nope")])
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--workers", "0", "workers"), ("--timeout", "0", "timeout"),
+    ])
+    def test_bad_policy_exits_before_writing_a_manifest(self, tmp_path, flag, value,
+                                                         field):
+        directory = tmp_path / "c"
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.RUN + ["--dir", str(directory), flag, value])
+        assert f"SupervisorPolicy.{field} must be" in str(excinfo.value.code)
+        assert not directory.exists()
+
+    def test_bad_policy_refused_on_resume(self, tmp_path):
+        with pytest.raises(SystemExit, match="SupervisorPolicy.workers must be"):
+            main(["campaign", "resume", "--dir", str(tmp_path), "--workers", "0"])
+
     def test_incomplete_campaign_exits_nonzero(self, capsys, tmp_path):
         # a persistently crashing chunk leaves the campaign incomplete
         with pytest.raises(SystemExit) as excinfo:
