@@ -7,7 +7,7 @@ would, then runs it through the exact reliability engine next to stock PAIR
 - demonstrating why the paper stretches codewords as long as the row allows.
 
 The only requirements on a new scheme are the EccScheme interface
-(write_line / read_line / overlays) - every engine in the library then works
+(write_line / read_lines / overlays) - every engine in the library then works
 with it unmodified.
 """
 

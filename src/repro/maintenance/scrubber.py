@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..dram.device import DramDevice
 from ..schemes.base import EccScheme
 
@@ -81,17 +83,15 @@ class Scrubber:
     def scrub_row(
         self, bank: int, row: int, report: ScrubReport, col_stride: int = 1
     ) -> RowHealth:
-        """Read every ``col_stride``-th line of one row."""
+        """Read every ``col_stride``-th line of one row, in one batch."""
         health = report.health(bank, row)
-        cols = self.scheme.rank.device.columns_per_row
-        for col in range(0, cols, col_stride):
-            result = self.scheme.read_line(self.chips, bank, row, col)
-            health.lines += 1
-            if not result.believed_good:
-                health.uncorrectable_lines += 1
-            elif result.corrections:
-                health.corrected_lines += 1
-                health.corrected_symbols += result.corrections
+        cols = range(0, self.scheme.rank.device.columns_per_row, col_stride)
+        lines = self.scheme.read_lines([(self.chips, bank, row, col, None) for col in cols])
+        corrected = lines.believed_good & (lines.corrections > 0)
+        health.lines += len(lines)
+        health.uncorrectable_lines += int(np.count_nonzero(~lines.believed_good))
+        health.corrected_lines += int(np.count_nonzero(corrected))
+        health.corrected_symbols += int(lines.corrections[corrected].sum())
         return health
 
     def scrub(

@@ -1,8 +1,9 @@
 """Batched Monte-Carlo reliability engines.
 
 The decoder-in-the-loop engines, array at a time; their scalar reference
-(one :meth:`~repro.schemes.base.EccScheme.read_line` per trial) is the
-test oracle ``tests/oracle.py``.  The restructuring has three parts:
+(one trial at a time, each read through a scalar reader that decodes one
+codeword per call) is the test oracle ``tests/oracle.py``.  The
+restructuring has three parts:
 
 1. **Coordinate pre-sampling.**  Every per-trial random draw is made up
    front with the *same generator and call order* as the scalar loop,
@@ -12,10 +13,12 @@ test oracle ``tests/oracle.py``.  The restructuring has three parts:
    fraction of the run.)
 2. **Fault-universe grouping.**  Trials that share a universe (an epoch of
    ``resample_faults_every`` trials in :func:`run_iid_batched`) build their
-   overlays and devices once, and all reads of a chunk go through the
-   scheme's batched decode path (:meth:`~repro.schemes.base.EccScheme.read_lines`),
-   which screens clean rows in one pass and pushes the dirty minority
-   through ``decode_batch``.
+   overlays and devices once, and all reads of a chunk go through one call
+   of the scheme's reader (:meth:`~repro.schemes.base.EccScheme.read_lines`),
+   which skips clean rows, pushes the dirty minority through one
+   ``decode_batch`` and returns a columnar
+   :class:`~repro.schemes.base.BatchRead`; the chunk's tally counts its
+   arrays against the all-zero line (:func:`~.outcomes.tally_batch`).
 3. **Chunked dispatch.**  Chunks are self-contained (scheme, rates, seeds,
    pre-sampled coordinates), so they can run inline or on a
    ``ProcessPoolExecutor``.  Tallies are pure counts and merge
@@ -41,7 +44,7 @@ from ..obs import metrics as _obs
 from ..obs import trace as _trace
 from ..schemes.base import EccScheme
 from .exact import ExactRunConfig, _make_chips, _plant_fault, _sample_overlays, _zero_line
-from .outcomes import Tally, classify
+from .outcomes import Tally, tally_batch
 
 #: default number of trials grouped into one dispatch unit; bounds both the
 #: live device/overlay count and the size of each decode batch.
@@ -88,11 +91,7 @@ def _tally_reads(scheme: EccScheme, reads: list) -> Tally:
     """Classify a batch of line reads against the all-zero line."""
     if _obs.enabled():
         _H_OCCUPANCY.observe(len(reads))
-    expected = _zero_line(scheme)
-    tally = Tally()
-    for result in scheme.read_lines(reads):
-        tally.add(classify(result, expected))
-    return tally
+    return tally_batch(scheme.read_lines(reads), _zero_line(scheme))
 
 
 def _merge_dispatch(

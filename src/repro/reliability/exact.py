@@ -41,7 +41,7 @@ class ExactRunConfig:
 
 
 def _zero_line(scheme: EccScheme) -> np.ndarray:
-    return np.zeros(scheme._line_shape(), dtype=np.uint8)
+    return np.zeros(scheme.line_shape, dtype=np.uint8)
 
 
 def _chip_seeds(scheme: EccScheme, seed: int) -> list[int]:

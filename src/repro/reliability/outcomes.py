@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from ..schemes.base import LineReadResult
+from ..schemes.base import BatchRead, LineReadResult
 
 
 class Outcome(Enum):
@@ -36,6 +36,19 @@ def classify(result: LineReadResult, expected: np.ndarray) -> Outcome:
     if not np.array_equal(result.data, expected):
         return Outcome.SDC
     return Outcome.CE if result.corrections else Outcome.OK
+
+
+def tally_batch(batch: BatchRead, expected: np.ndarray) -> "Tally":
+    """:func:`classify` every line of a batch read against ``expected``; count the outcomes."""
+    good = batch.believed_good
+    wrong = (batch.data != expected).any(axis=tuple(range(1, batch.data.ndim)))
+    fixed = batch.corrections > 0
+    return Tally(
+        ok=int(np.count_nonzero(good & ~wrong & ~fixed)),
+        ce=int(np.count_nonzero(good & ~wrong & fixed)),
+        due=int(np.count_nonzero(~good)),
+        sdc=int(np.count_nonzero(good & wrong)),
+    )
 
 
 @dataclass

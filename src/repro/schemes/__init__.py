@@ -1,6 +1,6 @@
 """ECC schemes: the PAIR contribution and every baseline it is compared to."""
 
-from .base import EccScheme, LineReadResult
+from .base import BatchRead, EccScheme, LineReadResult
 from .duo import Duo
 from .iecc_sec import ConventionalIecc
 from .no_ecc import NoEcc
@@ -11,6 +11,7 @@ from .xed import Xed
 
 __all__ = [
     "EccScheme",
+    "BatchRead",
     "LineReadResult",
     "NoEcc",
     "ConventionalIecc",

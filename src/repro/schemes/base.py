@@ -2,22 +2,27 @@
 
 An :class:`EccScheme` owns the codeword layout inside each chip (and across
 chips, for rank-level schemes), the encode path taken by writes and the
-decode path taken by reads.  The reliability engines drive schemes through
-:meth:`write_line` / :meth:`read_line`; the performance engine only consumes
-:attr:`timing_overlay`.
+decode path taken by reads.  Every scheme has one reader,
+:meth:`~EccScheme.read_lines`: it gathers the codewords of a whole batch of
+reads and pushes them through one ``decode_batch`` call.  The reliability
+engines and the scrubber drive schemes through :meth:`~EccScheme.write_line`
+and ``read_lines``; :meth:`~EccScheme.read_line` is its one-read view.  The
+performance engine only consumes :attr:`~EccScheme.timing_overlay`.
 
 Data conventions
 ----------------
 A *line* is one rank access: ``(data_chips, pins, burst_length)`` bits.
-``read_line`` returns a :class:`LineReadResult`: the bits the controller
-would hand to the CPU plus the scheme's belief about them.  Whether that
-belief is justified (miscorrection vs real correction) is judged by the
-caller, who knows what was written.
+``read_lines`` returns a columnar :class:`BatchRead`: the bits the
+controller would hand to the CPU plus the scheme's belief about them, one
+row per read; ``read_line`` returns row 0 as a :class:`LineReadResult`.
+Whether that belief is justified (miscorrection vs real correction) is
+judged by the caller, who knows what was written.
 """
 
 from __future__ import annotations
 
 import abc
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import TypeAlias
 
@@ -29,8 +34,8 @@ from ..dram.mapping import Footprint
 from ..dram.timing import SchemeTimingOverlay
 from ..faults.types import TransferBurst
 
-#: One batched read request: ``(chips, bank, row, col, bursts)`` - the same
-#: tuple :meth:`EccScheme.read_line` takes positionally.
+#: One read request: ``(chips, bank, row, col, bursts)`` - the arguments
+#: :meth:`EccScheme.read_line` takes positionally.
 LineRead: TypeAlias = tuple[
     "list[DramDevice]", int, int, int, "dict[int, TransferBurst] | None"
 ]
@@ -47,6 +52,58 @@ class LineReadResult:
     @property
     def detected_uncorrectable(self) -> bool:
         return not self.believed_good
+
+
+class BatchRead:
+    """Columnar result of reading a batch of lines through a scheme.
+
+    Attributes
+    ----------
+    data:
+        ``(batch, data_chips, pins, burst_length)`` uint8 bits handed to the
+        CPU.
+    believed_good:
+        ``(batch,)`` bool: the scheme claims the line is correct.
+    corrections:
+        ``(batch,)`` int64 symbols/bits the scheme corrected per line.
+
+    :meth:`row` is the per-line view, a :class:`LineReadResult`; iterating
+    yields every row in order.
+    """
+
+    __slots__ = ("data", "believed_good", "corrections")
+
+    def __init__(self, data: np.ndarray, believed_good: np.ndarray, corrections: np.ndarray):
+        self.data = data
+        self.believed_good = believed_good
+        self.corrections = corrections
+
+    @classmethod
+    def clean(cls, count: int, line_shape: tuple[int, int, int]) -> "BatchRead":
+        """``count`` all-zero lines, believed good, nothing corrected.
+
+        What a read of fault-free, never-written rows returns; readers start
+        from it and fill in the rows they decode.
+        """
+        return cls(
+            np.zeros((count, *line_shape), dtype=np.uint8),
+            np.ones(count, dtype=bool),
+            np.zeros(count, dtype=np.int64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.believed_good)
+
+    def row(self, i: int) -> LineReadResult:
+        """Line ``i`` as a :class:`LineReadResult` (its data is a copy)."""
+        return LineReadResult(
+            data=self.data[i].copy(),
+            believed_good=bool(self.believed_good[i]),
+            corrections=int(self.corrections[i]),
+        )
+
+    def __iter__(self) -> Iterator[LineReadResult]:
+        return (self.row(i) for i in range(len(self)))
 
 
 class EccScheme(abc.ABC):
@@ -116,7 +173,6 @@ class EccScheme(abc.ABC):
     ) -> None:
         """Encode and store one line (shape ``(data_chips, pins, BL)``)."""
 
-    @abc.abstractmethod
     def read_line(
         self,
         chips: list[DramDevice],
@@ -125,27 +181,23 @@ class EccScheme(abc.ABC):
         col: int,
         bursts: dict[int, TransferBurst] | None = None,
     ) -> LineReadResult:
-        """Fetch one line through the full decode path.
+        """Fetch one line through the full decode path: row 0 of :meth:`read_lines`.
 
         ``bursts`` optionally injects a write-path transfer burst per chip
         index (stored corrupted; see DESIGN.md on burst errors).
         """
+        return self.read_lines([(chips, bank, row, col, bursts)]).row(0)
 
-    def read_lines(self, reads: list[LineRead]) -> list[LineReadResult]:
-        """Decode many line reads; element-wise equivalent to :meth:`read_line`.
+    @abc.abstractmethod
+    def read_lines(self, reads: Sequence[LineRead]) -> BatchRead:
+        """Fetch a batch of lines through the full decode path.
 
         ``reads`` is a sequence of ``(chips, bank, row, col, bursts)``
-        tuples - each element may name a *different* chip set, so batches
-        can span fault universes.  The base implementation is a plain loop;
-        schemes with symbol decoders override it to push every codeword of
-        every read through one ``decode_batch`` call.  Overrides must return
-        results identical to the scalar path (the batched Monte-Carlo
-        engines rely on this for bit-identical tallies).
+        tuples; each may name a *different* chip set, so a batch can span
+        fault universes.  A reader gathers every codeword of every read,
+        skips chip rows that read as zeros (:func:`._common.dirty_rows`) and
+        decodes the rest in one ``decode_batch`` call.
         """
-        return [
-            self.read_line(chips, bank, row, col, bursts)
-            for chips, bank, row, col, bursts in reads
-        ]
 
     @property
     def line_shape(self) -> tuple[int, int, int]:
@@ -153,11 +205,8 @@ class EccScheme(abc.ABC):
         device = self.rank.device
         return (self.rank.data_chips, device.pins, device.burst_length)
 
-    def _line_shape(self) -> tuple[int, int, int]:
-        return self.line_shape
-
     def _check_line(self, data: np.ndarray) -> np.ndarray:
         data = np.asarray(data, dtype=np.uint8) & 1
-        if data.shape != self._line_shape():
-            raise ValueError(f"expected line shape {self._line_shape()}, got {data.shape}")
+        if data.shape != self.line_shape:
+            raise ValueError(f"expected line shape {self.line_shape}, got {data.shape}")
         return data

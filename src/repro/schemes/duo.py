@@ -21,18 +21,18 @@ masked writes force a full controller-side read-modify-write of the line.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
-from ..codes.base import DecodeStatus
 from ..codes.rs import ReedSolomonCode
 from ..dram.config import RANK_X8_5CHIP, RankConfig
 from ..dram.device import DramDevice
 from ..dram.mapping import Footprint, merge_spans, window_span
 from ..dram.timing import SchemeTimingOverlay
-from ..faults.types import TransferBurst
 from ..galois.gf2m import get_field
-from ._common import access_window, faulty_row_with_burst
-from .base import EccScheme, LineRead, LineReadResult
+from ._common import access_window, beat_major_windows, dirty_rows
+from .base import BatchRead, EccScheme, LineRead
 
 
 class Duo(EccScheme):
@@ -91,13 +91,11 @@ class Duo(EccScheme):
 
     def _symbols_to_lines(self, symbols: np.ndarray) -> np.ndarray:
         """``(reads, data_symbols)`` -> lines ``(reads, data_chips, pins, BL)``."""
-        device = self.rank.device
         shifts = np.arange(8, dtype=np.int64)
         bits = ((np.asarray(symbols, dtype=np.int64)[..., None] >> shifts) & 1).astype(np.uint8)
-        lines = bits.reshape(
-            len(bits), self.rank.data_chips, device.burst_length, device.pins
+        return beat_major_windows(
+            bits.reshape(len(bits), self.rank.data_chips, -1), self.rank.device
         )
-        return np.ascontiguousarray(lines.transpose(0, 1, 3, 2))
 
     def _spare_symbol_slots(self, col: int) -> tuple[np.ndarray, np.ndarray]:
         """(pins, offsets) of a chip's per-access spare symbol (8 bits)."""
@@ -153,91 +151,29 @@ class Duo(EccScheme):
         bl = self.rank.device.burst_length
         ecc_row[:, col * bl : (col + 1) * bl] = self._symbols_to_window(ecc_syms)
 
-    def read_line(
-        self,
-        chips: list[DramDevice],
-        bank: int,
-        row: int,
-        col: int,
-        bursts: dict[int, TransferBurst] | None = None,
-    ) -> LineReadResult:
-        bursts = bursts or {}
+    def read_lines(self, reads: Sequence[LineRead]) -> BatchRead:
+        """Every read with a dirty chip row (ECC chip included) through one
+        ``decode_batch`` call; skipped chip rows contribute zero symbols."""
+        out = BatchRead.clean(len(reads), self.line_shape)
+        chips = self.rank.data_chips
+        per_chip = self.symbols_per_chip
         bl = self.rank.device.burst_length
-        footprint = self.read_footprint(col)
-        data_syms = []
-        chip_spares = []
-        for chip_idx in range(self.rank.data_chips):
-            row_bits = faulty_row_with_burst(
-                chips[chip_idx], bank, row, col, bursts.get(chip_idx), footprint
-            )
-            data_syms.append(self._chip_symbols(access_window(row_bits, col, bl)))
-            chip_spares.append(self._read_spare_symbol(row_bits, col))
-        ecc_idx = self.rank.data_chips
-        ecc_bits = faulty_row_with_burst(
-            chips[ecc_idx], bank, row, col, bursts.get(ecc_idx), footprint
-        )
-        ecc_main = self._chip_symbols(access_window(ecc_bits, col, bl))
-        received = np.concatenate(
-            [np.concatenate(data_syms), chip_spares, ecc_main[: self.ecc_chip_symbols]]
-        )
-        result = self.code.decode(received)
-        decoded = result.data if result.believed_good else received[: self.data_symbols]
-        return LineReadResult(
-            data=self._symbols_to_lines(decoded[None, :])[0],
-            believed_good=result.status is not DecodeStatus.DETECTED,
-            corrections=result.corrections,
-        )
-
-    def read_lines(self, reads: list[LineRead]) -> list[LineReadResult]:
-        """Batched reads: all dirty lines through one ``decode_batch`` call.
-
-        Reads whose every chip row (ECC chip included) is fault-free and
-        burst-free are all-zero codewords of this linear code and are
-        classified OK without touching the decoder.
-        """
-        bl = self.rank.device.burst_length
-        results: list[LineReadResult | None] = [None] * len(reads)
-        pending: list[int] = []
-        received_rows: list[np.ndarray] = []
-        for i, (chips, bank, row, col, bursts) in enumerate(reads):
-            bursts = bursts or {}
-            footprint = self.read_footprint(col)
-            if not bursts and all(
-                chips[c].row_is_clean(bank, row, footprint) for c in range(self.rank.chips)
-            ):
-                results[i] = LineReadResult(
-                    data=np.zeros(self._line_shape(), dtype=np.uint8),
-                    believed_good=True,
-                )
-                continue
-            data_syms = []
-            chip_spares = []
-            for chip_idx in range(self.rank.data_chips):
-                row_bits = faulty_row_with_burst(
-                    chips[chip_idx], bank, row, col, bursts.get(chip_idx), footprint
-                )
-                data_syms.append(self._chip_symbols(access_window(row_bits, col, bl)))
-                chip_spares.append(self._read_spare_symbol(row_bits, col))
-            ecc_idx = self.rank.data_chips
-            ecc_bits = faulty_row_with_burst(
-                chips[ecc_idx], bank, row, col, bursts.get(ecc_idx), footprint
-            )
-            ecc_main = self._chip_symbols(access_window(ecc_bits, col, bl))
-            received_rows.append(
-                np.concatenate(
-                    [np.concatenate(data_syms), chip_spares, ecc_main[: self.ecc_chip_symbols]]
-                )
-            )
-            pending.append(i)
-        if pending:
-            decoded = self.code.decode_batch(np.stack(received_rows))
+        received = np.zeros((len(reads), self.code.n), dtype=np.int64)
+        dirty = np.zeros(len(reads), dtype=bool)
+        for i, chip_idx, col, bits in dirty_rows(reads, chips + 1, self.read_footprint):
+            dirty[i] = True
+            symbols = self._chip_symbols(access_window(bits, col, bl))
+            if chip_idx < chips:
+                received[i, chip_idx * per_chip : (chip_idx + 1) * per_chip] = symbols
+                received[i, self.data_symbols + chip_idx] = self._read_spare_symbol(bits, col)
+            else:
+                received[i, self.data_symbols + chips :] = symbols[: self.ecc_chip_symbols]
+        rows = np.flatnonzero(dirty)
+        if rows.size:
+            decoded = self.code.decode_batch(received[rows])
             # A row the decoder did not settle holds its received word: the
-            # raw data the scalar path forwards on detection.
-            lines = self._symbols_to_lines(decoded.data)
-            believed = (~decoded.detected).tolist()
-            counts = decoded.corrections.tolist()
-            for row, i in enumerate(pending):
-                results[i] = LineReadResult(
-                    data=lines[row], believed_good=believed[row], corrections=counts[row]
-                )
-        return results
+            # raw data DUO forwards on detection.
+            out.data[rows] = self._symbols_to_lines(decoded.data)
+            out.believed_good[rows] = ~decoded.detected
+            out.corrections[rows] = decoded.corrections
+        return out

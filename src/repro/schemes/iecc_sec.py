@@ -13,6 +13,8 @@ defining behaviours:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from ..codes.hamming import HammingSEC
@@ -20,9 +22,8 @@ from ..dram.config import RANK_X8_4CHIP, RankConfig
 from ..dram.device import DramDevice
 from ..dram.mapping import Footprint, SecWordLayout
 from ..dram.timing import SchemeTimingOverlay
-from ..faults.types import TransferBurst
-from ._common import faulty_row_with_burst
-from .base import EccScheme, LineReadResult
+from ._common import beat_major_windows, dirty_rows
+from .base import BatchRead, EccScheme, LineRead
 
 
 class ConventionalIecc(EccScheme):
@@ -70,29 +71,17 @@ class ConventionalIecc(EccScheme):
             codeword = self.code.encode(word_data)
             self.layout.scatter(row_bits, col, codeword)
 
-    def read_line(
-        self,
-        chips: list[DramDevice],
-        bank: int,
-        row: int,
-        col: int,
-        bursts: dict[int, TransferBurst] | None = None,
-    ) -> LineReadResult:
-        bursts = bursts or {}
-        device_cfg = self.rank.device
-        footprint = self.read_footprint(col)
-        out = np.zeros(self._line_shape(), dtype=np.uint8)
-        corrections = 0
-        for chip_idx in range(self.rank.data_chips):
-            row_bits = faulty_row_with_burst(
-                chips[chip_idx], bank, row, col, bursts.get(chip_idx), footprint
+    def read_lines(self, reads: Sequence[LineRead]) -> BatchRead:
+        """Every dirty chip word through one ``decode_batch`` call."""
+        out = BatchRead.clean(len(reads), self.line_shape)
+        dirty = list(dirty_rows(reads, self.rank.data_chips, self.read_footprint))
+        if dirty:
+            decoded = self.code.decode_batch(
+                np.stack([self.layout.gather(bits, col) for _, _, col, bits in dirty])
             )
-            word = self.layout.gather(row_bits, col)
-            result = self.code.decode(word)
-            corrections += result.corrections
+            read, chip = np.array([(i, chip_idx) for i, chip_idx, *_ in dirty]).T
             # Conventional IECC has no way to tell the controller anything:
             # on detection it silently forwards the (wrong) raw data.
-            out[chip_idx] = result.data.reshape(
-                device_cfg.burst_length, device_cfg.pins
-            ).T
-        return LineReadResult(data=out, believed_good=True, corrections=corrections)
+            out.data[read, chip] = beat_major_windows(decoded.data, self.rank.device)
+            np.add.at(out.corrections, read, decoded.corrections)
+        return out

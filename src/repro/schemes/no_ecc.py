@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from ..dram.config import RANK_X8_4CHIP, RankConfig
 from ..dram.device import DramDevice
 from ..dram.mapping import Footprint, window_span
 from ..dram.timing import SchemeTimingOverlay
-from ..faults.types import TransferBurst
-from ._common import access_window, faulty_row_with_burst
-from .base import EccScheme, LineReadResult
+from ._common import access_window, dirty_rows
+from .base import BatchRead, EccScheme, LineRead
 
 
 class NoEcc(EccScheme):
@@ -44,21 +45,9 @@ class NoEcc(EccScheme):
         for chip_idx in range(self.rank.data_chips):
             chips[chip_idx].write_access(bank, row, col, data[chip_idx])
 
-    def read_line(
-        self,
-        chips: list[DramDevice],
-        bank: int,
-        row: int,
-        col: int,
-        bursts: dict[int, TransferBurst] | None = None,
-    ) -> LineReadResult:
-        bursts = bursts or {}
+    def read_lines(self, reads: Sequence[LineRead]) -> BatchRead:
+        out = BatchRead.clean(len(reads), self.line_shape)
         bl = self.rank.device.burst_length
-        footprint = self.read_footprint(col)
-        out = np.zeros(self._line_shape(), dtype=np.uint8)
-        for chip_idx in range(self.rank.data_chips):
-            row_bits = faulty_row_with_burst(
-                chips[chip_idx], bank, row, col, bursts.get(chip_idx), footprint
-            )
-            out[chip_idx] = access_window(row_bits, col, bl)
-        return LineReadResult(data=out, believed_good=True)
+        for i, chip_idx, col, bits in dirty_rows(reads, self.rank.data_chips, self.read_footprint):
+            out.data[i, chip_idx] = access_window(bits, col, bl)
+        return out

@@ -26,18 +26,18 @@ the conventional beat-aligned orientation at identical overhead by passing
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
-from ..codes.base import DecodeStatus
 from ..codes.rs import SinglyExtendedRS
 from ..dram.config import RANK_X8_4CHIP, DeviceConfig, RankConfig
 from ..dram.device import DramDevice
 from ..dram.mapping import BeatAlignedLayout, Footprint, PinAlignedLayout, SegmentedLayout
 from ..dram.timing import SchemeTimingOverlay
-from ..faults.types import TransferBurst
 from ..galois.gf2m import get_field
-from ._common import access_window, faulty_row_with_burst
-from .base import EccScheme, LineRead, LineReadResult
+from ._common import access_window, dirty_rows
+from .base import BatchRead, EccScheme, LineRead
 
 
 class PairScheme(EccScheme):
@@ -159,86 +159,46 @@ class PairScheme(EccScheme):
 
     # -- read path --------------------------------------------------------------
 
-    def read_line(
-        self,
-        chips: list[DramDevice],
-        bank: int,
-        row: int,
-        col: int,
-        bursts: dict[int, TransferBurst] | None = None,
-    ) -> LineReadResult:
-        bursts = bursts or {}
-        bl = self.rank.device.burst_length
-        footprint = self.read_footprint(col)
-        out = np.zeros(self._line_shape(), dtype=np.uint8)
-        believed_good = True
-        corrections = 0
-        for chip_idx in range(self.rank.data_chips):
-            row_bits = faulty_row_with_burst(
-                chips[chip_idx], bank, row, col, bursts.get(chip_idx), footprint
-            )
-            corrected_row = row_bits
-            for cw in self.layout.codewords_of_access(col):
-                symbols = self.layout.gather(row_bits, cw)
-                result = self.code.decode(symbols)
-                corrections += result.corrections
-                if result.status is DecodeStatus.DETECTED:
-                    believed_good = False
-                elif result.corrections:
-                    if corrected_row is row_bits:
-                        corrected_row = row_bits.copy()
-                    self.layout.scatter(corrected_row, cw, result.codeword)
-            out[chip_idx] = access_window(corrected_row, col, bl)
-        return LineReadResult(
-            data=out, believed_good=believed_good, corrections=corrections
-        )
+    def _erasures_for_codeword(self, chip_idx: int, bank: int, cw: int) -> tuple[int, ...]:
+        """Symbol positions of codeword ``cw`` the decoder is told are erased.
 
-    def read_lines(self, reads: list[LineRead]) -> list[LineReadResult]:
-        """Batched reads: one ``decode_batch`` over every codeword touched.
-
-        Chip rows with no faults inside the read's footprint and no burst
-        are skipped outright - the all-zero row is a valid codeword of this
-        linear code, so each of its segments decodes OK with zero
-        corrections, exactly what the scalar path would report.  Only the
-        dirty minority reaches the decoder.
+        Blind PAIR has none; :class:`~.pair_erasure.PairErasureScheme`
+        answers from its profiled defect map.
         """
-        bl = self.rank.device.burst_length
-        count = len(reads)
-        outs = [np.zeros(self._line_shape(), dtype=np.uint8) for _ in range(count)]
-        believed = np.ones(count, dtype=bool)
-        corrections = np.zeros(count, dtype=np.int64)
-        dirty: list[tuple[int, int, int, np.ndarray, tuple[int, ...]]] = []
-        words: list[np.ndarray] = []
-        for i, (chips, bank, row, col, bursts) in enumerate(reads):
-            bursts = bursts or {}
-            cws = self.layout.codewords_of_access(col)
-            footprint = self.read_footprint(col)
-            for chip_idx in range(self.rank.data_chips):
-                burst = bursts.get(chip_idx)
-                if burst is None and chips[chip_idx].row_is_clean(bank, row, footprint):
-                    continue
-                row_bits = faulty_row_with_burst(
-                    chips[chip_idx], bank, row, col, burst, footprint
-                )
-                dirty.append((i, chip_idx, col, row_bits, cws))
-                words.append(self.layout.gather_many(row_bits, cws))
-        if words:
-            decoded = self.code.decode_batch(np.concatenate(words, axis=0))
-            # decoded word -> its entry of ``dirty``, its read and its codeword
-            entry = np.repeat(np.arange(len(dirty)), [len(d[4]) for d in dirty])
-            read = np.array([d[0] for d in dirty])[entry]
-            codeword_ids = [cw for *_, cws in dirty for cw in cws]
-            counts = decoded.corrections
-            np.add.at(corrections, read, counts)
-            believed[read[decoded.detected]] = False
-            for w in np.flatnonzero((counts > 0) & ~decoded.detected).tolist():
-                # the chip row is already a private copy, safe to fix up
-                self.layout.scatter(dirty[entry[w]][3], codeword_ids[w], decoded.codewords[w])
-            for i, chip_idx, col, row_bits, _ in dirty:
-                outs[i][chip_idx] = access_window(row_bits, col, bl)
-        return [
-            LineReadResult(
-                data=outs[i], believed_good=bool(believed[i]), corrections=int(corrections[i])
-            )
-            for i in range(count)
+        return ()
+
+    def read_lines(self, reads: Sequence[LineRead]) -> BatchRead:
+        """Every codeword of every dirty chip row through one ``decode_batch``.
+
+        Each codeword goes with its erasure hints
+        (:meth:`_erasures_for_codeword`).  Skipped chip rows read as zeros,
+        and a zero codeword decodes OK with no corrections, with or without
+        erasures.
+        """
+        out = BatchRead.clean(len(reads), self.line_shape)
+        dirty = list(dirty_rows(reads, self.rank.data_chips, self.read_footprint))
+        if not dirty:
+            return out
+        cws = [self.layout.codewords_of_access(col) for _, _, col, _ in dirty]
+        words = np.concatenate(
+            [self.layout.gather_many(bits, ids) for (*_, bits), ids in zip(dirty, cws)]
+        )
+        erasures = [
+            self._erasures_for_codeword(chip_idx, reads[i][1], cw)
+            for (i, chip_idx, _, _), ids in zip(dirty, cws)
+            for cw in ids
         ]
+        decoded = self.code.decode_batch(words, erasures if any(erasures) else None)
+        # decoded word -> its entry of ``dirty``, its read and its codeword
+        entry = np.repeat(np.arange(len(dirty)), [len(ids) for ids in cws])
+        read = np.array([i for i, *_ in dirty])[entry]
+        codeword_ids = [cw for ids in cws for cw in ids]
+        counts = decoded.corrections
+        np.add.at(out.corrections, read, counts)
+        out.believed_good[read[decoded.detected]] = False
+        for w in np.flatnonzero((counts > 0) & ~decoded.detected).tolist():
+            self.layout.scatter(dirty[entry[w]][3], codeword_ids[w], decoded.codewords[w])
+        bl = self.rank.device.burst_length
+        for i, chip_idx, col, bits in dirty:
+            out.data[i, chip_idx] = access_window(bits, col, bl)
+        return out

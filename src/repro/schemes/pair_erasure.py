@@ -15,7 +15,7 @@ words and syndromes carry no location memory).
 implements the classic manufacturing-test style scan (read raw rows, flag
 cells that fail repeatedly across rows - persistent structure - while
 one-off weak cells stay unmarked); :class:`PairErasureScheme` plugs the map
-into the read path.
+into PAIR's reader through :meth:`PairErasureScheme._erasures_for_codeword`.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ import numpy as np
 
 from ..dram.config import RANK_X8_4CHIP, RankConfig
 from ..dram.device import DramDevice
-from ..faults.types import TransferBurst
-from ._common import access_window, faulty_row_with_burst
-from .base import LineReadResult
 from .pair import PairScheme
 
 
@@ -147,36 +144,3 @@ class PairErasureScheme(PairScheme):
             out = ()
         self._erasure_cache[key] = out
         return out
-
-    def read_line(
-        self,
-        chips: list[DramDevice],
-        bank: int,
-        row: int,
-        col: int,
-        bursts: dict[int, TransferBurst] | None = None,
-    ) -> LineReadResult:
-        bursts = bursts or {}
-        bl = self.rank.device.burst_length
-        out = np.zeros(self._line_shape(), dtype=np.uint8)
-        believed_good = True
-        corrections = 0
-        for chip_idx in range(self.rank.data_chips):
-            row_bits = faulty_row_with_burst(
-                chips[chip_idx], bank, row, col, bursts.get(chip_idx)
-            )
-            corrected_row = row_bits
-            for cw in self.layout.codewords_of_access(col):
-                symbols = self.layout.gather(row_bits, cw)
-                erasures = self._erasures_for_codeword(chip_idx, bank, cw)
-                result = self.code.decode(symbols, erasures=erasures)
-                corrections += result.corrections
-                if result.believed_good:
-                    if result.corrections:
-                        self.layout.scatter(corrected_row, cw, result.codeword)
-                else:
-                    believed_good = False
-            out[chip_idx] = access_window(corrected_row, col, bl)
-        return LineReadResult(
-            data=out, believed_good=believed_good, corrections=corrections
-        )

@@ -9,17 +9,17 @@ slice-level code cannot see and unable to use in-DRAM information.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
-from ..codes.base import DecodeStatus
 from ..codes.hamming import HsiaoSECDED
 from ..dram.config import RANK_X8_5CHIP, RankConfig
 from ..dram.device import DramDevice
 from ..dram.mapping import Footprint, window_span
 from ..dram.timing import SchemeTimingOverlay
-from ..faults.types import TransferBurst
-from ._common import access_window, faulty_row_with_burst
-from .base import EccScheme, LineReadResult
+from ._common import access_window, beat_major_windows, dirty_rows
+from .base import BatchRead, EccScheme, LineRead
 
 
 class RankSecDed(EccScheme):
@@ -60,18 +60,6 @@ class RankSecDed(EccScheme):
             [data[c].T.reshape(-1) for c in range(self.rank.data_chips)]
         )
 
-    def _flat_to_line(self, flat: np.ndarray) -> np.ndarray:
-        device = self.rank.device
-        per_chip = device.access_data_bits
-        return np.stack(
-            [
-                flat[c * per_chip : (c + 1) * per_chip]
-                .reshape(device.burst_length, device.pins)
-                .T
-                for c in range(self.rank.data_chips)
-            ]
-        )
-
     def write_line(
         self,
         chips: list[DramDevice],
@@ -92,42 +80,33 @@ class RankSecDed(EccScheme):
         ecc_window = checks.reshape(device.burst_length, device.pins).T
         chips[self.rank.data_chips].write_access(bank, row, col, ecc_window)
 
-    def read_line(
-        self,
-        chips: list[DramDevice],
-        bank: int,
-        row: int,
-        col: int,
-        bursts: dict[int, TransferBurst] | None = None,
-    ) -> LineReadResult:
-        bursts = bursts or {}
-        bl = self.rank.device.burst_length
-        footprint = self.read_footprint(col)
-        raw = np.zeros(self._line_shape(), dtype=np.uint8)
-        for chip_idx in range(self.rank.data_chips):
-            row_bits = faulty_row_with_burst(
-                chips[chip_idx], bank, row, col, bursts.get(chip_idx), footprint
-            )
-            raw[chip_idx] = access_window(row_bits, col, bl)
-        ecc_idx = self.rank.data_chips
-        ecc_bits = faulty_row_with_burst(
-            chips[ecc_idx], bank, row, col, bursts.get(ecc_idx), footprint
-        )
-        checks = access_window(ecc_bits, col, bl).T.reshape(-1)
-        flat = self._line_flat(raw)
-        believed_good = True
-        corrections = 0
-        out = flat.copy()
-        for s in range(self.slices):
-            word = np.concatenate([flat[s * 64 : (s + 1) * 64], checks[s * 8 : (s + 1) * 8]])
-            result = self.code.decode(word)
-            corrections += result.corrections
-            if result.status is DecodeStatus.DETECTED:
-                believed_good = False
+    def read_lines(self, reads: Sequence[LineRead]) -> BatchRead:
+        """The slices of every read with a dirty chip row (ECC chip
+        included) through one ``decode_batch`` of ``(reads * slices, 72)`` words."""
+        out = BatchRead.clean(len(reads), self.line_shape)
+        device = self.rank.device
+        chips = self.rank.data_chips
+        bl = device.burst_length
+        ecc = np.zeros((len(reads), device.pins, bl), dtype=np.uint8)
+        dirty = np.zeros(len(reads), dtype=bool)
+        for i, chip_idx, col, bits in dirty_rows(reads, chips + 1, self.read_footprint):
+            dirty[i] = True
+            window = access_window(bits, col, bl)
+            if chip_idx < chips:
+                out.data[i, chip_idx] = window
             else:
-                out[s * 64 : (s + 1) * 64] = result.data
-        return LineReadResult(
-            data=self._flat_to_line(out),
-            believed_good=believed_good,
-            corrections=corrections,
-        )
+                ecc[i] = window
+        rows = np.flatnonzero(dirty)
+        if rows.size:
+            count = len(rows)
+            flat = out.data[rows].swapaxes(-1, -2).reshape(count, self.slices, 64)
+            checks = ecc[rows].swapaxes(-1, -2).reshape(count, -1)[:, : self.slices * 8]
+            words = np.concatenate([flat, checks.reshape(count, self.slices, 8)], axis=2)
+            decoded = self.code.decode_batch(words.reshape(count * self.slices, self.code.n))
+            # A flagged slice holds its received word: its raw bits pass on.
+            out.data[rows] = beat_major_windows(
+                decoded.data.reshape(count, chips, -1), device
+            )
+            out.believed_good[rows] = ~decoded.detected.reshape(count, self.slices).any(axis=1)
+            out.corrections[rows] = decoded.corrections.reshape(count, self.slices).sum(axis=1)
+        return out

@@ -22,18 +22,18 @@ the catch-word check to the read path.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
-from ..codes.base import DecodeStatus
 from ..codes.hamming import HammingSEC
 from ..codes.parity import XorParity
 from ..dram.config import RANK_X8_5CHIP, RankConfig
 from ..dram.device import DramDevice
 from ..dram.mapping import Footprint, SecWordLayout
 from ..dram.timing import SchemeTimingOverlay
-from ..faults.types import TransferBurst
-from ._common import faulty_row_with_burst
-from .base import EccScheme, LineReadResult
+from ._common import beat_major_windows, dirty_rows
+from .base import BatchRead, EccScheme, LineRead
 
 
 class Xed(EccScheme):
@@ -73,9 +73,6 @@ class Xed(EccScheme):
         # the parity chip stores its word in the same layout
         return self.layout.access_footprint(col)
 
-    def _parity_chip_index(self) -> int:
-        return self.rank.data_chips  # first ECC chip holds the XOR parity
-
     def write_line(
         self,
         chips: list[DramDevice],
@@ -93,63 +90,36 @@ class Xed(EccScheme):
             self.layout.scatter(chips[chip_idx].row_view(bank, row), col, codeword)
         parity_data = self.parity.parity(np.stack(words))
         parity_codeword = self.code.encode(parity_data)
-        parity_chip = chips[self._parity_chip_index()]
+        parity_chip = chips[self.rank.data_chips]  # first ECC chip holds the XOR parity
         self.layout.scatter(parity_chip.row_view(bank, row), col, parity_codeword)
 
-    def read_line(
-        self,
-        chips: list[DramDevice],
-        bank: int,
-        row: int,
-        col: int,
-        bursts: dict[int, TransferBurst] | None = None,
-    ) -> LineReadResult:
-        bursts = bursts or {}
-        device_cfg = self.rank.device
-        n_chips = self.rank.data_chips + 1  # data chips plus the parity chip
-        chip_words = np.zeros((n_chips, self.layout.k), dtype=np.uint8)
-        flagged: list[int] = []
-        corrections = 0
-        footprint = self.read_footprint(col)
-        for chip_idx in range(n_chips):
-            device = chips[self._parity_chip_index() if chip_idx == self.rank.data_chips else chip_idx]
-            row_bits = faulty_row_with_burst(
-                device, bank, row, col, bursts.get(chip_idx), footprint
+    def read_lines(self, reads: Sequence[LineRead]) -> BatchRead:
+        """Every dirty chip word (parity chip included) through one
+        ``decode_batch`` call, then the RAID-3 rebuild over the reads with
+        exactly one catch-word."""
+        count = len(reads)
+        chips = self.rank.data_chips
+        # per read: the decoded words of the data chips, then the parity chip
+        lanes = np.zeros((count, chips + 1, self.layout.k), dtype=np.uint8)
+        flagged = np.zeros((count, chips + 1), dtype=bool)
+        corrections = np.zeros(count, dtype=np.int64)
+        dirty = list(dirty_rows(reads, chips + 1, self.read_footprint))
+        if dirty:
+            decoded = self.code.decode_batch(
+                np.stack([self.layout.gather(bits, col) for _, _, col, bits in dirty])
             )
-            word = self.layout.gather(row_bits, col)
-            result = self.code.decode(word)
-            corrections += result.corrections
-            if result.status is DecodeStatus.DETECTED:
-                flagged.append(chip_idx)
-            chip_words[chip_idx] = result.data
-
-        if len(flagged) > 1:
-            # Multiple catch-words: RAID-3 cannot rebuild two lanes.
-            data = chip_words[: self.rank.data_chips]
-            return LineReadResult(
-                data=self._to_line(data), believed_good=False, corrections=corrections
-            )
-        if len(flagged) == 1:
-            lane = flagged[0]
-            if lane < self.rank.data_chips:
-                lanes = chip_words[: self.rank.data_chips].copy()
-                rebuilt = self.parity.reconstruct(
-                    lanes, chip_words[self.rank.data_chips], lane
-                )
-                lanes[lane] = rebuilt
-                return LineReadResult(
-                    data=self._to_line(lanes), believed_good=True,
-                    corrections=corrections + 1,
-                )
-            # The parity chip itself flagged: data chips are believed fine.
-        return LineReadResult(
-            data=self._to_line(chip_words[: self.rank.data_chips]),
-            believed_good=True,
-            corrections=corrections,
-        )
-
-    def _to_line(self, words: np.ndarray) -> np.ndarray:
-        device_cfg = self.rank.device
-        return words.reshape(
-            self.rank.data_chips, device_cfg.burst_length, device_cfg.pins
-        ).transpose(0, 2, 1)
+            read, chip = np.array([(i, chip_idx) for i, chip_idx, *_ in dirty]).T
+            lanes[read, chip] = decoded.data
+            flagged[read, chip] = decoded.detected
+            np.add.at(corrections, read, decoded.corrections)
+        flags = np.count_nonzero(flagged, axis=1)
+        # One catch-word from a data chip: rebuild that lane from the others
+        # and the parity chip.  A flagged parity chip leaves the data as is;
+        # two or more catch-words are beyond RAID-3 (DUE).
+        lane = flagged.argmax(axis=1)
+        rebuild = np.flatnonzero((flags == 1) & (lane < chips))
+        lost = lane[rebuild]
+        lanes[rebuild, lost] ^= np.bitwise_xor.reduce(lanes[rebuild], axis=1)
+        corrections[rebuild] += 1
+        data = beat_major_windows(lanes[:, :chips], self.rank.device)
+        return BatchRead(data, flags <= 1, corrections)

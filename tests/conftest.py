@@ -7,7 +7,7 @@ integration tests rebuild identical ones, which is pure wall-clock waste
 and (for the models) the main source of multi-second tests.
 
 Both are safe to share: schemes are stateless across reads (device state
-lives in the arrays handed to ``read_line``, not in the scheme), and a
+lives in the arrays handed to ``read_lines``, not in the scheme), and a
 built model is immutable.  Tests that mutate either must construct their
 own instead of using these fixtures.
 """

@@ -8,7 +8,8 @@ three unrelated mechanisms:
 1. the semi-analytic model (:func:`repro.reliability.build_model`);
 2. the batched Monte-Carlo engine (:func:`repro.reliability.run_iid_batched`)
    and the campaign chunk executors built on it;
-3. the scalar oracle (``tests/oracle.py``), one ``read_line`` per trial.
+3. the scalar oracle (``tests/oracle.py``), one scalar reader call per
+   trial.
 
 (1) must sit inside a Wilson confidence band of (2) at an elevated BER
 chosen per scheme so failures are observable, and (2) must be bit-identical
@@ -16,12 +17,14 @@ to (3) - not statistically close, *identical*.  A regression in any layer
 (codes, galois kernels, scheme datapaths, engines) breaks at least one leg.
 
 The ``pair`` and ``xed`` cases double as the fast CI smoke subset; the
-remaining schemes are marked ``slow``.
+remaining schemes are marked ``slow``.  PAIR-erasure runs twice through the
+bit-identity leg: with an empty defect map, and with a profiled one whose
+hints change the outcome.
 """
 
 import pytest
 
-from repro.faults import FaultRates, FaultType
+from repro.faults import FaultInstance, FaultOverlay, FaultRates, FaultType
 from repro.reliability import (
     ExactRunConfig,
     run_iid_batched,
@@ -63,10 +66,29 @@ def counts(tally):
 
 
 def pair_erasure():
-    # An empty defect map: erasure decoding degenerates to plain PAIR, which
-    # is the regime where the batched override (inherited from PairScheme)
-    # and the scalar read_line are defined to agree.
+    # An empty defect map: erasure decoding degenerates to plain PAIR, the
+    # regime the analytic model describes.
     return PairErasureScheme(defect_map=DefectMap())
+
+
+def profiled_pair_erasure():
+    """PAIR-erasure profiled on chips with a 10-symbol mat defect at the
+    start of every segment of every bank: each read decodes hinted words."""
+    scheme = PairErasureScheme()
+    device = scheme.rank.device
+    overlays = [
+        FaultOverlay(device, iid_rates(0.0), seed=chip, faults=[
+            FaultInstance(FaultType.MAT, bank=bank, row_start=0,
+                          row_count=device.rows_per_bank, pin=chip % device.pins,
+                          bit_start=segment * scheme.layout.segment_data_bits, bit_count=80, density=1.0)
+            for bank in range(device.banks)
+            for segment in range(scheme.layout.num_codewords // device.pins)
+        ])
+        for chip in range(scheme.rank.chips)
+    ]
+    scheme.profile(scheme.make_devices(overlays), banks=tuple(range(device.banks)),
+                   sample_rows=2)
+    return scheme
 
 
 # (factory, elevated BER, wilson-band slack).  BERs are chosen so the
@@ -132,6 +154,18 @@ def test_batched_bit_identical_to_scalar_fallback(name, get_scheme):
     a = iid_chunk_tally(scheme, rates, iid_epochs(scheme, config))
     b = oracle.run_iid(scheme, rates, config)
     assert counts(a) == counts(b), name
+
+
+def test_profiled_pair_erasure_batched_bit_identical_to_scalar():
+    scheme = profiled_pair_erasure()
+    rates = iid_rates(1e-3)
+    config = ExactRunConfig(trials=32, seed=7, resample_faults_every=8)
+    a = iid_chunk_tally(scheme, rates, iid_epochs(scheme, config))
+    b = oracle.run_iid(scheme, rates, config)
+    assert counts(a) == counts(b)
+    # the hints matter: blind PAIR corrects what the spent budget flags
+    blind = run_iid_batched(PairScheme(), rates, config)
+    assert counts(a) != counts(blind)
 
 
 @pytest.mark.parametrize("kind", [FaultType.PIN_LINE, FaultType.TRANSFER_BURST])

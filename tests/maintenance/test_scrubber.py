@@ -74,6 +74,22 @@ class TestScrubber:
         degraded = report.degraded_rows(due_line_threshold=1)
         assert degraded == [(0, 9)]
 
+    def test_row_counts_equal_per_line_reads(self):
+        """One batched read of the row counts what column-by-column reads do."""
+        scheme, chips = make_system(
+            faults=[cell_fault(5, pin=0, offset=3), cell_fault(5, pin=2, offset=2000),
+                    row_fault(5, density=0.002)],
+            ber=2e-4,
+        )
+        health = Scrubber(scheme, chips).scrub_row(0, 5, ScrubReport(), col_stride=7)
+        cols = range(0, scheme.rank.device.columns_per_row, 7)
+        results = [scheme.read_line(chips, 0, 5, col) for col in cols]
+        assert health.lines == len(results)
+        assert health.uncorrectable_lines == sum(not r.believed_good for r in results)
+        fixed = [r for r in results if r.believed_good and r.corrections]
+        assert health.corrected_lines == len(fixed) > 0
+        assert health.corrected_symbols == sum(r.corrections for r in fixed)
+
     def test_stride_controls_coverage(self):
         scheme, chips = make_system()
         scrubber = Scrubber(scheme, chips)

@@ -1,17 +1,25 @@
-"""Scalar reference engines: the bit-identity oracle of the batched engines.
+"""Scalar references: the bit-identity oracle of the batched read paths.
 
-One plain loop per Monte-Carlo engine of :mod:`repro.reliability.batch`:
-every trial draws its coordinates from the engine's generator in the
-documented order, builds its chips, and decodes one line through
-:meth:`~repro.schemes.base.EccScheme.read_line` - never through a batched
-``read_lines`` override.  The batched engines, the campaign chunk
-executors and every worker count must reproduce these tallies bit for bit
-(``test_batch_engine.py``, ``test_differential.py``, the campaign and
-agreement suites).  Likewise one ``choice()`` loop per conditional table of
-:mod:`repro.reliability.conditional`, which draws every trial word in one
-array pass (``test_conditional.py``).  The oracle lives in ``tests/``
-because nothing in the library needs a second, slower copy of the same
-answer.
+* One scalar reader per scheme (:func:`read_line`): a line read the way the
+  datapath was first written - every chip row read, every codeword decoded
+  with its own ``decode`` call, nothing skipped.  Each scheme's one reader,
+  :meth:`~repro.schemes.base.EccScheme.read_lines`, must return the same
+  data, belief and correction count for every read
+  (``test_batch_engine.py::TestReadLinesContract``).
+* One plain loop per Monte-Carlo engine of :mod:`repro.reliability.batch`:
+  every trial draws its coordinates from the engine's generator in the
+  documented order, builds its chips, and reads one line through the
+  scalar reader - never through the scheme's ``read_lines``, so that the
+  comparison is not the batched path checked against itself.  The batched
+  engines, the campaign chunk executors and every worker count must
+  reproduce these tallies bit for bit (``test_batch_engine.py``,
+  ``test_differential.py``, the campaign and agreement suites).
+* One ``choice()`` loop per conditional table of
+  :mod:`repro.reliability.conditional`, which draws every trial word in one
+  array pass (``test_conditional.py``).
+
+The oracle lives in ``tests/`` because nothing in the library needs a
+second, slower copy of the same answer.
 """
 
 from __future__ import annotations
@@ -19,12 +27,237 @@ from __future__ import annotations
 import numpy as np
 
 from repro.codes.base import BlockCode, DecodeStatus
+from repro.dram.device import DramDevice
 from repro.faults.rates import FaultRates
 from repro.faults.types import FaultInstance, FaultType, TransferBurst
 from repro.reliability.conditional import WordConditionals
 from repro.reliability.exact import ExactRunConfig, _make_chips, _plant_fault, _zero_line
 from repro.reliability.outcomes import Tally, classify
-from repro.schemes.base import EccScheme
+from repro.schemes import (
+    ConventionalIecc,
+    Duo,
+    NoEcc,
+    PairErasureScheme,
+    PairScheme,
+    RankSecDed,
+    Xed,
+)
+from repro.schemes._common import access_window, faulty_row_with_burst
+from repro.schemes.base import EccScheme, LineReadResult
+
+# -- scalar line readers -------------------------------------------------------
+
+
+def _pair(scheme: PairScheme, chips, bank, row, col, bursts) -> LineReadResult:
+    bl = scheme.rank.device.burst_length
+    footprint = scheme.read_footprint(col)
+    out = np.zeros(scheme.line_shape, dtype=np.uint8)
+    believed_good = True
+    corrections = 0
+    for chip_idx in range(scheme.rank.data_chips):
+        row_bits = faulty_row_with_burst(
+            chips[chip_idx], bank, row, col, bursts.get(chip_idx), footprint
+        )
+        corrected_row = row_bits
+        for cw in scheme.layout.codewords_of_access(col):
+            symbols = scheme.layout.gather(row_bits, cw)
+            result = scheme.code.decode(symbols)
+            corrections += result.corrections
+            if result.status is DecodeStatus.DETECTED:
+                believed_good = False
+            elif result.corrections:
+                if corrected_row is row_bits:
+                    corrected_row = row_bits.copy()
+                scheme.layout.scatter(corrected_row, cw, result.codeword)
+        out[chip_idx] = access_window(corrected_row, col, bl)
+    return LineReadResult(data=out, believed_good=believed_good, corrections=corrections)
+
+
+def _pair_erasure(scheme: PairErasureScheme, chips, bank, row, col, bursts) -> LineReadResult:
+    # whole-row reads (no footprint), every codeword with its erasure hints
+    bl = scheme.rank.device.burst_length
+    out = np.zeros(scheme.line_shape, dtype=np.uint8)
+    believed_good = True
+    corrections = 0
+    for chip_idx in range(scheme.rank.data_chips):
+        row_bits = faulty_row_with_burst(chips[chip_idx], bank, row, col, bursts.get(chip_idx))
+        for cw in scheme.layout.codewords_of_access(col):
+            symbols = scheme.layout.gather(row_bits, cw)
+            erasures = scheme._erasures_for_codeword(chip_idx, bank, cw)
+            result = scheme.code.decode(symbols, erasures=erasures)
+            corrections += result.corrections
+            if result.believed_good:
+                if result.corrections:
+                    scheme.layout.scatter(row_bits, cw, result.codeword)
+            else:
+                believed_good = False
+        out[chip_idx] = access_window(row_bits, col, bl)
+    return LineReadResult(data=out, believed_good=believed_good, corrections=corrections)
+
+
+def _duo(scheme: Duo, chips, bank, row, col, bursts) -> LineReadResult:
+    bl = scheme.rank.device.burst_length
+    footprint = scheme.read_footprint(col)
+    data_syms = []
+    chip_spares = []
+    for chip_idx in range(scheme.rank.data_chips):
+        row_bits = faulty_row_with_burst(
+            chips[chip_idx], bank, row, col, bursts.get(chip_idx), footprint
+        )
+        data_syms.append(scheme._chip_symbols(access_window(row_bits, col, bl)))
+        chip_spares.append(scheme._read_spare_symbol(row_bits, col))
+    ecc_idx = scheme.rank.data_chips
+    ecc_bits = faulty_row_with_burst(
+        chips[ecc_idx], bank, row, col, bursts.get(ecc_idx), footprint
+    )
+    ecc_main = scheme._chip_symbols(access_window(ecc_bits, col, bl))
+    received = np.concatenate(
+        [np.concatenate(data_syms), chip_spares, ecc_main[: scheme.ecc_chip_symbols]]
+    )
+    result = scheme.code.decode(received)
+    decoded = result.data if result.believed_good else received[: scheme.data_symbols]
+    return LineReadResult(
+        data=scheme._symbols_to_lines(decoded[None, :])[0],
+        believed_good=result.status is not DecodeStatus.DETECTED,
+        corrections=result.corrections,
+    )
+
+
+def _beat_major_to_line(scheme: EccScheme, words: np.ndarray) -> np.ndarray:
+    """``(data_chips, BL * pins)`` beat-major words -> a ``(data_chips, pins, BL)`` line."""
+    device = scheme.rank.device
+    return words.reshape(scheme.rank.data_chips, device.burst_length, device.pins).transpose(
+        0, 2, 1
+    )
+
+
+def _xed(scheme: Xed, chips, bank, row, col, bursts) -> LineReadResult:
+    data_chips = scheme.rank.data_chips
+    n_chips = data_chips + 1  # data chips plus the parity chip
+    chip_words = np.zeros((n_chips, scheme.layout.k), dtype=np.uint8)
+    flagged: list[int] = []
+    corrections = 0
+    footprint = scheme.read_footprint(col)
+    for chip_idx in range(n_chips):
+        row_bits = faulty_row_with_burst(
+            chips[chip_idx], bank, row, col, bursts.get(chip_idx), footprint
+        )
+        result = scheme.code.decode(scheme.layout.gather(row_bits, col))
+        corrections += result.corrections
+        if result.status is DecodeStatus.DETECTED:
+            flagged.append(chip_idx)
+        chip_words[chip_idx] = result.data
+    if len(flagged) > 1:
+        # Multiple catch-words: RAID-3 cannot rebuild two lanes.
+        return LineReadResult(
+            data=_beat_major_to_line(scheme, chip_words[:data_chips]),
+            believed_good=False,
+            corrections=corrections,
+        )
+    if len(flagged) == 1 and flagged[0] < data_chips:
+        lane = flagged[0]
+        lanes = chip_words[:data_chips].copy()
+        lanes[lane] = scheme.parity.reconstruct(lanes, chip_words[data_chips], lane)
+        return LineReadResult(
+            data=_beat_major_to_line(scheme, lanes), believed_good=True,
+            corrections=corrections + 1,
+        )
+    # No catch-word, or the parity chip itself flagged: data chips are fine.
+    return LineReadResult(
+        data=_beat_major_to_line(scheme, chip_words[:data_chips]),
+        believed_good=True,
+        corrections=corrections,
+    )
+
+
+def _iecc(scheme: ConventionalIecc, chips, bank, row, col, bursts) -> LineReadResult:
+    footprint = scheme.read_footprint(col)
+    words = np.zeros((scheme.rank.data_chips, scheme.layout.k), dtype=np.uint8)
+    corrections = 0
+    for chip_idx in range(scheme.rank.data_chips):
+        row_bits = faulty_row_with_burst(
+            chips[chip_idx], bank, row, col, bursts.get(chip_idx), footprint
+        )
+        result = scheme.code.decode(scheme.layout.gather(row_bits, col))
+        corrections += result.corrections
+        # silent: on detection the raw data is forwarded all the same
+        words[chip_idx] = result.data
+    return LineReadResult(
+        data=_beat_major_to_line(scheme, words), believed_good=True, corrections=corrections
+    )
+
+
+def _no_ecc(scheme: NoEcc, chips, bank, row, col, bursts) -> LineReadResult:
+    bl = scheme.rank.device.burst_length
+    footprint = scheme.read_footprint(col)
+    out = np.zeros(scheme.line_shape, dtype=np.uint8)
+    for chip_idx in range(scheme.rank.data_chips):
+        row_bits = faulty_row_with_burst(
+            chips[chip_idx], bank, row, col, bursts.get(chip_idx), footprint
+        )
+        out[chip_idx] = access_window(row_bits, col, bl)
+    return LineReadResult(data=out, believed_good=True)
+
+
+def _rank(scheme: RankSecDed, chips, bank, row, col, bursts) -> LineReadResult:
+    bl = scheme.rank.device.burst_length
+    footprint = scheme.read_footprint(col)
+    raw = np.zeros(scheme.line_shape, dtype=np.uint8)
+    for chip_idx in range(scheme.rank.data_chips):
+        row_bits = faulty_row_with_burst(
+            chips[chip_idx], bank, row, col, bursts.get(chip_idx), footprint
+        )
+        raw[chip_idx] = access_window(row_bits, col, bl)
+    ecc_idx = scheme.rank.data_chips
+    ecc_bits = faulty_row_with_burst(
+        chips[ecc_idx], bank, row, col, bursts.get(ecc_idx), footprint
+    )
+    checks = access_window(ecc_bits, col, bl).T.reshape(-1)
+    flat = scheme._line_flat(raw)
+    believed_good = True
+    corrections = 0
+    out = flat.copy()
+    for s in range(scheme.slices):
+        word = np.concatenate([flat[s * 64 : (s + 1) * 64], checks[s * 8 : (s + 1) * 8]])
+        result = scheme.code.decode(word)
+        corrections += result.corrections
+        if result.status is DecodeStatus.DETECTED:
+            believed_good = False
+        else:
+            out[s * 64 : (s + 1) * 64] = result.data
+    return LineReadResult(
+        data=_beat_major_to_line(scheme, out),
+        believed_good=believed_good,
+        corrections=corrections,
+    )
+
+
+#: scalar reader per scheme class; subclasses resolve through their MRO
+_READERS = {
+    PairErasureScheme: _pair_erasure,
+    PairScheme: _pair,
+    Duo: _duo,
+    Xed: _xed,
+    ConventionalIecc: _iecc,
+    NoEcc: _no_ecc,
+    RankSecDed: _rank,
+}
+
+
+def read_line(
+    scheme: EccScheme,
+    chips: list[DramDevice],
+    bank: int,
+    row: int,
+    col: int,
+    bursts: dict[int, TransferBurst] | None = None,
+) -> LineReadResult:
+    """Scalar reference of ``scheme.read_line``: one ``decode`` per codeword."""
+    reader = next(_READERS[cls] for cls in type(scheme).__mro__ if cls in _READERS)
+    return reader(scheme, chips, bank, row, col, bursts or {})
+
+
+# -- Monte-Carlo engines -------------------------------------------------------
 
 
 def run_iid(scheme: EccScheme, rates: FaultRates, config: ExactRunConfig) -> Tally:
@@ -44,7 +277,7 @@ def run_iid(scheme: EccScheme, rates: FaultRates, config: ExactRunConfig) -> Tal
         bank = int(rng.integers(device.banks))
         row = int(rng.integers(device.rows_per_bank))
         col = int(rng.integers(device.columns_per_row))
-        tally.add(classify(scheme.read_line(chips, bank, row, col), expected))
+        tally.add(classify(read_line(scheme, chips, bank, row, col), expected))
     return tally
 
 
@@ -74,7 +307,7 @@ def run_single_fault(
                 beat_start=int(rng.integers(device.burst_length - length + 1)),
                 length=length,
             )}
-        tally.add(classify(scheme.read_line(chips, bank, row, col, bursts), expected))
+        tally.add(classify(read_line(scheme, chips, bank, row, col, bursts), expected))
     return tally
 
 
@@ -103,7 +336,7 @@ def run_burst_lengths(
                 beat_start=int(rng.integers(device.burst_length - length_eff + 1)),
                 length=length_eff,
             )
-            tally.add(classify(scheme.read_line(chips, 0, row, col, {0: burst}), expected))
+            tally.add(classify(read_line(scheme, chips, 0, row, col, {0: burst}), expected))
         out[length] = tally
     return out
 

@@ -5,15 +5,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.faults import DEFAULT_RATES, FaultType
+from repro.faults import DEFAULT_RATES, FaultInstance, FaultOverlay, FaultType
+from repro.faults.types import TransferBurst
 from repro.reliability import (
     ExactRunConfig,
     run_burst_lengths_batched,
     run_iid_batched,
     run_single_fault_batched,
 )
-from repro.schemes import Duo, PairScheme
-from repro.schemes.iecc_sec import ConventionalIecc
+from repro.schemes import (
+    ConventionalIecc,
+    Duo,
+    NoEcc,
+    PairErasureScheme,
+    PairScheme,
+    RankSecDed,
+    Xed,
+)
 
 from .. import oracle
 
@@ -159,10 +167,79 @@ class TestBurstLengthsBatched:
             assert counts(one[length]) == counts(many[length])
 
 
+def mat_defect(pin, rows):
+    """A stuck 96-bit run on ``pin`` of the first ``rows`` bank-0 rows: 12
+    symbols of one PAIR codeword, a 16-bit pin burst in each of the first
+    six column windows."""
+    return FaultInstance(
+        FaultType.MAT, bank=0, row_start=0, row_count=rows,
+        pin=pin, bit_start=0, bit_count=96, density=1.0,
+    )
+
+
+#: chip -> its persistent defect; where both hit, a read sees two bad chips
+DEFECTS = {0: mat_defect(pin=0, rows=65536), 1: mat_defect(pin=5, rows=32768)}
+
+
+def universe(scheme, seed):
+    """One chip set: weak cells on every chip, the mat defects on chips 0 and 1."""
+    rates = DEFAULT_RATES.pure_ber(3e-4)
+    return scheme.make_devices([
+        FaultOverlay(scheme.rank.device, rates, seed=seed * 16 + chip,
+                     faults=[DEFECTS[chip]] if chip in DEFECTS else [])
+        for chip in range(scheme.rank.chips)
+    ])
+
+
+def profiled_pair_erasure():
+    scheme = PairErasureScheme()
+    scheme.profile(universe(scheme, 99), banks=(0,), sample_rows=16, seed=1)
+    assert scheme._erasures_for_codeword(0, 0, 0)  # the defect became hints
+    return scheme
+
+
+#: every scheme, both PAIR orientations and a profiled PAIR-erasure
+PARITY_SCHEMES = {
+    "no-ecc": NoEcc,
+    "iecc-sec": ConventionalIecc,
+    "xed": Xed,
+    "duo": Duo,
+    "pair": PairScheme,
+    "pair-beat": lambda: PairScheme(orientation="beat"),
+    "rank-secded": RankSecDed,
+    "pair-erasure": profiled_pair_erasure,
+}
+
+
+def written_reads(scheme, seed, universes=3, per_universe=10):
+    """Reads of random written lines, unwritten lines and bursts, over
+    several chip sets, in one list."""
+    rng = np.random.default_rng([seed, 0x9A7])
+    device = scheme.rank.device
+    reads = []
+    for u in range(universes):
+        chips = universe(scheme, seed * 10 + u)
+        for j in range(per_universe):
+            bank = 0 if j % 3 else int(rng.integers(device.banks))
+            row = int(rng.integers(device.rows_per_bank))
+            # columns 0-5 sit on the mat defect
+            col = j if j < 6 else int(rng.integers(device.columns_per_row))
+            if j % 4 != 3:
+                data = rng.integers(0, 2, scheme.line_shape).astype(np.uint8)
+                scheme.write_line(chips, bank, row, col, data)
+            bursts = None
+            if j % 5 == 2:
+                start = int(rng.integers(device.burst_length - 4))
+                bursts = {int(rng.integers(scheme.rank.chips)): TransferBurst(
+                    pin=int(rng.integers(device.pins)), beat_start=start, length=4)}
+            reads.append((chips, bank, row, col, bursts))
+    return reads
+
+
 class TestReadLinesContract:
     def test_read_lines_equals_read_line_loop(self, schemes):
-        # The schemes' batched read path must agree with the scalar path on
-        # every read, not just in aggregate.
+        # Each scheme's one reader must agree with its scalar oracle reader
+        # on every read, not just in aggregate.
         from repro.reliability.batch import _sample_iid_coords
         from repro.reliability.exact import _make_chips
 
@@ -175,11 +252,39 @@ class TestReadLinesContract:
                 chips = _make_chips(scheme, rates, seed=config.seed + trial)
                 reads.append((chips, bank, row, col, None))
             batched = scheme.read_lines(reads)
-            for (chips, bank, row, col, _), b in zip(reads, batched):
-                a = scheme.read_line(chips, bank, row, col)
+            assert len(batched) == len(reads)
+            for i, (chips, bank, row, col, _) in enumerate(reads):
+                a = oracle.read_line(scheme, chips, bank, row, col)
+                b = batched.row(i)
                 assert a.believed_good == b.believed_good, scheme.name
                 assert a.corrections == b.corrections, scheme.name
                 assert np.array_equal(a.data, b.data), scheme.name
+
+    @pytest.mark.parametrize("name", list(PARITY_SCHEMES))
+    def test_written_lines_bursts_and_mixed_chip_sets(self, name):
+        scheme = PARITY_SCHEMES[name]()
+        reads = written_reads(scheme, seed=len(name))
+        batched = scheme.read_lines(reads)
+        assert batched.data.shape == (len(reads), *scheme.line_shape)
+        assert batched.data.dtype == np.uint8
+        assert batched.believed_good.shape == batched.corrections.shape == (len(reads),)
+        for i, read in enumerate(reads):
+            a = oracle.read_line(scheme, *read)
+            for b in (batched.row(i), scheme.read_line(*read)):
+                assert a.believed_good == b.believed_good, (name, i)
+                assert a.corrections == b.corrections, (name, i)
+                assert np.array_equal(a.data, b.data), (name, i)
+        # the reads exercise the decoders: corrections and detections both occur
+        if name != "no-ecc":
+            assert batched.corrections.any(), name
+        if name not in ("no-ecc", "iecc-sec"):
+            assert not batched.believed_good.all(), name
+
+    def test_empty_batch(self, schemes):
+        for scheme in schemes:
+            batched = scheme.read_lines([])
+            assert len(batched) == 0
+            assert batched.data.shape == (0, *scheme.line_shape)
 
 
 def _exit_hard(*args):

@@ -3,7 +3,8 @@
 import numpy as np
 
 from repro.reliability import Outcome, Tally, classify
-from repro.schemes import LineReadResult
+from repro.reliability.outcomes import tally_batch
+from repro.schemes import BatchRead, LineReadResult
 
 
 def result(data, believed_good=True, corrections=0):
@@ -57,3 +58,22 @@ class TestTally:
 
     def test_empty_rates(self):
         assert Tally().failure_rate == 0.0
+
+
+class TestTallyBatch:
+    def test_equals_a_classify_loop(self):
+        rng = np.random.default_rng(11)
+        expected = rng.integers(0, 2, (2, 3, 4)).astype(np.uint8)
+        data = np.repeat(expected[None], 40, axis=0)
+        flip = rng.random(40) < 0.4
+        data[flip, 1, 2, 3] ^= 1
+        batch = BatchRead(data, rng.random(40) < 0.7, rng.integers(0, 3, 40))
+        loop = Tally()
+        for line in batch:
+            loop.add(classify(line, expected))
+        got = tally_batch(batch, expected)
+        assert got.as_dict() == loop.as_dict()
+        assert min(got.ok, got.ce, got.due, got.sdc) > 0  # every outcome occurs
+
+    def test_empty(self):
+        assert tally_batch(BatchRead.clean(0, (1, 2, 2)), np.zeros((1, 2, 2))).total == 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.schemes import LineReadResult, default_schemes
+from repro.schemes import BatchRead, LineReadResult, default_schemes
 
 
 class TestDefaultSchemes:
@@ -43,3 +43,23 @@ class TestLineReadResult:
         bad = LineReadResult(data=np.zeros(1), believed_good=False)
         assert not good.detected_uncorrectable
         assert bad.detected_uncorrectable
+
+
+class TestBatchRead:
+    def test_clean_batch(self):
+        batch = BatchRead.clean(3, (4, 8, 16))
+        assert len(batch) == 3
+        assert batch.data.shape == (3, 4, 8, 16) and batch.data.dtype == np.uint8
+        assert not batch.data.any()
+        assert batch.believed_good.all()
+        assert batch.corrections.dtype == np.int64 and not batch.corrections.any()
+
+    def test_rows_are_copies_with_python_scalars(self):
+        batch = BatchRead.clean(2, (1, 2, 2))
+        batch.believed_good[1] = False
+        batch.corrections[0] = 3
+        first, second = batch
+        assert first.believed_good is True and first.corrections == 3
+        assert second.detected_uncorrectable
+        first.data[0, 0, 0] = 1
+        assert not batch.data.any()

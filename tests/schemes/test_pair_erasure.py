@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.codes.base import STATUS_OK, DecodeStatus
 from repro.faults import FaultInstance, FaultOverlay, FaultRates, FaultType
 from repro.schemes import DefectMap, PairErasureScheme, PairScheme, profile_chip
 
@@ -95,6 +96,41 @@ class TestErasureDecoding:
         result = hinted.read_line(chips_h, 0, 100, 0)
         assert result.believed_good
         assert np.array_equal(result.data, data)
+
+    def test_batched_reads_use_the_hints(self):
+        """read_lines decodes a profiled map's cells as erasures, like read_line."""
+        faults = [mat_fault(pin=0, start=0, bits=96)]  # 12 symbols of cw 0
+        scheme = PairErasureScheme()
+        chips = chips_with_faults(scheme, faults)
+        data = random_line(np.random.default_rng(0), scheme)
+        scheme.write_line(chips, 0, 100, 0, data)
+        scheme.profile(chips, banks=(0,), sample_rows=16, seed=6)
+        (result,) = list(scheme.read_lines([(chips, 0, 100, 0, None)]))
+        assert result.believed_good
+        assert result.corrections == 12
+        assert np.array_equal(result.data, data)
+        # a batch mixing the defective window with a clean one
+        results = list(scheme.read_lines([(chips, 0, 100, 0, None), (chips, 0, 101, 300, None)]))
+        assert [r.corrections for r in results] == [12, 0]
+        assert all(r.believed_good for r in results)
+
+    def test_valid_codeword_with_erasures_decodes_clean(self):
+        """Skipping a clean chip row is exact under hints: a valid codeword
+        decoded with erasures is OK with nothing corrected."""
+        code = PairErasureScheme().code
+        rng = np.random.default_rng(3)
+        words = np.stack([
+            np.zeros(code.n, dtype=np.int64),
+            code.encode(rng.integers(0, 256, code.k)),
+        ])
+        for word in words:
+            result = code.decode(word, erasures=(0, 5, 9))
+            assert result.status is DecodeStatus.OK
+            assert result.corrections == 0
+        batch = code.decode_batch(words, erasures=[(0, 5, 9)] * len(words))
+        assert (batch.status == STATUS_OK).all()
+        assert not batch.corrected.any()
+        assert np.array_equal(batch.codewords, words)
 
     def test_erasures_plus_random_errors(self):
         """f erasures and v fresh errors decode while 2v + f fits."""
