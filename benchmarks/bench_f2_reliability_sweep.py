@@ -11,7 +11,6 @@ headline ratios:
   figure exposes).
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis import format_series, format_table, log_space, reliability_sweep

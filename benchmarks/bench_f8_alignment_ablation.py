@@ -6,7 +6,6 @@ conventional orientation).  Weak-cell reliability is identical by symmetry;
 per-pin bursts and column defects separate the two.
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis import format_series, format_table

@@ -32,7 +32,7 @@ fleet tests prove).
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ...obs.metrics import SNAPSHOT_VERSION

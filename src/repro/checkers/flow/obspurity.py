@@ -22,7 +22,7 @@ import ast
 from collections.abc import Iterator
 
 from ..core import Rule, Violation
-from .dataflow import FlowChecker, Scope, build_scope, expr_tainted, tainted_names
+from .dataflow import FlowChecker, build_scope, expr_tainted, tainted_names
 from .project import ModuleInfo, Project
 from .symbols import Resolver, attr_chain
 

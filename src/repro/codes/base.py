@@ -171,6 +171,17 @@ class BlockCode(abc.ABC):
         """Storage overhead of the redundancy relative to the data."""
         return self.r / self.k
 
+    @property
+    @abc.abstractmethod
+    def d_min(self) -> int:
+        """Minimum Hamming distance between codewords (in symbols)."""
+
+    @property
+    def t(self) -> int:
+        """Correction radius: every pattern of at most ``t`` errors decodes
+        to the sent codeword, by the minimum distance alone."""
+        return (self.d_min - 1) // 2
+
     @abc.abstractmethod
     def encode(self, data: np.ndarray) -> np.ndarray:
         """Encode ``k`` message symbols into an ``n``-symbol codeword."""

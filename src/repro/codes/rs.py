@@ -605,7 +605,6 @@ class ReedSolomonCode(BlockCode):
         self.n = n
         self.k = k
         self.fcr = fcr
-        self.t = (n - k) // 2
         self.generator = poly.from_roots(
             field, [field.alpha_pow(fcr + j) for j in range(n - k)]
         )
@@ -792,7 +791,6 @@ class SinglyExtendedRS(BlockCode):
         self.n = n
         self.k = k
         self.inner = ReedSolomonCode(field, inner_n, k, fcr=1)
-        self.t = (self.inner.r + 1) // 2
 
     @property
     def d_min(self) -> int:

@@ -9,7 +9,7 @@ and the scheme decides how to lay codewords into them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

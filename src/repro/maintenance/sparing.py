@@ -111,10 +111,12 @@ class MaintenanceController:
         """
         old_physical = self.spares.resolve(bank, row)
         spare = self.spares.retire(bank, row)
-        cols = self.scheme.rank.device.columns_per_row
-        for col in range(cols):
-            result = self.scheme.read_line(self.chips, bank, old_physical, col)
-            self.scheme.write_line(self.chips, bank, spare, col, result.data)
+        cols = range(self.scheme.rank.device.columns_per_row)
+        old = self.scheme.read_lines(
+            [(self.chips, bank, old_physical, col, None) for col in cols]
+        )
+        for col in cols:
+            self.scheme.write_line(self.chips, bank, spare, col, old.data[col])
         return spare
 
     def scrub_and_repair(

@@ -44,8 +44,9 @@ class ReliabilityModel(abc.ABC):
         """Return ``{"sdc": ..., "due": ...}`` for one line read."""
 
     def sweep(self, bers: np.ndarray) -> dict[str, np.ndarray]:
-        sdc = np.array([self.line_probs(p)["sdc"] for p in bers])
-        due = np.array([self.line_probs(p)["due"] for p in bers])
+        probs = [self.line_probs(p) for p in bers]
+        sdc = np.array([pr["sdc"] for pr in probs])
+        due = np.array([pr["due"] for pr in probs])
         return {"ber": np.asarray(bers, dtype=float), "sdc": sdc, "due": due}
 
 
@@ -75,6 +76,8 @@ def _with_rs_floor(
 
     Counts ``j <= t`` are always corrected (guaranteed by the distance);
     counts beyond ``t`` detect except for the analytic miscorrection floor.
+    Every row is overwritten, so the measured rows ``j > t`` check the
+    floor rather than feed the model.
     """
     flag = table_flag.copy()
     bad = table_bad.copy()

@@ -7,6 +7,15 @@ probabilities given j errors - which depend on the decoder's actual
 behaviour and are measured here by running the real decoder on controlled
 error patterns.
 
+Only counts beyond the code's correction radius ``t = (d_min - 1) // 2``
+(:attr:`BlockCode.t`) are decoded.  Every pattern of at most ``t`` errors
+is corrected by the minimum distance alone, so rows ``j <= t`` are filled
+from that bound (``p_flag = p_bad = p_bad_window = 0``) without decoding.
+Their trial words are still drawn, so the generator reaches each row
+``j > t`` in the same state - those rows do not depend on whether the
+settled rows were decoded.  ``tests/oracle.py`` decodes every row word by
+word and must agree bit for bit.
+
 Conditioning on counts (rather than raw Monte Carlo) is what lets the F2
 sweep resolve failure probabilities of 1e-20 and below, far past what direct
 simulation could sample.
@@ -31,6 +40,8 @@ from ..obs import metrics as _obs
 @dataclass
 class WordConditionals:
     """P(flagged) and P(silently wrong) per error count j.
+
+    Rows ``j <= code.t`` are zero by the distance bound, not measured.
 
     ``p_flag[j]``  - decoder reports detected-uncorrectable;
     ``p_bad[j]``   - decoder believes the word good but the data is wrong;
@@ -88,6 +99,8 @@ def measure_bit_code(
 
     ``silent_on_detect`` models conventional IECC, which forwards raw data
     on detection instead of flagging: detections count as bad-if-wrong.
+    Rows ``j <= code.t`` (single errors for SEC and SEC-DED) are settled by
+    the distance and left zero; only rows ``j > code.t`` are decoded.
     """
     _check_args(code, j_max, samples)
     key = ("bit", *_code_key(code), j_max, samples, seed, silent_on_detect)
@@ -101,6 +114,8 @@ def measure_bit_code(
     for j in range(1, j_max + 1):
         # Every trial word at once, drawn as a choice() loop would draw them.
         positions, _ = trial_words(rng, code.n, j, samples)
+        if j <= code.t:
+            continue  # corrected by the distance bound: the row stays zero
         words = np.zeros((samples, code.n), dtype=np.uint8)
         np.put_along_axis(words, positions, 1, axis=1)
         decoded = code.decode_batch(words)
@@ -126,6 +141,8 @@ def measure_symbol_code(
     flip.  When ``window_symbols`` is given, ``p_bad_window`` measures the
     probability that a random aligned window of that many *data* symbols is
     wrong (what an access-level read consumes from a long codeword).
+    Rows ``j <= code.t`` are settled by the distance (the code is MDS) and
+    left zero; only rows ``j > code.t`` are decoded.
     """
     _check_args(code, j_max, samples)
     if window_symbols is not None and not (
@@ -148,6 +165,8 @@ def measure_symbol_code(
         # Every trial word at once, drawn as a choice() + integers() loop
         # would draw them.
         positions, bits = trial_words(rng, code.n, j, samples, symbol_bits)
+        if j <= code.t:
+            continue  # corrected by the distance bound: the row stays zero
         words = np.zeros((samples, code.n), dtype=np.int64)
         np.put_along_axis(words, positions, 1 << bits, axis=1)
         decoded = code.decode_batch(words)

@@ -32,12 +32,18 @@ from .pair import PairScheme
 
 @dataclass
 class DefectMap:
-    """Learned persistent-defect cells per (chip, bank): (pin, bit_offset)."""
+    """Learned persistent-defect cells per (chip, bank): (pin, bit_offset).
+
+    ``version`` counts :meth:`mark` calls, so a reader that caches what it
+    derived from the map can tell when that has gone stale.
+    """
 
     cells: dict[tuple[int, int], set[tuple[int, int]]] = field(default_factory=dict)
+    version: int = field(default=0, init=False, repr=False, compare=False)
 
     def mark(self, chip: int, bank: int, pin: int, bit_offset: int) -> None:
         self.cells.setdefault((chip, bank), set()).add((pin, bit_offset))
+        self.version += 1
 
     def defects(self, chip: int, bank: int) -> set[tuple[int, int]]:
         return self.cells.get((chip, bank), set())
@@ -107,6 +113,7 @@ class PairErasureScheme(PairScheme):
         inner_r = self.code.inner.r
         self.max_erasures = max_erasures if max_erasures is not None else inner_r - 2
         self._erasure_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self._cached_version = self.defect_map.version
 
     def profile(self, chips: list[DramDevice], banks: tuple[int, ...] = (0,),
                 sample_rows: int = 32, seed: int = 0) -> int:
@@ -117,11 +124,14 @@ class PairErasureScheme(PairScheme):
                 device, chip_idx, self.defect_map, banks=banks,
                 sample_rows=sample_rows, seed=seed,
             )
-        self._erasure_cache.clear()
         return marked
 
     def _erasures_for_codeword(self, chip_idx: int, bank: int, cw: int) -> tuple[int, ...]:
-        """Map defect cells onto symbol positions of one codeword (cached)."""
+        """Map defect cells onto symbol positions of one codeword (cached
+        until the defect map is next marked)."""
+        if self._cached_version != self.defect_map.version:
+            self._erasure_cache.clear()
+            self._cached_version = self.defect_map.version
         key = (chip_idx, bank, cw)
         if key in self._erasure_cache:
             return self._erasure_cache[key]

@@ -1,7 +1,6 @@
 """Tests for the sweep drivers."""
 
 import numpy as np
-import pytest
 
 from repro.analysis import apply_grid, reliability_sweep
 from repro.schemes import NoEcc, PairScheme

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.codes import DecodeStatus, ReedSolomonCode
 from repro.galois import GF256, get_field

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.codes import DecodeStatus, ReedSolomonCode, SinglyExtendedRS
+from repro.codes import DecodeStatus, SinglyExtendedRS
 from repro.galois import GF256, get_field
 
 GF16 = get_field(4)

@@ -10,7 +10,6 @@ from repro.dram import (
     RANK_X8_4CHIP,
     RANK_X8_5CHIP,
     DeviceConfig,
-    RankConfig,
 )
 
 

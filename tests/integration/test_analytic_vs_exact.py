@@ -5,8 +5,6 @@ elevated BER where direct Monte Carlo has enough statistics, both engines
 must agree on the failure probabilities of every scheme.
 """
 
-import pytest
-
 from repro.faults import FaultRates
 from repro.reliability import ExactRunConfig, wilson_interval
 from repro.schemes import ConventionalIecc, Duo, NoEcc, PairScheme, Xed

@@ -5,8 +5,6 @@ reliability ordering are the reproduction's conclusions; this test re-draws
 the workload traces with different seeds and checks the ordering survives.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro.dram import AddressMapper, RANK_X8_5CHIP

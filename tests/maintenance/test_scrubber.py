@@ -1,8 +1,5 @@
 """Tests for patrol scrubbing."""
 
-import numpy as np
-import pytest
-
 from repro.faults import FaultInstance, FaultOverlay, FaultRates, FaultType
 from repro.maintenance import ScrubReport, Scrubber
 from repro.schemes import PairScheme

@@ -6,6 +6,7 @@ import pytest
 from repro.faults import FaultInstance, FaultOverlay, FaultRates, FaultType
 from repro.maintenance import MaintenanceController, SpareExhausted, SpareManager
 from repro.schemes import PairScheme
+from tests import oracle
 
 
 def clean_rates():
@@ -97,6 +98,27 @@ class TestMaintenanceController:
             result = ctl.read_line(0, 11, col)
             assert result.believed_good
             assert np.array_equal(result.data, data)
+
+    def test_retire_copies_what_per_line_reads_return(self):
+        """The spare row holds what a per-column scalar read of the old row
+        returns, corrected and uncorrectable lines alike."""
+        faults = [row_fault(11, density=0.003)]
+        batched, reference = controller_with_faults(faults), controller_with_faults(faults)
+        rng = np.random.default_rng(4)
+        for col in (0, 7, 200, 479):
+            data = rng.integers(0, 2, batched.scheme.line_shape).astype(np.uint8)
+            batched.write_line(0, 11, col, data)
+            reference.write_line(0, 11, col, data)
+        spare = batched.retire_row(0, 11)
+        scheme, chips = reference.scheme, reference.chips
+        outcomes = set()
+        for col in range(scheme.rank.device.columns_per_row):
+            result = oracle.read_line(scheme, chips, 0, 11, col)
+            outcomes.add(result.believed_good)
+            scheme.write_line(chips, 0, spare, col, result.data)
+        assert outcomes == {True, False}  # the fault leaves both kinds of line
+        for got, want in zip(batched.chips, chips):
+            assert np.array_equal(got.row_view(0, spare), want.row_view(0, spare))
 
     def test_retirement_escapes_row_fault(self):
         """The point of sparing: the remapped row reads clean."""

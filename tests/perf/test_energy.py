@@ -3,7 +3,6 @@
 import pytest
 
 from repro.perf import (
-    DEFAULT_ENERGY,
     EnergyParams,
     energy_row,
     read_energy_pj,

@@ -1,6 +1,5 @@
 """Tests for trace generation and workload presets."""
 
-import numpy as np
 import pytest
 
 from repro.dram import AddressMapper, RANK_X8_5CHIP

@@ -1,7 +1,5 @@
 """Tests for the semi-analytic reliability models."""
 
-import math
-
 import pytest
 
 from repro.reliability import build_model

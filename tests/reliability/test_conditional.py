@@ -135,6 +135,47 @@ class TestLoopParity:
         assert counters["reliability.tables.reused"] == 1
 
 
+SETTLED_CODES = {
+    "sec-136-128": (HammingSEC(136, 128), None),
+    "secded-72-64": (HsiaoSECDED(72, 64), None),
+    "duo-rs-76-64": (ReedSolomonCode(GF256, 76, 64), 8),
+    "pair-ers-256-240": (SinglyExtendedRS(GF256, 256, 240), 8),
+}
+
+
+class TestSettledRows:
+    """Rows ``j <= code.t`` come from the distance bound, not the decoder."""
+
+    @pytest.mark.parametrize("seed", [0, 1009])
+    @pytest.mark.parametrize("name", SETTLED_CODES)
+    def test_equal_the_loop_that_decodes_every_row(self, name, seed):
+        code, symbol_bits = SETTLED_CODES[name]
+        j_max = code.t + 3
+        if symbol_bits is None:
+            kwargs = [{}, {"silent_on_detect": True}]
+            measure, reference = measure_bit_code, oracle.measure_bit_code
+        else:
+            kwargs = [{}, {"window_symbols": 16}]
+            measure, reference = measure_symbol_code, oracle.measure_symbol_code
+        for kw in kwargs:
+            table = measure(code, j_max, 60, seed, **kw)
+            assert_same_table(table, reference(code, j_max, 60, seed, **kw))
+            settled = slice(0, code.t + 1)
+            for column in (table.p_flag, table.p_bad, table.p_bad_window):
+                assert not column[settled].any()
+
+    @pytest.mark.parametrize("name", SETTLED_CODES)
+    def test_only_rows_past_the_radius_are_decoded(self, name):
+        code, symbol_bits = SETTLED_CODES[name]
+        measure = measure_bit_code if symbol_bits is None else measure_symbol_code
+        prefix = "hamming" if symbol_bits is None else "rs"
+        metrics.reset()
+        with obs.enabled_scope(True):
+            measure(code, code.t + 3, 50, 2)
+        counters = metrics.snapshot()["counters"]
+        assert counters[f"{prefix}.decode.words"] == 3 * 50
+
+
 class TestCacheKey:
     def test_field_and_fcr_get_their_own_tables(self):
         wide = ReedSolomonCode(get_field(10), 40, 36, fcr=1)

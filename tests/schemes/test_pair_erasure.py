@@ -1,10 +1,9 @@
 """Tests for PAIR with defect profiling and erasure decoding."""
 
 import numpy as np
-import pytest
 
 from repro.codes.base import STATUS_OK, DecodeStatus
-from repro.faults import FaultInstance, FaultOverlay, FaultRates, FaultType
+from repro.faults import FaultInstance, FaultOverlay, FaultType
 from repro.schemes import DefectMap, PairErasureScheme, PairScheme, profile_chip
 
 from .conftest import clean_rates, random_line
@@ -172,6 +171,15 @@ class TestErasureDecoding:
         assert scheme._erasures_for_codeword(0, 0, cw) == (2,)
         # other pins' codewords unaffected
         assert scheme._erasures_for_codeword(0, 0, scheme.layout.codeword_id(4, 0)) == ()
+
+    def test_cache_invalidated_by_mark(self):
+        """A defect marked after a lookup reaches the next lookup."""
+        scheme = PairErasureScheme()
+        assert scheme._erasures_for_codeword(0, 0, 0) == ()
+        scheme.defect_map.mark(0, 0, 0, 0)
+        assert scheme._erasures_for_codeword(0, 0, 0) == (0,)
+        assert PairErasureScheme(defect_map=scheme.defect_map)._erasures_for_codeword(
+            0, 0, 0) == (0,)
 
     def test_cache_invalidated_by_profile(self):
         scheme = PairErasureScheme()
