@@ -56,13 +56,19 @@ so a fleet chaos test replays exactly.
 Fleet specs look like::
 
     kill:a1@0,hang:a2@1,slow:a3@2,partition:a1@3,drop:a2@5,crash:4
+
+Both grammars share one item parser (:func:`parse_items`): numbers are
+non-negative integers, and a repeated item adds to the earlier one
+(``crash:1@0,crash:1@2`` crashes chunk 1 on attempts 0 and 2).
 """
 
 from __future__ import annotations
 
 import os
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import Any
 
 from ..reliability.outcomes import Tally
 
@@ -70,6 +76,55 @@ from ..reliability.outcomes import Tally
 HANG_SECONDS = 3600.0
 
 _WORKER_KINDS = ("crash", "hang", "raise", "corrupt")
+
+
+def _count(text: str, item: str) -> int:
+    """``text`` as a non-negative integer, else ``ValueError`` naming ``item``."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"chaos item {item!r}: {text!r} is not a non-negative integer")
+    return value
+
+
+def _agent(text: str, item: str) -> str:
+    if not text:
+        raise ValueError(f"fleet chaos item {item!r} names no agent")
+    return text
+
+
+def parse_items(spec: str, label: str, kinds: tuple[str, ...], switch: str,
+                key: Callable[[str, str], Any]) -> tuple[dict[str, dict], int | None]:
+    """Parse ``kind:key[@n|m]`` items, plus one ``switch:N`` kind.
+
+    Returns ``{kind: {key: numbers}}`` for ``kinds`` (numbers default to
+    ``{0}``; a repeated item adds to them) and the smallest ``N`` given for
+    ``switch`` (``None`` if absent).  ``key`` parses the key text; ``label``
+    names the grammar in error messages.
+    """
+    tables: dict[str, dict] = {kind: {} for kind in kinds}
+    switch_at: int | None = None
+    for item in filter(None, (part.strip() for part in spec.split(","))):
+        kind, colon, rest = item.partition(":")
+        if not colon:
+            raise ValueError(f"bad {label} item {item!r}; want kind:key[@n|m]")
+        if kind == switch:
+            at = _count(rest, item)
+            switch_at = at if switch_at is None else min(switch_at, at)
+            continue
+        if kind not in tables:
+            have = ", ".join((*kinds, switch))
+            raise ValueError(f"unknown {label} kind {kind!r}; have {have}")
+        target, at_sign, numbers_text = rest.partition("@")
+        numbers = (
+            frozenset(_count(n, item) for n in numbers_text.split("|"))
+            if at_sign else frozenset({0})
+        )
+        parsed = key(target, item)
+        tables[kind][parsed] = tables[kind].get(parsed, frozenset()) | numbers
+    return tables, switch_at
 
 
 class ChaosInjected(RuntimeError):
@@ -94,32 +149,10 @@ class ChaosSchedule:
     @classmethod
     def parse(cls, spec: str) -> "ChaosSchedule":
         """Build a schedule from the compact spec string (see module doc)."""
-        crash: dict[int, frozenset[int]] = {}
-        hang: dict[int, frozenset[int]] = {}
-        raises: dict[int, frozenset[int]] = {}
-        corrupt: dict[int, frozenset[int]] = {}
-        abort_after = None
-        for item in filter(None, (part.strip() for part in spec.split(","))):
-            if ":" not in item:
-                raise ValueError(f"bad chaos item {item!r}; want kind:chunk[@attempts]")
-            kind, rest = item.split(":", 1)
-            if kind == "abort":
-                abort_after = int(rest)
-                continue
-            if kind not in _WORKER_KINDS:
-                raise ValueError(
-                    f"unknown chaos kind {kind!r}; have {', '.join(_WORKER_KINDS)}, abort"
-                )
-            if "@" in rest:
-                chunk_text, attempts_text = rest.split("@", 1)
-                attempts = frozenset(int(a) for a in attempts_text.split("|"))
-            else:
-                chunk_text, attempts = rest, frozenset({0})
-            target = {"crash": crash, "hang": hang, "raise": raises,
-                      "corrupt": corrupt}[kind]
-            target[int(chunk_text)] = attempts
-        return cls(crash=crash, hang=hang, raises=raises,
-                   corrupt=corrupt, abort_after=abort_after)
+        tables, abort_after = parse_items(spec, "chaos", _WORKER_KINDS, "abort", _count)
+        return cls(crash=tables["crash"], hang=tables["hang"],
+                   raises=tables["raise"], corrupt=tables["corrupt"],
+                   abort_after=abort_after)
 
     # -- worker-side hooks ----------------------------------------------------
 
@@ -189,37 +222,12 @@ class FleetChaos:
         ordinals, or frame sequence numbers for drop/dup/reorder;
         ``crash:N`` stops the scheduler after N commits.
         """
-        tables: dict[str, dict[str, frozenset[int]]] = {
-            kind: {} for kind in (*_FLEET_LEASE_KINDS, *_FLEET_FRAME_KINDS)
-        }
-        crash_after = None
-        for item in filter(None, (part.strip() for part in spec.split(","))):
-            if ":" not in item:
-                raise ValueError(
-                    f"bad fleet chaos item {item!r}; want kind:agent[@ordinals]"
-                )
-            kind, rest = item.split(":", 1)
-            if kind == "crash":
-                crash_after = int(rest)
-                continue
-            if kind not in tables:
-                have = ", ".join((*_FLEET_LEASE_KINDS, *_FLEET_FRAME_KINDS, "crash"))
-                raise ValueError(f"unknown fleet chaos kind {kind!r}; have {have}")
-            if "@" in rest:
-                agent, ordinals_text = rest.split("@", 1)
-                ordinals = frozenset(int(a) for a in ordinals_text.split("|"))
-            else:
-                agent, ordinals = rest, frozenset({0})
-            if not agent:
-                raise ValueError(f"fleet chaos item {item!r} names no agent")
-            tables[kind][agent] = ordinals
-        return cls(
-            kill=tables["kill"], hang=tables["hang"], slow=tables["slow"],
-            partition=tables["partition"], drop=tables["drop"],
-            dup=tables["dup"], reorder=tables["reorder"],
-            crash_after=crash_after, hang_seconds=hang_seconds,
-            slow_seconds=slow_seconds,
+        tables, crash_after = parse_items(
+            spec, "fleet chaos", (*_FLEET_LEASE_KINDS, *_FLEET_FRAME_KINDS),
+            "crash", _agent,
         )
+        return cls(**tables, crash_after=crash_after, hang_seconds=hang_seconds,
+                   slow_seconds=slow_seconds)
 
     # -- agent-side hooks (lease-keyed) ---------------------------------------
 

@@ -3,11 +3,12 @@
 ``repro.campaign.fleet`` shards one campaign's deterministic chunk plan
 across many worker agents over a length-prefixed JSON socket protocol.
 Fault tolerance is the contract, not a feature: leases with heartbeats,
-work-stealing for stragglers, the supervisor's retry/backoff/quarantine
-taxonomy, crash-safe manifest journaling (a killed scheduler resumes
-bit-identically), graceful degradation to the in-process supervisor when
-no agents show up, and a deterministic network-chaos harness that proves
-each of those properties under test.  See DESIGN.md §6h and
+work-stealing for stragglers, the retry/backoff/quarantine core it shares
+with the local supervisor (:mod:`repro.campaign.retry`), crash-safe
+manifest journaling (a killed scheduler resumes bit-identically),
+graceful degradation to the in-process supervisor when no agents show
+up, and a deterministic network-chaos harness that proves each of those
+properties under test.  See DESIGN.md §6h and
 ``python -m repro fleet --help``.
 """
 

@@ -5,29 +5,26 @@ single source of truth), leases pending chunks to connected agents over
 the frame protocol, and survives - by contract, not by luck - every
 failure the chaos harness can throw:
 
-* **agent death** (connection torn mid-chunk): the agent's leases are
-  requeued immediately as ``crash`` attempts;
-* **agent silence** (heartbeats stop, connection open): the lease deadline
-  lapses on the watchdog tick and the chunk requeues as a ``timeout``
-  attempt; a *late* result from the silent agent is still accepted if the
-  chunk is uncommitted (chunks are deterministic) or verified-identical
-  and dropped if a peer got there first;
-* **stragglers**: when the pending queue drains but leases are still out,
-  an idle agent is speculatively granted a *copy* of the oldest
-  outstanding lease (up to ``steal_copies`` per chunk); first result wins
-  and the loser's duplicate is verified byte-identical - any disagreement
-  between two runs of one deterministic chunk is corruption and stops the
-  campaign (:class:`repro.errors.DuplicateMismatch`);
-* **engine failures**: agent-reported raises and guard-rejected tallies
-  reuse the supervisor's taxonomy - retry with seeded-jitter backoff on
-  the same engine, quarantine after the budget;
+* **agent death** (connection torn mid-chunk): its leases requeue at once
+  as ``crash`` attempts;
+* **agent silence** (heartbeats stop, connection open): the lease lapses
+  on the watchdog tick and requeues as a ``timeout``; a *late* result is
+  still accepted if the chunk is uncommitted (chunks are deterministic),
+  or verified identical and dropped if a peer got there first;
+* **stragglers**: once nothing is queued but leases are still out, an
+  idle agent gets a *copy* of the oldest outstanding lease (up to
+  ``steal_copies`` per chunk); first result wins, and a disagreeing
+  duplicate is corruption that stops the campaign
+  (:class:`repro.errors.DuplicateMismatch`);
+* **engine failures**: raises and guard-rejected tallies go through the
+  retry core the local supervisor shares (:mod:`repro.campaign.retry`):
+  seeded-jitter backoff on the same engine, quarantine after the budget;
 * **its own death**: every commit goes through the manifest's debounced
   atomic writer and every exit path flushes, so a SIGKILLed scheduler
-  restarted on the same directory re-plans, re-leases exactly the missing
-  chunks, and converges on the bit-identical merged tally;
-* **zero agents**: with ``degrade_after`` set, a scheduler nobody ever
-  connected to falls back to the in-process PR-3 supervisor rather than
-  waiting forever.
+  restarted on the same directory re-leases exactly the missing chunks
+  and converges on the bit-identical merged tally;
+* **zero agents**: with ``degrade_after`` set, a scheduler nobody
+  connected to falls back to the in-process supervisor.
 
 The wire ships names and counts only (chunk indices, lease ids, tally
 quadruples); agents rebuild the plan locally from the config dict in the
@@ -39,42 +36,36 @@ function call.
 from __future__ import annotations
 
 import asyncio
-import heapq
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
-from ...errors import (
-    CampaignAborted,
-    DuplicateMismatch,
-    NumericalGuard,
-    guard_tally,
-    guard_weighted,
-)
+from ...errors import CampaignAborted, DuplicateMismatch, NumericalGuard
 from ...obs import metrics as _obs
 from ...obs import trace as _obs_trace
 from ...obs.openmetrics import render_openmetrics
 from ...obs.trace import stable_trace_id
-from ...reliability.outcomes import Tally
 from ...utils.atomic_io import atomic_write_json
 from ..chaos import FleetChaos
 from ..manifest import Manifest
-from ..runner import CampaignConfig, CampaignResult, start_campaign
-from ..supervisor import (
+from ..retry import (
     FAIL_CRASH,
     FAIL_NUMERICAL,
     FAIL_RAISE,
     FAIL_TIMEOUT,
-    SupervisorPolicy,
+    RetryQueue,
+    accept_result,
+    check_policy,
+    policy_error,
 )
+from ..runner import CampaignConfig, CampaignResult, start_campaign
+from ..supervisor import SupervisorPolicy
 from .cache import ResultCache
 from .events import EVENTS_NAME, EventLog
-from .leases import LeaseTable
+from .leases import Lease, LeaseTable
 from .protocol import PROTOCOL_VERSION, FrameLink, read_frame_body
 from .telemetry import FleetTelemetry
 
@@ -92,7 +83,10 @@ _C_DEGRADATIONS = _obs.counter("fleet.degradations")
 
 @dataclass(frozen=True)
 class FleetPolicy:
-    """Operational knobs for one scheduler; none can affect a tally."""
+    """Operational knobs for one scheduler; none can affect a tally.
+
+    Values that would break a run raise ``ValueError`` naming the field.
+    """
 
     host: str = "127.0.0.1"
     port: int = 0  # 0: OS-assigned; the sidecar records the bound port
@@ -109,13 +103,20 @@ class FleetPolicy:
     manifest_save_every: int = 4  # manifest debounce (flushed on every exit)
     event_log: bool = True  # append events.jsonl beside the manifest
 
-
-@dataclass
-class _ChunkState:
-    """Retry bookkeeping for one not-yet-committed chunk."""
-
-    attempt: int = 0
-    failures: list[str] = field(default_factory=list)
+    def __post_init__(self) -> None:
+        check_policy(
+            self, at_least_one=("steal_copies", "manifest_save_every"),
+            counts=("retries",),
+            positive=("lease_timeout", "heartbeat_interval", "tick", "idle_retry"),
+            non_negative=("backoff", "backoff_cap", "drain_grace"),
+        )
+        if not self.heartbeat_interval < self.lease_timeout:
+            raise policy_error(self, "heartbeat_interval",
+                               f"< lease_timeout ({self.lease_timeout!r})")
+        if not 0 <= self.port <= 65535:
+            raise policy_error(self, "port", "in [0, 65535]")
+        if self.degrade_after is not None and not self.degrade_after >= 0:
+            raise policy_error(self, "degrade_after", ">= 0")
 
 
 class FleetScheduler:
@@ -129,30 +130,19 @@ class FleetScheduler:
         self.policy = policy or FleetPolicy()
         self.chaos = chaos
         if config is None:  # restart: the manifest is the config
-            manifest = Manifest.load(self.directory)
-            config = CampaignConfig.from_manifest_dict(manifest.config)
+            config = CampaignConfig.from_manifest_dict(
+                Manifest.load(self.directory).config
+            )
         self.config = config
         self.plan = config.build_plan()
-        fp_dict = config.fingerprint_dict()
-        if (self.directory / "manifest.json").exists():
-            self.manifest = Manifest.load(self.directory)
-            self.manifest.check_fingerprint(fp_dict)
-            self.manifest.clear_quarantine()
-        else:
-            self.manifest = Manifest.create(
-                self.directory, fp_dict, total_chunks=len(self.plan.chunks)
-            )
-        self.manifest.save_every = max(1, self.policy.manifest_save_every)
+        self.manifest = Manifest.open(
+            self.directory, config.fingerprint_dict(), len(self.plan.chunks)
+        )
+        self.manifest.save_every = self.policy.manifest_save_every
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.leases = LeaseTable(timeout=self.policy.lease_timeout)
-        # ready-time heap over pending chunks + the set that validates it
-        self._pending_heap: list[tuple[float, int]] = []
-        self._pending: set[int] = set()
-        self._chunk_state: dict[int, _ChunkState] = {}
-        for index in self.manifest.pending_indices():
-            self._pending.add(index)
-            heapq.heappush(self._pending_heap, (0.0, index))
-            self._chunk_state[index] = _ChunkState()
+        self.queue = RetryQueue(self.manifest.pending_indices(), self.policy,
+                                config.seed)
         self.duplicates_dropped = 0
         self.late_results = 0
         self.telemetry = FleetTelemetry()
@@ -167,8 +157,6 @@ class FleetScheduler:
         self._degraded = False
         self._server: asyncio.AbstractServer | None = None
         self._started_at = time.monotonic()
-        # seeded jitter: affects requeue ready-times only, never tallies
-        self._jitter_rng = np.random.default_rng([config.seed, 0xF1EE7])
 
     # -- public lifecycle ------------------------------------------------------
 
@@ -184,7 +172,7 @@ class FleetScheduler:
         """Run until the campaign completes, degrades, or chaos crashes us."""
         if self._campaign_finished():
             self._write_sidecar("complete")
-            return self._result()
+            return CampaignResult.from_manifest(self.manifest)
         self._server = await asyncio.start_server(
             self._handle_conn, host=self.policy.host, port=self.policy.port
         )
@@ -228,7 +216,7 @@ class FleetScheduler:
             )
         if self._degraded:
             await self._run_degraded()
-        result = self._result()
+        result = CampaignResult.from_manifest(self.manifest)
         self._write_sidecar("complete" if result.complete else "incomplete")
         if self.cache is not None and result.complete:
             self.cache.store(
@@ -341,10 +329,10 @@ class FleetScheduler:
             await link.send({"type": "done"})
             return
         now = time.monotonic()
-        chunk = self._pop_ready(now)
-        if chunk is not None:
-            state = self._chunk_state[chunk]
-            lease = self.leases.grant(chunk, agent, state.attempt, now)
+        ready = self.queue.pop_ready(now)
+        if ready is not None:
+            chunk, attempt = ready
+            lease = self.leases.grant(chunk, agent, attempt, now)
             if _obs.enabled():
                 _C_LEASES.add(1)
             self.events.emit(
@@ -357,7 +345,7 @@ class FleetScheduler:
         # nothing pending: steal a straggler if one qualifies, else idle
         victim = (
             self.leases.steal_candidate(agent, self.policy.steal_copies)
-            if not self._pending
+            if not self.queue
             else None
         )
         if victim is not None:
@@ -425,16 +413,10 @@ class FleetScheduler:
                 _C_DUPES.add(1)
             return
         spec = self.plan.chunks[chunk]
-        attempt = (
-            lease.attempt if lease is not None else self._known_attempt(chunk)
-        )
-        weighted = frame.get("extra")
+        attempt = self._attempt(chunk, lease)
         try:
-            guard_tally(counts, expected_total=spec.trials,
-                        context=f"chunk {chunk} from agent {agent!r}")
-            if weighted is not None:
-                guard_weighted(weighted, expected_total=spec.trials,
-                               context=f"chunk {chunk} from agent {agent!r}")
+            tally = accept_result(spec, counts, frame.get("extra"),
+                                  f"chunk {chunk} from agent {agent!r}")
         except NumericalGuard as exc:
             self._requeue_failure(chunk, attempt, FAIL_NUMERICAL, str(exc))
             return
@@ -460,14 +442,10 @@ class FleetScheduler:
             counts=list(counts), duration_s=round(duration, 6),
             trace_id=trace, agent_span=frame.get("span"),
         )
-        tally = Tally(ok=int(counts[0]), ce=int(counts[1]),
-                      due=int(counts[2]), sdc=int(counts[3]),
-                      extra={"weighted": weighted} if weighted else {})
         self.manifest.record_chunk(
             chunk, tally, spec.trials, attempt + 1, span=span_dict,
         )
-        self._pending.discard(chunk)
-        self._chunk_state.pop(chunk, None)
+        self.queue.discard(chunk)
         self.leases.release_chunk(chunk)  # retire any stolen copies
         if self.chaos is not None and self.chaos.should_crash(len(self.manifest.chunks)):
             self.manifest.flush()
@@ -484,11 +462,8 @@ class FleetScheduler:
             _C_AGENT_FAILURES.add(1)
         if chunk in self.manifest.chunks:
             return  # a peer already finished it
-        attempt = (
-            lease.attempt if lease is not None else self._known_attempt(chunk)
-        )
         self._requeue_failure(
-            chunk, attempt, FAIL_RAISE,
+            chunk, self._attempt(chunk, lease), FAIL_RAISE,
             f"agent {agent!r} reported {frame.get('error')}: {frame.get('message')}",
         )
 
@@ -503,60 +478,27 @@ class FleetScheduler:
                 f"(chunk {lease.chunk})",
             )
 
-    def _known_attempt(self, chunk: int) -> int:
-        state = self._chunk_state.get(chunk)
-        return state.attempt if state is not None else 0
+    def _attempt(self, chunk: int, lease: Lease | None) -> int:
+        """The attempt a result or error frame answers (its lease's, if live)."""
+        return lease.attempt if lease is not None else self.queue.chunk(chunk).attempt
 
     def _requeue_failure(self, chunk: int, attempt: int, kind: str,
                          message: str) -> None:
-        """Supervisor-taxonomy retry: backoff+jitter, quarantine."""
+        """Charge a failed attempt to the retry queue unless the fleet covers it."""
         if chunk in self.manifest.chunks:
             return  # committed while the failure was in flight
         if self.leases.copies(chunk) > 0:
             return  # still covered by another live lease (a stolen copy)
-        if chunk in self._pending:
+        if chunk in self.queue:
             return  # already queued for retry
-        state = self._chunk_state.setdefault(chunk, _ChunkState())
-        state.failures.append(f"attempt {attempt} {kind}: {message}")
-        attempts_done = attempt + 1
-        if attempts_done > self.policy.retries:
-            spec = self.plan.chunks[chunk]
-            self.manifest.quarantine_chunk(
-                chunk, kind, message, attempts_done, spec.seed
-            )
-            self.events.emit(
-                "chunk_quarantine", chunk=chunk, kind=kind,
-                attempts=attempts_done,
-            )
-            if self._campaign_finished():
-                self._done.set()
+        if self.queue.fail(chunk, attempt, kind, message):
+            self.events.emit("chunk_requeue", chunk=chunk, kind=kind, attempt=attempt + 1)
             return
-        state.attempt = attempts_done
-        self.events.emit(
-            "chunk_requeue", chunk=chunk, kind=kind, attempt=attempts_done,
-        )
-        delay = min(self.policy.backoff_cap, self.policy.backoff * 2**attempt)
-        jitter = 0.5 + float(self._jitter_rng.random())  # in [0.5, 1.5)
-        self._pending.add(chunk)
-        heapq.heappush(
-            self._pending_heap, (time.monotonic() + delay * jitter, chunk)
-        )
-
-    # -- pending queue ---------------------------------------------------------
-
-    def _pop_ready(self, now: float) -> int | None:
-        """Next pending chunk whose backoff has elapsed (heap + validity set)."""
-        while self._pending_heap:
-            ready_at, chunk = self._pending_heap[0]
-            if chunk not in self._pending:
-                heapq.heappop(self._pending_heap)  # stale entry (committed)
-                continue
-            if ready_at > now:
-                return None
-            heapq.heappop(self._pending_heap)
-            self._pending.discard(chunk)
-            return chunk
-        return None
+        seed = self.plan.chunks[chunk].seed
+        self.manifest.quarantine_chunk(chunk, kind, message, attempt + 1, seed)
+        self.events.emit("chunk_quarantine", chunk=chunk, kind=kind, attempts=attempt + 1)
+        if self._campaign_finished():
+            self._done.set()
 
     # -- watchdog --------------------------------------------------------------
 
@@ -601,13 +543,13 @@ class FleetScheduler:
     # -- degradation -----------------------------------------------------------
 
     async def _run_degraded(self) -> None:
-        """No agent ever connected: finish in-process via the PR-3 supervisor."""
+        """No agent ever connected: finish in-process via the supervisor."""
         self.manifest.flush()
         policy = SupervisorPolicy(
             retries=self.policy.retries,
             backoff=self.policy.backoff,
             backoff_cap=self.policy.backoff_cap,
-            manifest_save_every=max(1, self.policy.manifest_save_every),
+            manifest_save_every=self.policy.manifest_save_every,
         )
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(
@@ -624,16 +566,8 @@ class FleetScheduler:
         )
         return (
             accounted >= self.manifest.total_chunks
-            and not self._pending
+            and not self.queue
             and len(self.leases) == 0
-        )
-
-    def _result(self) -> CampaignResult:
-        return CampaignResult(
-            tally=self.manifest.merged_tally(),
-            chunks_total=self.manifest.total_chunks,
-            chunks_done=len(self.manifest.chunks),
-            quarantined=dict(self.manifest.quarantined),
         )
 
     def watch_payload(self, state: str) -> dict[str, Any]:

@@ -192,6 +192,21 @@ class Manifest:
         return manifest
 
     @classmethod
+    def open(cls, directory: str | Path, config: dict[str, Any],
+             total_chunks: int) -> "Manifest":
+        """Create the manifest for ``config``, or load the existing one.
+
+        A loaded manifest must match ``config`` (else ``EngineMismatch``);
+        its quarantined chunks get a fresh attempt budget.
+        """
+        if not (Path(directory) / MANIFEST_NAME).exists():
+            return cls.create(directory, config, total_chunks)
+        manifest = cls.load(directory)
+        manifest.check_fingerprint(config)
+        manifest.clear_quarantine()
+        return manifest
+
+    @classmethod
     def load(cls, directory: str | Path) -> "Manifest":
         path = Path(directory) / MANIFEST_NAME
         if not path.exists():

@@ -150,6 +150,15 @@ class CampaignResult:
     def complete(self) -> bool:
         return self.chunks_done == self.chunks_total and not self.quarantined
 
+    @classmethod
+    def from_manifest(cls, manifest: Manifest) -> "CampaignResult":
+        return cls(
+            tally=manifest.merged_tally(),
+            chunks_total=manifest.total_chunks,
+            chunks_done=len(manifest.chunks),
+            quarantined=dict(manifest.quarantined),
+        )
+
     def summary(self) -> dict[str, Any]:
         out = self.tally.as_dict()
         out["chunks_done"] = self.chunks_done
@@ -159,13 +168,18 @@ class CampaignResult:
         return out
 
 
-def _run_pending(manifest: Manifest, config: CampaignConfig,
-                 plan: CampaignPlan, policy: SupervisorPolicy,
-                 chaos: ChaosSchedule | None) -> CampaignResult:
-    pending = set(manifest.pending_indices())
-    specs = [spec for spec in plan.chunks if spec.index in pending]
+def start_campaign(directory: str | Path, config: CampaignConfig,
+                   policy: SupervisorPolicy | None = None,
+                   chaos: ChaosSchedule | None = None) -> CampaignResult:
+    """Start (or continue) a campaign in ``directory``.
 
-    committed = len(manifest.chunks)
+    If a manifest already exists there, its fingerprint must match
+    ``config`` exactly; the call then behaves like a resume.
+    """
+    policy = policy or SupervisorPolicy()
+    plan = config.build_plan()
+    manifest = Manifest.open(directory, config.fingerprint_dict(), len(plan.chunks))
+    specs = [spec for spec in plan.chunks if spec.index not in manifest.chunks]
     # Debounced manifest I/O: record_chunk batches saves (O(chunks) instead
     # of O(chunks**2) over a long campaign); every exit path below flushes,
     # and a SIGKILL loses at most save_every-1 records, which resume simply
@@ -174,9 +188,8 @@ def _run_pending(manifest: Manifest, config: CampaignConfig,
 
     def on_success(spec: ChunkSpec, tally: Tally, attempts: int,
                    span: dict[str, Any] | None = None) -> None:
-        nonlocal committed
         manifest.record_chunk(spec.index, tally, spec.trials, attempts, span=span)
-        committed += 1
+        committed = len(manifest.chunks)
         if chaos is not None and chaos.should_abort(committed):
             manifest.flush()
             raise CampaignAborted(
@@ -189,16 +202,9 @@ def _run_pending(manifest: Manifest, config: CampaignConfig,
         manifest.quarantine_chunk(spec.index, error, message, attempts, spec.seed)
 
     if specs:
-        supervisor = Supervisor(
-            kind=config.kind,
-            scheme=plan.scheme,
-            rates=config.rates,
-            config=plan.config,
-            policy=policy,
-            chaos=chaos,
-            on_success=on_success,
-            on_quarantine=on_quarantine,
-        )
+        supervisor = Supervisor(plan.kind, plan.scheme, plan.rates, plan.config,
+                                policy, chaos=chaos, on_success=on_success,
+                                on_quarantine=on_quarantine)
         # With observability on, this pass owns the process-local registry:
         # start it clean, and fold whatever was collected into the manifest
         # even when chaos (or a crash mid-run) aborts the pass - committed
@@ -214,33 +220,7 @@ def _run_pending(manifest: Manifest, config: CampaignConfig,
                 manifest.record_obs_metrics(
                     _obs.snapshot(f"campaign-{manifest.fingerprint[:12]}")
                 )
-    return CampaignResult(
-        tally=manifest.merged_tally(),
-        chunks_total=manifest.total_chunks,
-        chunks_done=len(manifest.chunks),
-        quarantined=dict(manifest.quarantined),
-    )
-
-
-def start_campaign(directory: str | Path, config: CampaignConfig,
-                   policy: SupervisorPolicy | None = None,
-                   chaos: ChaosSchedule | None = None) -> CampaignResult:
-    """Start (or continue) a campaign in ``directory``.
-
-    If a manifest already exists there, its fingerprint must match
-    ``config`` exactly; the call then behaves like a resume.
-    """
-    policy = policy or SupervisorPolicy()
-    directory = Path(directory)
-    fp_dict = config.fingerprint_dict()
-    plan = config.build_plan()
-    if (directory / "manifest.json").exists():
-        manifest = Manifest.load(directory)
-        manifest.check_fingerprint(fp_dict)
-        manifest.clear_quarantine()
-    else:
-        manifest = Manifest.create(directory, fp_dict, total_chunks=len(plan.chunks))
-    return _run_pending(manifest, config, plan, policy, chaos)
+    return CampaignResult.from_manifest(manifest)
 
 
 def resume_campaign(directory: str | Path,
@@ -252,13 +232,8 @@ def resume_campaign(directory: str | Path,
     to resume is with the exact original result universe.  Quarantined
     chunks get a fresh attempt budget.
     """
-    manifest = Manifest.load(directory)
-    config = CampaignConfig.from_manifest_dict(manifest.config)
-    manifest.check_fingerprint(config.fingerprint_dict())
-    manifest.clear_quarantine()
-    return _run_pending(
-        manifest, config, config.build_plan(), policy or SupervisorPolicy(), chaos
-    )
+    config = CampaignConfig.from_manifest_dict(Manifest.load(directory).config)
+    return start_campaign(directory, config, policy, chaos)
 
 
 def campaign_status(directory: str | Path) -> dict[str, Any]:

@@ -4,46 +4,32 @@ The supervisor forks up to ``workers`` long-lived worker *processes*; each
 runs chunk attempts one at a time, receiving ``(chunk index, attempt)``
 over a duplex pipe and looking the chunk up in the plan it was handed at
 start-up.  Crash isolation stays per attempt: an OOM kill or segfault
-loses the chunk in flight, not the campaign, and a failed attempt retires
-its worker, so every retry runs in a fresh process.  Only a worker whose
-result passed the guards is reused.  Each attempt in flight is watched
-through three channels:
-
-* a result pipe  - the worker reports a tally or a structured error;
-* process health - a dead process with no result is a ``crash``;
-* a deadline     - a worker past its per-chunk timeout is terminated
-  (``timeout``), because a hung chunk must not starve the campaign.
-
-The deadline and the ``campaign.chunk`` span start when the attempt is
-dispatched to a worker, not when a process is forked.
+loses the chunk in flight, not the campaign; a failed attempt retires its
+worker, so every retry runs in a fresh process, and only a worker whose
+result passed the guards is reused.  Each attempt is watched through its
+result pipe, its process sentinel (a dead process with no result is a
+``crash``) and a deadline (an overdue worker is terminated as a
+``timeout``, so a hung chunk cannot starve the campaign); the deadline
+and the ``campaign.chunk`` span start at dispatch, not at fork.
 
 Before the first launch the parent primes the set-up every chunk would
 repeat (:func:`~repro.campaign.plan.prime_chunk`), so forked workers
-inherit warm caches (under ``spawn`` each worker measures them once).
-Between events the parent blocks in
-:func:`multiprocessing.connection.wait` on every busy worker's pipe and
-process sentinel, until the earliest deadline or, with a worker slot
-free, the earliest backoff expiry - it never polls.  When ``run`` returns
-or raises, no worker outlives it.
+inherit warm caches (under ``spawn`` each measures them once).  Between
+events it blocks in :func:`multiprocessing.connection.wait` until a pipe
+or sentinel fires, the earliest deadline, or - with a worker slot free -
+the earliest backoff expiry; it never polls.  When ``run`` returns or
+raises, no worker outlives it.
 
-Failed attempts are retried up to ``retries`` extra times with exponential
-backoff plus deterministic jitter (seeded generator - the REPRO101/102
-rules apply here too; jitter affects only sleep lengths, never tallies).
-Every retry runs the same engine: a chunk that *raised from the engine*
-(or produced a numerically invalid tally) is a bug to surface, not to
-route around, so once its budget is spent it is quarantined like any
-other failure.  Quarantined chunks are reported through a callback and
-surfaced, never silently dropped.
-
-Scheduling order never affects results: chunks are deterministic and
-tallies merge commutatively, so ``workers=4`` equals ``workers=1`` equals
-an uninterrupted run, bit for bit.
+What happens to a chunk - the guards its result must pass, retry with
+seeded-jitter backoff on the same engine, quarantine once its budget is
+spent - is decided by the retry core (:mod:`repro.campaign.retry`) the
+fleet scheduler shares.  Scheduling order never affects results: chunks
+are deterministic and tallies merge commutatively, so ``workers=4``
+equals ``workers=1`` equals an uninterrupted run, bit for bit.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 import multiprocessing
 import time
 from collections.abc import Callable
@@ -51,9 +37,7 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as wait_ready
 from typing import Any
 
-import numpy as np
-
-from ..errors import NumericalGuard, guard_tally, guard_weighted
+from ..errors import NumericalGuard
 from ..faults.rates import FaultRates
 from ..obs import metrics as _obs
 from ..obs import trace as _obs_trace
@@ -62,27 +46,19 @@ from ..reliability.outcomes import Tally
 from ..schemes.base import EccScheme
 from .chaos import ChaosSchedule
 from .plan import ChunkSpec, execute_chunk, prime_chunk
+from .retry import (
+    FAIL_CRASH,
+    FAIL_NUMERICAL,
+    FAIL_RAISE,
+    FAIL_TIMEOUT,
+    RetryQueue,
+    accept_result,
+    check_policy,
+)
 
-#: failure kinds the supervisor distinguishes (counters, quarantine records).
-FAIL_CRASH = "crash"
-FAIL_TIMEOUT = "timeout"
-FAIL_RAISE = "raise"
-FAIL_NUMERICAL = "numerical"
-
-# Observability (DESIGN.md 6e).  Supervision events are rare relative to the
-# decode work they wrap, so these record unconditionally interesting facts:
-# retries, per-kind failures, quarantines, worker processes forked, and how
-# long the supervisor chose to wait before re-dispatching a failed chunk.
 _C_CHUNKS_OK = _obs.counter("campaign.chunks_ok")
-_C_RETRIES = _obs.counter("campaign.retries")
-_C_QUARANTINES = _obs.counter("campaign.quarantines")
-_C_FAILURES = {
-    kind: _obs.counter(f"campaign.failures.{kind}")
-    for kind in (FAIL_CRASH, FAIL_TIMEOUT, FAIL_RAISE, FAIL_NUMERICAL)
-}
 _C_KILL_ESCALATIONS = _obs.counter("campaign.kill_escalations")
 _C_WORKERS_STARTED = _obs.counter("campaign.workers_started")
-_H_BACKOFF = _obs.histogram("campaign.backoff_wait_s", _obs.DURATION_BUCKETS_S)
 
 
 @dataclass(frozen=True)
@@ -103,22 +79,9 @@ class SupervisorPolicy:
     manifest_save_every: int = 8  # manifest debounce (see Manifest.save_every)
 
     def __post_init__(self) -> None:
-        def bad(name: str, want: str) -> ValueError:
-            return ValueError(
-                f"SupervisorPolicy.{name} must be {want}, got {getattr(self, name)!r}"
-            )
-
-        for name in ("workers", "manifest_save_every"):
-            if not getattr(self, name) >= 1:
-                raise bad(name, ">= 1")
-        if not self.retries >= 0:
-            raise bad("retries", ">= 0")
-        if not (math.isfinite(self.timeout) and self.timeout > 0):
-            raise bad("timeout", "finite and > 0")
-        for name in ("backoff", "backoff_cap", "term_grace"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise bad(name, "finite and >= 0")
+        check_policy(self, at_least_one=("workers", "manifest_save_every"),
+                     counts=("retries",), positive=("timeout",),
+                     non_negative=("backoff", "backoff_cap", "term_grace"))
 
 
 @dataclass
@@ -263,37 +226,33 @@ class Supervisor:
         self.on_quarantine = on_quarantine
         self._ctx = _mp_context()
         self._specs: tuple[ChunkSpec, ...] = ()  # what each worker starts with
-        # deterministic jitter: affects sleep lengths only, never results
-        self._jitter_rng = np.random.default_rng([config.seed, 0xBAC0FF])
 
     # -- lifecycle -------------------------------------------------------------
 
     def run(self, specs: list[ChunkSpec]) -> dict[int, ChunkOutcome]:
         """Execute ``specs``; returns per-chunk outcomes (also via callbacks)."""
-        outcomes = {spec.index: ChunkOutcome(spec=spec) for spec in specs}
+        queue = RetryQueue([spec.index for spec in specs], self.policy, self.config.seed)
+        outcomes = {  # each outcome shares its chunk's failure log with the queue
+            spec.index: ChunkOutcome(spec, failures=queue.chunk(spec.index).failures)
+            for spec in specs
+        }
         if specs:
             prime_chunk(self.kind, self.scheme, self.rates, specs[0])
         self._specs = tuple(specs)
-        # ready-time priority queue: (ready_at, chunk_index, spec, attempt)
-        pending: list[tuple[float, int, ChunkSpec, int]] = [
-            (0.0, spec.index, spec, 0) for spec in specs
-        ]
-        heapq.heapify(pending)
         active: list[_Job] = []
         idle: list[_Worker] = []
         try:
-            while pending or active:
+            while queue or active:
                 now = time.monotonic()
                 while (
-                    pending
-                    and len(active) < self.policy.workers
-                    and pending[0][0] <= now
+                    len(active) < self.policy.workers
+                    and (ready := queue.pop_ready(now)) is not None
                 ):
-                    _, _, spec, attempt = heapq.heappop(pending)
-                    active.append(self._launch(spec, attempt, idle))
-                progressed = self._reap(active, idle, pending, outcomes)
-                if not progressed and (pending or active):
-                    self._wait(active, pending)
+                    index, attempt = ready
+                    active.append(self._launch(outcomes[index].spec, attempt, idle))
+                progressed = self._reap(active, idle, queue, outcomes)
+                if not progressed and (queue or active):
+                    self._wait(active, queue)
         finally:
             self._shutdown(idle, active)
         return outcomes
@@ -329,14 +288,7 @@ class Supervisor:
         return _Worker(process=process, conn=conn)
 
     def _retire(self, worker: _Worker) -> None:
-        """Stop a worker for good: SIGTERM, bounded grace, then SIGKILL and reap.
-
-        A worker that ignores (or is too wedged to service) SIGTERM would
-        otherwise survive ``join(timeout=...)`` as a zombie-to-be holding
-        its pipe end open; the escalation guarantees the process is gone
-        before the supervisor moves on, and counts how often the hard path
-        was needed.
-        """
+        """Stop a worker for good (see :func:`terminate_worker`); close its pipe."""
         terminate_worker(worker.process, self.policy.term_grace)
         worker.conn.close()
 
@@ -355,17 +307,18 @@ class Supervisor:
 
     # -- event handling --------------------------------------------------------
 
-    def _wait(self, active: list[_Job], pending: list) -> None:
+    def _wait(self, active: list[_Job], queue: RetryQueue) -> None:
         """Block until a job can have progressed or a backoff has ended.
 
         Wakes on any busy worker's pipe or process sentinel, at the
-        earliest deadline, and - when a worker slot is free - at the
-        earliest ``ready_at`` of a retry backing off.  With nothing in
-        flight it just sleeps until that retry is ready.
+        earliest deadline, and - when a worker slot is free - when the
+        earliest queued retry is ready.  With nothing in flight it just
+        sleeps until that retry is ready.
         """
         wake = [job.deadline for job in active]
-        if pending and len(active) < self.policy.workers:
-            wake.append(pending[0][0])
+        ready_at = queue.next_ready()
+        if ready_at is not None and len(active) < self.policy.workers:
+            wake.append(ready_at)
         timeout = max(0.0, min(wake) - time.monotonic())
         if not active:
             time.sleep(timeout)
@@ -373,70 +326,68 @@ class Supervisor:
         wait_ready([job.worker.conn for job in active]
                    + [job.worker.process.sentinel for job in active], timeout)
 
-    def _reap(self, active: list[_Job], idle: list[_Worker], pending: list,
+    def _reap(self, active: list[_Job], idle: list[_Worker], queue: RetryQueue,
               outcomes: dict[int, ChunkOutcome]) -> bool:
-        """Collect finished/dead/overdue jobs; returns True if any progressed."""
+        """Settle finished, dead and overdue jobs; returns True if any did.
+
+        A guarded ``ok`` frame commits and its worker goes back to the idle
+        list; any other end retires the worker and is charged to the queue.
+        """
         progressed = False
         for job in list(active):
-            conn, process = job.worker.conn, job.worker.process
-            message = None
-            if conn.poll():
+            end = self._poll(job)
+            if end is None:
+                continue  # still running
+            active.remove(job)
+            progressed = True
+            context = f"chunk {job.spec.index} (seed={job.spec.seed})"
+            if end[0] == "ok":
+                _, counts, snap, weighted = end
                 try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    message = None  # died between poll and recv: treat as crash
-            if message is not None:
-                active.remove(job)
-                self._handle_message(job, message, idle, pending, outcomes)
-                progressed = True
-            elif wait_ready([process.sentinel], 0):
-                active.remove(job)
-                self._retire(job.worker)  # already dead: this only reaps it
-                self._handle_failure(
-                    job, FAIL_CRASH,
-                    f"worker process died (exit code {process.exitcode}) running "
-                    f"chunk {job.spec.index} (seed={job.spec.seed})",
-                    pending, outcomes,
-                )
-                progressed = True
-            elif time.monotonic() > job.deadline:
-                active.remove(job)
-                self._retire(job.worker)
-                self._handle_failure(
-                    job, FAIL_TIMEOUT,
-                    f"chunk {job.spec.index} (seed={job.spec.seed}) exceeded "
-                    f"its {self.policy.timeout:.1f}s budget and was terminated",
-                    pending, outcomes,
-                )
-                progressed = True
+                    tally = accept_result(job.spec, counts, weighted, context)
+                except NumericalGuard as exc:
+                    end = (FAIL_NUMERICAL, str(exc))
+                else:
+                    idle.append(job.worker)
+                    self._commit(job, tally, snap, outcomes[job.spec.index])
+                    continue
+            elif end[0] == "error":
+                end = (FAIL_RAISE, f"{context} raised {end[1]}: {end[2]}")
+            self._retire(job.worker)
+            kind, message = end
+            if not queue.fail(job.spec.index, job.attempt, kind, message):
+                outcomes[job.spec.index].attempts = job.attempt + 1
+                if self.on_quarantine is not None:
+                    self.on_quarantine(job.spec, kind, message, job.attempt + 1)
         return progressed
 
-    def _handle_message(self, job: _Job, message: tuple, idle: list[_Worker],
-                        pending: list, outcomes: dict[int, ChunkOutcome]) -> None:
-        """Commit a guarded ``ok`` frame and reuse its worker; else retire it."""
-        context = f"chunk {job.spec.index} (seed={job.spec.seed})"
-        if message[0] != "ok":
-            self._retire(job.worker)
-            _, exc_type, exc_message = message
-            self._handle_failure(
-                job, FAIL_RAISE, f"{context} raised {exc_type}: {exc_message}",
-                pending, outcomes,
-            )
-            return
-        _, counts, snap, weighted = message
-        try:
-            guard_tally(counts, expected_total=job.spec.trials, context=context)
-            if weighted is not None:
-                guard_weighted(weighted, expected_total=job.spec.trials,
-                               context=context)
-        except NumericalGuard as exc:
-            self._retire(job.worker)
-            self._handle_failure(job, FAIL_NUMERICAL, str(exc), pending, outcomes)
-            return
-        idle.append(job.worker)
-        tally = Tally(ok=counts[0], ce=counts[1], due=counts[2], sdc=counts[3],
-                      extra={"weighted": weighted} if weighted else {})
-        outcome = outcomes[job.spec.index]
+    def _poll(self, job: _Job) -> tuple | None:
+        """How ``job`` ended, or ``None`` while it is still running.
+
+        The end is the worker's own ``ok``/``error`` frame, or a
+        ``(kind, message)`` failure seen from outside: a dead process
+        (``crash``) or a missed deadline (``timeout``).
+        """
+        conn, process = job.worker.conn, job.worker.process
+        if conn.poll():
+            try:
+                return conn.recv()
+            except (EOFError, OSError):
+                pass  # died between poll and recv: the sentinel reports it
+        if wait_ready([process.sentinel], 0):
+            process.join()  # dead: reap it so its exit code is known
+            return (FAIL_CRASH,
+                    f"worker process died (exit code {process.exitcode}) running "
+                    f"chunk {job.spec.index} (seed={job.spec.seed})")
+        if time.monotonic() > job.deadline:
+            return (FAIL_TIMEOUT,
+                    f"chunk {job.spec.index} (seed={job.spec.seed}) exceeded its "
+                    f"{self.policy.timeout:.1f}s budget and was terminated")
+        return None
+
+    def _commit(self, job: _Job, tally: Tally, snap: dict | None,
+                outcome: ChunkOutcome) -> None:
+        """Record a guarded result, its span and metrics; report it."""
         outcome.tally = tally
         outcome.attempts = job.attempt + 1
         span_dict = None
@@ -445,34 +396,9 @@ class Supervisor:
             if snap is not None:
                 _obs.absorb(snap)
             rec = _obs_trace.record_span(
-                "campaign.chunk",
-                time.monotonic() - job.started,
-                chunk=job.spec.index,
-                attempt=job.attempt + 1,
-                trials=job.spec.trials,
+                "campaign.chunk", time.monotonic() - job.started,
+                chunk=job.spec.index, attempt=job.attempt + 1, trials=job.spec.trials,
             )
             span_dict = rec.as_dict() if rec is not None else None
         if self.on_success is not None:
             self.on_success(job.spec, tally, job.attempt + 1, span_dict)
-
-    def _handle_failure(self, job: _Job, kind: str, message: str, pending: list,
-                        outcomes: dict[int, ChunkOutcome]) -> None:
-        outcome = outcomes[job.spec.index]
-        outcome.failures.append(f"attempt {job.attempt} {kind}: {message}")
-        if _obs.enabled():
-            _C_FAILURES[kind].add(1)
-        attempts_done = job.attempt + 1
-        if attempts_done > self.policy.retries:
-            outcome.attempts = attempts_done
-            if _obs.enabled():
-                _C_QUARANTINES.add(1)
-            if self.on_quarantine is not None:
-                self.on_quarantine(job.spec, kind, message, attempts_done)
-            return
-        delay = min(self.policy.backoff_cap, self.policy.backoff * 2**job.attempt)
-        jitter = 0.5 + float(self._jitter_rng.random())  # in [0.5, 1.5)
-        if _obs.enabled():
-            _C_RETRIES.add(1)
-            _H_BACKOFF.observe(delay * jitter)
-        ready_at = time.monotonic() + delay * jitter
-        heapq.heappush(pending, (ready_at, job.spec.index, job.spec, attempts_done))

@@ -330,22 +330,12 @@ def _print_campaign_result(result) -> None:
         raise SystemExit(1)
 
 
-def _campaign_policy(args: argparse.Namespace):
-    from .campaign import SupervisorPolicy
-
+def _or_exit(command: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ``ValueError`` exits with one line."""
     try:
-        return SupervisorPolicy(
-            workers=args.workers, timeout=args.timeout, retries=args.retries,
-            backoff=args.backoff,
-        )
+        return build(*args, **kwargs)
     except ValueError as exc:
-        raise SystemExit(f"campaign: {exc}") from None
-
-
-def _campaign_chaos(args: argparse.Namespace):
-    from .campaign import ChaosSchedule
-
-    return ChaosSchedule.parse(args.chaos) if args.chaos else None
+        raise SystemExit(f"{command}: {exc}") from None
 
 
 def _campaign_config_from_args(args: argparse.Namespace):
@@ -356,8 +346,8 @@ def _campaign_config_from_args(args: argparse.Namespace):
     tilt = 0.0
     defensive = 0.05
     if args.kind == "rareevent":
-        tilt = _parse_tilt(getattr(args, "tilt", "auto"))
-        defensive = getattr(args, "defensive", 0.05)
+        tilt = _parse_tilt(args.tilt)
+        defensive = args.defensive
         if tilt == "auto":
             # the fingerprint needs a concrete number: resolve against the
             # scheme's line law now, exactly as the library engine would
@@ -376,43 +366,32 @@ def _campaign_config_from_args(args: argparse.Namespace):
 
 
 def cmd_campaign_run(args: argparse.Namespace) -> None:
-    from .campaign import start_campaign
+    """``campaign run`` (config from the flags) and ``campaign resume``."""
+    from .campaign import ChaosSchedule, SupervisorPolicy, resume_campaign, start_campaign
     from .errors import CampaignAborted
 
-    config = _campaign_config_from_args(args)
-    policy = _campaign_policy(args)
+    resume = args.campaign_command == "resume"
+    config = None if resume else _campaign_config_from_args(args)
+    policy = _or_exit("campaign", SupervisorPolicy, workers=args.workers,
+                      timeout=args.timeout, retries=args.retries, backoff=args.backoff)
+    chaos = _or_exit("campaign", ChaosSchedule.parse, args.chaos) if args.chaos else None
     _obs_begin(args)
     try:
-        result = start_campaign(args.dir, config, policy, _campaign_chaos(args))
+        if config is None:
+            result = resume_campaign(args.dir, policy, chaos)
+        else:
+            result = start_campaign(args.dir, config, policy, chaos)
     except CampaignAborted as exc:
         print(f"campaign aborted: {exc}")
         raise SystemExit(3) from None
     finally:
-        _obs_finish(args, "campaign-run")
+        _obs_finish(args, f"campaign-{args.campaign_command}")
     _print_campaign_result(result)
 
 
-def cmd_campaign_resume(args: argparse.Namespace) -> None:
-    from .campaign import resume_campaign
-    from .errors import CampaignAborted
-
-    policy = _campaign_policy(args)
-    _obs_begin(args)
-    try:
-        result = resume_campaign(args.dir, policy, _campaign_chaos(args))
-    except CampaignAborted as exc:
-        print(f"campaign aborted: {exc}")
-        raise SystemExit(3) from None
-    finally:
-        _obs_finish(args, "campaign-resume")
-    _print_campaign_result(result)
-
-
-def cmd_campaign_status(args: argparse.Namespace) -> None:
-    from .campaign import campaign_status
-
-    status = campaign_status(args.dir)
-    if args.json:
+def _print_status(status: dict, as_json: bool) -> None:
+    """A campaign status dict as JSON, or as an aligned key/value table."""
+    if as_json:
         import json
 
         print(json.dumps(status, sort_keys=True))
@@ -424,32 +403,34 @@ def cmd_campaign_status(args: argparse.Namespace) -> None:
           f"due={tally['due']} sdc={tally['sdc']}")
 
 
-def _fleet_campaign_config(args: argparse.Namespace):
-    return _campaign_config_from_args(args)
+def cmd_campaign_status(args: argparse.Namespace) -> None:
+    from .campaign import campaign_status
+
+    _print_status(campaign_status(args.dir), args.json)
 
 
 def _fleet_chaos(args: argparse.Namespace):
     from .campaign import FleetChaos
 
-    return FleetChaos.parse(args.chaos) if getattr(args, "chaos", None) else None
+    return _or_exit("fleet", FleetChaos.parse, args.chaos) if args.chaos else None
 
 
 def cmd_fleet_serve(args: argparse.Namespace) -> None:
     from .campaign.fleet import FleetPolicy, serve_campaign
     from .errors import CampaignAborted
 
-    config = None if args.resume else _fleet_campaign_config(args)
-    policy = FleetPolicy(
-        host=args.host, port=args.port, lease_timeout=args.lease_timeout,
-        heartbeat_interval=args.heartbeat, retries=args.retries,
-        backoff=args.backoff, steal_copies=args.steal_copies,
-        degrade_after=args.degrade_after,
+    config = None if args.resume else _campaign_config_from_args(args)
+    policy = _or_exit(
+        "fleet", FleetPolicy, host=args.host, port=args.port,
+        lease_timeout=args.lease_timeout, heartbeat_interval=args.heartbeat,
+        retries=args.retries, backoff=args.backoff,
+        steal_copies=args.steal_copies, degrade_after=args.degrade_after,
         event_log=not args.no_event_log,
     )
+    chaos = _fleet_chaos(args)
     _obs_begin(args)
     try:
-        result = serve_campaign(args.dir, config, policy=policy,
-                                chaos=_fleet_chaos(args),
+        result = serve_campaign(args.dir, config, policy=policy, chaos=chaos,
                                 cache_dir=args.cache_dir)
     except CampaignAborted as exc:
         print(f"fleet scheduler stopped: {exc}")
@@ -459,24 +440,26 @@ def cmd_fleet_serve(args: argparse.Namespace) -> None:
     _print_campaign_result(result)
 
 
+def _parse_connect(text: str) -> tuple[str, int]:
+    host, _, port_text = text.rpartition(":")
+    if not host or not port_text.isdigit():
+        raise SystemExit(f"bad --connect {text!r}; want HOST:PORT")
+    return host, int(port_text)
+
+
 def cmd_fleet_worker(args: argparse.Namespace) -> None:
     from .campaign.fleet import run_agent
     from .campaign.fleet.agent import AgentKilled, AgentPolicy
     from .errors import AgentFailure
 
-    host = port = None
-    if args.connect:
-        host, _, port_text = args.connect.rpartition(":")
-        if not host or not port_text.isdigit():
-            raise SystemExit(f"bad --connect {args.connect!r}; want HOST:PORT")
-        port = int(port_text)
-    elif not args.dir:
+    if not args.connect and not args.dir:
         raise SystemExit("fleet worker needs --dir or --connect HOST:PORT")
+    host, port = _parse_connect(args.connect) if args.connect else (None, None)
+    chaos = _fleet_chaos(args)
     obs_on = _obs_begin(args)
     try:
         summary = run_agent(
-            args.name, host=host, port=port, directory=args.dir,
-            chaos=_fleet_chaos(args),
+            args.name, host=host, port=port, directory=args.dir, chaos=chaos,
             policy=AgentPolicy(connect_timeout=args.connect_timeout),
             collect_obs=obs_on, stream=args.stream,
         )
@@ -499,7 +482,7 @@ def cmd_fleet_submit(args: argparse.Namespace) -> None:
     from .campaign.fleet import ResultCache
     from .campaign.manifest import fingerprint as config_fingerprint
 
-    config = _fleet_campaign_config(args)
+    config = _campaign_config_from_args(args)
     fp_dict = config.fingerprint_dict()
     fp = config_fingerprint(fp_dict)
     cache = ResultCache(args.cache_dir)
@@ -527,10 +510,11 @@ def _fleet_watch_fetch(directory):
     import json
     from pathlib import Path
 
+    from .campaign.fleet import SIDECAR_NAME
     from .obs import fetch_watch_endpoint, load_watch_dir
 
     def fetch():
-        sidecar = Path(directory) / "fleet.json"
+        sidecar = Path(directory) / SIDECAR_NAME
         try:
             raw = json.loads(sidecar.read_text())
         except (OSError, json.JSONDecodeError):
@@ -562,17 +546,10 @@ def cmd_fleet_status(args: argparse.Namespace) -> None:
             raise SystemExit(code)
         return
     status = fleet_status(args.dir)
+    fleet = None if args.json else status.pop("fleet", None)
+    _print_status(status, args.json)
     if args.json:
-        import json
-
-        print(json.dumps(status, sort_keys=True))
         return
-    fleet = status.pop("fleet", None)
-    tally = status.pop("tally")
-    for key, value in status.items():
-        print(f"{key:14s} {value}")
-    print(f"{'tally':14s} ok={tally['ok']} ce={tally['ce']} "
-          f"due={tally['due']} sdc={tally['sdc']}")
     if fleet is None:
         print("no fleet scheduler has served this campaign")
         return
@@ -663,10 +640,7 @@ def cmd_obs_top(args: argparse.Namespace) -> None:
             "CAMPAIGN_DIR or --in events.jsonl"
         )
     if args.connect:
-        host, _, port_text = args.connect.rpartition(":")
-        if not host or not port_text.isdigit():
-            raise SystemExit(f"bad --connect {args.connect!r}; want HOST:PORT")
-        port = int(port_text)
+        host, port = _parse_connect(args.connect)
 
         def fetch():
             return fetch_watch_endpoint(host, port, timeout=2.0)
@@ -793,7 +767,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     camp_sub = p_camp.add_subparsers(dest="campaign_command", required=True)
 
-    def add_rareevent_config(p: argparse.ArgumentParser) -> None:
+    def add_campaign_config(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--scheme", default="pair",
+                       help="one of: no-ecc iecc-sec xed duo pair")
+        p.add_argument("--kind", default="iid",
+                       help="'iid', 'rareevent' or 'single:<fault>' "
+                            "(e.g. single:row)")
+        p.add_argument("--trials", type=int, default=10_000)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--ber", type=float, default=1e-4,
+                       help="weak-cell BER applied to the default fault rates")
+        p.add_argument("--chunk-trials", type=int, default=256)
+        p.add_argument("--resample-every", type=int, default=1)
         p.add_argument("--tilt", default="auto", metavar="THETA",
                        help="kind=rareevent only: log-odds tilt ('auto' "
                             "resolves against the scheme before the "
@@ -815,18 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = camp_sub.add_parser("run", help="start (or continue) a campaign")
     p_run.add_argument("--dir", required=True, help="campaign directory")
-    p_run.add_argument("--scheme", default="pair",
-                       help="one of: no-ecc iecc-sec xed duo pair")
-    p_run.add_argument("--kind", default="iid",
-                       help="'iid', 'rareevent' or 'single:<fault>' "
-                            "(e.g. single:row)")
-    p_run.add_argument("--trials", type=int, default=10_000)
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--ber", type=float, default=1e-4,
-                       help="weak-cell BER applied to the default fault rates")
-    p_run.add_argument("--chunk-trials", type=int, default=256)
-    p_run.add_argument("--resample-every", type=int, default=1)
-    add_rareevent_config(p_run)
+    add_campaign_config(p_run)
     add_policy(p_run)
     add_obs_out(p_run)
     p_run.set_defaults(func=cmd_campaign_run)
@@ -837,7 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_resume.add_argument("--dir", required=True)
     add_policy(p_resume)
     add_obs_out(p_resume)
-    p_resume.set_defaults(func=cmd_campaign_resume)
+    p_resume.set_defaults(func=cmd_campaign_run)
 
     p_status = camp_sub.add_parser("status", help="manifest summary, no execution")
     p_status.add_argument("--dir", required=True)
@@ -851,25 +825,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_sub = p_fleet.add_subparsers(dest="fleet_command", required=True)
 
-    def add_fleet_config(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--scheme", default="pair",
-                       help="one of: no-ecc iecc-sec xed duo pair")
-        p.add_argument("--kind", default="iid",
-                       help="'iid', 'rareevent' or 'single:<fault>' "
-                            "(e.g. single:row)")
-        p.add_argument("--trials", type=int, default=10_000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--ber", type=float, default=1e-4,
-                       help="weak-cell BER applied to the default fault rates")
-        p.add_argument("--chunk-trials", type=int, default=256)
-        p.add_argument("--resample-every", type=int, default=1)
-        add_rareevent_config(p)
-
     p_serve = fleet_sub.add_parser(
         "serve", help="run the scheduler until the campaign completes"
     )
     p_serve.add_argument("--dir", required=True, help="campaign directory")
-    add_fleet_config(p_serve)
+    add_campaign_config(p_serve)
     p_serve.add_argument("--resume", action="store_true",
                          help="take the config from the existing manifest "
                               "(ignores the config flags above)")
@@ -931,7 +891,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--dir", required=True, help="campaign directory")
     p_submit.add_argument("--cache-dir", required=True,
                           help="fingerprint-keyed result cache directory")
-    add_fleet_config(p_submit)
+    add_campaign_config(p_submit)
     p_submit.set_defaults(func=cmd_fleet_submit)
 
     p_fstatus = fleet_sub.add_parser(

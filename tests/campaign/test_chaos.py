@@ -33,6 +33,19 @@ class TestParse:
         with pytest.raises(ValueError, match="bad chaos item"):
             ChaosSchedule.parse("crash")
 
+    def test_repeated_items_take_the_union(self):
+        schedule = ChaosSchedule.parse("crash:1@0,crash:1@2,raise:0,raise:0@1|3")
+        assert schedule.crash == {1: frozenset({0, 2})}
+        assert schedule.raises == {0: frozenset({0, 1, 3})}
+        # two abort switches: the campaign stops at the first one reached
+        assert ChaosSchedule.parse("abort:4,abort:2").abort_after == 2
+
+    @pytest.mark.parametrize("spec", ["crash:-1", "hang:2@-1", "raise:0@1|-3",
+                                      "abort:-1", "corrupt:x", "crash:1@"])
+    def test_negative_or_non_integer_numbers_rejected(self, spec):
+        with pytest.raises(ValueError, match="not a non-negative integer"):
+            ChaosSchedule.parse(spec)
+
 
 class TestHooks:
     def test_raise_keys_on_attempts(self):

@@ -249,6 +249,59 @@ class TestFleetChaosParse:
         with pytest.raises(ValueError, match="names no agent"):
             FleetChaos.parse("kill:@1")
 
+    def test_repeated_items_take_the_union(self):
+        chaos = FleetChaos.parse("kill:a1@0,kill:a1@3,drop:a2@1,drop:a2@1|4")
+        assert chaos.kill == {"a1": frozenset({0, 3})}
+        assert chaos.drop == {"a2": frozenset({1, 4})}
+        assert chaos.fires_kill("a1", 0) and chaos.fires_kill("a1", 3)
+        # two crash switches: the scheduler stops at the first one reached
+        assert FleetChaos.parse("crash:6,crash:2").crash_after == 2
+
+    @pytest.mark.parametrize("spec", ["kill:a0@-1", "drop:a0@1|-2", "crash:-1",
+                                      "kill:a0@x", "slow:a0@"])
+    def test_rejects_negative_or_non_integer_ordinals(self, spec):
+        with pytest.raises(ValueError, match="not a non-negative integer"):
+            FleetChaos.parse(spec)
+
+
+# -- scheduler policy ------------------------------------------------------------
+
+
+class TestFleetPolicyValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("retries", -1),
+        ("lease_timeout", 0.0), ("lease_timeout", -1.0),
+        ("lease_timeout", float("nan")), ("lease_timeout", float("inf")),
+        ("heartbeat_interval", 0.0), ("heartbeat_interval", float("nan")),
+        ("heartbeat_interval", 10.0), ("heartbeat_interval", 20.0),
+        ("tick", 0.0), ("tick", float("inf")),
+        ("idle_retry", -0.1), ("idle_retry", float("nan")),
+        ("backoff", -0.5), ("backoff", float("nan")),
+        ("backoff_cap", float("inf")), ("backoff_cap", -1.0),
+        ("drain_grace", -1.0), ("drain_grace", float("inf")),
+        ("steal_copies", 0),
+        ("manifest_save_every", 0), ("manifest_save_every", -3),
+        ("port", -1), ("port", 65536),
+        ("degrade_after", -0.1), ("degrade_after", float("nan")),
+    ])
+    def test_bad_policy_names_field_and_value(self, field, value):
+        with pytest.raises(ValueError) as excinfo:
+            FleetPolicy(**{field: value})
+        assert f"FleetPolicy.{field} must be" in str(excinfo.value)
+        assert repr(value) in str(excinfo.value)
+
+    def test_edge_values_accepted(self):
+        FleetPolicy(port=65535, retries=0, backoff=0.0, backoff_cap=0.0,
+                    drain_grace=0.0, steal_copies=1, manifest_save_every=1,
+                    degrade_after=0.0, heartbeat_interval=9.99)
+        FleetPolicy(port=0, degrade_after=None)
+
+    def test_bad_policy_writes_no_campaign_state(self, tmp_path):
+        with pytest.raises(ValueError, match="FleetPolicy.retries"):
+            serve_campaign(tmp_path / "c", config(),
+                           policy=policy(retries=-1, degrade_after=0.1))
+        assert not (tmp_path / "c").exists()
+
 
 # -- scheduler unit behaviour --------------------------------------------------
 
@@ -284,15 +337,15 @@ class TestSchedulerGuards:
 
     def test_invalid_counts_requeue_degraded(self, tmp_path):
         sched = FleetScheduler(tmp_path / "c", config(), policy=policy())
-        chunk = sched._pop_ready(0.0)  # lease it out, as the wire would
+        chunk, _ = sched.queue.pop_ready(0.0)  # lease it out, as the wire would
         bad = {"type": "result", "chunk": chunk, "lease_id": "",
                "counts": [1, -1, 0, 0]}
         sched._on_result("a0", bad)
         assert chunk not in sched.manifest.chunks
-        assert chunk in sched._pending  # requeued, not merged
+        assert chunk in sched.queue  # requeued, not merged
         # a numerical failure retries on the same engine, like the supervisor
-        assert sched._chunk_state[chunk].attempt == 1
-        assert not hasattr(sched._chunk_state[chunk], "engine")
+        assert sched.queue.chunk(chunk).attempt == 1
+        assert not hasattr(sched.queue.chunk(chunk), "engine")
 
     def test_restart_requires_matching_config(self, tmp_path):
         Manifest.create(tmp_path / "c", config().fingerprint_dict(),

@@ -139,6 +139,34 @@ class TestCampaign:
         with pytest.raises(SystemExit, match="SupervisorPolicy.workers must be"):
             main(["campaign", "resume", "--dir", str(tmp_path), "--workers", "0"])
 
+    @pytest.mark.parametrize("command", ["run", "resume"])
+    @pytest.mark.parametrize("spec", ["crash:-1", "explode:1", "hang:0@x"])
+    def test_bad_chaos_exits_before_writing_a_manifest(self, tmp_path, command, spec):
+        directory = tmp_path / "c"
+        argv = self.RUN if command == "run" else ["campaign", "resume"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--dir", str(directory), "--chaos", spec])
+        message = str(excinfo.value.code)
+        assert message.startswith("campaign: ") and "chaos" in message
+        assert "\n" not in message
+        assert not directory.exists()
+
+    def test_bad_chaos_and_policy_print_no_traceback(self, tmp_path):
+        import subprocess
+        import sys
+
+        for argv in (
+            ["campaign", "run", "--dir", str(tmp_path / "a"), "--chaos", "crash:-1"],
+            ["fleet", "serve", "--dir", str(tmp_path / "b"), "--retries", "-1",
+             "--degrade-after", "0.1"],
+        ):
+            proc = subprocess.run([sys.executable, "-m", "repro", *argv],
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode != 0
+            assert "Traceback" not in proc.stderr
+            assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
     def test_incomplete_campaign_exits_nonzero(self, capsys, tmp_path):
         # a persistently crashing chunk leaves the campaign incomplete
         with pytest.raises(SystemExit) as excinfo:
@@ -214,6 +242,31 @@ class TestFleet:
     def test_worker_rejects_malformed_connect(self):
         with pytest.raises(SystemExit, match="want HOST:PORT"):
             main(["fleet", "worker", "--name", "w0", "--connect", "nonsense"])
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--retries", "-1"], "retries"), (["--heartbeat", "10"], "heartbeat_interval"),
+        (["--lease-timeout", "0"], "lease_timeout"), (["--port", "70000"], "port"),
+        (["--steal-copies", "0"], "steal_copies"), (["--backoff", "nan"], "backoff"),
+    ])
+    def test_bad_policy_exits_before_writing_a_manifest(self, tmp_path, flags, field):
+        with pytest.raises(SystemExit) as excinfo:
+            self.serve_degraded(tmp_path, *flags)
+        message = str(excinfo.value.code)
+        assert message.startswith(f"fleet: FleetPolicy.{field} must be")
+        assert "\n" not in message
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "serve", "--degrade-after", "0.1"],
+        ["fleet", "worker", "--name", "w0"],
+    ])
+    def test_bad_chaos_exits_with_one_line(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--dir", str(tmp_path / "c"), "--chaos", "kill:w0@-1"])
+        message = str(excinfo.value.code)
+        assert message.startswith("fleet: chaos item 'kill:w0@-1'")
+        assert "\n" not in message
+        assert not (tmp_path / "c").exists()
 
     def test_worker_against_no_scheduler_exits_1(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
