@@ -331,14 +331,20 @@ def _print_campaign_result(result) -> None:
 
 
 def _or_exit(command: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``; a ``ValueError`` exits with one line."""
+    """``build(*args, **kwargs)``; a ``ValueError`` or ``CampaignError`` exits
+    with one line."""
+    from .errors import CampaignError
+
     try:
         return build(*args, **kwargs)
-    except ValueError as exc:
+    except (ValueError, CampaignError) as exc:
         raise SystemExit(f"{command}: {exc}") from None
 
 
 def _campaign_config_from_args(args: argparse.Namespace):
+    """The campaign config the flags describe.  Callers build it through
+    :func:`_or_exit`, so a bad flag exits with one line before anything is
+    written."""
     from .campaign import CampaignConfig
     from .faults import DEFAULT_RATES
 
@@ -358,11 +364,13 @@ def _campaign_config_from_args(args: argparse.Namespace):
         if tilt != 0.0:
             # the tilted sampler models the pure weak-cell process
             rates = DEFAULT_RATES.pure_ber(args.ber)
-    return CampaignConfig(
+    config = CampaignConfig(
         scheme=args.scheme, kind=args.kind, trials=args.trials, seed=args.seed,
         resample_faults_every=args.resample_every, chunk_trials=args.chunk_trials,
         rates=rates, tilt=tilt, defensive=defensive,
     )
+    config.build_scheme()  # an unknown scheme fails here, not once running
+    return config
 
 
 def cmd_campaign_run(args: argparse.Namespace) -> None:
@@ -371,7 +379,7 @@ def cmd_campaign_run(args: argparse.Namespace) -> None:
     from .errors import CampaignAborted
 
     resume = args.campaign_command == "resume"
-    config = None if resume else _campaign_config_from_args(args)
+    config = None if resume else _or_exit("campaign", _campaign_config_from_args, args)
     policy = _or_exit("campaign", SupervisorPolicy, workers=args.workers,
                       timeout=args.timeout, retries=args.retries, backoff=args.backoff)
     chaos = _or_exit("campaign", ChaosSchedule.parse, args.chaos) if args.chaos else None
@@ -419,7 +427,7 @@ def cmd_fleet_serve(args: argparse.Namespace) -> None:
     from .campaign.fleet import FleetPolicy, serve_campaign
     from .errors import CampaignAborted
 
-    config = None if args.resume else _campaign_config_from_args(args)
+    config = None if args.resume else _or_exit("fleet", _campaign_config_from_args, args)
     policy = _or_exit(
         "fleet", FleetPolicy, host=args.host, port=args.port,
         lease_timeout=args.lease_timeout, heartbeat_interval=args.heartbeat,
@@ -482,7 +490,7 @@ def cmd_fleet_submit(args: argparse.Namespace) -> None:
     from .campaign.fleet import ResultCache
     from .campaign.manifest import fingerprint as config_fingerprint
 
-    config = _campaign_config_from_args(args)
+    config = _or_exit("fleet", _campaign_config_from_args, args)
     fp_dict = config.fingerprint_dict()
     fp = config_fingerprint(fp_dict)
     cache = ResultCache(args.cache_dir)

@@ -34,6 +34,7 @@ draws masks over that footprint only (DESIGN.md section 6b).
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Sequence
 from typing import TypeAlias
 
@@ -66,6 +67,15 @@ def window_span(device: DeviceConfig, col: int) -> tuple[int, int]:
     return (col * bl, (col + 1) * bl)
 
 
+def _cells(row: np.ndarray):
+    """The cells of a row matrix in C order, indexable and writing through.
+
+    A C-contiguous row is reshaped (a view); any other row is walked by
+    ``row.flat``, because ``reshape`` would copy it and drop the writes.
+    """
+    return row.reshape(-1) if row.flags.c_contiguous else row.flat
+
+
 class SegmentedLayout:
     """Base class: a row tiled into fixed-size codeword segments.
 
@@ -73,6 +83,8 @@ class SegmentedLayout:
     shape ``(num_codewords, n_symbols, symbol_bits)``, mapping each codeword
     bit to its (pin, bit-offset) home in the row matrix.  Bit offsets index
     the *full* per-pin storage: offsets past the data region land in spare.
+    Gathers and scatters go through one flat cell index derived from the
+    two, ``pin * bits_per_pin + bit``.
     """
 
     def __init__(
@@ -91,8 +103,20 @@ class SegmentedLayout:
         self.segment_parity_bits = parity_symbols * symbol_bits
         self._pin_index: np.ndarray | None = None
         self._bit_index: np.ndarray | None = None
+        #: a symbol's value from its bits, LSB first
+        self._weights = 1 << np.arange(symbol_bits, dtype=np.int64)
 
     # -- indices -------------------------------------------------------------
+
+    @functools.cached_property
+    def _cell_index(self) -> np.ndarray:
+        """The flat cell index ``pin * bits_per_pin + bit`` of every codeword
+        bit, built on first use."""
+        device = self.device
+        cells = self._pin_index.astype(np.intp)  # other dtypes convert per call
+        cells *= device.data_bits_per_pin_per_row + device.spare_bits_per_pin_per_row
+        cells += self._bit_index
+        return cells
 
     @property
     def num_codewords(self) -> int:
@@ -100,9 +124,7 @@ class SegmentedLayout:
 
     def gather(self, row: np.ndarray, codeword: int) -> np.ndarray:
         """Collect the symbols of one codeword from a row bit matrix."""
-        bits = row[self._pin_index[codeword], self._bit_index[codeword]]
-        shifts = np.arange(self.symbol_bits, dtype=np.int64)
-        return (bits.astype(np.int64) << shifts).sum(axis=-1)
+        return _cells(row)[self._cell_index[codeword]] @ self._weights
 
     def gather_many(self, row: np.ndarray, codewords: Sequence[int]) -> np.ndarray:
         """Symbols of several codewords at once, shape ``(len(codewords), n)``.
@@ -110,17 +132,15 @@ class SegmentedLayout:
         One fancy-indexed gather for the whole group - the batched read path
         uses this to pull every codeword of an access in a single pass.
         """
-        cws = np.asarray(codewords, dtype=np.int64)
-        bits = row[self._pin_index[cws], self._bit_index[cws]]
-        shifts = np.arange(self.symbol_bits, dtype=np.int64)
-        return (bits.astype(np.int64) << shifts).sum(axis=-1)
+        cells = self._cell_index[np.asarray(codewords, dtype=np.intp)]
+        return _cells(row)[cells] @ self._weights
 
     def scatter(self, row: np.ndarray, codeword: int, symbols: np.ndarray) -> None:
         """Write the symbols of one codeword back into a row bit matrix."""
         symbols = np.asarray(symbols, dtype=np.int64)
         shifts = np.arange(self.symbol_bits, dtype=np.int64)
         bits = ((symbols[:, None] >> shifts) & 1).astype(np.uint8)
-        row[self._pin_index[codeword], self._bit_index[codeword]] = bits
+        _cells(row)[self._cell_index[codeword]] = bits
 
     def gather_error_symbols(self, error_row: np.ndarray, codeword: int) -> np.ndarray:
         """Same as :meth:`gather` but named for error-mask matrices."""
@@ -148,8 +168,7 @@ class SegmentedLayout:
         """Validate that the layout fits the device and never overlaps."""
         pins = self.device.pins
         total = self.device.data_bits_per_pin_per_row + self.device.spare_bits_per_pin_per_row
-        flat = self._pin_index.astype(np.int64) * total + self._bit_index
-        flat = flat.reshape(-1)
+        flat = self._cell_index.reshape(-1)
         if np.unique(flat).size != flat.size:
             raise ValueError("layout maps two codeword bits to one cell")
         if self._pin_index.max() >= pins or self._bit_index.max() >= total:

@@ -26,9 +26,13 @@ module reaches the same draws without one Generator per key:
   algorithm, every one of those draws is a Lemire-bounded uint32, and
   every uint32 is one half of a PCG64 output, so the whole sequence can be
   read from one block of ``random_raw`` outputs.
+* A Poisson count is screened for zero from one double
+  (:data:`POISSON_MULT_MAX`), so a fault sampler that draws no fault -
+  most of them at sparse rates - needs only its first doubles
+  (:func:`repro.faults.sampler.sample_fault_lists`).
 
-``tests/faults/test_rng.py`` checks all three against numpy's own
-generator.
+``tests/faults/test_rng.py`` checks the first three against numpy's own
+generator, and ``tests/faults/test_sampler.py`` the screen.
 """
 
 from __future__ import annotations
@@ -76,6 +80,14 @@ _JUMP_MAX_RUN = 80
 _JUMP_MIN_RUNS = 1024
 #: below this many keys the hash runs on Python ints, one key at a time.
 _VECTOR_MIN_KEYS = 16
+
+#: ``Generator.poisson(lam)`` for ``0 < lam <`` this runs numpy's
+#: multiplication method: it multiplies doubles ``U`` (one ``random()`` each)
+#: while the product stays above ``exp(-lam)``, so the count is 0 exactly
+#: when the first ``U <= exp(-lam)``, and then takes that one double.  A
+#: ``lam`` of 0 takes none, and ``lam >=`` this takes the PTRS rejection
+#: route, whose draws cannot be screened that way.
+POISSON_MULT_MAX = 10.0
 
 _C_SEEDED = _obs.counter("faults.streams.seeded")
 

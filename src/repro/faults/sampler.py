@@ -14,6 +14,7 @@ fault universe - the comparisons in the paper are paired.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Iterator, Sequence
 from typing import NamedTuple
 
@@ -23,7 +24,7 @@ from ..dram.config import DeviceConfig
 from ..dram.mapping import Footprint
 from ..obs import metrics as _obs
 from .rates import FaultRates
-from .rng import Runs, seed_states, uniforms
+from .rng import POISSON_MULT_MAX, Runs, scratch_generator, seed_states, uniforms
 from .types import FaultInstance, FaultType, TransferBurst
 
 #: stream tags: a key is ``[seed, tag]`` (fault sampling) or
@@ -141,6 +142,58 @@ class FaultSampler:
                 )
             )
         return out
+
+
+_C_DRAWN = _obs.counter("faults.samplers.drawn")
+
+
+def sample_fault_lists(
+    config: DeviceConfig,
+    rates: FaultRates,
+    seeds: Sequence[int],
+    rng: np.random.Generator | None = None,
+) -> list[list[FaultInstance]]:
+    """``FaultSampler(config, rates, seed).sample_faults()`` for every seed.
+
+    Every sampler's stream is seeded in one pass, and most samplers draw no
+    fault at sparse rates, so each is first screened by its first doubles
+    (:data:`repro.faults.rng.POISSON_MULT_MAX`): a class's Poisson count is 0
+    exactly when its one double lies at or below ``exp(-rate)``.  Only the
+    samplers that fail the screen - all of them when some rate is past the
+    screened regime - are sampled by :meth:`FaultSampler.sample_faults`,
+    their streams loaded into ``rng``, a scratch Generator
+    (:func:`repro.faults.rng.scratch_generator`; made on demand when None).
+    """
+    if not len(seeds):
+        return []
+    streams = seed_states([(seed, _SAMPLER_TAG) for seed in seeds])  # FaultSampler.key
+    # the classes' Poisson means in sample_faults' order; a zero mean draws
+    # no double, so the live classes take the stream's first doubles
+    live = [
+        rate
+        for rate in (
+            rates.row_faults_per_device, rates.column_faults_per_device,
+            rates.pin_faults_per_device, rates.mat_faults_per_device,
+        )
+        if rate > 0
+    ]
+    drawn: Sequence[int] = range(len(seeds))
+    if not live:
+        drawn = []
+    elif max(live) < POISSON_MULT_MAX:
+        runs = ((0, len(live)),)
+        first = uniforms(streams, [(runs, np.arange(len(seeds)))], rng)[0]
+        # math.exp is the libm exp numpy's C code calls
+        empty = np.array([math.exp(-rate) for rate in live])
+        drawn = np.flatnonzero((first > empty).any(axis=1)).tolist()
+    if _obs.enabled():
+        _C_DRAWN.add(len(drawn))
+    out: list[list[FaultInstance]] = [[] for _ in seeds]
+    if drawn:
+        rng = rng or scratch_generator()
+        for k in drawn:
+            out[k] = FaultSampler(config, rates, seeds[k]).sample_faults(streams.load(k, rng))
+    return out
 
 
 #: draws held at once while masks are built, bounding their memory.

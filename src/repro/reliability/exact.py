@@ -24,8 +24,7 @@ import numpy as np
 
 from ..dram.device import DramDevice
 from ..faults.rates import FaultRates
-from ..faults.rng import seed_states
-from ..faults.sampler import FaultOverlay, FaultSampler
+from ..faults.sampler import FaultOverlay, sample_fault_lists
 from ..faults.types import FaultInstance, FaultType
 from ..schemes.base import EccScheme
 
@@ -63,25 +62,19 @@ def _make_chips(scheme: EccScheme, rates: FaultRates, seed: int,
 def _sample_overlays(
     scheme: EccScheme, rates: FaultRates, seeds: list[int], rng: np.random.Generator
 ) -> list[list[FaultOverlay]]:
-    """The overlays ``_make_chips`` builds for each seed, every fault sampler
-    seeded in one pass.
+    """The overlays ``_make_chips`` builds for each seed, every chip's faults
+    sampled in one pass (:func:`repro.faults.sampler.sample_fault_lists`).
 
     ``rng`` is a scratch Generator (:func:`repro.faults.rng.scratch_generator`)
-    each sampler's stream is loaded into in turn.
+    the streams of samplers that draw a fault are loaded into.
     """
     device = scheme.rank.device
-    samplers = [
-        FaultSampler(device, rates, chip_seed)
-        for seed in seeds
-        for chip_seed in _chip_seeds(scheme, seed)
-    ]
-    streams = seed_states([sampler.key for sampler in samplers])
+    chip_seeds = [chip_seed for seed in seeds for chip_seed in _chip_seeds(scheme, seed)]
     overlays = [
-        FaultOverlay(
-            device, rates, seed=sampler.seed,
-            faults=sampler.sample_faults(streams.load(k, rng)),
+        FaultOverlay(device, rates, seed=chip_seed, faults=faults)
+        for chip_seed, faults in zip(
+            chip_seeds, sample_fault_lists(device, rates, chip_seeds, rng)
         )
-        for k, sampler in enumerate(samplers)
     ]
     chips = scheme.rank.chips
     return [overlays[at : at + chips] for at in range(0, len(overlays), chips)]

@@ -185,3 +185,91 @@ class TestSecWordLayout:
         device = DDR5_X8.scaled(spare_bits_per_pin_per_row=32)
         with pytest.raises(ValueError):
             SecWordLayout(device)
+
+
+def per_bit_gather(layout, row, cw):
+    """Codeword ``cw``'s symbols read one bit at a time through the
+    (pin, bit-offset) indices."""
+    symbols = np.zeros(layout.n, dtype=np.int64)
+    for sym in range(layout.n):
+        for b in range(layout.symbol_bits):
+            pin = layout._pin_index[cw, sym, b]
+            bit = layout._bit_index[cw, sym, b]
+            symbols[sym] |= int(row[pin, bit]) << b
+    return symbols
+
+
+def per_bit_scatter(layout, row, cw, symbols):
+    for sym in range(layout.n):
+        for b in range(layout.symbol_bits):
+            pin = layout._pin_index[cw, sym, b]
+            bit = layout._bit_index[cw, sym, b]
+            row[pin, bit] = (int(symbols[sym]) >> b) & 1
+
+
+@pytest.mark.parametrize("make", [PinAlignedLayout, BeatAlignedLayout],
+                         ids=["pin", "beat"])
+class TestFlatCellIndex:
+    """``gather``, ``gather_many`` and ``scatter`` go through one flat cell
+    index; they must agree with the (pin, bit-offset) indices bit for bit."""
+
+    def test_gather_equals_per_bit_reference(self, make):
+        layout = make(DDR5_X8)
+        row = np.random.default_rng(2).integers(0, 2, fresh_row(DDR5_X8).shape,
+                                                dtype=np.uint8)
+        want = np.stack([per_bit_gather(layout, row, cw)
+                         for cw in range(layout.num_codewords)])
+        for cw in range(layout.num_codewords):
+            got = layout.gather(row, cw)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want[cw])
+        every = list(range(layout.num_codewords))
+        assert np.array_equal(layout.gather_many(row, every), want)
+        some = [every[-1], 0, every[-1], 1 % len(every)]
+        assert np.array_equal(layout.gather_many(row, some), want[some])
+
+    def test_scatter_equals_per_bit_reference(self, make):
+        layout = make(DDR5_X8)
+        rng = np.random.default_rng(3)
+        base = rng.integers(0, 2, fresh_row(DDR5_X8).shape, dtype=np.uint8)
+        for cw in range(layout.num_codewords):
+            symbols = rng.integers(0, 1 << layout.symbol_bits, layout.n)
+            got, want = base.copy(), base.copy()
+            layout.scatter(got, cw, symbols)
+            per_bit_scatter(layout, want, cw, symbols)
+            assert np.array_equal(got, want)
+
+    def test_scatter_gather_round_trip(self, make):
+        layout = make(DDR5_X8)
+        rng = np.random.default_rng(4)
+        row = rng.integers(0, 2, fresh_row(DDR5_X8).shape, dtype=np.uint8)
+        symbols = rng.integers(0, 1 << layout.symbol_bits,
+                               (layout.num_codewords, layout.n))
+        for cw in range(layout.num_codewords):
+            layout.scatter(row, cw, symbols[cw])
+        assert np.array_equal(
+            layout.gather_many(row, range(layout.num_codewords)), symbols
+        )
+
+    @pytest.mark.parametrize("view", ["strided", "fortran"])
+    def test_scatter_writes_through_a_non_contiguous_row(self, make, view):
+        layout = make(DDR5_X8)
+        rng = np.random.default_rng(5)
+        shape = fresh_row(DDR5_X8).shape
+        if view == "strided":
+            parent = np.zeros((shape[0], 2 * shape[1]), dtype=np.uint8)
+            row = parent[:, ::2]
+        else:
+            parent = np.asfortranarray(np.zeros(shape, dtype=np.uint8))
+            row = parent
+        assert not row.flags.c_contiguous
+        cw = layout.num_codewords - 1
+        symbols = rng.integers(0, 1 << layout.symbol_bits, layout.n)
+        layout.scatter(row, cw, symbols)
+        want = fresh_row(DDR5_X8)
+        per_bit_scatter(layout, want, cw, symbols)
+        assert np.array_equal(row, want)
+        assert np.array_equal(layout.gather(row, cw), symbols)
+        assert np.array_equal(layout.gather_many(row, [cw]), symbols[None])
+        if view == "strided":
+            assert not parent[:, 1::2].any()

@@ -17,7 +17,8 @@ from repro.faults import (
     burst_mask,
     sample_transfer_burst,
 )
-from repro.faults.sampler import prime_masks
+from repro.faults import rng as fault_rng
+from repro.faults.sampler import prime_masks, sample_fault_lists
 
 SHAPE = (8, 8192)
 
@@ -71,6 +72,53 @@ class TestSampler:
                 assert f.row_count == DDR5_X8.rows_per_bank
             if f.kind is FaultType.MAT:
                 assert f.row_count == rates.mat_rows and f.bit_count == rates.mat_bits
+
+
+#: per-class Poisson means around the screen's edges: none, sparse, the
+#: multiplication method up to its limit, and the PTRS route from 10 on
+SCREEN_RATES = (0.0, 1e-3, 0.5, 3.0, 9.99, 10.0, 25.0)
+
+
+def class_rates(row, column, pin, mat):
+    return clean_rates(
+        row_faults_per_device=row, column_faults_per_device=column,
+        pin_faults_per_device=pin, mat_faults_per_device=mat,
+    )
+
+
+def scalar_fault_lists(rates, seeds):
+    return [FaultSampler(DDR5_X8, rates, seed).sample_faults() for seed in seeds]
+
+
+class TestSampleFaultLists:
+    """The batched populations equal each sampler's own, fault for fault."""
+
+    @given(
+        means=st.tuples(*[st.sampled_from(SCREEN_RATES)] * 4),
+        # seeds from 2**32 on take two uint32 words of the seed key
+        seeds=st.lists(
+            st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**63)),
+            min_size=0, max_size=40,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_small_batches_equal_sample_faults(self, means, seeds):
+        rates = class_rates(*means)
+        assert len(seeds) < fault_rng._JUMP_MIN_RUNS  # the screen's C route
+        assert sample_fault_lists(DDR5_X8, rates, seeds) == scalar_fault_lists(rates, seeds)
+
+    @pytest.mark.parametrize("means", [
+        (2e-3, 4e-3, 5e-4, 1e-3),  # the default rates: ~1% of samplers draw
+        (0.5, 3.0, 0.0, 9.99),
+        (0.0, 0.0, 0.0, 0.0),
+        (10.0, 1e-3, 0.0, 0.0),  # past the screen: every sampler draws
+    ])
+    def test_large_batch_equals_sample_faults(self, means):
+        rates = class_rates(*means)
+        seeds = [seed * 1009 + chip for seed in range(300) for chip in range(4)]
+        seeds += [2**40 + seed for seed in range(8)]
+        assert len(seeds) >= fault_rng._JUMP_MIN_RUNS  # the screen's jumped route
+        assert sample_fault_lists(DDR5_X8, rates, seeds) == scalar_fault_lists(rates, seeds)
 
 
 class TestOverlay:

@@ -9,9 +9,10 @@ breaks them.
 
 from repro import obs
 from repro.dram import AddressMapper, RANK_X8_5CHIP
-from repro.faults import FaultRates
+from repro.faults import DEFAULT_RATES, FaultRates, FaultSampler
 from repro.perf import WORKLOADS, generate_trace, simulate
 from repro.reliability import ExactRunConfig, run_iid_batched
+from repro.reliability.exact import _chip_seeds
 from repro.schemes import PairScheme
 
 
@@ -74,3 +75,35 @@ class TestFaultStreamCounters:
         counters = obs.snapshot()["counters"]
         assert counters["faults.masks.primed"] == trials * chips
         assert counters["faults.streams.seeded"] == 2 * trials * chips
+
+    def test_only_samplers_failing_the_zero_screen_draw(self):
+        """At sparse structured rates most fault samplers are screened empty;
+        ``faults.samplers.drawn`` counts the rest, and counting changes no
+        result."""
+        scheme = PairScheme()
+        rates = DEFAULT_RATES.with_ber(1e-5)
+        config = ExactRunConfig(trials=300, seed=3)
+
+        def run():
+            tally = run_iid_batched(scheme, rates, config)
+            return (tally.ok, tally.ce, tally.due, tally.sdc)
+
+        with obs.enabled_scope(False):
+            off = run()
+        assert obs.snapshot()["counters"] == {}
+        with obs.enabled_scope(True):
+            on = run()
+        assert off == on
+        seeds = [
+            chip_seed
+            for trial in range(config.trials)
+            for chip_seed in _chip_seeds(scheme, config.seed + trial)
+        ]
+        # below the PTRS route a sampler that fails the screen draws a fault
+        with_faults = sum(
+            1 for seed in seeds
+            if FaultSampler(scheme.rank.device, rates, seed).sample_faults()
+        )
+        drawn = obs.snapshot()["counters"]["faults.samplers.drawn"]
+        assert drawn == with_faults
+        assert 0 < drawn < len(seeds) // 20

@@ -274,3 +274,32 @@ class TestFleet:
                   "--connect", "127.0.0.1:1", "--connect-timeout", "0.2"])
         assert excinfo.value.code == 1
         assert "could not reach" in capsys.readouterr().out
+
+
+class TestBadConfigFlags:
+    """A bad campaign config flag exits with one line and writes nothing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "run", "--trials", "0"],
+        ["campaign", "run", "--scheme", "nope"],
+        ["fleet", "serve", "--degrade-after", "0.1", "--trials", "0"],
+        ["fleet", "serve", "--degrade-after", "0.1", "--scheme", "nope"],
+        ["fleet", "submit", "--trials", "0"],
+        ["fleet", "submit", "--scheme", "nope"],
+    ])
+    def test_exits_with_one_line_and_no_manifest(self, tmp_path, argv):
+        import subprocess
+        import sys
+
+        directory, cache = tmp_path / "c", tmp_path / "cache"
+        extra = ["--cache-dir", str(cache)] if argv[0] == "fleet" else []
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv, "--dir", str(directory), *extra],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith(f"{argv[0]}: "), lines[0]
+        assert not directory.exists() and not cache.exists()
