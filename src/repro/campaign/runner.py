@@ -27,7 +27,7 @@ from ..obs import metrics as _obs
 from ..obs import trace as _obs_trace
 from ..reliability.exact import ExactRunConfig
 from ..reliability.outcomes import Tally
-from ..schemes import default_schemes
+from ..schemes import DEFAULT_SCHEME_CLASSES
 from ..schemes.base import EccScheme
 from .chaos import ChaosSchedule
 from .manifest import Manifest, QuarantineRecord
@@ -115,12 +115,13 @@ class CampaignConfig:
         )
 
     def build_scheme(self) -> EccScheme:
-        by_name = {s.name: s for s in default_schemes()}
+        """Build the one scheme named ``scheme`` (not the whole line-up)."""
+        by_name = {cls.name: cls for cls in DEFAULT_SCHEME_CLASSES}
         if self.scheme not in by_name:
             raise CampaignError(
                 f"unknown scheme {self.scheme!r}; have {sorted(by_name)}"
             )
-        return by_name[self.scheme]
+        return by_name[self.scheme]()
 
     def build_plan(self) -> CampaignPlan:
         return build_plan(

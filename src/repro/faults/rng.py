@@ -98,24 +98,26 @@ _C_SEEDED = _obs.counter("faults.streams.seeded")
 class Streams:
     """Seeded PCG64 streams: numpy's ``(state, inc)`` right after seeding."""
 
-    __slots__ = ("state", "inc", "_ints")
+    __slots__ = ("state", "inc")
 
     def __init__(self, state: U128, inc: U128) -> None:
         self.state = state
         self.inc = inc
-        self._ints: list[tuple[int, int]] | None = None
 
     def __len__(self) -> int:
         return len(self.state[0])
 
     def ints(self, index: int) -> tuple[int, int]:
-        """Stream ``index``'s ``(state, inc)`` as Python ints."""
-        if self._ints is None:
-            words = [part.tolist() for half in (self.state, self.inc) for part in half]
-            self._ints = [
-                (sh << 64 | sl, ih << 64 | il) for sh, sl, ih, il in zip(*words)
-            ]
-        return self._ints[index]
+        """Stream ``index``'s ``(state, inc)`` as Python ints.
+
+        Only this stream's four words are converted: a batch is often loaded
+        at a few of its indices only.
+        """
+        (sh, sl), (ih, il) = self.state, self.inc
+        return (
+            int(sh[index]) << 64 | int(sl[index]),
+            int(ih[index]) << 64 | int(il[index]),
+        )
 
     def load(self, index: int, rng: np.random.Generator) -> np.random.Generator:
         """Point ``rng`` at the start of stream ``index``; returns ``rng``.

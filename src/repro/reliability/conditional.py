@@ -16,6 +16,15 @@ Their trial words are still drawn, so the generator reaches each row
 settled rows were decoded.  ``tests/oracle.py`` decodes every row word by
 word and must agree bit for bit.
 
+Rows ``j > t`` are decoded in packed groups: consecutive rows share one
+``decode_batch`` call of at most :data:`_DECODE_WORDS` words, and the
+result splits back by row (``decode_batch`` decodes each word as
+``decode`` would, so no table moves).  At a few samples per row this
+saves most of the per-call overhead; a group is decoded as soon as it is
+full, so no more than one call's words are held.  A row of at least the
+budget (the 400-sample rows of the F2 sweep) is one call on its own and
+allocates what decoding it alone would.
+
 Conditioning on counts (rather than raw Monte Carlo) is what lets the F2
 sweep resolve failure probabilities of 1e-20 and below, far past what direct
 simulation could sample.
@@ -28,6 +37,7 @@ below the tables' sampling noise.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +66,12 @@ class WordConditionals:
 
 
 _TABLE_CACHE: dict[tuple[object, ...], WordConditionals] = {}
+
+#: most words one packed ``decode_batch`` call takes.  Sized from the
+#: decoder's working set, which grows with the batch: growing the F2 sweep's
+#: batches from 400 to about 1,200 words raised its peak RSS from 53 to
+#: 71.5 MB, while a few hundred words already repay the per-call overhead.
+_DECODE_WORDS = 512
 
 # Observability (DESIGN.md 6e): how often a table was measured versus served
 # from the cache - a campaign should measure each table once, in its parent.
@@ -88,6 +104,37 @@ def _check_args(code: BlockCode, j_max: int, samples: int) -> None:
         raise ValueError(f"j_max must be in [0, code.n={code.n}], got {j_max}")
 
 
+def _decoded_rows(
+    code: BlockCode,
+    j_max: int,
+    samples: int,
+    draw: Callable[[int], tuple[np.ndarray, np.ndarray | int]],
+    dtype: type,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Decode rows ``j > code.t`` in packed groups; yield ``(j, detected, data)``.
+
+    ``draw(j)`` draws row ``j``'s trial words as ``(positions, values)``.
+    It is called for every ``j`` in ``1..j_max`` in order, settled rows
+    included, so the generator advances exactly as the row-by-row loop's.
+    """
+    for j in range(1, min(code.t, j_max) + 1):
+        draw(j)  # corrected by the distance bound: the row stays zero
+    rows = range(code.t + 1, j_max + 1)
+    per_call = max(1, _DECODE_WORDS // samples)
+    for start in range(0, len(rows), per_call):
+        group = rows[start:start + per_call]
+        words = np.zeros((len(group) * samples, code.n), dtype=dtype)
+        for i, j in enumerate(group):
+            positions, values = draw(j)
+            block = words[i * samples:(i + 1) * samples]
+            np.put_along_axis(block, positions, values, axis=1)
+        decoded = code.decode_batch(words)
+        detected, data = decoded.detected, decoded.data
+        for i, j in enumerate(group):
+            block = slice(i * samples, (i + 1) * samples)
+            yield j, detected[block], data[block]
+
+
 def measure_bit_code(
     code: BlockCode,
     j_max: int,
@@ -111,17 +158,16 @@ def measure_bit_code(
     j_values = np.arange(j_max + 1)
     p_flag = np.zeros(j_max + 1)
     p_bad = np.zeros(j_max + 1)
-    for j in range(1, j_max + 1):
+
+    def draw(j: int) -> tuple[np.ndarray, int]:
         # Every trial word at once, drawn as a choice() loop would draw them.
         positions, _ = trial_words(rng, code.n, j, samples)
-        if j <= code.t:
-            continue  # corrected by the distance bound: the row stays zero
-        words = np.zeros((samples, code.n), dtype=np.uint8)
-        np.put_along_axis(words, positions, 1, axis=1)
-        decoded = code.decode_batch(words)
-        flagged = np.zeros(samples, dtype=bool) if silent_on_detect else decoded.detected
+        return positions, 1
+
+    for j, detected, data in _decoded_rows(code, j_max, samples, draw, np.uint8):
+        flagged = np.zeros(samples, dtype=bool) if silent_on_detect else detected
         p_flag[j] = np.count_nonzero(flagged) / samples
-        p_bad[j] = np.count_nonzero(~flagged & decoded.data.any(axis=1)) / samples
+        p_bad[j] = np.count_nonzero(~flagged & data.any(axis=1)) / samples
     table = WordConditionals(j_values, p_flag, p_bad, p_bad.copy())
     _TABLE_CACHE[key] = table
     return table
@@ -161,17 +207,15 @@ def measure_symbol_code(
     p_bad = np.zeros(j_max + 1)
     p_bad_window = np.zeros(j_max + 1)
     windows = (code.k // window_symbols) if window_symbols else 1
-    for j in range(1, j_max + 1):
+
+    def draw(j: int) -> tuple[np.ndarray, np.ndarray]:
         # Every trial word at once, drawn as a choice() + integers() loop
         # would draw them.
         positions, bits = trial_words(rng, code.n, j, samples, symbol_bits)
-        if j <= code.t:
-            continue  # corrected by the distance bound: the row stays zero
-        words = np.zeros((samples, code.n), dtype=np.int64)
-        np.put_along_axis(words, positions, 1 << bits, axis=1)
-        decoded = code.decode_batch(words)
-        detected = decoded.detected
-        wrong = decoded.data[~detected & decoded.data.any(axis=1)] != 0
+        return positions, 1 << bits
+
+    for j, detected, data in _decoded_rows(code, j_max, samples, draw, np.int64):
+        wrong = data[~detected & data.any(axis=1)] != 0
         p_flag[j] = np.count_nonzero(detected) / samples
         p_bad[j] = len(wrong) / samples
         if window_symbols:

@@ -518,8 +518,23 @@ def run_rareevent_iid(
 # -- fixed-effort multilevel splitting ----------------------------------------
 
 
+def _count_law(law: LineLaw) -> tuple[np.ndarray, np.ndarray]:
+    """One word's error-count ``(logpmf, cdf)`` over ``0..n``.
+
+    It depends only on ``(n, q)``, so a splitting run computes it once and
+    hands it to every level.
+    """
+    logpmf = np.asarray(binom_logpmf(law.n, np.arange(law.n + 1), law.q))
+    return logpmf, np.cumsum(np.exp(logpmf))
+
+
 def _conditional_counts_given_max(
-    rng: np.random.Generator, law: LineLaw, level: int, trials: int
+    rng: np.random.Generator,
+    law: LineLaw,
+    level: int,
+    trials: int,
+    logpmf: np.ndarray,
+    cdf: np.ndarray,
 ) -> np.ndarray:
     """Exact samples of per-word counts conditioned on ``max_i J_i >= level``.
 
@@ -529,10 +544,15 @@ def _conditional_counts_given_max(
     truncated *below* the level, word ``F`` truncated *at or above* it, and
     later words unconditioned.  Each piece inverts by CDF lookup, so the
     sample is exact (no burn-in, no correlation between trials).
+
+    Every cell draws one uniform, but each cell inverts only its own class's
+    CDF.  ``searchsorted`` (``side="left"``) returns 0 exactly where
+    ``u <= cdf[0]``, and ``below_cdf[0] >= cdf[0]``, so a below or free
+    cell under ``cdf[0]`` is 0 without a search; at a low rate that is most
+    of them (about 81% of PAIR's free words at q = 8e-4).
+    ``(logpmf, cdf)`` is :func:`_count_law`.
     """
     n, q, m = law.n, law.q, law.words
-    logpmf = np.asarray(binom_logpmf(n, np.arange(n + 1), q))
-    cdf = np.cumsum(np.exp(logpmf))
     tail_mass = binom_tail(n, level, q)  # P(J >= level), exact log-gamma sum
     if tail_mass <= 0.0:
         raise NumericalGuard(
@@ -553,14 +573,23 @@ def _conditional_counts_given_max(
     tail_cdf = np.cumsum(np.exp(tail_log - logsumexp(tail_log)))
 
     u = rng.random((trials, m))
-    c_below = np.minimum(np.searchsorted(below_cdf, u), level - 1)
-    c_tail = level + np.minimum(np.searchsorted(tail_cdf, u), n - level)
-    c_free = np.minimum(np.searchsorted(cdf, u), n)
-    cols = np.arange(m)[None, :]
-    first_col = first[:, None]
-    return np.where(
-        cols < first_col, c_below, np.where(cols == first_col, c_tail, c_free)
+    counts = np.zeros(trials * m, dtype=np.intp)
+    cells = np.flatnonzero(u > cdf[0])  # flat indices of the cells searched
+    cell_u = u.ravel()[cells]
+    # column relative to the trial's first word: < 0 below, > 0 free
+    offset = cells % m - first[cells // m]
+    below = offset < 0
+    counts[cells[below]] = np.minimum(
+        np.searchsorted(below_cdf, cell_u[below]), level - 1
     )
+    free = offset > 0
+    counts[cells[free]] = np.minimum(np.searchsorted(cdf, cell_u[free]), n)
+    counts = counts.reshape(trials, m)
+    rows = np.arange(trials)
+    counts[rows, first] = level + np.minimum(
+        np.searchsorted(tail_cdf, u[rows, first]), n - level
+    )
+    return counts
 
 
 def _conditional_outcome_probs(
@@ -694,12 +723,13 @@ def run_splitting_iid(
             levels=[], p_tail=0.0, tail_closed_form=0.0, p_due=0.0,
             p_sdc=0.0, rel_se=0.0,
         )
+    count_law = _count_law(law)
     levels: list[dict] = []
     p_tail = entrance
     rel_var = 0.0
     for level in range(1, k):
         rng = np.random.default_rng([seed, _RNG_TAG_SPLIT, level])
-        counts = _conditional_counts_given_max(rng, law, level, effort)
+        counts = _conditional_counts_given_max(rng, law, level, effort, *count_law)
         survivors = int((counts.max(axis=1) >= level + 1).sum())
         if _obs.enabled():
             _C_SPLIT_LEVELS.add(1)
@@ -714,7 +744,7 @@ def run_splitting_iid(
         p_tail *= ratio
         rel_var += (1.0 - ratio) / (ratio * effort)
     rng = np.random.default_rng([seed, _RNG_TAG_SPLIT, k])
-    counts = _conditional_counts_given_max(rng, law, k, effort)
+    counts = _conditional_counts_given_max(rng, law, k, effort, *count_law)
     if _obs.enabled():
         _C_SPLIT_LEVELS.add(1)
     p_due_arr, p_sdc_arr = _conditional_outcome_probs(law, counts)

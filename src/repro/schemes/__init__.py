@@ -25,6 +25,12 @@ __all__ = [
 ]
 
 
+#: the scheme classes of the paper's evaluation figures, in figure order.
+DEFAULT_SCHEME_CLASSES: tuple[type[EccScheme], ...] = (
+    NoEcc, ConventionalIecc, Xed, Duo, PairScheme,
+)
+
+
 def default_schemes() -> list[EccScheme]:
     """The scheme line-up of the paper's evaluation figures."""
-    return [NoEcc(), ConventionalIecc(), Xed(), Duo(), PairScheme()]
+    return [cls() for cls in DEFAULT_SCHEME_CLASSES]

@@ -3,7 +3,8 @@
 import numpy as np
 
 from repro.analysis import apply_grid, reliability_sweep
-from repro.schemes import NoEcc, PairScheme
+from repro.analysis.sweep import log_space
+from repro.schemes import Duo, NoEcc, PairScheme, Xed
 
 
 class TestApplyGrid:
@@ -34,3 +35,23 @@ class TestReliabilitySweep:
     def test_multiple_schemes_keyed_by_name(self):
         out = reliability_sweep([NoEcc(), PairScheme()], [1e-4], samples=100)
         assert set(out) == {"no-ecc", "pair"}
+
+
+class TestHeadlineFigures:
+    """EXPERIMENTS.md's F2 headline figures, from the sweep's 400-sample tables."""
+
+    def test_pair_over_xed_at_1e4(self):
+        # EXPERIMENTS.md measures 7.8e6 (the abstract's "up to 10^6 x");
+        # the band is +-10% around it
+        out = reliability_sweep([PairScheme(), Xed()], [1e-4], samples=400, seed=0)
+        ratio = out["xed"]["fail"][0] / out["pair"]["fail"][0]
+        assert 7.0e6 <= ratio <= 8.6e6, ratio
+
+    def test_pair_duo_crossover_between_3e6_and_3e5(self):
+        # below the crossover PAIR fails less than DUO, above it more; the
+        # ratio rises monotonically, so it crosses 1 exactly once in between
+        bers = log_space(3e-6, 3e-5, 11)
+        out = reliability_sweep([PairScheme(), Duo()], bers, samples=400, seed=0)
+        ratio = out["pair"]["fail"] / out["duo"]["fail"]
+        assert ratio[0] < 1.0 < ratio[-1], ratio
+        assert np.all(np.diff(ratio) > 0), ratio

@@ -27,7 +27,7 @@ from repro.campaign import (
 from repro.errors import CampaignAborted, CampaignError, EngineMismatch
 from repro.faults import DEFAULT_RATES, FaultType
 from repro.reliability import ExactRunConfig
-from repro.schemes import default_schemes
+from repro.schemes import DEFAULT_SCHEME_CLASSES, default_schemes
 
 from .. import oracle
 
@@ -367,3 +367,23 @@ class TestValidation:
     def test_unknown_scheme_surfaces(self, tmp_path):
         with pytest.raises(CampaignError, match="unknown scheme"):
             start_campaign(tmp_path, config(scheme="nope"), policy())
+
+    def test_unknown_scheme_names_the_line_up(self):
+        names = sorted(s.name for s in default_schemes())
+        with pytest.raises(CampaignError) as excinfo:
+            config(scheme="nope").build_scheme()
+        assert str(excinfo.value) == f"unknown scheme 'nope'; have {names}"
+
+    def test_builds_only_the_named_scheme(self, monkeypatch):
+        built = []
+        for cls in DEFAULT_SCHEME_CLASSES:
+            monkeypatch.setattr(
+                cls, "__init__",
+                lambda self, *a, _init=cls.__init__, **kw: (
+                    built.append(type(self).name), _init(self, *a, **kw))[1],
+            )
+        for scheme in default_schemes():
+            built.clear()
+            got = config(scheme=scheme.name).build_scheme()
+            assert type(got) is type(scheme)
+            assert set(built) == {scheme.name}

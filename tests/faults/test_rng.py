@@ -72,6 +72,18 @@ class TestSeedStates:
             got = streams.load(index, gen).random(5)
             assert np.array_equal(got, np.random.default_rng(key).random(5))
 
+    def test_load_any_index_in_any_order(self):
+        # a batch past the vector-hash threshold, loaded at its first, middle
+        # and last streams out of order and more than once
+        keys = [[seed, 5, 0xCE11] for seed in range(3 * rng._VECTOR_MIN_KEYS + 1)]
+        streams = rng.seed_states(keys)
+        gen = rng.scratch_generator()
+        last, middle = len(keys) - 1, len(keys) // 2
+        for index in (last, 0, middle, last, 0):
+            got = streams.load(index, gen).random(4)
+            assert np.array_equal(got, np.random.default_rng(keys[index]).random(4))
+            assert streams.ints(index) == reference_state(keys[index])
+
     def test_rejects_negative_ints_and_bad_shapes(self):
         with pytest.raises(ValueError):
             rng.seed_states([[1, -2]])

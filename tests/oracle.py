@@ -16,7 +16,12 @@
   ``test_differential.py``, the campaign and agreement suites).
 * One ``choice()`` loop per conditional table of
   :mod:`repro.reliability.conditional`, which draws every trial word in one
-  array pass (``test_conditional.py``).
+  array pass and decodes several rows per call (``test_conditional.py``).
+* The dense conditional-count sampler of multilevel splitting
+  (:func:`conditional_counts_given_max`): every cell inverts all three word
+  classes' CDFs and keeps its own, where
+  :mod:`repro.reliability.rareevent` inverts only the one it needs
+  (``test_rareevent.py``).
 
 The oracle lives in ``tests/`` because nothing in the library needs a
 second, slower copy of the same answer.
@@ -33,6 +38,8 @@ from repro.faults.types import FaultInstance, FaultType, TransferBurst
 from repro.reliability.conditional import WordConditionals
 from repro.reliability.exact import ExactRunConfig, _make_chips, _plant_fault, _zero_line
 from repro.reliability.outcomes import Tally, classify
+from repro.reliability.rareevent import LineLaw
+from repro.reliability.stats import at_least_one, binom_logpmf, binom_tail, logsumexp
 from repro.schemes import (
     ConventionalIecc,
     Duo,
@@ -407,3 +414,31 @@ def measure_symbol_code(
         p_bad[j] = bads / samples
         p_bad_window[j] = (bad_windows / samples) if window_symbols else p_bad[j]
     return WordConditionals(j_values, p_flag, p_bad, p_bad_window)
+
+
+def conditional_counts_given_max(
+    rng: np.random.Generator, law: LineLaw, level: int, trials: int
+) -> np.ndarray:
+    """``rareevent._conditional_counts_given_max`` with every CDF inverted at
+    every cell: the same draws, three ``searchsorted`` passes over all cells,
+    and a nested ``where`` keeping each cell's own class."""
+    n, q, m = law.n, law.q, law.words
+    logpmf = np.asarray(binom_logpmf(n, np.arange(n + 1), q))
+    cdf = np.cumsum(np.exp(logpmf))
+    tail_mass = binom_tail(n, level, q)
+    below_mass = 1.0 - tail_mass
+    f_pmf = below_mass ** np.arange(m) * tail_mass
+    f_cdf = np.cumsum(f_pmf / at_least_one(tail_mass, m))
+    first = np.minimum(np.searchsorted(f_cdf, rng.random(trials)), m - 1)
+    below_cdf = cdf[:level] / max(below_mass, np.finfo(float).tiny)
+    tail_log = logpmf[level:]
+    tail_cdf = np.cumsum(np.exp(tail_log - logsumexp(tail_log)))
+    u = rng.random((trials, m))
+    c_below = np.minimum(np.searchsorted(below_cdf, u), level - 1)
+    c_tail = level + np.minimum(np.searchsorted(tail_cdf, u), n - level)
+    c_free = np.minimum(np.searchsorted(cdf, u), n)
+    cols = np.arange(m)[None, :]
+    first_col = first[:, None]
+    return np.where(
+        cols < first_col, c_below, np.where(cols == first_col, c_tail, c_free)
+    )

@@ -10,6 +10,7 @@ from repro.codes import HammingSEC, HsiaoSECDED, ReedSolomonCode, SinglyExtended
 from repro.galois import GF256, get_field
 from repro.obs import metrics
 from repro.reliability import analytic, build_model, measure_bit_code, measure_symbol_code
+from repro.reliability import conditional
 from repro.reliability.conditional import clear_cache
 from repro.schemes import PairScheme, RankSecDed, default_schemes
 from tests import oracle
@@ -174,6 +175,61 @@ class TestSettledRows:
             measure(code, code.t + 3, 50, 2)
         counters = metrics.snapshot()["counters"]
         assert counters[f"{prefix}.decode.words"] == 3 * 50
+
+
+PACKED_CODES = {
+    "duo-rs-76-64": (ReedSolomonCode(GF256, 76, 64), measure_symbol_code,
+                     oracle.measure_symbol_code, {"window_symbols": 16}),
+    "sec-136-128": (HammingSEC(136, 128), measure_bit_code,
+                    oracle.measure_bit_code, {}),
+}
+
+
+def decode_call_sizes(monkeypatch, code):
+    """Record the word count of every ``decode_batch`` call on ``code``'s class."""
+    sizes = []
+    decode_batch = type(code).decode_batch
+
+    def counted(self, words):
+        sizes.append(len(words))
+        return decode_batch(self, words)
+
+    monkeypatch.setattr(type(code), "decode_batch", counted)
+    return sizes
+
+
+class TestPackedRows:
+    """Consecutive decoded rows share one ``decode_batch`` call."""
+
+    BUDGET = 12
+
+    # samples -> rows per call under a 12-word budget: 4 -> 3, 6 -> 2,
+    # 12 -> 1, 20 -> 1 (a row above the budget); 7 decoded rows leave a
+    # remainder for 3 and 2 rows per call
+    @pytest.mark.parametrize("samples, per_call", [(4, 3), (6, 2), (12, 1), (20, 1)])
+    @pytest.mark.parametrize("name", PACKED_CODES)
+    def test_equal_the_loop_that_decodes_every_row(self, monkeypatch, name,
+                                                   samples, per_call):
+        code, measure, reference, kwargs = PACKED_CODES[name]
+        monkeypatch.setattr(conditional, "_DECODE_WORDS", self.BUDGET)
+        sizes = decode_call_sizes(monkeypatch, code)
+        j_max = code.t + 7
+        metrics.reset()
+        with obs.enabled_scope(True):
+            table = measure(code, j_max, samples, 5, **kwargs)
+        full, rest = divmod(7, per_call)
+        assert sizes == [per_call * samples] * full + [rest * samples] * (rest > 0)
+        prefix = "hamming" if measure is measure_bit_code else "rs"
+        assert metrics.snapshot()["counters"][f"{prefix}.decode.words"] == 7 * samples
+        monkeypatch.undo()
+        assert_same_table(table, reference(code, j_max, samples, 5, **kwargs))
+
+    @pytest.mark.parametrize("name", PACKED_CODES)
+    def test_rows_at_the_budget_decode_alone(self, monkeypatch, name):
+        code, measure, _, kwargs = PACKED_CODES[name]
+        sizes = decode_call_sizes(monkeypatch, code)
+        measure(code, code.t + 3, 400, 0, **kwargs)
+        assert sizes == [400, 400, 400]
 
 
 class TestCacheKey:

@@ -36,6 +36,7 @@ from repro.reliability import (
     run_splitting_iid,
     weighted_summary,
 )
+from repro.reliability import rareevent
 from repro.reliability.rareevent import (
     auto_tilt,
     rareevent_chunk_tally,
@@ -43,7 +44,8 @@ from repro.reliability.rareevent import (
     resolve_tilt,
     tilted_rate,
 )
-from repro.schemes import Duo, NoEcc, PairScheme, Xed
+from repro.schemes import ConventionalIecc, Duo, NoEcc, PairScheme, Xed
+from tests import oracle
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=10)
 
@@ -290,3 +292,42 @@ class TestSplitting:
                                    effort=64, seed=0, samples=50)
         assert result.p_tail == 0.0
         assert result.p_fail == 0.0
+
+
+class TestSplittingSamplerParity:
+    """The per-class sampler equals the dense oracle, cell for cell."""
+
+    @pytest.mark.parametrize("ber", [1e-4, 1e-5])
+    @pytest.mark.parametrize("factory", [PairScheme, Duo, Xed, ConventionalIecc])
+    def test_every_level_equals_the_dense_oracle(self, get_scheme, factory, ber):
+        law = line_law(get_scheme(factory), ber, samples=50)
+        if factory is Duo:
+            assert law.words == 1  # every cell is the first word's cell
+        count_law = rareevent._count_law(law)
+        for seed in (0, 3, 1009):
+            for effort in (1, 7, 4096):
+                for level in range(1, law.k_fail + 1):
+                    key = [seed, effort, level]
+                    got = rareevent._conditional_counts_given_max(
+                        np.random.default_rng(key), law, level, effort, *count_law
+                    )
+                    want = oracle.conditional_counts_given_max(
+                        np.random.default_rng(key), law, level, effort
+                    )
+                    assert got.dtype == want.dtype
+                    np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("factory", [PairScheme, Duo])
+    def test_run_equals_the_run_with_the_oracle(self, monkeypatch, get_scheme, factory):
+        scheme = get_scheme(factory)
+        got = run_splitting_iid(scheme, iid_rates(1e-4), effort=4096, seed=3,
+                                samples=50)
+        monkeypatch.setattr(
+            rareevent, "_conditional_counts_given_max",
+            lambda rng, law, level, trials, *_: oracle.conditional_counts_given_max(
+                rng, law, level, trials
+            ),
+        )
+        want = run_splitting_iid(scheme, iid_rates(1e-4), effort=4096, seed=3,
+                                 samples=50)
+        assert got.as_dict() == want.as_dict()
