@@ -167,29 +167,6 @@ def build_plan(
     )
 
 
-def prime_chunk(plan_kind: str, scheme: EccScheme, rates: FaultRates,
-                spec: ChunkSpec) -> None:
-    """Run the deterministic set-up that every chunk like ``spec`` repeats.
-
-    The supervisor calls this once in the parent before it launches any
-    worker, so forked workers inherit warm caches instead of re-measuring.
-    For a tilted ``rareevent`` chunk that set-up is the line law: it
-    measures the scheme's conditional tables (``conditional._TABLE_CACHE``)
-    and fills the GF caches.  The tables are a pure function of
-    ``(scheme, samples, table_seed)``, so a primed chunk's tally is
-    bit-identical to a cold one; under the ``spawn`` start method workers
-    simply measure them again.  Other kinds have nothing to prime.
-    """
-    if plan_kind == "rareevent" and isinstance(spec.payload, dict):
-        from ..reliability.rareevent import line_law, require_pure_ber
-
-        line_law(
-            scheme, require_pure_ber(rates, context="rareevent campaign"),
-            samples=int(spec.payload.get("samples", 400)),
-            seed=int(spec.payload.get("table_seed", 0)),
-        )
-
-
 def execute_chunk(plan_kind: str, scheme: EccScheme, rates: FaultRates,
                   config: ExactRunConfig, spec: ChunkSpec) -> Tally:
     """Run one chunk to a tally."""

@@ -12,13 +12,13 @@ result pipe, its process sentinel (a dead process with no result is a
 ``timeout``, so a hung chunk cannot starve the campaign); the deadline
 and the ``campaign.chunk`` span start at dispatch, not at fork.
 
-Before the first launch the parent primes the set-up every chunk would
-repeat (:func:`~repro.campaign.plan.prime_chunk`), so forked workers
-inherit warm caches (under ``spawn`` each measures them once).  Between
-events it blocks in :func:`multiprocessing.connection.wait` until a pipe
-or sentinel fires, the earliest deadline, or - with a worker slot free -
-the earliest backoff expiry; it never polls.  When ``run`` returns or
-raises, no worker outlives it.
+The conditional tables a rare-event chunk's line law measures stay cached
+for the worker's life, so each worker measures a table at most once (the
+RS schemes' laws measure none).  Between events the parent blocks in
+:func:`multiprocessing.connection.wait` until a pipe or sentinel fires,
+the earliest deadline, or - with a worker slot free - the earliest backoff
+expiry; it never polls.  When ``run`` returns or raises, no worker
+outlives it.
 
 What happens to a chunk - the guards its result must pass, retry with
 seeded-jitter backoff on the same engine, quarantine once its budget is
@@ -45,7 +45,7 @@ from ..reliability.exact import ExactRunConfig
 from ..reliability.outcomes import Tally
 from ..schemes.base import EccScheme
 from .chaos import ChaosSchedule
-from .plan import ChunkSpec, execute_chunk, prime_chunk
+from .plan import ChunkSpec, execute_chunk
 from .retry import (
     FAIL_CRASH,
     FAIL_NUMERICAL,
@@ -236,8 +236,6 @@ class Supervisor:
             spec.index: ChunkOutcome(spec, failures=queue.chunk(spec.index).failures)
             for spec in specs
         }
-        if specs:
-            prime_chunk(self.kind, self.scheme, self.rates, specs[0])
         self._specs = tuple(specs)
         active: list[_Job] = []
         idle: list[_Worker] = []

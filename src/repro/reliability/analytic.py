@@ -1,12 +1,20 @@
-"""Semi-analytic reliability models: exact count statistics x measured
-conditional decoder behaviour.
+"""Semi-analytic reliability models: exact count statistics x conditional
+decoder behaviour.
 
 For the i.i.d. weak-cell process with per-bit probability ``p``, the number
 of errors per codeword is exactly binomial; the conditional outcome given a
-count is measured once from the real decoder
-(:mod:`repro.reliability.conditional`).  Composing the two yields SDC/DUE
+count comes from a per-count table.  Composing the two yields SDC/DUE
 probabilities per 64-byte line read, valid down to arbitrarily small
 probabilities - this is what regenerates the paper's reliability sweep (F2).
+
+The binary codes (XED's and conventional IECC's Hamming SEC, rank-level
+SEC-DED) measure their tables from the real decoder
+(:mod:`repro.reliability.conditional`).  The RS codes (PAIR, DUO) decode
+nothing: every pattern of at most ``t`` symbol errors is corrected by the
+distance, and a pattern beyond ``t`` miscorrects at the analytic floor
+:func:`rs_floor`, far below anything sampling resolves
+(``tests/reliability/test_rs_floor.py`` checks the floor against the
+decoder on short codes, where it is measurable).
 
 Each model is validated against the decoder-in-the-loop engine at elevated
 BER in the integration test suite.
@@ -20,6 +28,7 @@ import math
 
 import numpy as np
 
+from ..codes.rs import ReedSolomonCode, SinglyExtendedRS
 from ..schemes.base import EccScheme
 from ..schemes.duo import Duo
 from ..schemes.iecc_sec import ConventionalIecc
@@ -27,7 +36,7 @@ from ..schemes.no_ecc import NoEcc
 from ..schemes.pair import PairScheme
 from ..schemes.rank import RankSecDed
 from ..schemes.xed import Xed
-from .conditional import measure_bit_code, measure_symbol_code
+from .conditional import measure_bit_code
 from .stats import at_least_one, binom_pmf, binom_tail
 
 
@@ -58,31 +67,41 @@ def rs_decodable_fraction(n: int, r_eff: int, t: int, q: int = 256) -> float:
     the fraction of syndromes claimed by radius-``t`` balls around
     codewords: ``sum_{i<=t} C(n,i)(q-1)^i / q^r``.  This is the standard
     estimate (tight for RS codes) and is far below what sampling can
-    measure - the models stitch it into the measured conditional tables for
-    counts beyond ``t``.
+    measure at the schemes' shapes - the RS models take it as their
+    conditional rows for counts beyond ``t`` (:func:`rs_floor`).
     """
     total = sum(math.comb(n, i) * (q - 1) ** i for i in range(t + 1))
     return float(total) / float(q) ** r_eff
 
 
-def _with_rs_floor(
-    table_flag: np.ndarray,
-    table_bad: np.ndarray,
-    t: int,
-    miscorrect: float,
-    window_factor: float = 1.0,
+def rs_floor(code: ReedSolomonCode | SinglyExtendedRS) -> float:
+    """Miscorrection probability of a pattern far beyond ``code.t``.
+
+    A plain RS code is one bounded-distance decoder at radius ``t``.  The
+    two-pass singly extended decoder adds the miscorrections of both passes:
+    case A uses r+1 syndromes at radius (r+1)//2, case B uses r syndromes at
+    radius (r-1)//2 (``r`` of the inner code).
+    """
+    q = code.field.order
+    if isinstance(code, SinglyExtendedRS):
+        inner = code.inner
+        return rs_decodable_fraction(
+            inner.n, inner.r + 1, (inner.r + 1) // 2, q
+        ) + rs_decodable_fraction(inner.n, inner.r, (inner.r - 1) // 2, q)
+    return rs_decodable_fraction(code.n, code.r, code.t, q)
+
+
+def _rs_rows(
+    j_max: int, t: int, miscorrect: float, window_factor: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Override measured conditionals with exact/analytic values.
+    """``(p_flag, p_bad)`` per count ``j = 0..j_max`` of an RS word.
 
     Counts ``j <= t`` are always corrected (guaranteed by the distance);
-    counts beyond ``t`` detect except for the analytic miscorrection floor.
-    Every row is overwritten, so the measured rows ``j > t`` check the
-    floor rather than feed the model.
+    counts beyond ``t`` detect except for the miscorrection floor, of which
+    ``window_factor`` is the share that reaches the data a read consumes.
     """
-    flag = table_flag.copy()
-    bad = table_bad.copy()
-    flag[: t + 1] = 0.0
-    bad[: t + 1] = 0.0
+    flag = np.zeros(j_max + 1)
+    bad = np.zeros(j_max + 1)
     flag[t + 1 :] = 1.0 - miscorrect
     bad[t + 1 :] = miscorrect * window_factor
     return flag, bad
@@ -172,19 +191,13 @@ class DuoModel(ReliabilityModel):
 
     def __init__(self, scheme: Duo, samples: int = 1500, seed: int = 0):
         super().__init__(scheme, samples, seed)
-        self.table = measure_symbol_code(
-            scheme.code,
-            j_max=scheme.code.t + 8,
-            samples=samples,
-            seed=seed,
-        )
         code = scheme.code
-        miscorrect = rs_decodable_fraction(code.n, code.r, code.t)
         # A miscorrected word is a different codeword: >= d_min symbols
-        # differ, virtually certain to touch the 64 data symbols.
-        self._flag, self._bad = _with_rs_floor(
-            self.table.p_flag, self.table.p_bad, code.t, miscorrect
-        )
+        # differ, virtually certain to touch the 64 data symbols.  The rows
+        # run to t + 8 although every row past t is the same: ``_mix`` sums
+        # the table and then the binomial tail, and a shorter table would
+        # round differently and move every golden.
+        self._flag, self._bad = _rs_rows(code.t + 8, code.t, rs_floor(code))
 
     def line_probs(self, ber: float) -> dict[str, float]:
         q_sym = -math.expm1(8 * math.log1p(-ber))  # 1 - (1-p)^8
@@ -200,31 +213,18 @@ class PairModel(ReliabilityModel):
 
     def __init__(self, scheme: PairScheme, samples: int = 1500, seed: int = 0):
         super().__init__(scheme, samples, seed)
+        code = scheme.code
         # data symbols of one codeword that a single access consumes
         # (orientation-dependent: 2 for pin-aligned, 16 for beat-aligned)
         first_cw = scheme.layout.codewords_of_access(0)[0]
         lo, hi = scheme.layout.data_symbol_range_of_access(first_cw, 0)
-        self.window_symbols = max(1, hi - lo)
-        self.table = measure_symbol_code(
-            scheme.code,
-            j_max=scheme.code.t + 8,
-            samples=samples,
-            seed=seed,
-            window_symbols=self.window_symbols,
-        )
-        inner = scheme.code.inner
-        # Two-pass extended decoder: case A uses r+1 syndromes at radius
-        # (r+1)//2, case B uses r syndromes at radius (r-1)//2.
-        miscorrect = rs_decodable_fraction(
-            inner.n, inner.r + 1, (inner.r + 1) // 2
-        ) + rs_decodable_fraction(inner.n, inner.r, (inner.r - 1) // 2)
-        d_min = scheme.code.d_min
-        window_factor = -math.expm1(
-            d_min * math.log1p(-self.window_symbols / scheme.code.n)
-        )
-        self._flag, self._bad = _with_rs_floor(
-            self.table.p_flag, self.table.p_bad_window, scheme.code.t,
-            miscorrect, window_factor,
+        window = max(1, hi - lo)
+        # a miscorrection moves >= d_min symbols; the chance that one of
+        # them lands in the accessed window is what the read sees
+        window_factor = -math.expm1(code.d_min * math.log1p(-window / code.n))
+        # t + 8 rows for the same rounding reason as DUO's
+        self._flag, self._bad = _rs_rows(
+            code.t + 8, code.t, rs_floor(code), window_factor
         )
 
     def line_probs(self, ber: float) -> dict[str, float]:

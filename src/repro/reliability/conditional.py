@@ -3,18 +3,23 @@
 The semi-analytic reliability engine factors each scheme's failure
 probability into (a) the *exact* distribution of error counts per codeword
 (binomial in the i.i.d. weak-cell process) and (b) the *conditional* outcome
-probabilities given j errors - which depend on the decoder's actual
-behaviour and are measured here by running the real decoder on controlled
-error patterns.
+probabilities given j errors.  For the binary codes (Hamming SEC, Hsiao
+SEC-DED) those depend on the decoder's actual behaviour and are measured
+here by running the real decoder on controlled error patterns.  The RS
+models (PAIR, DUO) take theirs from the distance bound and the
+miscorrection floor (:func:`repro.reliability.analytic.rs_floor`) and
+measure nothing; :func:`measure_symbol_code` stays as the decoder's
+reference for that floor in the tests, and for the benchmark's traced
+mode, which wraps it by name and reads :data:`_TABLE_CACHE`.
 
 Only counts beyond the code's correction radius ``t = (d_min - 1) // 2``
 (:attr:`BlockCode.t`) are decoded.  Every pattern of at most ``t`` errors
 is corrected by the minimum distance alone, so rows ``j <= t`` are filled
-from that bound (``p_flag = p_bad = p_bad_window = 0``) without decoding.
-Their trial words are still drawn, so the generator reaches each row
-``j > t`` in the same state - those rows do not depend on whether the
-settled rows were decoded.  ``tests/oracle.py`` decodes every row word by
-word and must agree bit for bit.
+from that bound (``p_flag = p_bad = 0``) without decoding.  Their trial
+words are still drawn, so the generator reaches each row ``j > t`` in the
+same state - those rows do not depend on whether the settled rows were
+decoded.  ``tests/oracle.py`` decodes every row word by word and must
+agree bit for bit.
 
 Rows ``j > t`` are decoded in packed groups: consecutive rows share one
 ``decode_batch`` call of at most :data:`_DECODE_WORDS` words, and the
@@ -22,8 +27,8 @@ result splits back by row (``decode_batch`` decodes each word as
 ``decode`` would, so no table moves).  At a few samples per row this
 saves most of the per-call overhead; a group is decoded as soon as it is
 full, so no more than one call's words are held.  A row of at least the
-budget (the 400-sample rows of the F2 sweep) is one call on its own and
-allocates what decoding it alone would.
+budget (400-sample rows) is one call on its own and allocates what
+decoding it alone would.
 
 Conditioning on counts (rather than raw Monte Carlo) is what lets the F2
 sweep resolve failure probabilities of 1e-20 and below, far past what direct
@@ -43,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..codes.base import BlockCode
+from ..codes.rs import ReedSolomonCode, SinglyExtendedRS
 from ..faults.rng import trial_words
 from ..obs import metrics as _obs
 
@@ -54,15 +60,12 @@ class WordConditionals:
     Rows ``j <= code.t`` are zero by the distance bound, not measured.
 
     ``p_flag[j]``  - decoder reports detected-uncorrectable;
-    ``p_bad[j]``   - decoder believes the word good but the data is wrong;
-    ``p_bad_window[j]`` - same, restricted to a random aligned data window
-    (only measured when ``window_symbols`` was given; else equals p_bad).
+    ``p_bad[j]``   - decoder believes the word good but the data is wrong.
     """
 
     j_values: np.ndarray
     p_flag: np.ndarray
     p_bad: np.ndarray
-    p_bad_window: np.ndarray
 
 
 _TABLE_CACHE: dict[tuple[object, ...], WordConditionals] = {}
@@ -74,7 +77,7 @@ _TABLE_CACHE: dict[tuple[object, ...], WordConditionals] = {}
 _DECODE_WORDS = 512
 
 # Observability (DESIGN.md 6e): how often a table was measured versus served
-# from the cache - a campaign should measure each table once, in its parent.
+# from the cache - a process should measure each table once.
 _C_BUILT = _obs.counter("reliability.tables.built")
 _C_REUSED = _obs.counter("reliability.tables.reused")
 
@@ -168,36 +171,30 @@ def measure_bit_code(
         flagged = np.zeros(samples, dtype=bool) if silent_on_detect else detected
         p_flag[j] = np.count_nonzero(flagged) / samples
         p_bad[j] = np.count_nonzero(~flagged & data.any(axis=1)) / samples
-    table = WordConditionals(j_values, p_flag, p_bad, p_bad.copy())
+    table = WordConditionals(j_values, p_flag, p_bad)
     _TABLE_CACHE[key] = table
     return table
 
 
 def measure_symbol_code(
-    code: BlockCode,
+    code: ReedSolomonCode | SinglyExtendedRS,
     j_max: int,
     samples: int = 1500,
     seed: int = 0,
-    symbol_bits: int = 8,
-    window_symbols: int | None = None,
 ) -> WordConditionals:
     """Conditional table for a symbol code (RS variants).
 
-    Errors are j random symbol positions each corrupted by one random bit
-    flip.  When ``window_symbols`` is given, ``p_bad_window`` measures the
-    probability that a random aligned window of that many *data* symbols is
-    wrong (what an access-level read consumes from a long codeword).
-    Rows ``j <= code.t`` are settled by the distance (the code is MDS) and
-    left zero; only rows ``j > code.t`` are decoded.
+    Errors are j random symbol positions, each corrupted by one random bit
+    flip among the ``m`` bits of the code's field GF(2^m).  Rows
+    ``j <= code.t`` are settled by the distance (the code is MDS) and left
+    zero; only rows ``j > code.t`` are decoded.
+
+    No model calls this: the RS models take their rows from the floor.  It
+    stays here because the benchmark's traced mode wraps it by name; it can
+    move to ``tests/oracle.py`` with the benchmark's next change.
     """
     _check_args(code, j_max, samples)
-    if window_symbols is not None and not (
-        1 <= window_symbols <= code.k and code.k % window_symbols == 0
-    ):
-        raise ValueError(
-            f"window_symbols must divide code.k={code.k}, got {window_symbols}"
-        )
-    key = ("sym", *_code_key(code), j_max, samples, seed, symbol_bits, window_symbols)
+    key = ("sym", *_code_key(code), j_max, samples, seed)
     cached = _cached(key)
     if cached is not None:
         return cached
@@ -205,30 +202,17 @@ def measure_symbol_code(
     j_values = np.arange(j_max + 1)
     p_flag = np.zeros(j_max + 1)
     p_bad = np.zeros(j_max + 1)
-    p_bad_window = np.zeros(j_max + 1)
-    windows = (code.k // window_symbols) if window_symbols else 1
 
     def draw(j: int) -> tuple[np.ndarray, np.ndarray]:
         # Every trial word at once, drawn as a choice() + integers() loop
         # would draw them.
-        positions, bits = trial_words(rng, code.n, j, samples, symbol_bits)
+        positions, bits = trial_words(rng, code.n, j, samples, code.field.m)
         return positions, 1 << bits
 
     for j, detected, data in _decoded_rows(code, j_max, samples, draw, np.int64):
-        wrong = data[~detected & data.any(axis=1)] != 0
         p_flag[j] = np.count_nonzero(detected) / samples
-        p_bad[j] = len(wrong) / samples
-        if window_symbols:
-            # Fraction of aligned windows holding a wrong symbol, per bad
-            # word.  Summed left to right, as word-by-word ``+=`` would, so
-            # the float sum is bit-identical to it.
-            hits = wrong.reshape(len(wrong), windows, window_symbols).any(axis=2)
-            fractions = np.count_nonzero(hits, axis=1) / windows
-            bad_windows = np.add.accumulate(fractions)[-1] if len(wrong) else 0.0
-            p_bad_window[j] = bad_windows / samples
-        else:
-            p_bad_window[j] = p_bad[j]
-    table = WordConditionals(j_values, p_flag, p_bad, p_bad_window)
+        p_bad[j] = np.count_nonzero(~detected & data.any(axis=1)) / samples
+    table = WordConditionals(j_values, p_flag, p_bad)
     _TABLE_CACHE[key] = table
     return table
 

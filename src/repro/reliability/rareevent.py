@@ -5,7 +5,8 @@ cannot reach: resolving a ~1e-13 per-read failure probability to a useful
 CI needs ~1e15 plain trials.  This module adds two variance-reduction
 tiers over the i.i.d. weak-cell process, both built on the *count-level*
 line law the validated analytic models already use (binomial per-word
-error counts x measured conditional decoder tables):
+error counts x conditional decoder tables, measured for the bit codes and
+taken from the distance bound and miscorrection floor for the RS codes):
 
 **Importance sampling by exponential tilting** (:func:`run_rareevent_iid`).
 The per-bit/per-symbol error rate ``q`` is tilted in log-odds space by
@@ -171,9 +172,12 @@ def line_law(
     """Build the count-level law for one scheme at one BER.
 
     The tables come from the same analytic models the closed forms use
-    (:func:`repro.reliability.analytic.build_model`), including the RS
-    miscorrection floors and the PAIR access-window restriction, so the
-    rare-event estimators target exactly the quantity those models compute.
+    (:func:`repro.reliability.analytic.build_model`), so the rare-event
+    estimators target exactly the quantity those models compute.  PAIR's
+    and DUO's rows follow from the distance bound, the RS miscorrection
+    floor and PAIR's access-window factor; ``samples`` and ``seed`` size
+    and seed the measured tables of the bit-code schemes only (XED,
+    conventional IECC, rank SEC-DED).
     """
     if isinstance(scheme, NoEcc):
         return LineLaw(
@@ -395,7 +399,9 @@ class RareEventParams:
     ``min_ess`` is the Kish effective-sample-size floor below which the run
     raises :class:`repro.errors.NumericalGuard` instead of returning a
     silently meaningless tally.  ``samples``/``table_seed`` parameterize
-    the measured conditional tables (shared with the analytic models).
+    the measured conditional tables of the bit-code schemes (shared with
+    the analytic models); PAIR's and DUO's laws measure nothing and do not
+    read them.
     """
 
     tilt: float | str = "auto"

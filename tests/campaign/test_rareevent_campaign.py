@@ -26,7 +26,6 @@ from repro.campaign.manifest import MANIFEST_NAME
 from repro.errors import CampaignAborted, EngineMismatch
 from repro.faults import DEFAULT_RATES
 from repro.galois import batch as gf_batch
-from repro.obs import metrics
 from repro.reliability import (
     ExactRunConfig,
     RareEventParams,
@@ -158,7 +157,7 @@ class TestChaosResume:
 
 
 class TestColdCaches:
-    """The parent measures the tables once and forked workers inherit them.
+    """Workers start from cold caches and still agree bit for bit.
 
     The module's ``reference`` fixture can warm the caches before a
     campaign runs, which would hide any warm/cold difference; here both
@@ -185,30 +184,21 @@ class TestColdCaches:
             assert result.tally.extra["weighted"] == \
                 reference.tally.extra["weighted"]
 
-    def test_tables_measured_once_in_the_parent(self, tmp_path, monkeypatch):
-        # every worker snapshot the parent absorbs is recorded, so a table
-        # measured inside a worker cannot hide in the merged counters
-        absorbed = []
-        absorb = metrics.absorb
-
-        def spy(snap):
-            absorbed.append(snap)
-            absorb(snap)
-
-        monkeypatch.setattr(metrics, "absorb", spy)
+    def test_each_worker_measures_a_table_at_most_once(self, tmp_path):
+        # XED's law measures a Hamming table (PAIR's measures none); each
+        # persistent worker keeps it cached across its chunks
         cold()
         try:
             with obs.enabled_scope(True):
-                result = start_campaign(tmp_path, config(), policy(workers=2))
+                result = start_campaign(tmp_path, config(scheme="xed"),
+                                        policy(workers=2))
         finally:
             obs.reset_all()
         assert result.complete
         merged = Manifest.load(tmp_path).obs["metrics"]["counters"]
-        assert merged["reliability.tables.built"] == 1
-        assert len(absorbed) == TRIALS // CHUNK
-        for snap in absorbed:
-            assert "reliability.tables.built" not in snap["counters"]
-            assert snap["counters"]["reliability.tables.reused"] >= 1
+        built = merged["reliability.tables.built"]
+        assert 1 <= built <= 2
+        assert built + merged["reliability.tables.reused"] == TRIALS // CHUNK
 
 
 class TestConfigValidation:

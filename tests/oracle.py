@@ -374,7 +374,7 @@ def measure_bit_code(
                 bads += 1
         p_flag[j] = flags / samples
         p_bad[j] = bads / samples
-    return WordConditionals(j_values, p_flag, p_bad, p_bad.copy())
+    return WordConditionals(j_values, p_flag, p_bad)
 
 
 def measure_symbol_code(
@@ -382,8 +382,6 @@ def measure_symbol_code(
     j_max: int,
     samples: int = 1500,
     seed: int = 0,
-    symbol_bits: int = 8,
-    window_symbols: int | None = None,
 ) -> WordConditionals:
     """``conditional.measure_symbol_code`` with one ``choice()``, one
     ``integers()`` and one scalar ``decode`` per trial word."""
@@ -391,29 +389,21 @@ def measure_symbol_code(
     j_values = np.arange(j_max + 1)
     p_flag = np.zeros(j_max + 1)
     p_bad = np.zeros(j_max + 1)
-    p_bad_window = np.zeros(j_max + 1)
-    windows = (code.k // window_symbols) if window_symbols else 1
     for j in range(1, j_max + 1):
         words = np.zeros((samples, code.n), dtype=np.int64)
         for s in range(samples):
             positions = rng.choice(code.n, j, replace=False)
-            words[s, positions] = 1 << rng.integers(0, symbol_bits, size=j)
+            words[s, positions] = 1 << rng.integers(0, code.field.m, size=j)
         flags = bads = 0
-        bad_windows = 0.0
         for word in words:
             result = code.decode(word)
             if result.status is DecodeStatus.DETECTED:
                 flags += 1
-                continue
-            wrong = np.nonzero(result.data)[0]
-            if wrong.size:
+            elif np.any(result.data):
                 bads += 1
-                if window_symbols:
-                    bad_windows += np.unique(wrong // window_symbols).size / windows
         p_flag[j] = flags / samples
         p_bad[j] = bads / samples
-        p_bad_window[j] = (bad_windows / samples) if window_symbols else p_bad[j]
-    return WordConditionals(j_values, p_flag, p_bad, p_bad_window)
+    return WordConditionals(j_values, p_flag, p_bad)
 
 
 def conditional_counts_given_max(

@@ -70,12 +70,13 @@ class TestSymbolCodeTables:
         assert table.p_bad[8] == 0.0
         assert table.p_flag[9] > 0.99
 
-    def test_window_column_present(self):
-        code = SinglyExtendedRS(GF256, 256, 240)
-        table = measure_symbol_code(
-            code, j_max=9, samples=100, seed=6, window_symbols=2
-        )
-        assert np.all(table.p_bad_window <= table.p_bad + 1e-12)
+    def test_flips_bits_of_the_code_field(self):
+        # a GF(2^4) symbol has 4 bits: a flip of bit 7 would not be a symbol
+        code = ReedSolomonCode(get_field(4), 15, 11)
+        table = measure_symbol_code(code, j_max=5, samples=50, seed=7)
+        assert not table.p_flag[: code.t + 1].any()
+        assert table.p_flag[3] + table.p_bad[3] == pytest.approx(1.0)
+        assert_same_table(table, oracle.measure_symbol_code(code, 5, 50, 7))
 
 
 def assert_same_table(got, want):
@@ -84,17 +85,20 @@ def assert_same_table(got, want):
 
 
 def model_calls(monkeypatch, schemes, samples, seed):
-    """Every table call the schemes' analytic models make, with its result."""
+    """Every table call the schemes' analytic models make, with its result.
+
+    Only the bit codes measure: the RS models take their rows from the
+    distance bound and the miscorrection floor.
+    """
     calls = []
-    for name in ("measure_bit_code", "measure_symbol_code"):
-        measure = getattr(analytic, name)
+    measure = analytic.measure_bit_code
 
-        def record(code, *args, _name=name, _measure=measure, **kwargs):
-            table = _measure(code, *args, **kwargs)
-            calls.append((_name, code, args, kwargs, table))
-            return table
+    def record(code, *args, **kwargs):
+        table = measure(code, *args, **kwargs)
+        calls.append((code, args, kwargs, table))
+        return table
 
-        monkeypatch.setattr(analytic, name, record)
+    monkeypatch.setattr(analytic, "measure_bit_code", record)
     for scheme in schemes:
         build_model(scheme, samples=samples, seed=seed)
     return calls
@@ -110,23 +114,19 @@ class TestLoopParity:
     @pytest.mark.parametrize("samples", [16, 400])
     def test_model_tables_equal_the_loop(self, monkeypatch, seed, samples):
         calls = model_calls(monkeypatch, PARITY_SCHEMES, samples, seed)
-        kinds = {(name, "silent_on_detect" in kw, "window_symbols" in kw)
-                 for name, _, _, kw, _ in calls}
-        assert ("measure_bit_code", True, False) in kinds  # conventional IECC
-        assert ("measure_symbol_code", False, True) in kinds  # PAIR windows
-        windows = {kw.get("window_symbols") for _, _, _, kw, _ in calls}
-        assert {2, 16} <= windows  # pin- and beat-aligned PAIR
-        for name, code, args, kwargs, table in calls:
-            assert_same_table(table, getattr(oracle, name)(code, *args, **kwargs))
+        silent = {"silent_on_detect" in kw for _, _, kw, _ in calls}
+        assert silent == {False, True}  # XED/rank SEC-DED and conventional IECC
+        for code, args, kwargs, table in calls:
+            assert_same_table(table, oracle.measure_bit_code(code, *args, **kwargs))
 
     def test_obs_on_equals_obs_off(self):
         code = SinglyExtendedRS(GF256, 256, 240)
-        off = measure_symbol_code(code, j_max=10, samples=37, seed=3, window_symbols=16)
+        off = measure_symbol_code(code, j_max=10, samples=37, seed=3)
         clear_cache()
         metrics.reset()
         with obs.enabled_scope(True):
-            on = measure_symbol_code(code, j_max=10, samples=37, seed=3, window_symbols=16)
-            again = measure_symbol_code(code, j_max=10, samples=37, seed=3, window_symbols=16)
+            on = measure_symbol_code(code, j_max=10, samples=37, seed=3)
+            again = measure_symbol_code(code, j_max=10, samples=37, seed=3)
             bit = measure_bit_code(HammingSEC(136, 128), j_max=4, samples=37, seed=3)
         assert again is on
         assert_same_table(on, off)
@@ -137,10 +137,10 @@ class TestLoopParity:
 
 
 SETTLED_CODES = {
-    "sec-136-128": (HammingSEC(136, 128), None),
-    "secded-72-64": (HsiaoSECDED(72, 64), None),
-    "duo-rs-76-64": (ReedSolomonCode(GF256, 76, 64), 8),
-    "pair-ers-256-240": (SinglyExtendedRS(GF256, 256, 240), 8),
+    "sec-136-128": (HammingSEC(136, 128), False),
+    "secded-72-64": (HsiaoSECDED(72, 64), False),
+    "duo-rs-76-64": (ReedSolomonCode(GF256, 76, 64), True),
+    "pair-ers-256-240": (SinglyExtendedRS(GF256, 256, 240), True),
 }
 
 
@@ -150,26 +150,26 @@ class TestSettledRows:
     @pytest.mark.parametrize("seed", [0, 1009])
     @pytest.mark.parametrize("name", SETTLED_CODES)
     def test_equal_the_loop_that_decodes_every_row(self, name, seed):
-        code, symbol_bits = SETTLED_CODES[name]
+        code, symbol = SETTLED_CODES[name]
         j_max = code.t + 3
-        if symbol_bits is None:
+        if symbol:
+            kwargs = [{}]
+            measure, reference = measure_symbol_code, oracle.measure_symbol_code
+        else:
             kwargs = [{}, {"silent_on_detect": True}]
             measure, reference = measure_bit_code, oracle.measure_bit_code
-        else:
-            kwargs = [{}, {"window_symbols": 16}]
-            measure, reference = measure_symbol_code, oracle.measure_symbol_code
         for kw in kwargs:
             table = measure(code, j_max, 60, seed, **kw)
             assert_same_table(table, reference(code, j_max, 60, seed, **kw))
             settled = slice(0, code.t + 1)
-            for column in (table.p_flag, table.p_bad, table.p_bad_window):
+            for column in (table.p_flag, table.p_bad):
                 assert not column[settled].any()
 
     @pytest.mark.parametrize("name", SETTLED_CODES)
     def test_only_rows_past_the_radius_are_decoded(self, name):
-        code, symbol_bits = SETTLED_CODES[name]
-        measure = measure_bit_code if symbol_bits is None else measure_symbol_code
-        prefix = "hamming" if symbol_bits is None else "rs"
+        code, symbol = SETTLED_CODES[name]
+        measure = measure_symbol_code if symbol else measure_bit_code
+        prefix = "rs" if symbol else "hamming"
         metrics.reset()
         with obs.enabled_scope(True):
             measure(code, code.t + 3, 50, 2)
@@ -179,7 +179,7 @@ class TestSettledRows:
 
 PACKED_CODES = {
     "duo-rs-76-64": (ReedSolomonCode(GF256, 76, 64), measure_symbol_code,
-                     oracle.measure_symbol_code, {"window_symbols": 16}),
+                     oracle.measure_symbol_code, {}),
     "sec-136-128": (HammingSEC(136, 128), measure_bit_code,
                     oracle.measure_bit_code, {}),
 }
@@ -267,9 +267,6 @@ class TestArgumentChecks:
     @pytest.mark.parametrize("kwargs, name", [
         ({"samples": 0}, "samples"),
         ({"j_max": 257}, "j_max"),
-        ({"window_symbols": 0}, "window_symbols"),
-        ({"window_symbols": 241}, "window_symbols"),
-        ({"window_symbols": 7}, "window_symbols"),  # 7 does not divide k = 240
     ])
     def test_symbol_code(self, kwargs, name):
         code = SinglyExtendedRS(GF256, 256, 240)
