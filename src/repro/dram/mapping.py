@@ -84,7 +84,9 @@ class SegmentedLayout:
     bit to its (pin, bit-offset) home in the row matrix.  Bit offsets index
     the *full* per-pin storage: offsets past the data region land in spare.
     Gathers and scatters go through one flat cell index derived from the
-    two, ``pin * bits_per_pin + bit``.
+    two, ``pin * bits_per_pin + bit``.  Segment ``s`` holds per-pin offsets
+    ``[s * span, (s+1) * span)`` of the data region and ``[s * parity_span,
+    (s+1) * parity_span)`` of the spare region, which subclasses set.
     """
 
     def __init__(
@@ -105,6 +107,10 @@ class SegmentedLayout:
         self._bit_index: np.ndarray | None = None
         #: a symbol's value from its bits, LSB first
         self._weights = 1 << np.arange(symbol_bits, dtype=np.int64)
+        #: per-pin bits of one segment's data and parity regions
+        self.span = self.parity_span = 0
+        #: footprint of each segment read so far
+        self._footprints: dict[int, Footprint] = {}
 
     # -- indices -------------------------------------------------------------
 
@@ -148,6 +154,9 @@ class SegmentedLayout:
 
     # -- access relationships --------------------------------------------------
 
+    def segment_of_col(self, col: int) -> int:
+        return (col * self.device.burst_length) // self.span
+
     def codewords_of_access(self, col: int) -> tuple[int, ...]:
         """Codeword ids whose data region overlaps column access ``col``."""
         raise NotImplementedError
@@ -160,9 +169,18 @@ class SegmentedLayout:
         """Footprint of a read of ``col``: the cells of its codewords.
 
         Segments cover whole column accesses, so this includes the access
-        window.
+        window.  Each segment's footprint is computed once.
         """
-        raise NotImplementedError
+        seg = self.segment_of_col(col)
+        footprint = self._footprints.get(seg)
+        if footprint is None:
+            data, parity = self.span, self.parity_span
+            spare = self.device.data_bits_per_pin_per_row
+            footprint = self._footprints[seg] = merge_spans((
+                (seg * data, (seg + 1) * data),
+                (spare + seg * parity, spare + (seg + 1) * parity),
+            ))
+        return footprint
 
     def check(self) -> None:
         """Validate that the layout fits the device and never overlaps."""
@@ -201,6 +219,8 @@ class PinAlignedLayout(SegmentedLayout):
                 f"{self.segment_data_bits}b segments"
             )
         self.segments_per_pin = data_bits // self.segment_data_bits
+        # every pin's segment holds one codeword: its data chunk and its parity
+        self.span, self.parity_span = self.segment_data_bits, self.segment_parity_bits
         if self.segments_per_pin * self.segment_parity_bits > device.spare_bits_per_pin_per_row:
             raise ValueError("parity does not fit in the spare region")
         if self.segment_data_bits % (device.burst_length) :
@@ -231,9 +251,6 @@ class PinAlignedLayout(SegmentedLayout):
     def codeword_id(self, pin: int, segment: int) -> int:
         return pin * self.segments_per_pin + segment
 
-    def segment_of_col(self, col: int) -> int:
-        return (col * self.device.burst_length) // self.segment_data_bits
-
     def codewords_of_access(self, col: int) -> tuple[int, ...]:
         seg = self.segment_of_col(col)
         return tuple(
@@ -244,16 +261,6 @@ class PinAlignedLayout(SegmentedLayout):
         bl = self.device.burst_length
         start_bit = col * bl - self.segment_of_col(col) * self.segment_data_bits
         return (start_bit // self.symbol_bits, (start_bit + bl) // self.symbol_bits)
-
-    def access_footprint(self, col: int) -> Footprint:
-        # every pin's segment holds one codeword: its data chunk and its parity
-        seg = self.segment_of_col(col)
-        data, parity = self.segment_data_bits, self.segment_parity_bits
-        spare = self.device.data_bits_per_pin_per_row
-        return merge_spans((
-            (seg * data, (seg + 1) * data),
-            (spare + seg * parity, spare + (seg + 1) * parity),
-        ))
 
 
 class BeatAlignedLayout(SegmentedLayout):
@@ -316,9 +323,6 @@ class BeatAlignedLayout(SegmentedLayout):
         self._pin_index = pin_index
         self._bit_index = bit_index
 
-    def segment_of_col(self, col: int) -> int:
-        return (col * self.device.burst_length) // self.span
-
     def codewords_of_access(self, col: int) -> tuple[int, ...]:
         return (self.segment_of_col(col),)
 
@@ -328,14 +332,6 @@ class BeatAlignedLayout(SegmentedLayout):
         start_bit = start_off * self.device.pins
         n_bits = bl * self.device.pins
         return (start_bit // self.symbol_bits, (start_bit + n_bits) // self.symbol_bits)
-
-    def access_footprint(self, col: int) -> Footprint:
-        seg = self.segment_of_col(col)
-        spare = self.device.data_bits_per_pin_per_row
-        return merge_spans((
-            (seg * self.span, (seg + 1) * self.span),
-            (spare + seg * self.parity_span, spare + (seg + 1) * self.parity_span),
-        ))
 
 
 class SecWordLayout:
@@ -355,6 +351,7 @@ class SecWordLayout:
         self.parity_bits = parity_bits
         self.n = device.access_data_bits + parity_bits
         self.k = device.access_data_bits
+        self._footprints: dict[int, Footprint] = {}
 
     def gather(self, row: np.ndarray, col: int) -> np.ndarray:
         """Return the n-bit codeword (data beat-major, then parity)."""
@@ -374,10 +371,16 @@ class SecWordLayout:
         row[pins_used[0], pins_used[1]] = word[self.k :]
 
     def access_footprint(self, col: int) -> Footprint:
-        """Footprint of the word of ``col``: its data window and parity bits."""
-        per_pin = -(-self.parity_bits // self.device.pins)  # ceil
-        parity = self.device.data_bits_per_pin_per_row + col * per_pin
-        return merge_spans((window_span(self.device, col), (parity, parity + per_pin)))
+        """Footprint of the word of ``col``: its data window and parity bits,
+        computed once per column."""
+        footprint = self._footprints.get(col)
+        if footprint is None:
+            per_pin = -(-self.parity_bits // self.device.pins)  # ceil
+            parity = self.device.data_bits_per_pin_per_row + col * per_pin
+            footprint = self._footprints[col] = merge_spans(
+                (window_span(self.device, col), (parity, parity + per_pin))
+            )
+        return footprint
 
     def _parity_pin_offsets(self, col: int) -> tuple[np.ndarray, np.ndarray]:
         device = self.device

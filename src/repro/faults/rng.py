@@ -198,16 +198,27 @@ def _seed_one(key: Sequence[int]) -> tuple[int, int]:
     return ((inc + seed) * _MULT + inc) & _M128, inc & _M128
 
 
+def key_array(keys: npt.ArrayLike) -> np.ndarray:
+    """``keys`` as a uint64 array, or as Python ints (dtype object) once one
+    of them is past 2**64 or negative.
+
+    :func:`seed_states` hashes a uint64 table as arrays and an object one
+    key at a time (where a negative int raises).
+    """
+    try:
+        return np.asarray(keys, dtype=np.uint64)
+    except OverflowError:
+        return np.asarray(keys, dtype=object)
+
+
 def seed_states(keys: npt.ArrayLike) -> Streams:
     """Seeded streams of ``default_rng(key)`` for each row of ``keys``.
 
     ``keys`` is an ``(N, K)`` array of non-negative ints; rows are hashed
-    as arrays when every int is below 2**64, else one key at a time.
+    as arrays when every int is below 2**64, else one key at a time
+    (:func:`key_array`).
     """
-    try:
-        table = np.asarray(keys, dtype=np.uint64)
-    except OverflowError:  # an int past 2**64, or a negative one
-        table = np.asarray(keys, dtype=object)
+    table = key_array(keys)
     if table.ndim != 2:
         raise ValueError(f"keys must be an (N, K) array, got shape {table.shape}")
     n = len(table)
@@ -482,11 +493,8 @@ def trial_words(
     # the number of values each of one row's draws is uniform over
     floyd = np.arange(n - j + 1, n + 1)
     swaps = np.arange(j, 1, -1)
-    ranges = np.concatenate([floyd, swaps, np.full(j if symbol_bits else 0, symbol_bits)])
-    values = np.zeros((rows, len(ranges)), dtype=np.int64)
-    live = ranges > 1  # a single-valued draw takes no uint32
-    draws = _bounded(bits_gen, np.tile(ranges[live].astype(np.uint64), rows))
-    values[:, live] = draws.reshape(rows, int(live.sum()))
+    ranges = np.concatenate([floyd, swaps, np.full(j if symbol_bits else 0, symbol_bits or 0)])
+    values = bounded_ints(bits_gen, np.tile(ranges, rows)).reshape(rows, len(ranges))
     picks = values[:, :j]
     for k in range(1, j):
         repeat = (picks[:, :k] == picks[:, k : k + 1]).any(axis=1)
@@ -508,7 +516,27 @@ def _halves(raw: np.ndarray) -> np.ndarray:
     return words
 
 
-def _bounded(bits: np.random.PCG64, ranges: np.ndarray) -> np.ndarray:
+def bounded_ints(bits: np.random.PCG64, ranges: npt.ArrayLike) -> np.ndarray:
+    """``Generator.integers(r)`` for each ``r`` of ``ranges`` in turn, at once.
+
+    Entry ``i`` equals the ``i``-th scalar ``rng.integers(ranges[i])`` of a
+    loop on the Generator of ``bits``, and ``bits`` ends as that loop would
+    leave it.  Each range lies in ``[1, 2**32)``; a range of 1 is 0 and,
+    as in numpy, draws nothing.
+    """
+    ranges = np.asarray(ranges, dtype=np.int64)
+    if ranges.size and not (ranges.min() >= 1 and ranges.max() < 2**32):
+        raise ValueError("ranges must lie in [1, 2**32)")
+    live = ranges > 1  # a single-valued draw takes no uint32
+    if live.all():
+        return _lemire(bits, ranges.astype(np.uint64))
+    out = np.zeros(len(ranges), dtype=np.int64)
+    if live.any():
+        out[live] = _lemire(bits, ranges[live].astype(np.uint64))
+    return out
+
+
+def _lemire(bits: np.random.PCG64, ranges: np.ndarray) -> np.ndarray:
     """numpy's Lemire draws, one per entry of ``ranges`` in turn.
 
     Draw ``i`` is uniform on ``[0, ranges[i])`` (each range in ``[2,

@@ -9,13 +9,19 @@ Determinism matters: masks are derived from ``(seed, bank, row)`` substreams,
 so reading the same row twice sees the same weak cells (inherent faults are
 persistent), and two schemes evaluated against the same seed see the same
 fault universe - the comparisons in the paper are paired.
+
+Every mask comes from one builder, :func:`_build_masks`: a lazy
+:meth:`FaultOverlay.mask_for_row`, :func:`prime_masks` over many overlays,
+and :func:`dirty_overlays`, which builds the masks of a whole Monte-Carlo
+chunk from arrays of chip seeds and read coordinates and makes an overlay
+only for the chips whose masks are not all empty.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +30,7 @@ from ..dram.config import DeviceConfig
 from ..dram.mapping import Footprint
 from ..obs import metrics as _obs
 from .rates import FaultRates
-from .rng import POISSON_MULT_MAX, Runs, scratch_generator, seed_states, uniforms
+from .rng import POISSON_MULT_MAX, Runs, key_array, scratch_generator, seed_states, uniforms
 from .types import FaultInstance, FaultType, TransferBurst
 
 #: stream tags: a key is ``[seed, tag]`` (fault sampling) or
@@ -215,7 +221,7 @@ class FaultOverlay:
     inside it, so it equals the whole-row mask with every cell outside the
     footprint zeroed.  Masks are cached (bounded, per row and footprint)
     because schemes repeatedly read the same hot rows; :func:`prime_masks`
-    fills the caches of many overlays in one pass.
+    and :func:`dirty_overlays` fill the caches of many overlays in one pass.
     """
 
     def __init__(
@@ -259,7 +265,7 @@ class FaultOverlay:
         masks = self._cache.get((bank, row))
         if masks is not None and footprint in masks:
             return masks[footprint]
-        mask = _build_masks([(self, bank, row, shape, footprint)])[0]
+        mask = _request_masks([(self, bank, row, shape, footprint)]).get(0)
         self._store(bank, row, footprint, mask)
         return mask
 
@@ -293,8 +299,61 @@ def prime_masks(
     }.values())
     if _obs.enabled():
         _C_PRIMED.add(len(todo))
-    for (overlay, bank, row, _, footprint), mask in zip(todo, _build_masks(todo, rng)):
-        overlay._store(bank, row, footprint, mask)
+    masks = _request_masks(todo, rng)
+    for index, (overlay, bank, row, _, footprint) in enumerate(todo):
+        overlay._store(bank, row, footprint, masks.get(index))
+
+
+def dirty_overlays(
+    config: DeviceConfig,
+    rates: FaultRates,
+    seeds: Sequence[int],
+    faults: Sequence[list[FaultInstance]],
+    reads: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    footprints: Sequence[Footprint],
+    rng: np.random.Generator | None = None,
+) -> dict[int, FaultOverlay]:
+    """Overlays of the chips that some read sees faulty, by chip index.
+
+    Chip ``k`` has seed ``seeds[k]`` and structured faults ``faults[k]``.
+    ``reads`` holds four arrays with one entry per read of one chip: chip,
+    bank, row, and footprint (an index into ``footprints``).  Every mask is
+    built in one pass, equal to :meth:`FaultOverlay.mask_for_row`'s.  Only a
+    chip with a non-empty mask gets an overlay, caching all its reads'
+    masks; every other chip reads as zeros, as one without an overlay does.
+    ``rng`` is a scratch Generator for the long runs.
+    """
+    chip, bank, row, footprint = reads
+    shape = (config.pins, config.data_bits_per_pin_per_row + config.spare_bits_per_pin_per_row)
+    ids: dict[Footprint, int] = {}
+    layout_of = np.array([ids.setdefault(fp, len(ids)) for fp in footprints], dtype=np.intp)
+    ber, cluster = rates.single_cell_ber, rates.cell_cluster_per_bit
+    layouts = [_layout(shape, fp, ber, cluster) for fp in ids]
+    seed_of = key_array(seeds)
+    keys = np.empty((len(chip), 4), dtype=seed_of.dtype)
+    keys[:, 0], keys[:, 1], keys[:, 2], keys[:, 3] = seed_of[chip], bank, row, _CELL_TAG
+    faulty = np.flatnonzero([bool(found) for found in faults])
+    blocks = [
+        (i, *block)
+        for i in np.flatnonzero(np.isin(chip, faulty)).tolist()
+        for block in _fault_blocks(
+            seeds[chip[i]], enumerate(faults[chip[i]]), int(bank[i]), int(row[i]),
+            shape, footprints[footprint[i]],
+        )
+    ]
+    if _obs.enabled():
+        _C_PRIMED.add(len(chip))
+    masks = _build_masks(keys, layouts, layout_of[footprint], blocks, rng)
+    dirty = np.unique(chip[np.fromiter(masks, dtype=np.intp, count=len(masks))])
+    overlays = {
+        k: FaultOverlay(config, rates, seed=seeds[k], faults=faults[k])
+        for k in dirty.tolist()
+    }
+    for i in np.flatnonzero(np.isin(chip, dirty)).tolist():
+        overlays[int(chip[i])]._store(
+            int(bank[i]), int(row[i]), footprints[footprint[i]], masks.get(i)
+        )
+    return overlays
 
 
 @functools.lru_cache(maxsize=8192)
@@ -311,11 +370,12 @@ def _runs(base: int, stride: int, rows: int, spans: Footprint) -> Runs:
     return tuple(runs)
 
 
-class _Draw(NamedTuple):
+_EVERY = slice(None)
+
+
+class _Block(NamedTuple):
     """One block of a mask: a stream's draws over some cells, thresholded."""
 
-    request: int
-    key: tuple[int, int, int, int]
     runs: Runs
     threshold: float
     op: np.ufunc  # how the block combines into the mask
@@ -324,24 +384,46 @@ class _Draw(NamedTuple):
     wide: Footprint | None  # cluster anchors: the spans widened one bit left
 
 
-def _draws_of(index: int, request: MaskRequest) -> list[_Draw]:
-    """The blocks of one request's mask, in the order they combine."""
-    overlay, bank, row, (pins, total_bits), footprint = request
-    out: list[_Draw] = []
-    ber = overlay.rates.single_cell_ber
-    cluster = overlay.rates.cell_cluster_per_bit
-    key = (overlay.seed, bank, row, _CELL_TAG)
-    every = slice(None)
+class _Layout(NamedTuple):
+    """A mask's shape and the blocks its weak-cell stream draws."""
+
+    shape: tuple[int, int]
+    blocks: tuple[_Block, ...]
+
+
+@functools.lru_cache(maxsize=8192)
+def _layout(shape: tuple[int, int], footprint: Footprint, ber: float, cluster: float) -> _Layout:
+    """The weak-cell and cluster-anchor blocks of a mask over ``footprint``."""
+    pins, total_bits = shape
+    blocks = []
     if ber > 0:
         runs = _runs(0, total_bits, pins, footprint)
-        out.append(_Draw(index, key, runs, ber, np.bitwise_or, every, footprint, None))
+        blocks.append(_Block(runs, ber, np.bitwise_or, _EVERY, footprint, None))
     if cluster > 0:
         # an anchor flips itself and its along-pin right neighbour (clusters
         # never wrap), so each span also needs the anchor just left of it
         wide = tuple((max(start - 1, 0), end) for start, end in footprint)
         runs = _runs(pins * total_bits if ber > 0 else 0, total_bits, pins, wide)
-        out.append(_Draw(index, key, runs, cluster, np.bitwise_or, every, footprint, wide))
-    for fault_index, fault in overlay._by_bank.get(bank, ()):
+        blocks.append(_Block(runs, cluster, np.bitwise_or, _EVERY, footprint, wide))
+    return _Layout(shape, tuple(blocks))
+
+
+def _fault_blocks(
+    seed: int,
+    faults: Iterable[tuple[int, FaultInstance]],
+    bank: int,
+    row: int,
+    shape: tuple[int, int],
+    footprint: Footprint,
+) -> list[tuple[tuple[int, int, int, int], _Block]]:
+    """``(stream key, block)`` of each structured fault a mask sees, in order.
+
+    ``faults`` pairs each fault with its index in the device's fault list,
+    which keys its substream.
+    """
+    pins, total_bits = shape
+    out = []
+    for index, fault in faults:
         if not fault.affects_row(bank, row):
             continue
         # the fault draws its (pins, width) block (one pin's width bits for
@@ -357,70 +439,100 @@ def _draws_of(index: int, request: MaskRequest) -> list[_Draw]:
             continue
         local = tuple((start - bit_start, end - bit_start) for start, end in inside)
         if fault.pin < 0:
-            rows, runs = every, _runs(0, bit_end - bit_start, pins, local)
+            rows, runs = _EVERY, _runs(0, bit_end - bit_start, pins, local)
         else:
             rows, runs = slice(fault.pin, fault.pin + 1), _runs(0, 0, 1, local)
-        fault_key = (overlay.seed, bank, row, _FAULT_TAG + fault_index)
-        out.append(_Draw(
-            index, fault_key, runs, fault.density, np.bitwise_xor, rows, inside, None
+        out.append((
+            (seed, bank, row, _FAULT_TAG + index),
+            _Block(runs, fault.density, np.bitwise_xor, rows, inside, None),
         ))
     return out
 
 
-def _build_masks(
+def _request_masks(
     requests: Sequence[MaskRequest], rng: np.random.Generator | None = None
-) -> list[np.ndarray | None]:
-    """The one mask builder: every request's mask, all streams seeded at once.
-
-    Draws sharing a layout of stream positions are drawn together
-    (:func:`repro.faults.rng.uniforms`), a bounded batch at a time.
-    """
-    draws = [
-        draw for index, request in enumerate(requests) for draw in _draws_of(index, request)
+) -> dict[int, np.ndarray]:
+    """The non-empty masks of ``(overlay, bank, row, shape, footprint)``
+    requests, by request index (:func:`_build_masks`)."""
+    if not requests:
+        return {}
+    ids: dict[tuple, int] = {}
+    layout_of = [
+        ids.setdefault((shape, fp, o.rates.single_cell_ber, o.rates.cell_cluster_per_bit), len(ids))
+        for o, _, _, shape, fp in requests
     ]
-    masks: list[np.ndarray | None] = [None] * len(requests)
-    if not draws:
-        return masks
-    stream_of: dict[tuple[int, int, int, int], int] = {}
-    for draw in draws:
-        stream_of.setdefault(draw.key, len(stream_of))
-    streams = seed_states(list(stream_of))
-    by_runs: dict[Runs, list[int]] = {}
-    for at, draw in enumerate(draws):
-        by_runs.setdefault(draw.runs, []).append(at)
-    # blocks[at]: the flips of draw ``at``, None when it flips nothing
-    blocks: list[np.ndarray | None] = [None] * len(draws)
-    for batch in _batches(by_runs):
-        groups = [
-            (runs, np.array([stream_of[draws[at].key] for at in members]))
-            for runs, members in batch
-        ]
-        for (_, members), values in zip(batch, uniforms(streams, groups, rng)):
-            thresholds = np.array([draws[at].threshold for at in members])
-            flips = values < thresholds[:, None]
+    keys = [(o.seed, bank, row, _CELL_TAG) for o, bank, row, _, _ in requests]
+    blocks = [
+        (i, *block)
+        for i, (o, bank, row, shape, fp) in enumerate(requests)
+        for block in _fault_blocks(o.seed, o._by_bank.get(bank, ()), bank, row, shape, fp)
+    ]
+    layouts = [_layout(*layout) for layout in ids]
+    return _build_masks(key_array(keys), layouts, np.array(layout_of), blocks, rng)
+
+
+def _build_masks(
+    keys: np.ndarray,
+    layouts: Sequence[_Layout],
+    layout_of: np.ndarray,
+    faults: Sequence[tuple[int, tuple[int, int, int, int], _Block]],
+    rng: np.random.Generator | None = None,
+) -> dict[int, np.ndarray]:
+    """The one mask builder: the non-empty masks of many requests, by index.
+
+    Request ``i`` draws the blocks of ``layouts[layout_of[i]]`` from the
+    weak-cell stream keyed by row ``i`` of ``keys`` (an ``(N, 4)`` array of
+    ``(seed, bank, row, _CELL_TAG)``), then each of its ``(i, key, block)``
+    entries of ``faults`` from that structured fault's own stream.  Every
+    stream is seeded in one call, and the blocks of all layouts are drawn
+    together, a bounded batch at a time (:func:`repro.faults.rng.uniforms`).
+    """
+    n = len(keys)
+    if faults:
+        keys = np.concatenate([keys, key_array([key for _, key, _ in faults])])
+    streams = seed_states(keys)
+    # parts: (block, streams, requests) - every layout's blocks, then the
+    # structured faults, so a mask combines its blocks in that order
+    order = np.argsort(layout_of, kind="stable")
+    bounds = np.searchsorted(layout_of[order], np.arange(len(layouts) + 1))
+    parts = []
+    for layout, lo, hi in zip(layouts, bounds[:-1], bounds[1:]):
+        members = order[lo:hi]
+        parts += [(block, members, members) for block in layout.blocks]
+    parts += [
+        (block, np.array([n + at]), np.array([request]))
+        for at, (request, _, block) in enumerate(faults)
+    ]
+    found: dict[int, list[tuple[_Block, np.ndarray]]] = {}
+    for batch in _batches(parts):
+        groups = [(parts[at][0].runs, parts[at][1][rows]) for at, rows in batch]
+        for (at, rows), values in zip(batch, uniforms(streams, groups, rng)):
+            block, _, requests = parts[at]
+            flips = values < block.threshold
             for hit in np.flatnonzero(flips.any(axis=1)):
-                blocks[members[hit]] = flips[hit].copy()
-    parts: dict[int, list[tuple[_Draw, np.ndarray]]] = {}
-    for draw, block in zip(draws, blocks):
-        if block is not None:
-            parts.setdefault(draw.request, []).append((draw, block))
-    for index, found in parts.items():
-        masks[index] = _combine(requests[index][3], found)
+                found.setdefault(int(requests[rows][hit]), []).append(
+                    (block, flips[hit].copy())
+                )
+    masks = {}
+    for index, blocks in found.items():
+        mask = _combine(layouts[layout_of[index]].shape, blocks)
+        if mask is not None:
+            masks[index] = mask
     return masks
 
 
 def _batches(
-    by_runs: dict[Runs, list[int]]
-) -> Iterator[list[tuple[Runs, list[int]]]]:
-    """Split the draws into batches of about ``_BATCH_CELLS`` cells."""
-    batch: list[tuple[Runs, list[int]]] = []
+    parts: Sequence[tuple[_Block, np.ndarray, np.ndarray]]
+) -> Iterator[list[tuple[int, slice]]]:
+    """Split the parts' draws into batches of about ``_BATCH_CELLS`` cells."""
+    batch: list[tuple[int, slice]] = []
     cells = 0
-    for runs, members in by_runs.items():
-        width = sum(length for _, length in runs)
+    for at, (block, streams, _) in enumerate(parts):
+        width = sum(length for _, length in block.runs)
         step = max(1, _BATCH_CELLS // width)
-        for at in range(0, len(members), step):
-            batch.append((runs, members[at : at + step]))
-            cells += width * len(batch[-1][1])
+        for start in range(0, len(streams), step):
+            batch.append((at, slice(start, start + step)))
+            cells += width * min(step, len(streams) - start)
             if cells >= _BATCH_CELLS:
                 yield batch
                 batch, cells = [], 0
@@ -429,19 +541,19 @@ def _batches(
 
 
 def _combine(
-    shape: tuple[int, int], parts: list[tuple[_Draw, np.ndarray]]
+    shape: tuple[int, int], parts: list[tuple[_Block, np.ndarray]]
 ) -> np.ndarray | None:
     """OR the weak-cell blocks, then XOR the structured faults, in order."""
     mask = np.zeros(shape, dtype=np.uint8)
-    for draw, block in parts:
-        width = sum(end - start for start, end in draw.wide or draw.spans)
-        flips = block.reshape(-1, width)
-        if draw.wide is not None:
-            flips = _cluster_pairs(flips, draw.spans, draw.wide)
+    for block, flips in parts:
+        width = sum(end - start for start, end in block.wide or block.spans)
+        flips = flips.reshape(-1, width)
+        if block.wide is not None:
+            flips = _cluster_pairs(flips, block.spans, block.wide)
         col = 0
-        for start, end in draw.spans:
-            view = mask[draw.rows, start:end]
-            draw.op(view, flips[:, col : col + end - start], out=view)
+        for start, end in block.spans:
+            view = mask[block.rows, start:end]
+            block.op(view, flips[:, col : col + end - start], out=view)
             col += end - start
     # two structured faults can cancel each other's flips
     return mask if mask.any() else None

@@ -6,19 +6,24 @@ codeword per call) is the test oracle ``tests/oracle.py``.  The
 restructuring has three parts:
 
 1. **Coordinate pre-sampling.**  Every per-trial random draw is made up
-   front with the *same generator and call order* as the scalar loop,
-   so the sampled trial set is bit-identical.  (Vectorised ``rng.integers``
-   with ``size=`` draws a different stream than repeated scalar calls, so
-   the pre-sampling loop deliberately stays scalar - it is a negligible
-   fraction of the run.)
+   front from the *same generator, in the same order* as the scalar loop,
+   so the sampled trial set is bit-identical.  ``rng.integers(size=)``
+   draws a different stream than repeated scalar calls, so the i.i.d.
+   coordinates come from :func:`repro.faults.rng.bounded_ints`, which
+   reproduces the scalar calls' Lemire draws in one array pass; the
+   single-fault and burst loops stay scalar.
 2. **Fault-universe grouping.**  Trials that share a universe (an epoch of
-   ``resample_faults_every`` trials in :func:`run_iid_batched`) build their
-   overlays and devices once, and all reads of a chunk go through one call
-   of the scheme's reader (:meth:`~repro.schemes.base.EccScheme.read_lines`),
-   which skips clean rows, pushes the dirty minority through one
-   ``decode_batch`` and returns a columnar
-   :class:`~repro.schemes.base.BatchRead`; the chunk's tally counts its
-   arrays against the all-zero line (:func:`~.outcomes.tally_batch`).
+   ``resample_faults_every`` trials in :func:`run_iid_batched`) share their
+   chips.  An i.i.d. chunk builds its universe in one array pass: every
+   chip's structured faults, then every read's mask on every chip
+   (:func:`repro.faults.sampler.dirty_overlays`).  Only the chips some read
+   sees faulty get an overlay and a device; every other chip of the chunk
+   is one shared fault-free device.  All reads of a chunk go through one
+   call of the scheme's reader
+   (:meth:`~repro.schemes.base.EccScheme.read_lines`), which skips clean
+   rows, pushes the dirty minority through one ``decode_batch`` and returns
+   a columnar :class:`~repro.schemes.base.BatchRead`; the chunk's tally
+   counts its arrays against the all-zero line (:func:`~.outcomes.tally_batch`).
 3. **Chunked dispatch.**  Chunks are self-contained (scheme, rates, seeds,
    pre-sampled coordinates), so they can run inline or on a
    ``ProcessPoolExecutor``.  Tallies are pure counts and merge
@@ -35,15 +40,22 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
+from ..dram.device import DramDevice
 from ..errors import ChunkFailure
 from ..faults.rates import FaultRates
-from ..faults.rng import scratch_generator
-from ..faults.sampler import FaultOverlay, MaskRequest, prime_masks
+from ..faults.rng import bounded_ints, scratch_generator
+from ..faults.sampler import (
+    FaultOverlay,
+    MaskRequest,
+    dirty_overlays,
+    prime_masks,
+    sample_fault_lists,
+)
 from ..faults.types import FaultInstance, FaultType, TransferBurst
 from ..obs import metrics as _obs
 from ..obs import trace as _trace
 from ..schemes.base import EccScheme
-from .exact import ExactRunConfig, _make_chips, _plant_fault, _sample_overlays, _zero_line
+from .exact import ExactRunConfig, _chip_seeds, _make_chips, _plant_fault, _zero_line
 from .outcomes import Tally, tally_batch
 
 #: default number of trials grouped into one dispatch unit; bounds both the
@@ -132,16 +144,13 @@ def _merge_dispatch(
 
 
 def _sample_iid_coords(scheme: EccScheme, config: ExactRunConfig) -> list[tuple[int, int, int]]:
-    """(bank, row, col) per trial, drawn in the scalar loop's order."""
+    """(bank, row, col) per trial: the scalar loop's ``rng.integers`` draws,
+    made in one call (:func:`repro.faults.rng.bounded_ints`)."""
     rng = np.random.default_rng([config.seed, 0xE4AC7])
     device = scheme.rank.device
-    coords = []
-    for _ in range(config.trials):
-        bank = int(rng.integers(device.banks))
-        row = int(rng.integers(device.rows_per_bank))
-        col = int(rng.integers(device.columns_per_row))
-        coords.append((bank, row, col))
-    return coords
+    ranges = np.tile([device.banks, device.rows_per_bank, device.columns_per_row], config.trials)
+    draws = bounded_ints(rng.bit_generator, ranges).reshape(config.trials, 3)
+    return [(bank, row, col) for bank, row, col in draws.tolist()]
 
 
 def iid_epochs(
@@ -167,17 +176,41 @@ def iid_epochs(
 def _iid_chunk(scheme: EccScheme, rates: FaultRates, epochs: list) -> Tally:
     """One dispatch unit: a run of (chip_seed, coords) fault-universe epochs.
 
-    Every chip's fault sampler is seeded in one pass, and every read's masks
-    are built in one pass (:func:`_prime_reads`) before the reads run.
+    The chunk's fault universe is built in one array pass: every chip's
+    structured faults are sampled at once (``faults.overlay``), then every
+    read's mask on every chip (``faults.mask``,
+    :func:`repro.faults.sampler.dirty_overlays`).  Only a chip that some
+    read sees faulty gets an overlay and a device of its own; every other
+    chip of the chunk is one shared fault-free device, which the readers
+    skip as clean.
     """
     with _trace.span("reliability.iid_chunk", epochs=len(epochs)) as sp:
+        device, chips = scheme.rank.device, scheme.rank.chips
         rng = scratch_generator()
-        overlay_sets = _sample_overlays(scheme, rates, [seed for seed, _ in epochs], rng)
-        reads = []
-        for overlays, (_, coords) in zip(overlay_sets, epochs):
-            chips = scheme.make_devices(list(overlays))
-            reads.extend((chips, bank, row, col, None) for bank, row, col in coords)
-        _prime_reads(scheme, reads, rng)
+        coords = np.array([c for _, epoch in epochs for c in epoch], dtype=np.int64).reshape(-1, 3)
+        epoch_of = np.repeat(np.arange(len(epochs)), [len(epoch) for _, epoch in epochs])
+        with _trace.span("faults.overlay"):
+            seeds = [chip_seed for seed, _ in epochs for chip_seed in _chip_seeds(scheme, seed)]
+            faults = sample_fault_lists(device, rates, seeds, rng)
+        with _trace.span("faults.mask"):
+            cols, footprint_of = np.unique(coords[:, 2], return_inverse=True)
+            width = device.data_bits_per_pin_per_row + device.spare_bits_per_pin_per_row
+            footprints = [scheme.read_footprint(col) or ((0, width),) for col in cols.tolist()]
+            chip_reads = (
+                (epoch_of[:, None] * chips + np.arange(chips)).ravel(),
+                np.repeat(coords[:, 0], chips),
+                np.repeat(coords[:, 1], chips),
+                np.repeat(footprint_of, chips),
+            )
+            overlays = dirty_overlays(device, rates, seeds, faults, chip_reads, footprints, rng)
+        clean = DramDevice(device)
+        chip_sets = [[clean] * chips for _ in epochs]
+        for k, overlay in overlays.items():
+            chip_sets[k // chips][k % chips] = DramDevice(device, overlay)
+        reads = [
+            (chip_sets[epoch], bank, row, col, None)
+            for epoch, (bank, row, col) in zip(epoch_of.tolist(), coords.tolist())
+        ]
         tally = _tally_reads(scheme, reads)
     _observe_chunk(sp, len(reads))
     return tally

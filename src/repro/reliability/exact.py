@@ -6,8 +6,11 @@ gather/decode/reconstruct logic, classification against known data.  They
 are the ground truth the semi-analytic engine
 (:mod:`repro.reliability.analytic`) is validated against, and the
 workhorse for structured-fault and burst experiments where correlations
-matter.  This module holds what every run shares: the run config, the
-per-trial chip construction and the planting of one structured fault.
+matter.  This module holds what every run shares: the run config, the chip
+seeds of a fault universe, the per-trial chip construction of the
+single-fault and burst engines (and of the scalar oracle) and the
+planting of one structured fault.  The i.i.d. engine builds its chips
+from the same seeds in one pass per chunk instead.
 
 Because every scheme here is linear, the all-zero line is a valid encoded
 state of every scheme (encode(0) = 0), so trials run against zero-filled
@@ -24,7 +27,7 @@ import numpy as np
 
 from ..dram.device import DramDevice
 from ..faults.rates import FaultRates
-from ..faults.sampler import FaultOverlay, sample_fault_lists
+from ..faults.sampler import FaultOverlay
 from ..faults.types import FaultInstance, FaultType
 from ..schemes.base import EccScheme
 
@@ -35,7 +38,6 @@ class ExactRunConfig:
 
     trials: int = 1000
     seed: int = 0
-    rows_per_trial: int = 1
     resample_faults_every: int = 1  # new fault universe every N trials
 
 
@@ -57,27 +59,6 @@ def _make_chips(scheme: EccScheme, rates: FaultRates, seed: int,
             FaultOverlay(scheme.rank.device, rates, seed=chip_seed, faults=forced)
         )
     return scheme.make_devices(overlays)
-
-
-def _sample_overlays(
-    scheme: EccScheme, rates: FaultRates, seeds: list[int], rng: np.random.Generator
-) -> list[list[FaultOverlay]]:
-    """The overlays ``_make_chips`` builds for each seed, every chip's faults
-    sampled in one pass (:func:`repro.faults.sampler.sample_fault_lists`).
-
-    ``rng`` is a scratch Generator (:func:`repro.faults.rng.scratch_generator`)
-    the streams of samplers that draw a fault are loaded into.
-    """
-    device = scheme.rank.device
-    chip_seeds = [chip_seed for seed in seeds for chip_seed in _chip_seeds(scheme, seed)]
-    overlays = [
-        FaultOverlay(device, rates, seed=chip_seed, faults=faults)
-        for chip_seed, faults in zip(
-            chip_seeds, sample_fault_lists(device, rates, chip_seeds, rng)
-        )
-    ]
-    chips = scheme.rank.chips
-    return [overlays[at : at + chips] for at in range(0, len(overlays), chips)]
 
 
 def _plant_fault(

@@ -58,6 +58,7 @@ class Duo(EccScheme):
             self.field, self.data_symbols + self.parity_symbols, self.data_symbols
         )
         self._read_latency = read_latency_cycles
+        self._footprints: dict[int, Footprint] = {}
         bl = device.burst_length
         self._stretch = (bl + 1) / bl  # redundancy rides a 17th beat
 
@@ -108,11 +109,14 @@ class Duo(EccScheme):
 
     def read_footprint(self, col: int) -> Footprint:
         # the ECC chip is read in its access window only; the spare slots
-        # are a superset there
-        _, offs = self._spare_symbol_slots(col)
-        return merge_spans(
-            [window_span(self.rank.device, col), (int(offs.min()), int(offs.max()) + 1)]
-        )
+        # are a superset there.  Computed once per column.
+        footprint = self._footprints.get(col)
+        if footprint is None:
+            _, offs = self._spare_symbol_slots(col)
+            footprint = self._footprints[col] = merge_spans(
+                [window_span(self.rank.device, col), (int(offs.min()), int(offs.max()) + 1)]
+            )
+        return footprint
 
     def _read_spare_symbol(self, row_bits: np.ndarray, col: int) -> int:
         pins, offs = self._spare_symbol_slots(col)

@@ -149,6 +149,34 @@ class TestUniforms:
         assert out.shape == (0, 5)
 
 
+class TestBoundedInts:
+    @given(
+        ranges=st.lists(st.one_of(
+            st.integers(1, 40), st.integers(1, 2**32 - 1),
+            st.integers(2_900_000_000, 3_100_000_000),  # a third of draws rejected
+        ), max_size=300),
+        odd_start=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_integers_loop(self, ranges, odd_start, seed):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        if odd_start:  # leave half of a 64-bit output pending
+            ours.integers(0, 7)
+            theirs.integers(0, 7)
+        got = rng.bounded_ints(ours.bit_generator, ranges)
+        assert got.tolist() == [int(theirs.integers(r)) for r in ranges]
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("ranges", [[0], [5, 2**32], [-1]])
+    def test_out_of_range_raises(self, ranges):
+        gen = np.random.default_rng(0)
+        before = gen.bit_generator.state
+        with pytest.raises(ValueError):
+            rng.bounded_ints(gen.bit_generator, ranges)
+        assert gen.bit_generator.state == before
+
+
 def loop_words(gen, n, j, rows, symbol_bits):
     """The per-row loop :func:`rng.trial_words` replaces."""
     positions = np.zeros((rows, j), dtype=np.int64)

@@ -107,3 +107,31 @@ class TestFaultStreamCounters:
         drawn = obs.snapshot()["counters"]["faults.samplers.drawn"]
         assert drawn == with_faults
         assert 0 < drawn < len(seeds) // 20
+
+
+class TestChunkSpans:
+    def test_universe_and_mask_spans_nest_in_the_chunk(self):
+        """An i.i.d. chunk times its fault-universe sampling and its mask
+        pass as the ``faults.overlay`` and ``faults.mask`` layers, inside the
+        chunk's span; timing them changes no count."""
+        scheme = PairScheme()
+        config = ExactRunConfig(trials=24, seed=4, resample_faults_every=3)
+
+        def run():
+            tally = run_iid_batched(scheme, DEFAULT_RATES.with_ber(1e-4), config, chunk_trials=12)
+            return (tally.ok, tally.ce, tally.due, tally.sdc)
+
+        with obs.enabled_scope(False):
+            off = run()
+        assert obs.finished_spans() == []
+        with obs.enabled_scope(True):
+            on = run()
+        assert off == on
+        spans = obs.finished_spans()
+        chunks = [span for span in spans if span.name == "reliability.iid_chunk"]
+        assert len(chunks) == 2
+        for name in ("faults.overlay", "faults.mask"):
+            layer = [span for span in spans if span.name == name]
+            assert len(layer) == len(chunks)
+            assert all(span.parent == "reliability.iid_chunk" for span in layer)
+            assert all(span.depth == chunks[0].depth + 1 for span in layer)

@@ -267,23 +267,32 @@ def read_line(
 # -- Monte-Carlo engines -------------------------------------------------------
 
 
+def iid_coords(scheme: EccScheme, config: ExactRunConfig) -> list[tuple[int, int, int]]:
+    """(bank, row, col) per trial, one scalar draw at a time (reference of
+    ``batch._sample_iid_coords``)."""
+    rng = np.random.default_rng([config.seed, 0xE4AC7])
+    device = scheme.rank.device
+    coords = []
+    for _ in range(config.trials):
+        bank = int(rng.integers(device.banks))
+        row = int(rng.integers(device.rows_per_bank))
+        col = int(rng.integers(device.columns_per_row))
+        coords.append((bank, row, col))
+    return coords
+
+
 def run_iid(scheme: EccScheme, rates: FaultRates, config: ExactRunConfig) -> Tally:
     """Random accesses under the full fault process (reference of ``run_iid_batched``).
 
     Each trial reads one random line; the fault universe is rebuilt every
     ``resample_faults_every`` trials with chip seed ``config.seed + trial``.
     """
-    rng = np.random.default_rng([config.seed, 0xE4AC7])
-    device = scheme.rank.device
     tally = Tally()
     expected = _zero_line(scheme)
     chips = None
-    for trial in range(config.trials):
+    for trial, (bank, row, col) in enumerate(iid_coords(scheme, config)):
         if chips is None or trial % config.resample_faults_every == 0:
             chips = _make_chips(scheme, rates, seed=config.seed + trial)
-        bank = int(rng.integers(device.banks))
-        row = int(rng.integers(device.rows_per_bank))
-        col = int(rng.integers(device.columns_per_row))
         tally.add(classify(read_line(scheme, chips, bank, row, col), expected))
     return tally
 

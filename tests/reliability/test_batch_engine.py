@@ -30,6 +30,16 @@ def counts(tally):
     return (tally.ok, tally.ce, tally.due, tally.sdc)
 
 
+#: every structured class and weak-cell clusters, dense enough that most
+#: chunks see pin and bank-long column faults under some read
+DENSE_RATES = replace(
+    DEFAULT_RATES, single_cell_ber=2e-4, cell_cluster_per_bit=5e-5,
+    row_faults_per_device=2.0, column_faults_per_device=6.0,
+    pin_faults_per_device=3.0, mat_faults_per_device=4.0,
+    column_rows=PairScheme().rank.device.rows_per_bank,
+)
+
+
 @pytest.fixture(scope="module")
 def schemes():
     return [PairScheme(), Duo(), ConventionalIecc()]
@@ -63,13 +73,15 @@ class TestIidBatched:
             assert counts(run_iid_batched(scheme, rates, config, chunk_trials=chunk)) == base
 
     def test_workers_invariant(self, schemes):
-        # The dispatch across processes must not change the merged tally.
-        rates = DEFAULT_RATES.with_ber(1e-4)
-        config = ExactRunConfig(trials=24, seed=5)
-        scheme = schemes[0]
-        one = run_iid_batched(scheme, rates, config, workers=1, chunk_trials=8)
-        many = run_iid_batched(scheme, rates, config, workers=2, chunk_trials=8)
-        assert counts(one) == counts(many)
+        # The dispatch across processes must not change the merged tally,
+        # with structured faults and resampled universes too.
+        for scheme, rates, config in (
+            (schemes[0], DEFAULT_RATES.with_ber(1e-4), ExactRunConfig(trials=24, seed=5)),
+            (schemes[1], DENSE_RATES, ExactRunConfig(trials=24, seed=6, resample_faults_every=3)),
+        ):
+            one = run_iid_batched(scheme, rates, config, workers=1, chunk_trials=8)
+            many = run_iid_batched(scheme, rates, config, workers=2, chunk_trials=8)
+            assert counts(one) == counts(many), scheme.name
 
 
 class TestSeededChunks:
@@ -102,17 +114,22 @@ class TestSeededChunks:
             assert a.ok < config.trials, scheme.name  # the faults were seen
 
     def test_batch_seeded_samplers_draw_the_same_faults(self, schemes):
+        # the chunk samples every chip of every epoch in one call
         from repro.faults.rng import scratch_generator
-        from repro.reliability.exact import _make_chips, _sample_overlays
+        from repro.faults.sampler import sample_fault_lists
+        from repro.reliability.exact import _chip_seeds, _make_chips
 
         rates = replace(DEFAULT_RATES, row_faults_per_device=3.0, mat_faults_per_device=3.0)
         seeds = [0, 17, 5_000_000]
         scheme = schemes[0]
-        sets = _sample_overlays(scheme, rates, seeds, scratch_generator())
-        for seed, overlays in zip(seeds, sets):
+        chips = scheme.rank.chips
+        chip_seeds = [chip_seed for seed in seeds for chip_seed in _chip_seeds(scheme, seed)]
+        lists = sample_fault_lists(scheme.rank.device, rates, chip_seeds, scratch_generator())
+        for at, seed in enumerate(seeds):
             lazy = _make_chips(scheme, rates, seed)
-            assert [o.faults for o in overlays] == [c.fault_overlay.faults for c in lazy]
-            assert any(o.faults for o in overlays)
+            got = lists[at * chips : (at + 1) * chips]
+            assert got == [c.fault_overlay.faults for c in lazy]
+            assert any(got)
 
 
 class TestSingleFaultBatched:
@@ -321,3 +338,143 @@ class TestBrokenPoolHardening:
             a = iid_chunk_tally(scheme, rates, iid_epochs(scheme, config))
             b = oracle.run_iid(scheme, rates, config)
             assert counts(a) == counts(b), scheme.name
+
+
+
+class TestChunkUniverse:
+    """A chunk builds its fault universe in one array pass and gives only
+    the chips that read dirty an overlay and a device of their own."""
+
+    def test_coords_equal_the_scalar_loop(self):
+        from repro.reliability.batch import _sample_iid_coords
+
+        scheme = PairScheme()
+        for seed in (0, 3, 1009, 12345):
+            config = ExactRunConfig(trials=3000, seed=seed)
+            assert _sample_iid_coords(scheme, config) == oracle.iid_coords(scheme, config)
+
+    def test_only_chips_that_read_dirty_get_objects(self, monkeypatch):
+        from repro.dram.device import DramDevice
+        from repro.reliability.batch import iid_chunk_tally, iid_epochs
+        from repro.reliability.exact import _make_chips
+
+        scheme = PairScheme()
+        device = scheme.rank.device
+        shape = (device.pins, device.data_bits_per_pin_per_row + device.spare_bits_per_pin_per_row)
+        rates = DEFAULT_RATES.with_ber(1e-5)
+        epochs = iid_epochs(scheme, ExactRunConfig(trials=256, seed=1009))  # one chunk
+        dirty = []  # the chips with a non-empty mask for one of their reads
+        for chip_seed, coords in epochs:
+            for chip in _make_chips(scheme, rates, chip_seed):
+                overlay = chip.fault_overlay
+                if any(
+                    overlay.mask_for_row(bank, row, shape, scheme.read_footprint(col))
+                    is not None
+                    for bank, row, col in coords
+                ):
+                    dirty.append(overlay.seed)
+        overlays, devices = [], []
+        overlay_init, device_init = FaultOverlay.__init__, DramDevice.__init__
+
+        def spy_overlay(self, *args, **kwargs):
+            overlay_init(self, *args, **kwargs)
+            overlays.append(self.seed)
+
+        def spy_device(self, *args, **kwargs):
+            device_init(self, *args, **kwargs)
+            devices.append(self)
+
+        monkeypatch.setattr(FaultOverlay, "__init__", spy_overlay)
+        monkeypatch.setattr(DramDevice, "__init__", spy_device)
+        tally = iid_chunk_tally(scheme, rates, epochs)
+        assert sorted(overlays) == sorted(dirty)
+        assert len(devices) == len(dirty) + 1  # the dirty chips and one clean chip
+        # a PAIR read spans 16,384 cells of each chip: about 15% read dirty
+        assert 0 < len(dirty) < len(epochs) * scheme.rank.chips // 4
+        assert sum(counts(tally)) == 256
+
+    @pytest.mark.parametrize("name", list(PARITY_SCHEMES))
+    def test_every_scheme_equals_the_oracle_at_dense_rates(self, name):
+        scheme = PARITY_SCHEMES[name]()
+        config = ExactRunConfig(trials=24, seed=31, resample_faults_every=2)
+        a = oracle.run_iid(scheme, DENSE_RATES, config)
+        b = run_iid_batched(scheme, DENSE_RATES, config, chunk_trials=10)
+        assert counts(a) == counts(b)
+        assert a.ok < config.trials  # the faults were seen
+
+    def test_chip_dirty_for_one_read_and_clean_for_another(self, monkeypatch):
+        # an epoch's chip gets a device once any of its reads sees a fault;
+        # its other reads must still read it clean
+        from repro.reliability import batch
+
+        real, seen = batch.dirty_overlays, []
+
+        def spy(*args, **kwargs):
+            seen.append(real(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(batch, "dirty_overlays", spy)
+        scheme = NoEcc()
+        rates = DEFAULT_RATES.with_ber(1e-3)
+        config = ExactRunConfig(trials=60, seed=2, resample_faults_every=3)
+        assert counts(run_iid_batched(scheme, rates, config)) == counts(
+            oracle.run_iid(scheme, rates, config)
+        )
+        mixed = 0
+        for found in seen:
+            for overlay in found.values():
+                masks = [mask for row in overlay._cache.values() for mask in row.values()]
+                empty = [mask is None for mask in masks]
+                mixed += any(empty) and not all(empty)
+        assert mixed
+
+    @pytest.mark.parametrize("min_runs", [0, 10**9])
+    def test_chunk_masks_equal_lazy_masks(self, min_runs, monkeypatch):
+        """Every mask of the chunk pass equals ``mask_for_row`` of a fresh
+        overlay, with every short run jumped and with every run drawn in C;
+        a chip left without an overlay has no non-empty mask."""
+        from repro.faults import rng
+        from repro.faults.sampler import dirty_overlays, sample_fault_lists
+        from repro.schemes import default_schemes
+
+        monkeypatch.setattr(rng, "_JUMP_MIN_RUNS", min_runs)
+        device = PairScheme().rank.device
+        shape = (device.pins, device.data_bits_per_pin_per_row + device.spare_bits_per_pin_per_row)
+        seeds = [5, 6, 2**40 + 1, 2**64 + 3, 11, 12, 13, 14, 15, 16]  # 2**64 + 3: one key at a time
+        faults = sample_fault_lists(device, DENSE_RATES, seeds)
+        faults[4] = [  # a pin under every bank-0 read, cancelling itself on row 7
+            FaultInstance(FaultType.PIN_LINE, 0, 0, device.rows_per_bank, 4, 0, 8192, 0.05),
+            FaultInstance(FaultType.MAT, 0, 7, 1, 2, 0, 8192, 1.0),
+            FaultInstance(FaultType.MAT, 0, 7, 1, 2, 0, 8192, 1.0),
+        ]
+        # narrow footprints (one access window or word) first, then PAIR's and a whole row
+        footprints = [
+            scheme.read_footprint(col)
+            for scheme in sorted(default_schemes(), key=lambda scheme: scheme.name == "pair")
+            for col in (0, 64, 127)
+        ] + [((0, shape[1]),)]
+        gen = np.random.default_rng(8)
+        # chips 0-5 read often and everywhere, chips 6-9 twice through narrow footprints
+        chip = np.concatenate([gen.integers(6, size=90), np.repeat(np.arange(6, 10), 2)])
+        count = len(chip)
+        bank = np.where(gen.random(count) < 0.5, 0, gen.integers(device.banks, size=count))
+        row = gen.integers(8, size=count)
+        footprint = np.where(
+            chip < 6, gen.integers(len(footprints), size=count), gen.integers(6, size=count)
+        )
+        got = dirty_overlays(device, DENSE_RATES, seeds, faults, (chip, bank, row, footprint),
+                             footprints, rng.scratch_generator())
+        assert got and len(got) < len(seeds)
+        nonempty = 0
+        for k, b, r, f in zip(chip.tolist(), bank.tolist(), row.tolist(), footprint.tolist()):
+            fresh = FaultOverlay(device, DENSE_RATES, seed=seeds[k], faults=faults[k])
+            want = fresh.mask_for_row(b, r, shape, footprints[f])
+            if k not in got:
+                assert want is None
+                continue
+            mask = got[k]._cache[(b, r)][footprints[f]]
+            assert (mask is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(mask, want)
+                nonempty += 1
+        assert nonempty
