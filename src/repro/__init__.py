@@ -14,6 +14,9 @@ user needs:
 * engines: :mod:`repro.reliability` (exact Monte Carlo + semi-analytic) and
   :mod:`repro.perf` (trace-driven timing simulation).
 
+Every package exports lazily (:mod:`repro._exports`): a name's submodule is
+imported when the name is first read, so a run loads only the stack it uses.
+
 Quickstart::
 
     from repro import PairScheme
@@ -27,78 +30,56 @@ Quickstart::
     assert result.believed_good
 """
 
-from . import (
-    analysis,
-    codes,
-    dram,
-    faults,
-    galois,
-    maintenance,
-    obs,
-    perf,
-    reliability,
-    schemes,
-)
-from .codes import DecodeStatus, HammingSEC, ReedSolomonCode, SinglyExtendedRS
-from .dram import DDR5_X4, DDR5_X8, DDR5_X16, DeviceConfig, DramDevice, RankConfig
-from .faults import FaultRates, FaultType
-from .reliability import Outcome, build_model, classify, run_iid_batched
-from .maintenance import MaintenanceController, Scrubber, SpareManager
-from .schemes import (
-    ConventionalIecc,
-    DefectMap,
-    Duo,
-    EccScheme,
-    LineReadResult,
-    NoEcc,
-    PairErasureScheme,
-    PairScheme,
-    RankSecDed,
-    Xed,
-    default_schemes,
-)
+from typing import TYPE_CHECKING
+
+from ._exports import lazy_exports
+
+if TYPE_CHECKING:
+    from . import (
+        analysis,
+        codes,
+        dram,
+        faults,
+        galois,
+        maintenance,
+        obs,
+        perf,
+        reliability,
+        schemes,
+    )
+    from .codes import DecodeStatus, HammingSEC, ReedSolomonCode, SinglyExtendedRS
+    from .dram import DDR5_X4, DDR5_X8, DDR5_X16, DeviceConfig, DramDevice, RankConfig
+    from .faults import FaultRates, FaultType
+    from .maintenance import MaintenanceController, Scrubber, SpareManager
+    from .reliability import Outcome, build_model, classify, run_iid_batched
+    from .schemes import (
+        ConventionalIecc,
+        DefectMap,
+        Duo,
+        EccScheme,
+        LineReadResult,
+        NoEcc,
+        PairErasureScheme,
+        PairScheme,
+        RankSecDed,
+        Xed,
+        default_schemes,
+    )
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "galois",
-    "codes",
-    "dram",
-    "faults",
-    "schemes",
-    "reliability",
-    "perf",
-    "analysis",
-    "maintenance",
-    "obs",
-    "ReedSolomonCode",
-    "SinglyExtendedRS",
-    "HammingSEC",
-    "DecodeStatus",
-    "DeviceConfig",
-    "RankConfig",
-    "DramDevice",
-    "DDR5_X4",
-    "DDR5_X8",
-    "DDR5_X16",
-    "FaultRates",
-    "FaultType",
-    "EccScheme",
-    "LineReadResult",
-    "NoEcc",
-    "ConventionalIecc",
-    "Xed",
-    "Duo",
-    "PairScheme",
-    "PairErasureScheme",
-    "DefectMap",
-    "RankSecDed",
-    "MaintenanceController",
-    "Scrubber",
-    "SpareManager",
-    "default_schemes",
-    "Outcome",
-    "classify",
-    "run_iid_batched",
-    "build_model",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "galois": ("galois",),
+    "codes": ("codes", "ReedSolomonCode", "SinglyExtendedRS", "HammingSEC", "DecodeStatus"),
+    "dram": ("dram", "DeviceConfig", "RankConfig", "DramDevice", "DDR5_X4", "DDR5_X8",
+             "DDR5_X16"),
+    "faults": ("faults", "FaultRates", "FaultType"),
+    "schemes": ("schemes", "EccScheme", "LineReadResult", "NoEcc", "ConventionalIecc", "Xed",
+                "Duo", "PairScheme", "PairErasureScheme", "DefectMap", "RankSecDed",
+                "default_schemes"),
+    "reliability": ("reliability", "Outcome", "classify", "run_iid_batched", "build_model"),
+    "perf": ("perf",),
+    "analysis": ("analysis",),
+    "maintenance": ("maintenance", "MaintenanceController", "Scrubber", "SpareManager"),
+    "obs": ("obs",),
+})

@@ -32,6 +32,11 @@ def reliability_sweep(
     importance-sampling *measurement* of ``rare_trials`` count-level trials
     (:mod:`repro.reliability.rareevent`), adding ``sdc_lo``/``sdc_hi`` etc.
     asymptotic-CI arrays alongside the point estimates.
+
+    ``samples`` and ``seed`` size and seed the decoder-measured conditional
+    tables, which only the bit-code schemes (XED, IECC-SEC, rank SEC-DED)
+    read; ``seed`` also seeds the rare-event trials.  The no-ECC, DUO and
+    PAIR curves do not depend on ``samples``.
     """
     bers = np.asarray(list(bers), dtype=float)
     out: dict[str, dict[str, np.ndarray]] = {}

@@ -12,52 +12,40 @@ properties under test.  See DESIGN.md §6h and
 ``python -m repro fleet --help``.
 """
 
-from .agent import AgentKilled, AgentPolicy, AgentSummary, FleetAgent, run_agent
-from .cache import CACHE_VERSION, ResultCache
-from .events import EVENTS_NAME, EventLog, read_events
-from .leases import Lease, LeaseTable
-from .protocol import (
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    FrameLink,
-    encode_frame,
-    read_frame,
-    write_frame,
-)
-from .scheduler import (
-    SIDECAR_NAME,
-    FleetPolicy,
-    FleetScheduler,
-    fleet_status,
-    serve_campaign,
-)
-from .telemetry import WATCH_KIND, AgentHealth, FleetTelemetry
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "AgentHealth",
-    "AgentKilled",
-    "AgentPolicy",
-    "AgentSummary",
-    "CACHE_VERSION",
-    "EVENTS_NAME",
-    "EventLog",
-    "FleetAgent",
-    "FleetPolicy",
-    "FleetScheduler",
-    "FleetTelemetry",
-    "FrameLink",
-    "Lease",
-    "LeaseTable",
-    "MAX_FRAME_BYTES",
-    "PROTOCOL_VERSION",
-    "ResultCache",
-    "SIDECAR_NAME",
-    "WATCH_KIND",
-    "encode_frame",
-    "fleet_status",
-    "read_events",
-    "read_frame",
-    "run_agent",
-    "serve_campaign",
-    "write_frame",
-]
+from ..._exports import lazy_exports
+
+if TYPE_CHECKING:
+    from .agent import AgentKilled, AgentPolicy, AgentSummary, FleetAgent, run_agent
+    from .cache import CACHE_VERSION, ResultCache
+    from .events import EVENTS_NAME, EventLog, read_events
+    from .leases import Lease, LeaseTable
+    from .protocol import (
+        MAX_FRAME_BYTES,
+        PROTOCOL_VERSION,
+        FrameLink,
+        encode_frame,
+        read_frame,
+        write_frame,
+    )
+    from .scheduler import (
+        SIDECAR_NAME,
+        FleetPolicy,
+        FleetScheduler,
+        fleet_status,
+        serve_campaign,
+    )
+    from .telemetry import WATCH_KIND, AgentHealth, FleetTelemetry
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "agent": ("AgentKilled", "AgentPolicy", "AgentSummary", "FleetAgent", "run_agent"),
+    "cache": ("CACHE_VERSION", "ResultCache"),
+    "events": ("EVENTS_NAME", "EventLog", "read_events"),
+    "leases": ("Lease", "LeaseTable"),
+    "protocol": ("MAX_FRAME_BYTES", "PROTOCOL_VERSION", "FrameLink", "encode_frame",
+                 "read_frame", "write_frame"),
+    "scheduler": ("SIDECAR_NAME", "FleetPolicy", "FleetScheduler", "fleet_status",
+                  "serve_campaign"),
+    "telemetry": ("WATCH_KIND", "AgentHealth", "FleetTelemetry"),
+})

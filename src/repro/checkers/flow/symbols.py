@@ -7,7 +7,9 @@ module's import bindings, and - when the target lands in a loaded package
 defining module.  That is what lets a rule written against
 ``repro.campaign.plan.execute_chunk`` fire regardless of whether a call
 site spells it ``execute_chunk()``, ``plan.execute_chunk()`` or
-``cp.execute_chunk()``.
+``cp.execute_chunk()``.  A lazily exporting package (:mod:`repro._exports`)
+declares its re-exports only under ``if TYPE_CHECKING:``; those bindings
+count too, since the import bindings come from the whole module AST.
 """
 
 from __future__ import annotations

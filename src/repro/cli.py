@@ -29,6 +29,10 @@ Commands that execute engines (``perf``, ``burst``, ``campaign run`` /
 for the run and export its snapshots; ``report`` and ``campaign status``
 accept ``--json`` for machine-readable output.
 
+Each command imports the engines it runs inside its handler, so parsing the
+arguments loads no engine and ``campaign status`` or ``fleet worker`` never
+loads the analytic models or the timing simulator.
+
 Examples::
 
     python -m repro info
@@ -52,13 +56,15 @@ Examples::
 from __future__ import annotations
 
 import argparse
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .analysis import format_series, format_table, geomean
-from .dram import AddressMapper, RANK_X8_5CHIP
-from .perf import WORKLOADS, generate_trace, simulate
-from .reliability import ExactRunConfig, build_model, run_burst_lengths_batched
-from .schemes import EccScheme, default_schemes
+if TYPE_CHECKING:
+    from .schemes import EccScheme
+
+#: ``--samples`` sizes the decoder-measured conditional tables, which the RS
+#: schemes (pair, duo) and no-ecc do not have.
+_SAMPLES_HELP = ("decoder-conditional table samples; only the bit-code schemes "
+                 "(xed, iecc-sec) read them")
 
 
 def _obs_begin(args: argparse.Namespace) -> bool:
@@ -86,6 +92,8 @@ def _obs_finish(args: argparse.Namespace, label: str) -> None:
 
 
 def _scheme_lineup(names: Sequence[str] | None) -> list[EccScheme]:
+    from .schemes import default_schemes
+
     schemes = default_schemes()
     if not names:
         return schemes
@@ -97,11 +105,16 @@ def _scheme_lineup(names: Sequence[str] | None) -> list[EccScheme]:
 
 
 def cmd_info(args: argparse.Namespace) -> None:
+    from .analysis import format_table
+
     rows = [s.description() for s in _scheme_lineup(args.schemes)]
     print(format_table(rows))
 
 
 def cmd_reliability(args: argparse.Namespace) -> None:
+    from .analysis import format_series
+    from .reliability import build_model
+
     schemes = _scheme_lineup(args.schemes)
     models = {s.name: build_model(s, samples=args.samples) for s in schemes}
     series = {}
@@ -128,10 +141,13 @@ def cmd_rareevent(args: argparse.Namespace) -> None:
     import json as _json
     import time
 
+    from .analysis import format_table
     from .faults import DEFAULT_RATES
     from .reliability import (
         AccessProfile,
+        ExactRunConfig,
         RareEventParams,
+        build_model,
         fit_interval,
         fit_rate,
         relative_reliability,
@@ -220,6 +236,10 @@ def cmd_rareevent(args: argparse.Namespace) -> None:
 
 
 def cmd_perf(args: argparse.Namespace) -> None:
+    from .analysis import format_table, geomean
+    from .dram import RANK_X8_5CHIP, AddressMapper
+    from .perf import WORKLOADS, generate_trace, simulate
+
     schemes = _scheme_lineup(args.schemes)
     workloads = args.workloads or list(WORKLOADS)
     unknown = [w for w in workloads if w not in WORKLOADS]
@@ -247,6 +267,9 @@ def cmd_perf(args: argparse.Namespace) -> None:
 
 
 def cmd_burst(args: argparse.Namespace) -> None:
+    from .analysis import format_series
+    from .reliability import ExactRunConfig, run_burst_lengths_batched
+
     schemes = _scheme_lineup(args.schemes)
     config = ExactRunConfig(trials=args.trials, seed=args.seed)
     _obs_begin(args)
@@ -263,6 +286,7 @@ def cmd_burst(args: argparse.Namespace) -> None:
 
 
 def cmd_energy(args: argparse.Namespace) -> None:
+    from .analysis import format_table
     from .perf import energy_row
 
     rows = [energy_row(s) for s in _scheme_lineup(args.schemes)]
@@ -272,6 +296,9 @@ def cmd_energy(args: argparse.Namespace) -> None:
 
 def cmd_headroom(args: argparse.Namespace) -> None:
     import math
+
+    from .analysis import format_table
+    from .reliability import build_model
 
     schemes = [s for s in _scheme_lineup(args.schemes) if s.name != "no-ecc"]
     models = {s.name: build_model(s, samples=args.samples) for s in schemes}
@@ -688,8 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_schemes(p_rel)
     p_rel.add_argument("--bers", nargs="+", type=float,
                        default=[1e-6, 1e-5, 1e-4], metavar="P")
-    p_rel.add_argument("--samples", type=int, default=400,
-                       help="decoder-conditional measurement samples")
+    p_rel.add_argument("--samples", type=int, default=400, help=_SAMPLES_HELP)
     p_rel.set_defaults(func=cmd_reliability)
 
     def add_obs_out(p: argparse.ArgumentParser) -> None:
@@ -724,8 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rare.add_argument("--k", type=int, default=None,
                         help="splitting level target (default: the scheme's "
                              "failure radius)")
-    p_rare.add_argument("--samples", type=int, default=400,
-                        help="decoder-conditional measurement samples")
+    p_rare.add_argument("--samples", type=int, default=400, help=_SAMPLES_HELP)
     p_rare.add_argument("--seed", type=int, default=0)
     p_rare.add_argument("--workers", type=int, default=1)
     p_rare.add_argument("--json", action="store_true",
@@ -736,7 +761,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_perf = sub.add_parser("perf", help="trace-driven performance (F5)")
     add_schemes(p_perf)
     p_perf.add_argument("--workloads", nargs="*", metavar="NAME",
-                        help=f"subset of: {' '.join(sorted(WORKLOADS))}")
+                        help="subset of: balanced oltp-mix random-read stream-copy "
+                             "stream-read write-heavy (default: all)")
     add_obs_out(p_perf)
     p_perf.set_defaults(func=cmd_perf)
 
@@ -757,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_schemes(p_head)
     p_head.add_argument("--targets", nargs="+", type=float,
                         default=[1e-12, 1e-15], metavar="P")
-    p_head.add_argument("--samples", type=int, default=300)
+    p_head.add_argument("--samples", type=int, default=300, help=_SAMPLES_HELP)
     p_head.set_defaults(func=cmd_headroom)
 
     p_report = sub.add_parser("report", help="regenerate the markdown report")

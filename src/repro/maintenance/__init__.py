@@ -1,13 +1,14 @@
 """Maintenance substrate: patrol scrubbing and row sparing."""
 
-from .scrubber import RowHealth, ScrubReport, Scrubber
-from .sparing import MaintenanceController, SpareExhausted, SpareManager
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "RowHealth",
-    "ScrubReport",
-    "Scrubber",
-    "SpareManager",
-    "SpareExhausted",
-    "MaintenanceController",
-]
+from .._exports import lazy_exports
+
+if TYPE_CHECKING:
+    from .scrubber import RowHealth, ScrubReport, Scrubber
+    from .sparing import MaintenanceController, SpareExhausted, SpareManager
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "scrubber": ("RowHealth", "ScrubReport", "Scrubber"),
+    "sparing": ("SpareManager", "SpareExhausted", "MaintenanceController"),
+})

@@ -25,114 +25,90 @@ Typical use::
     obs.write_snapshots("obs.jsonl", [obs.snapshot("my-run"), obs.spans_snapshot()])
 """
 
-from .export import format_report, read_snapshots, summarize, write_snapshots
-from .openmetrics import metric_name, parse_openmetrics, render_openmetrics
-from .metrics import (
-    DURATION_BUCKETS_S,
-    RATE_BUCKETS,
-    REGISTRY,
-    SIZE_BUCKETS,
-    SNAPSHOT_VERSION,
-    Counter,
-    Gauge,
-    Histogram,
-    Registry,
-    absorb,
-    counter,
-    disable,
-    enable,
-    enabled,
-    enabled_scope,
-    gauge,
-    histogram,
-    merge_snapshots,
-    reset,
-    snapshot,
-)
-from .stream import (
-    DELTA_KIND,
-    SERIES_RING_POINTS,
-    DeltaEncoder,
-    SeriesRing,
-    StreamMerger,
-    frame_is_empty,
-)
-from .top import (
-    fetch_watch_endpoint,
-    load_watch_dir,
-    load_watch_events,
-    render_dashboard,
-    run_top,
-)
-from .trace import (
-    MAX_SPANS,
-    SpanRecord,
-    dropped_spans,
-    finished_spans,
-    next_span_id,
-    record_span,
-    span,
-    span_dicts_snapshot,
-    spans_snapshot,
-    stable_trace_id,
-)
-from .trace import reset as reset_spans
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Counter",
-    "DeltaEncoder",
-    "Gauge",
-    "Histogram",
-    "Registry",
-    "REGISTRY",
-    "SNAPSHOT_VERSION",
-    "DELTA_KIND",
-    "DURATION_BUCKETS_S",
-    "RATE_BUCKETS",
-    "SERIES_RING_POINTS",
-    "SIZE_BUCKETS",
-    "MAX_SPANS",
-    "SeriesRing",
-    "SpanRecord",
-    "StreamMerger",
-    "absorb",
-    "fetch_watch_endpoint",
-    "frame_is_empty",
-    "load_watch_dir",
-    "load_watch_events",
-    "metric_name",
-    "next_span_id",
-    "parse_openmetrics",
-    "render_dashboard",
-    "render_openmetrics",
-    "run_top",
-    "stable_trace_id",
-    "counter",
-    "disable",
-    "dropped_spans",
-    "enable",
-    "enabled",
-    "enabled_scope",
-    "finished_spans",
-    "format_report",
-    "gauge",
-    "histogram",
-    "merge_snapshots",
-    "read_snapshots",
-    "record_span",
-    "reset",
-    "reset_spans",
-    "reset_all",
-    "snapshot",
-    "span",
-    "span_dicts_snapshot",
-    "spans_snapshot",
-    "summarize",
-    "write_snapshots",
-]
+from .._exports import lazy_exports
+
+if TYPE_CHECKING:
+    from .export import format_report, read_snapshots, summarize, write_snapshots
+    from .metrics import (
+        DURATION_BUCKETS_S,
+        RATE_BUCKETS,
+        REGISTRY,
+        SIZE_BUCKETS,
+        SNAPSHOT_VERSION,
+        Counter,
+        Gauge,
+        Histogram,
+        Registry,
+        absorb,
+        counter,
+        disable,
+        enable,
+        enabled,
+        enabled_scope,
+        gauge,
+        histogram,
+        merge_snapshots,
+        reset,
+        snapshot,
+    )
+    from .openmetrics import metric_name, parse_openmetrics, render_openmetrics
+    from .stream import (
+        DELTA_KIND,
+        SERIES_RING_POINTS,
+        DeltaEncoder,
+        SeriesRing,
+        StreamMerger,
+        frame_is_empty,
+    )
+    from .top import (
+        fetch_watch_endpoint,
+        load_watch_dir,
+        load_watch_events,
+        render_dashboard,
+        run_top,
+    )
+    from .trace import (
+        MAX_SPANS,
+        SpanRecord,
+        dropped_spans,
+        finished_spans,
+        next_span_id,
+        record_span,
+        span,
+        span_dicts_snapshot,
+        spans_snapshot,
+        stable_trace_id,
+    )
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "metrics": ("Counter", "Gauge", "Histogram", "Registry", "REGISTRY", "SNAPSHOT_VERSION",
+                "DURATION_BUCKETS_S", "RATE_BUCKETS", "SIZE_BUCKETS", "absorb", "counter",
+                "disable", "enable", "enabled", "enabled_scope", "gauge", "histogram",
+                "merge_snapshots", "reset", "snapshot"),
+    "trace": ("MAX_SPANS", "SpanRecord", "dropped_spans", "finished_spans", "next_span_id",
+              "record_span", "span", "span_dicts_snapshot", "spans_snapshot",
+              "stable_trace_id"),
+    "export": ("format_report", "read_snapshots", "summarize", "write_snapshots"),
+    "openmetrics": ("metric_name", "parse_openmetrics", "render_openmetrics"),
+    "stream": ("DELTA_KIND", "SERIES_RING_POINTS", "DeltaEncoder", "SeriesRing",
+               "StreamMerger", "frame_is_empty"),
+    "top": ("fetch_watch_endpoint", "load_watch_dir", "load_watch_events",
+            "render_dashboard", "run_top"),
+}, local=("reset_spans", "reset_all"))
+
+
+def reset_spans() -> None:
+    """Forget all finished spans and the drop count (:func:`repro.obs.trace.reset`)."""
+    from . import trace
+
+    trace.reset()
 
 
 def reset_all() -> None:
     """Reset metrics and spans together (fresh CLI run / test isolation)."""
-    reset()
-    reset_spans()
+    from . import metrics, trace
+
+    metrics.reset()
+    trace.reset()

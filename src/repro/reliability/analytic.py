@@ -257,7 +257,13 @@ class RankSecDedModel(ReliabilityModel):
 
 
 def build_model(scheme: EccScheme, samples: int = 1500, seed: int = 0) -> ReliabilityModel:
-    """Factory mapping a scheme instance to its analytic model."""
+    """Factory mapping a scheme instance to its analytic model.
+
+    ``samples`` and ``seed`` size and seed the decoder-measured conditional
+    table, which only the bit-code models have: XED, IECC-SEC and rank
+    SEC-DED.  The no-ECC, DUO and PAIR models ignore both (the RS rows come
+    from :func:`rs_floor`), so their curves do not depend on them.
+    """
     if isinstance(scheme, NoEcc):
         return NoEccModel(scheme, samples, seed)
     if isinstance(scheme, ConventionalIecc):

@@ -35,8 +35,6 @@ restructuring has three parts:
 from __future__ import annotations
 
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -124,6 +122,10 @@ def _merge_dispatch(
         for args in arg_tuples:
             total = total.merge(fn(*args))
         return total
+    # the process-pool stack loads only when a run fans out
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     labels = labels or [f"chunk {i}" for i in range(len(arg_tuples))]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *args) for args in arg_tuples]
@@ -396,6 +398,9 @@ def run_burst_lengths_batched(
     """
     if workers <= 1 or len(lengths) <= 1:
         return {length: _burst_length_tally(scheme, length, config)[1] for length in lengths}
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     out: dict[int, Tally] = {}
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [

@@ -1,36 +1,28 @@
 """ECC schemes: the PAIR contribution and every baseline it is compared to."""
 
-from .base import BatchRead, EccScheme, LineReadResult
-from .duo import Duo
-from .iecc_sec import ConventionalIecc
-from .no_ecc import NoEcc
-from .pair import PairScheme
-from .pair_erasure import DefectMap, PairErasureScheme, profile_chip
-from .rank import RankSecDed
-from .xed import Xed
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "EccScheme",
-    "BatchRead",
-    "LineReadResult",
-    "NoEcc",
-    "ConventionalIecc",
-    "Xed",
-    "Duo",
-    "PairScheme",
-    "PairErasureScheme",
-    "DefectMap",
-    "profile_chip",
-    "RankSecDed",
-]
+from .._exports import lazy_exports
 
+if TYPE_CHECKING:
+    from .base import BatchRead, EccScheme, LineReadResult
+    from .duo import Duo
+    from .iecc_sec import ConventionalIecc
+    from .lineup import DEFAULT_SCHEME_CLASSES, default_schemes
+    from .no_ecc import NoEcc
+    from .pair import PairScheme
+    from .pair_erasure import DefectMap, PairErasureScheme, profile_chip
+    from .rank import RankSecDed
+    from .xed import Xed
 
-#: the scheme classes of the paper's evaluation figures, in figure order.
-DEFAULT_SCHEME_CLASSES: tuple[type[EccScheme], ...] = (
-    NoEcc, ConventionalIecc, Xed, Duo, PairScheme,
-)
-
-
-def default_schemes() -> list[EccScheme]:
-    """The scheme line-up of the paper's evaluation figures."""
-    return [cls() for cls in DEFAULT_SCHEME_CLASSES]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("EccScheme", "BatchRead", "LineReadResult"),
+    "no_ecc": ("NoEcc",),
+    "iecc_sec": ("ConventionalIecc",),
+    "xed": ("Xed",),
+    "duo": ("Duo",),
+    "pair": ("PairScheme",),
+    "pair_erasure": ("PairErasureScheme", "DefectMap", "profile_chip"),
+    "rank": ("RankSecDed",),
+    "lineup": ("DEFAULT_SCHEME_CLASSES", "default_schemes"),
+})

@@ -182,6 +182,44 @@ def test_drawing_function_resolved_through_reexport():
     assert "REPRO202" in codes
 
 
+def test_drawing_function_resolved_through_lazy_reexport():
+    """A lazily exporting ``__init__`` declares its re-exports only under
+    ``if TYPE_CHECKING:``; the resolver must chase them all the same."""
+    src = {
+        f"{PKG}/__init__.py": """
+            from typing import TYPE_CHECKING
+
+            from .._exports import lazy_exports
+
+            if TYPE_CHECKING:
+                from .sampling import sample
+
+            __all__, __getattr__, __dir__ = lazy_exports(__name__, {
+                "sampling": ("sample",),
+            })
+        """,
+        f"{PKG}/sampling.py": """
+            def sample(rng, n):
+                return rng.random(n)
+        """,
+        "src/repro/driverpkg/run.py": """
+            import numpy as np
+
+            from repro import fixturepkg
+            from repro.fixturepkg import sample
+
+            def run(n):
+                return sample(np.random.default_rng(seed=None), n)
+
+            def run_qualified(n):
+                return fixturepkg.sample(np.random.default_rng(seed=None), n)
+        """,
+    }
+    findings = flow_findings(src)
+    assert [(code, line) for code, path, line in findings
+            if path.endswith("driverpkg/run.py")] == [("REPRO202", 8), ("REPRO202", 11)]
+
+
 def test_module_scope_rng_flagged_even_when_seeded():
     src = {
         f"{PKG}/globals_mod.py": """

@@ -43,6 +43,14 @@ class TestPerf:
         with pytest.raises(SystemExit):
             main(["perf", "--workloads", "nope"])
 
+    def test_help_lists_every_workload(self, capsys):
+        from repro.perf import WORKLOADS
+
+        with pytest.raises(SystemExit):
+            main(["perf", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"subset of: {' '.join(sorted(WORKLOADS))} (default: all)" in help_text
+
     def test_geomean_printed_for_multiple(self, capsys):
         main(["perf", "--workloads", "balanced", "random-read",
               "--schemes", "pair"])
