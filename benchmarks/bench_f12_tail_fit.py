@@ -40,42 +40,36 @@ def schemes():
     return [wanted[name] for name in SCHEMES]
 
 
-@pytest.fixture(scope="module")
-def tails(schemes):
+def test_f12_tail_fit_rates(benchmark, schemes, report):
     rates = DEFAULT_RATES.pure_ber(BER)
-    out = {}
-    for scheme in schemes:
-        result = run_rareevent_iid(
-            scheme, rates, ExactRunConfig(trials=TRIALS, seed=0),
-            RareEventParams(tilt="auto", samples=400),
-        )
-        out[scheme.name] = result.estimates()["outcomes"]["fail"]
-    return out
 
+    def sample():
+        # the timed part: one tilted importance-sampling run per scheme
+        return {
+            scheme.name: run_rareevent_iid(
+                scheme, rates, ExactRunConfig(trials=TRIALS, seed=0),
+                RareEventParams(tilt="auto", samples=400),
+            ).estimates()["outcomes"]["fail"]
+            for scheme in schemes
+        }
 
-def test_f12_tail_fit_rates(benchmark, tails, report):
+    tails = benchmark.pedantic(sample, rounds=1, iterations=1)
     profile = AccessProfile()
-
-    def build():
-        rows = []
-        for name, est in tails.items():
-            analytic = build_model(
-                next(s for s in default_schemes() if s.name == name),
-                samples=400,
-            ).line_probs(BER)
-            ci = (est["ci_lo"], est["ci_hi"])
-            fit_lo, fit_hi = fit_interval(ci, profile)
-            rows.append({
-                "scheme": name,
-                "p_fail": f"{est['p_ht']:.3e}",
-                "ci": f"[{ci[0]:.2e}, {ci[1]:.2e}]",
-                "analytic": f"{analytic['due'] + analytic['sdc']:.3e}",
-                "fit": f"{fit_rate(est['p_ht'], profile):.3e}",
-                "fit_ci": f"[{fit_lo:.2e}, {fit_hi:.2e}]",
-            })
-        return rows
-
-    rows = benchmark(build)
+    rows = []
+    for name, est in tails.items():
+        analytic = build_model(
+            next(s for s in schemes if s.name == name), samples=400,
+        ).line_probs(BER)
+        ci = (est["ci_lo"], est["ci_hi"])
+        fit_lo, fit_hi = fit_interval(ci, profile)
+        rows.append({
+            "scheme": name,
+            "p_fail": f"{est['p_ht']:.3e}",
+            "ci": f"[{ci[0]:.2e}, {ci[1]:.2e}]",
+            "analytic": f"{analytic['due'] + analytic['sdc']:.3e}",
+            "fit": f"{fit_rate(est['p_ht'], profile):.3e}",
+            "fit_ci": f"[{fit_lo:.2e}, {fit_hi:.2e}]",
+        })
     body = format_table(rows)
     ratio = relative_reliability(
         tails["xed"]["p_ht"], tails["pair"]["p_ht"]

@@ -13,26 +13,30 @@ Resume refuses to touch a manifest whose config fingerprint differs from
 the requested one (:class:`repro.errors.EngineMismatch`): checkpoints from
 one (scheme, rates, trials, seed, chunking) universe must never be merged
 into another.
+
+``campaign_status`` only reads the manifest, so the planner, the schemes
+and the supervisor (and with them the engines, the codes and the GF
+kernel) are imported by the functions that run chunks, not at module top.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..errors import CampaignAborted, CampaignError
 from ..faults.rates import DEFAULT_RATES, FaultRates
 from ..obs import metrics as _obs
 from ..obs import trace as _obs_trace
-from ..reliability.exact import ExactRunConfig
 from ..reliability.outcomes import Tally
-from ..schemes import DEFAULT_SCHEME_CLASSES
-from ..schemes.base import EccScheme
 from .chaos import ChaosSchedule
 from .manifest import Manifest, QuarantineRecord
-from .plan import PLAN_VERSION, CampaignPlan, build_plan, parse_kind
-from .supervisor import ChunkSpec, Supervisor, SupervisorPolicy
+
+if TYPE_CHECKING:
+    from ..schemes.base import EccScheme
+    from .plan import CampaignPlan
+    from .supervisor import ChunkSpec, SupervisorPolicy
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,8 @@ class CampaignConfig:
     rare_table_seed: int = 0
 
     def __post_init__(self) -> None:
+        from .plan import parse_kind
+
         parse_kind(self.kind)  # fail fast on an invalid kind
         if self.trials <= 0:
             raise ValueError("trials must be positive")
@@ -83,6 +89,8 @@ class CampaignConfig:
 
     def fingerprint_dict(self) -> dict[str, Any]:
         """The canonical, JSON-safe view that the manifest fingerprints."""
+        from .plan import PLAN_VERSION
+
         out = {
             "plan_version": PLAN_VERSION,
             "scheme": self.scheme,
@@ -116,6 +124,8 @@ class CampaignConfig:
 
     def build_scheme(self) -> EccScheme:
         """Build the one scheme named ``scheme`` (not the whole line-up)."""
+        from ..schemes import DEFAULT_SCHEME_CLASSES
+
         by_name = {cls.name: cls for cls in DEFAULT_SCHEME_CLASSES}
         if self.scheme not in by_name:
             raise CampaignError(
@@ -124,6 +134,9 @@ class CampaignConfig:
         return by_name[self.scheme]()
 
     def build_plan(self) -> CampaignPlan:
+        from ..reliability.exact import ExactRunConfig
+        from .plan import build_plan
+
         return build_plan(
             self.build_scheme(),
             self.rates,
@@ -177,6 +190,8 @@ def start_campaign(directory: str | Path, config: CampaignConfig,
     If a manifest already exists there, its fingerprint must match
     ``config`` exactly; the call then behaves like a resume.
     """
+    from .supervisor import Supervisor, SupervisorPolicy
+
     policy = policy or SupervisorPolicy()
     plan = config.build_plan()
     manifest = Manifest.open(directory, config.fingerprint_dict(), len(plan.chunks))

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..schemes.base import BatchRead, LineReadResult
+if TYPE_CHECKING:  # a tally (and a manifest) needs no scheme stack
+    from ..schemes.base import BatchRead, LineReadResult
 
 
 class Outcome(Enum):

@@ -21,7 +21,12 @@ exact log-likelihood ratio; per-outcome accumulation keeps ``log(sum w)``
 and ``log(sum w**2)`` (see :mod:`repro.reliability.stats`), from which the
 unbiased Horvitz-Thompson estimate, the self-normalized estimate, Kish
 effective sample size and asymptotic/Wilson CIs all derive without ever
-exponentiating a deep-tail number.
+exponentiating a deep-tail number.  A chunk's per-word quantities - the
+log-likelihood ratio and the flag and flag-or-bad thresholds - depend on
+the word's error count alone, so each is computed once per count and
+gathered by count (:func:`_chunk_outcomes`), bit-identical to evaluating it
+at every cell; the per-cell version is the parity oracle in
+``tests/oracle.py``.
 
 ``tilt=0`` is special-cased to the exact decoder-in-the-loop engine
 (:func:`repro.reliability.batch.run_iid_batched`): the counts are
@@ -38,8 +43,9 @@ conditioning on ``S >= l`` factorizes through the first word reaching
 ``l``, which gives a truncated-geometric word index and truncated-binomial
 per-word counts, all invertible by CDF lookup).  The final level is
 Rao-Blackwellized: outcome probabilities given the sampled counts are
-computed exactly from the conditional tables, so even a miscorrection
-branch far below 1/effort contributes without sampling noise.
+computed exactly from the conditional tables (again one value per count,
+gathered), so even a miscorrection branch far below 1/effort contributes
+without sampling noise.
 
 Campaign integration: ``kind="rareevent"`` chunk plans carry the tilt
 parameters in each (picklable, number-only) payload and in the SHA-256
@@ -259,72 +265,99 @@ def resolve_tilt(tilt: float | str, law: LineLaw) -> float:
     return float(tilt)
 
 
-def _log_weights(
-    law: LineLaw, counts: np.ndarray, q_tilt: float, defensive: float
-) -> np.ndarray:
-    """Exact per-trial log-likelihood ratio log(P(x)/Q(x)) under the mixture.
+def _per_count(table: np.ndarray, counts: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """``table[min(count, len(table) - 1)]`` for every cell of ``counts``.
 
-    With ``ell_i = log(pmf_tilt(J_i)/pmf_nom(J_i))`` for each word, the
-    mixture density over the nominal one is
+    A count beyond the table reads its last row, as :class:`LineLaw`
+    defines, so the clip is the law's own rule and not a bounds guard.
+    """
+    return np.take(table, counts, mode="clip", out=out)
+
+
+def _chunk_outcomes(
+    rng: np.random.Generator,
+    law: LineLaw,
+    counts: np.ndarray,
+    q_tilt: float,
+    defensive: float,
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Per-trial log-likelihood ratio and line outcome masks of one chunk.
+
+    Weight: with ``ell_i = log(pmf_tilt(J_i)/pmf_nom(J_i))`` for each word,
+    the mixture density over the nominal one is
     ``defensive + (1-defensive) * mean_i exp(ell_i)`` (the binomial
-    coefficients cancel inside each ratio), so the weight is its inverse.
-    Everything stays in log space; no tilt magnitude can overflow.
+    coefficients cancel inside each ratio), so the log-weight is minus its
+    log.  Everything stays in log space; no tilt magnitude can overflow.
+
+    Outcome: each word draws one uniform ``u`` and flags when
+    ``u < p_flag[J]``, else is silently bad when ``u < p_flag[J] + p_bad[J]``;
+    the scheme's ``combine`` rule makes the line outcome.
+
+    Every per-word quantity depends on the word's count alone, so it is
+    computed once per count - ``ell`` over ``0..n`` (a binomial count never
+    exceeds ``n``), the flag and fail thresholds over the table's rows - and
+    gathered into one reused cell buffer.  Each entry is the float the
+    per-cell formula gives for that count, so results match it bit for bit.
     """
     a = math.log(q_tilt) - math.log(law.q)
     b = math.log1p(-q_tilt) - math.log1p(-law.q)
-    ell = counts * a + (law.n - counts) * b  # (trials, words)
-    peak = ell.max(axis=1)
-    log_mix = (
-        peak
-        + np.log(np.exp(ell - peak[:, None]).sum(axis=1))
-        - math.log(law.words)
-    )
+    j = np.arange(law.n + 1)
+    ell_of = j * a + (law.n - j) * b
+
+    cell = _per_count(ell_of, counts)  # ell, (trials, words)
+    peak = cell.max(axis=1)  # not ell at the largest count: a tilt < 0 flips it
+    cell -= peak[:, None]
+    np.exp(cell, out=cell)
+    log_mix = peak + np.log(cell.sum(axis=1)) - math.log(law.words)
     if defensive > 0.0:
         log_ratio = np.logaddexp(
             math.log(defensive), math.log1p(-defensive) + log_mix
         )
     else:
         log_ratio = log_mix
-    return -log_ratio
 
-
-def _sample_word_states(
-    rng: np.random.Generator, law: LineLaw, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(flagged, bad) per word given counts, by one uniform per word."""
-    clipped = np.minimum(counts, len(law.p_flag) - 1)
     u = rng.random(counts.shape)
-    flagged = u < law.p_flag[clipped]
-    bad = (~flagged) & (u < law.p_flag[clipped] + law.p_bad[clipped])
-    return flagged, bad
-
-
-def _combine_outcomes(
-    law: LineLaw, counts: np.ndarray, flagged: np.ndarray, bad: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Line outcome masks from per-word states, per the scheme's rule."""
-    touched = counts.sum(axis=1) > 0
+    flagged = u < _per_count(law.p_flag, counts, out=cell)
+    failing = u < _per_count(law.p_flag + law.p_bad, counts, out=cell)
     if law.combine == COMBINE_FLAG_DUE:
+        # a line with no flag has no flagged word, so its bad words are
+        # exactly its failing ones
         due = flagged.any(axis=1)
-        sdc = ~due & bad.any(axis=1)
+        sdc = ~due & failing.any(axis=1)
     elif law.combine == COMBINE_XED:
-        data = law.words - 1  # last word is the parity chip
-        n_flags = flagged.sum(axis=1)
-        due = n_flags >= 2
-        one = n_flags == 1
-        lane = flagged.argmax(axis=1)
-        any_bad = bad.any(axis=1)
-        any_data_bad = bad[:, :data].any(axis=1)
-        sdc = ~due & (
-            (one & (lane < data) & any_bad)
-            | (one & (lane == data) & any_data_bad)
-            | ((n_flags == 0) & any_data_bad)
-        )
+        due, sdc = _xed_outcomes(law, flagged, failing & ~flagged)
     else:
         raise ValueError(f"unknown combine rule {law.combine!r}")
-    ce = touched & ~due & ~sdc
-    ok = ~touched & ~due & ~sdc
-    return {"ok": ok, "ce": ce, "due": due, "sdc": sdc}
+    touched = counts.any(axis=1)
+    clean = ~due & ~sdc
+    return -log_ratio, {
+        "ok": ~touched & clean, "ce": touched & clean, "due": due, "sdc": sdc,
+    }
+
+
+def _xed_outcomes(
+    law: LineLaw, flagged: np.ndarray, bad: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """XED's (due, sdc) line masks from per-word (flagged, bad) states.
+
+    Cross-chip reconstruction (see ``XedModel``): two flags are a DUE; one
+    flagged data lane is rebuilt from the others, so any bad word poisons
+    it; a flagged parity word leaves the data as decoded.
+    """
+    data = law.words - 1  # last word is the parity chip
+    n_flags = flagged.sum(axis=1)
+    due = n_flags >= 2
+    one = n_flags == 1
+    lane = flagged.argmax(axis=1)
+    any_bad = bad.any(axis=1)
+    any_data_bad = bad[:, :data].any(axis=1)
+    sdc = ~due & (
+        (one & (lane < data) & any_bad)
+        | (one & (lane == data) & any_data_bad)
+        | ((n_flags == 0) & any_data_bad)
+    )
+    return due, sdc
 
 
 def rareevent_chunk_tally(
@@ -364,9 +397,7 @@ def rareevent_chunk_tally(
     take_tilt = arm >= defensive
     counts[take_tilt, word[take_tilt]] = tilted[take_tilt]
 
-    log_w = _log_weights(law, counts, q_tilt, defensive)
-    flagged, bad = _sample_word_states(rng, law, counts)
-    masks = _combine_outcomes(law, counts, flagged, bad)
+    log_w, masks = _chunk_outcomes(rng, law, counts, q_tilt, defensive)
 
     weighted = weighted_tally(
         {name: int(mask.sum()) for name, mask in masks.items()},
@@ -606,19 +637,19 @@ def _conditional_outcome_probs(
     Rao-Blackwellization of the final splitting level: instead of sampling
     word states, integrate them out against the conditional tables.  This
     is what lets a miscorrection branch orders of magnitude below 1/effort
-    show up in the estimate with zero extra variance.
+    show up in the estimate with zero extra variance.  A word's no-flag and
+    all-good probabilities depend on its count alone, so they are taken
+    per table row and gathered by count.
     """
-    clipped = np.minimum(counts, len(law.p_flag) - 1)
-    pf = law.p_flag[clipped]  # (trials, words)
-    pb = law.p_bad[clipped]
-    no_flag = np.clip(1.0 - pf, 0.0, 1.0)
-    good = np.clip(1.0 - pf - pb, 0.0, 1.0)
+    no_flag = _per_count(np.clip(1.0 - law.p_flag, 0.0, 1.0), counts)
+    good = _per_count(np.clip(1.0 - law.p_flag - law.p_bad, 0.0, 1.0), counts)
     if law.combine == COMBINE_FLAG_DUE:
         p_no_flag = no_flag.prod(axis=1)
         p_all_good = good.prod(axis=1)
         return 1.0 - p_no_flag, p_no_flag - p_all_good
     if law.combine == COMBINE_XED:
         data = law.words - 1
+        pf = _per_count(law.p_flag, counts)
         p_zero_flags = no_flag.prod(axis=1)
         p_one_flag = np.zeros(counts.shape[0])
         p_sdc = np.zeros(counts.shape[0])

@@ -307,6 +307,20 @@ class TestLegacyManifest:
         rewritten = json.loads(path.read_text())
         assert all("engine" not in rec for rec in rewritten["chunks"].values())
 
+    def test_indented_manifest_resumes_to_same_tally(self, tmp_path, reference):
+        # Manifests are saved on one line; one written with an indent (as
+        # older versions did) loads and resumes the same way.
+        with pytest.raises(CampaignAborted):
+            start_campaign(tmp_path, config(), policy(), ChaosSchedule.parse("abort:2"))
+        path = tmp_path / "manifest.json"
+        assert path.read_text().count("\n") == 1
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=2) + "\n")
+        assert campaign_status(tmp_path)["chunks_done"] == 2
+        result = resume_campaign(tmp_path, policy())
+        assert result.complete
+        assert counts(result.tally) == counts(reference)
+        assert path.read_text().count("\n") == 1
+
 
 class TestResumeRefusals:
     def test_mismatched_config_refused(self, tmp_path):

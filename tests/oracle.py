@@ -22,12 +22,21 @@
   classes' CDFs and keeps its own, where
   :mod:`repro.reliability.rareevent` inverts only the one it needs
   (``test_rareevent.py``).
+* The importance-sampling chunk computed cell by cell
+  (:func:`rareevent_chunk_tally`) and splitting's per-cell Rao-Blackwell
+  step (:func:`conditional_outcome_probs`): every word's log-ratio, flag and
+  bad thresholds evaluated at its own cell, where
+  :mod:`repro.reliability.rareevent` evaluates them once per error count
+  and gathers (``test_rareevent.py::TestChunkKernelParity``).
 
 The oracle lives in ``tests/`` because nothing in the library needs a
 second, slower copy of the same answer.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Any
 
 import numpy as np
 
@@ -38,8 +47,15 @@ from repro.faults.types import FaultInstance, FaultType, TransferBurst
 from repro.reliability.conditional import WordConditionals
 from repro.reliability.exact import ExactRunConfig, _make_chips, _plant_fault, _zero_line
 from repro.reliability.outcomes import Tally, classify
-from repro.reliability.rareevent import LineLaw
-from repro.reliability.stats import at_least_one, binom_logpmf, binom_tail, logsumexp
+from repro.reliability import rareevent
+from repro.reliability.rareevent import COMBINE_FLAG_DUE, COMBINE_XED, LineLaw
+from repro.reliability.stats import (
+    at_least_one,
+    binom_logpmf,
+    binom_tail,
+    logsumexp,
+    weighted_tally,
+)
 from repro.schemes import (
     ConventionalIecc,
     Duo,
@@ -441,3 +457,159 @@ def conditional_counts_given_max(
     return np.where(
         cols < first_col, c_below, np.where(cols == first_col, c_tail, c_free)
     )
+
+
+# -- rare-event chunk and Rao-Blackwell step, per cell ------------------------
+
+
+def _log_weights(
+    law: LineLaw, counts: np.ndarray, q_tilt: float, defensive: float
+) -> np.ndarray:
+    """Per-trial log-likelihood ratio, ``ell`` computed at every cell."""
+    a = math.log(q_tilt) - math.log(law.q)
+    b = math.log1p(-q_tilt) - math.log1p(-law.q)
+    ell = counts * a + (law.n - counts) * b  # (trials, words)
+    peak = ell.max(axis=1)
+    log_mix = (
+        peak
+        + np.log(np.exp(ell - peak[:, None]).sum(axis=1))
+        - math.log(law.words)
+    )
+    if defensive > 0.0:
+        log_ratio = np.logaddexp(
+            math.log(defensive), math.log1p(-defensive) + log_mix
+        )
+    else:
+        log_ratio = log_mix
+    return -log_ratio
+
+
+def _sample_word_states(
+    rng: np.random.Generator, law: LineLaw, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(flagged, bad) per word given counts, by one uniform per word."""
+    clipped = np.minimum(counts, len(law.p_flag) - 1)
+    u = rng.random(counts.shape)
+    flagged = u < law.p_flag[clipped]
+    bad = (~flagged) & (u < law.p_flag[clipped] + law.p_bad[clipped])
+    return flagged, bad
+
+
+def _combine_outcomes(
+    law: LineLaw, counts: np.ndarray, flagged: np.ndarray, bad: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Line outcome masks from per-word states, per the scheme's rule."""
+    touched = counts.sum(axis=1) > 0
+    if law.combine == COMBINE_FLAG_DUE:
+        due = flagged.any(axis=1)
+        sdc = ~due & bad.any(axis=1)
+    elif law.combine == COMBINE_XED:
+        data = law.words - 1  # last word is the parity chip
+        n_flags = flagged.sum(axis=1)
+        due = n_flags >= 2
+        one = n_flags == 1
+        lane = flagged.argmax(axis=1)
+        any_bad = bad.any(axis=1)
+        any_data_bad = bad[:, :data].any(axis=1)
+        sdc = ~due & (
+            (one & (lane < data) & any_bad)
+            | (one & (lane == data) & any_data_bad)
+            | ((n_flags == 0) & any_data_bad)
+        )
+    else:
+        raise ValueError(f"unknown combine rule {law.combine!r}")
+    ce = touched & ~due & ~sdc
+    ok = ~touched & ~due & ~sdc
+    return {"ok": ok, "ce": ce, "due": due, "sdc": sdc}
+
+
+def rareevent_chunk_tally(
+    scheme: EccScheme,
+    rates: FaultRates,
+    config: ExactRunConfig,
+    payload: dict[str, Any],
+) -> Tally:
+    """``rareevent.rareevent_chunk_tally`` evaluated cell by cell: the same
+    draws in the same order, then each word's log-ratio and flag/bad
+    thresholds computed from its own count."""
+    law = rareevent.line_law(
+        scheme, rates.single_cell_ber,
+        samples=int(payload.get("samples", 400)),
+        seed=int(payload.get("table_seed", 0)),
+    )
+    tilt = float(payload["tilt"])
+    defensive = float(payload["defensive"])
+    trials = int(payload["trials"])
+    q_tilt = rareevent.tilted_rate(law.q, tilt)
+    rng = np.random.default_rng(
+        [config.seed, rareevent._RNG_TAG_IS, int(payload["start"])]
+    )
+    arm = rng.random(trials)
+    word = rng.integers(law.words, size=trials)
+    counts = rng.binomial(law.n, law.q, size=(trials, law.words))
+    tilted = rng.binomial(law.n, q_tilt, size=trials)
+    take_tilt = arm >= defensive
+    counts[take_tilt, word[take_tilt]] = tilted[take_tilt]
+
+    log_w = _log_weights(law, counts, q_tilt, defensive)
+    flagged, bad = _sample_word_states(rng, law, counts)
+    masks = _combine_outcomes(law, counts, flagged, bad)
+    weighted = weighted_tally(
+        {name: int(mask.sum()) for name, mask in masks.items()},
+        {name: log_w[mask] for name, mask in masks.items()},
+        estimator="is", tilt=tilt, defensive=defensive,
+    )
+    return Tally(
+        ok=int(masks["ok"].sum()), ce=int(masks["ce"].sum()),
+        due=int(masks["due"].sum()), sdc=int(masks["sdc"].sum()),
+        extra={"weighted": weighted},
+    )
+
+
+def conditional_outcome_probs(
+    law: LineLaw, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``rareevent._conditional_outcome_probs`` with each word's flag and bad
+    probabilities looked up and combined at its own cell."""
+    clipped = np.minimum(counts, len(law.p_flag) - 1)
+    pf = law.p_flag[clipped]  # (trials, words)
+    pb = law.p_bad[clipped]
+    no_flag = np.clip(1.0 - pf, 0.0, 1.0)
+    good = np.clip(1.0 - pf - pb, 0.0, 1.0)
+    if law.combine == COMBINE_FLAG_DUE:
+        p_no_flag = no_flag.prod(axis=1)
+        p_all_good = good.prod(axis=1)
+        return 1.0 - p_no_flag, p_no_flag - p_all_good
+    data = law.words - 1
+    p_zero_flags = no_flag.prod(axis=1)
+    p_one_flag = np.zeros(counts.shape[0])
+    p_sdc = np.zeros(counts.shape[0])
+    for lane in range(law.words):
+        others = [j for j in range(law.words) if j != lane]
+        rest_no_flag = no_flag[:, others].prod(axis=1)
+        single = pf[:, lane] * rest_no_flag
+        p_one_flag += single
+        if lane < data:
+            rest_good = good[:, others].prod(axis=1)
+            p_any_bad_rest = np.clip(
+                1.0 - np.divide(
+                    rest_good, rest_no_flag,
+                    out=np.ones_like(rest_good), where=rest_no_flag > 0,
+                ),
+                0.0, 1.0,
+            )
+            p_sdc += single * p_any_bad_rest
+        else:
+            data_good = good[:, :data].prod(axis=1)
+            data_no_flag = no_flag[:, :data].prod(axis=1)
+            p_any_data_bad = np.clip(
+                1.0 - np.divide(
+                    data_good, data_no_flag,
+                    out=np.ones_like(data_good), where=data_no_flag > 0,
+                ),
+                0.0, 1.0,
+            )
+            p_sdc += single * p_any_data_bad
+    p_due = np.clip(1.0 - p_zero_flags - p_one_flag, 0.0, 1.0)
+    p_sdc += p_zero_flags - good[:, :data].prod(axis=1) * no_flag[:, data]
+    return p_due, np.clip(p_sdc, 0.0, 1.0)

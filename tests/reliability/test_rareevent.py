@@ -44,7 +44,7 @@ from repro.reliability.rareevent import (
     resolve_tilt,
     tilted_rate,
 )
-from repro.schemes import ConventionalIecc, Duo, NoEcc, PairScheme, Xed
+from repro.schemes import ConventionalIecc, Duo, NoEcc, PairScheme, RankSecDed, Xed
 from tests import oracle
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=10)
@@ -331,3 +331,70 @@ class TestSplittingSamplerParity:
         want = run_splitting_iid(scheme, iid_rates(1e-4), effort=4096, seed=3,
                                  samples=50)
         assert got.as_dict() == want.as_dict()
+
+
+def _hex_weighted(weighted):
+    """A weighted accumulator with every log-sum spelled as ``float.hex``."""
+    return {
+        name: (row["count"],
+               *(None if row[key] is None else row[key].hex()
+                 for key in ("log_w", "log_w2")))
+        for name, row in weighted["outcomes"].items()
+    }
+
+
+class TestChunkKernelParity:
+    """Per-count tables give the per-cell answer bit for bit."""
+
+    FACTORIES = [NoEcc, ConventionalIecc, Xed, Duo, PairScheme, RankSecDed]
+
+    @pytest.mark.parametrize("ber", [1e-4, 1e-3])
+    @pytest.mark.parametrize("factory", FACTORIES)
+    def test_chunk_equals_the_per_cell_oracle(self, get_scheme, factory, ber):
+        # tilt -3 makes ell fall with the count, so the row peak is not at
+        # the largest count; tilt 40 pushes q~ to nearly 1
+        scheme = get_scheme(factory)
+        rates = iid_rates(ber)
+        law = line_law(scheme, ber, samples=50)
+        for tilt in ("auto", -3.0, 40.0):
+            for defensive in (0.0, 0.05):
+                for seed in (0, 3, 1009):
+                    payload = {"start": 2048, "trials": 2048,
+                               "tilt": resolve_tilt(tilt, law),
+                               "defensive": defensive, "samples": 50,
+                               "table_seed": 0}
+                    config = ExactRunConfig(trials=8192, seed=seed)
+                    got = rareevent_chunk_tally(scheme, rates, config, payload)
+                    want = oracle.rareevent_chunk_tally(scheme, rates, config, payload)
+                    case = (tilt, defensive, seed)
+                    assert got.as_dict() == want.as_dict(), case
+                    assert (_hex_weighted(got.extra["weighted"])
+                            == _hex_weighted(want.extra["weighted"])), case
+                    assert got.extra == want.extra, case
+
+    def test_empty_chunk(self, get_scheme):
+        scheme = get_scheme(PairScheme)
+        payload = {"start": 0, "trials": 0, "tilt": 3.0, "defensive": 0.05,
+                   "samples": 50, "table_seed": 0}
+        config = ExactRunConfig(trials=1, seed=0)
+        got = rareevent_chunk_tally(scheme, iid_rates(1e-4), config, payload)
+        want = oracle.rareevent_chunk_tally(scheme, iid_rates(1e-4), config, payload)
+        assert got.as_dict()["trials"] == 0
+        assert got.extra == want.extra
+
+    @pytest.mark.parametrize("ber", [1e-4, 1e-3])
+    @pytest.mark.parametrize("factory", FACTORIES)
+    def test_rao_blackwell_step_equals_the_per_cell_oracle(self, get_scheme,
+                                                           factory, ber):
+        law = line_law(get_scheme(factory), ber, samples=50)
+        count_law = rareevent._count_law(law)
+        for seed in (0, 3, 1009):
+            for level in range(1, law.k_fail + 2):
+                counts = rareevent._conditional_counts_given_max(
+                    np.random.default_rng([seed, level]), law, level, 512,
+                    *count_law,
+                )
+                got = rareevent._conditional_outcome_probs(law, counts)
+                want = oracle.conditional_outcome_probs(law, counts)
+                for g, w in zip(got, want):
+                    assert [v.hex() for v in g] == [v.hex() for v in w], (seed, level)

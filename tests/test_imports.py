@@ -128,6 +128,32 @@ class TestColdStart:
         ]
         assert "numpy" not in loaded
 
+    def test_campaign_status_loads_no_engine(self, tmp_path):
+        """``campaign status`` reads the manifest: no planner, supervisor,
+        scheme, code, DRAM model or GF kernel."""
+        from repro.campaign import CampaignConfig, Manifest
+        from repro.reliability.outcomes import Tally
+
+        manifest = Manifest.open(tmp_path, CampaignConfig(trials=16, chunk_trials=8)
+                                 .fingerprint_dict(), 2)
+        manifest.record_chunk(0, Tally(ok=8), 8, 1)
+        loaded = loaded_after(f"""
+            import runpy, sys
+            sys.argv = ["repro", "campaign", "status", "--dir", {str(tmp_path)!r}, "--json"]
+            try:
+                runpy.run_module("repro", run_name="__main__")
+            except SystemExit as exc:
+                assert not exc.code, exc.code
+        """)
+        engine = sorted(
+            m for m in loaded
+            if m in ("repro.campaign.plan", "repro.campaign.supervisor",
+                     "repro.reliability.batch", "repro.faults.sampler")
+            or m.split(".")[:2] in (["repro", "schemes"], ["repro", "codes"],
+                                    ["repro", "dram"], ["repro", "galois"])
+        )
+        assert engine == []
+
     def test_local_campaign_never_imports_the_fleet(self, tmp_path):
         """Neither the supervisor nor its forked workers import the fleet stack."""
         log = tmp_path / "imports.log"
