@@ -1,9 +1,9 @@
 """Deterministic chunk plans: the resumable unit of a campaign.
 
 A campaign is a Monte-Carlo run split into self-contained *chunks*.  The
-split reuses the batched engine's own seed derivation
-(:func:`repro.reliability.batch.iid_epochs` /
-:func:`~repro.reliability.batch.single_fault_specs`), so the set of chunks
+split is the batched engine's own
+(:func:`repro.reliability.batch.iid_chunks` /
+:func:`~repro.reliability.batch.single_fault_chunks`), so the set of chunks
 - and every random draw inside each chunk - is a pure function of the
 campaign config.  Two consequences the whole subsystem leans on:
 
@@ -27,9 +27,9 @@ from ..faults.rates import FaultRates
 from ..faults.types import FaultType
 from ..reliability.batch import (
     iid_chunk_tally,
-    iid_epochs,
+    iid_chunks,
     single_fault_chunk_tally,
-    single_fault_specs,
+    single_fault_chunks,
 )
 from ..reliability.exact import ExactRunConfig
 from ..reliability.outcomes import Tally
@@ -72,11 +72,11 @@ def parse_kind(kind: str) -> FaultType | None:
         return None
     if kind.startswith("single:"):
         value = kind.split(":", 1)[1]
-        try:
-            return FaultType(value)
-        except ValueError:
-            valid = ", ".join(f.value for f in FaultType)
-            raise ValueError(f"unknown fault type {value!r}; have: {valid}") from None
+        planted = [f.value for f in FaultType if f is not FaultType.SINGLE_CELL]
+        if value not in planted:
+            # weak cells are the i.i.d. process (kind 'iid'), not one planted fault
+            raise ValueError(f"unknown fault type {value!r}; have: {', '.join(planted)}")
+        return FaultType(value)
     raise ValueError(
         f"unknown campaign kind {kind!r}; use 'iid', 'rareevent' or 'single:<fault>'"
     )
@@ -100,63 +100,32 @@ def build_plan(
     rareevent --tilt 0`` is bit-identical to ``--kind iid``.
     """
     fault_kind = parse_kind(kind)
+    params = rareevent or {}
+    tilt = float(params.get("tilt", 0.0)) if kind == "rareevent" else 0.0
     chunks: list[ChunkSpec] = []
-    if kind == "rareevent":
+    if tilt != 0.0:
         from ..reliability.rareevent import require_pure_ber
 
-        params = rareevent or {}
-        tilt = float(params.get("tilt", 0.0))
-        if tilt != 0.0:
-            require_pure_ber(rates, context="rareevent campaign")
-            for index, start in enumerate(range(0, config.trials, chunk_trials)):
-                payload = {
-                    "start": start,
-                    "trials": min(chunk_trials, config.trials - start),
-                    "tilt": tilt,
-                    "defensive": float(params.get("defensive", 0.05)),
-                    "samples": int(params.get("samples", 400)),
-                    "table_seed": int(params.get("table_seed", 0)),
-                }
-                chunks.append(
-                    ChunkSpec(
-                        index=index,
-                        seed=config.seed * 7919 + start,
-                        trials=payload["trials"],
-                        payload=payload,
-                    )
-                )
-            return CampaignPlan(
-                kind=kind, scheme=scheme, rates=rates, config=config,
-                chunk_trials=chunk_trials, chunks=tuple(chunks),
-            )
-        # tilt=0: fall through to the exact i.i.d. chunking below
-    if fault_kind is None:
-        epochs = iid_epochs(scheme, config)
-        every = max(1, config.resample_faults_every)
-        per_chunk = max(1, chunk_trials // every)
-        for index, start in enumerate(range(0, len(epochs), per_chunk)):
-            group = epochs[start : start + per_chunk]
-            chunks.append(
-                ChunkSpec(
-                    index=index,
-                    seed=group[0][0],
-                    trials=sum(len(coords) for _, coords in group),
-                    payload=group,
-                )
-            )
+        require_pure_ber(rates, context="rareevent campaign")
+        for index, start in enumerate(range(0, config.trials, chunk_trials)):
+            payload = {
+                "start": start,
+                "trials": min(chunk_trials, config.trials - start),
+                "tilt": tilt,
+                "defensive": float(params.get("defensive", 0.05)),
+                "samples": int(params.get("samples", 400)),
+                "table_seed": int(params.get("table_seed", 0)),
+            }
+            chunks.append(ChunkSpec(index, config.seed * 7919 + start, payload["trials"], payload))
+    elif fault_kind is None:  # iid, and rareevent at tilt 0
+        for index, group in enumerate(iid_chunks(scheme, config, chunk_trials)):
+            trials = sum(len(coords) for _, coords in group)
+            chunks.append(ChunkSpec(index, group[0][0], trials, group))
     else:
-        specs = single_fault_specs(scheme, fault_kind, rates, config)
-        for index, start in enumerate(range(0, len(specs), chunk_trials)):
-            group = specs[start : start + chunk_trials]
-            first_trial = group[0][0]
-            chunks.append(
-                ChunkSpec(
-                    index=index,
-                    seed=config.seed * 7919 + first_trial,
-                    trials=len(group),
-                    payload=group,
-                )
-            )
+        groups = single_fault_chunks(scheme, fault_kind, rates, config, chunk_trials)
+        for index, group in enumerate(groups):
+            # the diagnostics seed of the chunk's first trial
+            chunks.append(ChunkSpec(index, config.seed * 7919 + group[0][0], len(group), group))
     return CampaignPlan(
         kind=kind,
         scheme=scheme,

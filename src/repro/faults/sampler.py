@@ -11,10 +11,10 @@ persistent), and two schemes evaluated against the same seed see the same
 fault universe - the comparisons in the paper are paired.
 
 Every mask comes from one builder, :func:`_build_masks`: a lazy
-:meth:`FaultOverlay.mask_for_row`, :func:`prime_masks` over many overlays,
-and :func:`dirty_overlays`, which builds the masks of a whole Monte-Carlo
-chunk from arrays of chip seeds and read coordinates and makes an overlay
-only for the chips whose masks are not all empty.
+:meth:`FaultOverlay.mask_for_row`, and :func:`dirty_overlays`, which builds
+the masks of a whole Monte-Carlo chunk from arrays of chip seeds and read
+coordinates and makes an overlay only for the chips whose masks are not all
+empty.
 """
 
 from __future__ import annotations
@@ -207,9 +207,6 @@ _BATCH_CELLS = 1 << 16
 
 _C_PRIMED = _obs.counter("faults.masks.primed")
 
-#: one mask a read needs: ``(overlay, bank, row, shape, footprint)``.
-MaskRequest = tuple["FaultOverlay", int, int, tuple[int, int], Footprint]
-
 
 class FaultOverlay:
     """Materialises deterministic flip masks per row.
@@ -220,8 +217,8 @@ class FaultOverlay:
     mask asked for over a read's footprint takes only the draws of the cells
     inside it, so it equals the whole-row mask with every cell outside the
     footprint zeroed.  Masks are cached (bounded, per row and footprint)
-    because schemes repeatedly read the same hot rows; :func:`prime_masks`
-    and :func:`dirty_overlays` fill the caches of many overlays in one pass.
+    because schemes repeatedly read the same hot rows; :func:`dirty_overlays`
+    fills the caches of a chunk's overlays in one pass.
     """
 
     def __init__(
@@ -265,12 +262,18 @@ class FaultOverlay:
         masks = self._cache.get((bank, row))
         if masks is not None and footprint in masks:
             return masks[footprint]
-        mask = _request_masks([(self, bank, row, shape, footprint)]).get(0)
+        rates = self.rates
+        layout = _layout(shape, footprint, rates.single_cell_ber, rates.cell_cluster_per_bit)
+        blocks = [
+            (0, *block)
+            for block in _fault_blocks(
+                self.seed, self._by_bank.get(bank, ()), bank, row, shape, footprint
+            )
+        ]
+        keys = key_array([(self.seed, bank, row, _CELL_TAG)])
+        mask = _build_masks(keys, [layout], np.zeros(1, dtype=np.intp), blocks).get(0)
         self._store(bank, row, footprint, mask)
         return mask
-
-    def _cached(self, bank: int, row: int, footprint: Footprint) -> bool:
-        return footprint in self._cache.get((bank, row), ())
 
     def _store(
         self, bank: int, row: int, footprint: Footprint, mask: np.ndarray | None
@@ -281,27 +284,6 @@ class FaultOverlay:
                 self._cache.clear()
             masks = self._cache[(bank, row)] = {}
         masks[footprint] = mask
-
-
-def prime_masks(
-    requests: Sequence[MaskRequest], rng: np.random.Generator | None = None
-) -> None:
-    """Build the masks of many reads in one pass into their overlays' caches.
-
-    Each mask equals what :meth:`FaultOverlay.mask_for_row` would build for
-    the request; masks already cached are skipped.  ``rng`` is a scratch
-    Generator for the long runs (:func:`repro.faults.rng.scratch_generator`).
-    """
-    todo = list({
-        (id(request[0]), request[1], request[2], request[4]): request
-        for request in requests
-        if not request[0]._cached(request[1], request[2], request[4])
-    }.values())
-    if _obs.enabled():
-        _C_PRIMED.add(len(todo))
-    masks = _request_masks(todo, rng)
-    for index, (overlay, bank, row, _, footprint) in enumerate(todo):
-        overlay._store(bank, row, footprint, masks.get(index))
 
 
 def dirty_overlays(
@@ -447,28 +429,6 @@ def _fault_blocks(
             _Block(runs, fault.density, np.bitwise_xor, rows, inside, None),
         ))
     return out
-
-
-def _request_masks(
-    requests: Sequence[MaskRequest], rng: np.random.Generator | None = None
-) -> dict[int, np.ndarray]:
-    """The non-empty masks of ``(overlay, bank, row, shape, footprint)``
-    requests, by request index (:func:`_build_masks`)."""
-    if not requests:
-        return {}
-    ids: dict[tuple, int] = {}
-    layout_of = [
-        ids.setdefault((shape, fp, o.rates.single_cell_ber, o.rates.cell_cluster_per_bit), len(ids))
-        for o, _, _, shape, fp in requests
-    ]
-    keys = [(o.seed, bank, row, _CELL_TAG) for o, bank, row, _, _ in requests]
-    blocks = [
-        (i, *block)
-        for i, (o, bank, row, shape, fp) in enumerate(requests)
-        for block in _fault_blocks(o.seed, o._by_bank.get(bank, ()), bank, row, shape, fp)
-    ]
-    layouts = [_layout(*layout) for layout in ids]
-    return _build_masks(key_array(keys), layouts, np.array(layout_of), blocks, rng)
 
 
 def _build_masks(

@@ -12,29 +12,35 @@ restructuring has three parts:
    coordinates come from :func:`repro.faults.rng.bounded_ints`, which
    reproduces the scalar calls' Lemire draws in one array pass; the
    single-fault and burst loops stay scalar.
-2. **Fault-universe grouping.**  Trials that share a universe (an epoch of
-   ``resample_faults_every`` trials in :func:`run_iid_batched`) share their
-   chips.  An i.i.d. chunk builds its universe in one array pass: every
-   chip's structured faults, then every read's mask on every chip
-   (:func:`repro.faults.sampler.dirty_overlays`).  Only the chips some read
-   sees faulty get an overlay and a device; every other chip of the chunk
-   is one shared fault-free device.  All reads of a chunk go through one
-   call of the scheme's reader
+2. **One universe builder.**  A chunk reads from fault universes, each the
+   rank's chips with their seeds and structured faults: an i.i.d. epoch of
+   ``resample_faults_every`` trials shares one, and a single-fault trial is
+   one of its own, its fault planted on chip 0.  Both chunks build their
+   reads through :func:`_universe_reads`, which makes every read's mask on
+   every chip in one array pass (:func:`repro.faults.sampler.dirty_overlays`).
+   Only the chips some read sees faulty get an overlay and a device; every
+   other chip of the chunk is one shared fault-free device.  A burst chunk
+   has no persistent faults and reads fault-free devices.  All reads of a
+   chunk go through one call of the scheme's reader
    (:meth:`~repro.schemes.base.EccScheme.read_lines`), which skips clean
    rows, pushes the dirty minority through one ``decode_batch`` and returns
    a columnar :class:`~repro.schemes.base.BatchRead`; the chunk's tally
    counts its arrays against the all-zero line (:func:`~.outcomes.tally_batch`).
 3. **Chunked dispatch.**  Chunks are self-contained (scheme, rates, seeds,
-   pre-sampled coordinates), so they can run inline or on a
-   ``ProcessPoolExecutor``.  Tallies are pure counts and merge
-   commutatively; each chunk's inputs are deterministic, so the merged
-   tally is identical for every ``workers`` setting - ``workers=N`` equals
-   ``workers=1`` equals the scalar oracle, bit for bit.
+   pre-sampled coordinates) and cut in one place (:func:`iid_chunks`,
+   :func:`single_fault_chunks`, shared with the campaign planner), so they
+   can run inline or on a ``ProcessPoolExecutor`` (:func:`_dispatch`).
+   Tallies are pure counts and merge commutatively; each chunk's inputs are
+   deterministic, so the merged tally is identical for every ``workers``
+   setting - ``workers=N`` equals ``workers=1`` equals the scalar oracle,
+   bit for bit.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
+from functools import reduce
+from typing import Any
 
 import numpy as np
 
@@ -42,23 +48,20 @@ from ..dram.device import DramDevice
 from ..errors import ChunkFailure
 from ..faults.rates import FaultRates
 from ..faults.rng import bounded_ints, scratch_generator
-from ..faults.sampler import (
-    FaultOverlay,
-    MaskRequest,
-    dirty_overlays,
-    prime_masks,
-    sample_fault_lists,
-)
+from ..faults.sampler import dirty_overlays, sample_fault_lists
 from ..faults.types import FaultInstance, FaultType, TransferBurst
 from ..obs import metrics as _obs
 from ..obs import trace as _trace
 from ..schemes.base import EccScheme
-from .exact import ExactRunConfig, _chip_seeds, _make_chips, _plant_fault, _zero_line
+from .exact import ExactRunConfig, _chip_seeds, _plant_fault, _zero_line
 from .outcomes import Tally, tally_batch
 
 #: default number of trials grouped into one dispatch unit; bounds both the
 #: live device/overlay count and the size of each decode batch.
 DEFAULT_CHUNK_TRIALS = 256
+
+#: the bank-0 row every single-fault trial reads, its fault planted across it.
+_PLANT_ROW = 64
 
 # Observability (DESIGN.md 6e): batch occupancy (reads per dispatched
 # decode batch) and chunk throughput.  Timing comes from spans recorded in
@@ -78,23 +81,48 @@ def _observe_chunk(span: "_trace.SpanRecord | None", reads: int) -> None:
         _H_ROWS_PER_S.observe(reads / span.duration)
 
 
-def _prime_reads(scheme: EccScheme, reads: list, rng: np.random.Generator) -> None:
-    """Build every fault mask the reads will ask their chips for, in one pass.
+def _universe_reads(
+    scheme: EccScheme,
+    rates: FaultRates,
+    seeds: Sequence[int],
+    faults: Sequence[list[FaultInstance]],
+    universe: np.ndarray,
+    coords: np.ndarray,
+    bursts: Sequence[dict[int, TransferBurst] | None],
+    rng: np.random.Generator,
+) -> list:
+    """A chunk's line reads, every fault mask built in one pass.
 
-    ``rng`` is the chunk's scratch Generator
-    (:func:`repro.faults.rng.scratch_generator`).
+    Universe ``u`` is the rank's chips ``u * chips + c``, chip ``k`` with
+    seed ``seeds[k]`` and structured faults ``faults[k]``.  Read ``i`` reads
+    universe ``universe[i]`` at ``coords[i]`` (bank, row, col) with the
+    transfer bursts ``bursts[i]``.  Every read's mask on every chip comes
+    from one :func:`repro.faults.sampler.dirty_overlays` call
+    (``faults.mask``).  Only a chip that some read sees faulty gets an
+    overlay and a device of its own; every other chip is one shared
+    fault-free device, which the readers skip as clean.  ``rng`` is the
+    chunk's scratch Generator (:func:`repro.faults.rng.scratch_generator`).
     """
-    device = scheme.rank.device
-    width = device.data_bits_per_pin_per_row + device.spare_bits_per_pin_per_row
-    requests: list[MaskRequest] = []
-    for chips, bank, row, col, _ in reads:
-        footprint = scheme.read_footprint(col) or ((0, width),)
-        requests.extend(
-            (chip.fault_overlay, bank, row, (device.pins, width), footprint)
-            for chip in chips
-            if isinstance(chip.fault_overlay, FaultOverlay)
+    device, chips = scheme.rank.device, scheme.rank.chips
+    with _trace.span("faults.mask"):
+        cols, footprint_of = np.unique(coords[:, 2], return_inverse=True)
+        width = device.data_bits_per_pin_per_row + device.spare_bits_per_pin_per_row
+        footprints = [scheme.read_footprint(col) or ((0, width),) for col in cols.tolist()]
+        chip_reads = (
+            (universe[:, None] * chips + np.arange(chips)).ravel(),
+            np.repeat(coords[:, 0], chips),
+            np.repeat(coords[:, 1], chips),
+            np.repeat(footprint_of, chips),
         )
-    prime_masks(requests, rng)
+        overlays = dirty_overlays(device, rates, seeds, faults, chip_reads, footprints, rng)
+    clean = DramDevice(device)
+    chip_sets = [[clean] * chips for _ in range(len(seeds) // chips)]
+    for k, overlay in overlays.items():
+        chip_sets[k // chips][k % chips] = DramDevice(device, overlay)
+    return [
+        (chip_sets[u], bank, row, col, burst)
+        for u, (bank, row, col), burst in zip(universe.tolist(), coords.tolist(), bursts)
+    ]
 
 
 def _tally_reads(scheme: EccScheme, reads: list) -> Tally:
@@ -104,34 +132,32 @@ def _tally_reads(scheme: EccScheme, reads: list) -> Tally:
     return tally_batch(scheme.read_lines(reads), _zero_line(scheme))
 
 
-def _merge_dispatch(
-    fn: Callable[..., Tally],
+def _dispatch(
+    fn: Callable[..., Any],
     arg_tuples: list[tuple],
     workers: int,
     labels: list[str] | None = None,
-) -> Tally:
-    """Run chunk workers inline or across processes; merge their tallies.
+) -> list:
+    """Run chunk workers inline or across processes; their results in order.
 
     A worker process dying (OOM kill, segfault, interpreter crash) breaks
     the whole pool; that surfaces as :class:`repro.errors.ChunkFailure`
     naming the first affected chunk (``labels[i]``, which callers build to
     include the chunk id and seed) instead of a bare pool traceback.
     """
-    total = Tally()
     if workers <= 1 or len(arg_tuples) <= 1:
-        for args in arg_tuples:
-            total = total.merge(fn(*args))
-        return total
+        return [fn(*args) for args in arg_tuples]
     # the process-pool stack loads only when a run fans out
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     labels = labels or [f"chunk {i}" for i in range(len(arg_tuples))]
+    results = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *args) for args in arg_tuples]
         for index, (label, future) in enumerate(zip(labels, futures)):
             try:
-                total = total.merge(future.result())
+                results.append(future.result())
             except BrokenProcessPool as exc:
                 raise ChunkFailure(
                     f"worker process died while running {label}; "
@@ -139,7 +165,12 @@ def _merge_dispatch(
                     "for supervised retry",
                     chunk_id=index,
                 ) from exc
-    return total
+    return results
+
+
+def _merge(tallies: list[Tally]) -> Tally:
+    """The chunks' tallies merged in chunk order."""
+    return reduce(Tally.merge, tallies, Tally())
 
 
 # -- i.i.d. weak-cell process --------------------------------------------------
@@ -162,10 +193,7 @@ def iid_epochs(
 
     One epoch per ``resample_faults_every`` run of trials, chip seed
     ``config.seed + first_trial`` - exactly the rebuild points of the
-    scalar loop.  This is the shared chunking vocabulary: both
-    :func:`run_iid_batched` and the campaign planner
-    (:mod:`repro.campaign.plan`) derive their chunks from it, which is what
-    makes a resumed campaign bit-identical to an uninterrupted run.
+    scalar loop.
     """
     coords = _sample_iid_coords(scheme, config)
     every = max(1, config.resample_faults_every)
@@ -175,52 +203,39 @@ def iid_epochs(
     ]
 
 
-def _iid_chunk(scheme: EccScheme, rates: FaultRates, epochs: list) -> Tally:
-    """One dispatch unit: a run of (chip_seed, coords) fault-universe epochs.
+def iid_chunks(scheme: EccScheme, config: ExactRunConfig, chunk_trials: int) -> list[list]:
+    """The i.i.d. run's epochs cut into chunks of about ``chunk_trials`` trials.
 
-    The chunk's fault universe is built in one array pass: every chip's
-    structured faults are sampled at once (``faults.overlay``), then every
-    read's mask on every chip (``faults.mask``,
-    :func:`repro.faults.sampler.dirty_overlays`).  Only a chip that some
-    read sees faulty gets an overlay and a device of its own; every other
-    chip of the chunk is one shared fault-free device, which the readers
-    skip as clean.
+    A chunk holds whole epochs, at least one.  This is the shared chunking:
+    both :func:`run_iid_batched` and the campaign planner
+    (:mod:`repro.campaign.plan`) cut their chunks here, which is what makes
+    a resumed campaign bit-identical to an uninterrupted run.
     """
-    with _trace.span("reliability.iid_chunk", epochs=len(epochs)) as sp:
-        device, chips = scheme.rank.device, scheme.rank.chips
-        rng = scratch_generator()
-        coords = np.array([c for _, epoch in epochs for c in epoch], dtype=np.int64).reshape(-1, 3)
-        epoch_of = np.repeat(np.arange(len(epochs)), [len(epoch) for _, epoch in epochs])
-        with _trace.span("faults.overlay"):
-            seeds = [chip_seed for seed, _ in epochs for chip_seed in _chip_seeds(scheme, seed)]
-            faults = sample_fault_lists(device, rates, seeds, rng)
-        with _trace.span("faults.mask"):
-            cols, footprint_of = np.unique(coords[:, 2], return_inverse=True)
-            width = device.data_bits_per_pin_per_row + device.spare_bits_per_pin_per_row
-            footprints = [scheme.read_footprint(col) or ((0, width),) for col in cols.tolist()]
-            chip_reads = (
-                (epoch_of[:, None] * chips + np.arange(chips)).ravel(),
-                np.repeat(coords[:, 0], chips),
-                np.repeat(coords[:, 1], chips),
-                np.repeat(footprint_of, chips),
-            )
-            overlays = dirty_overlays(device, rates, seeds, faults, chip_reads, footprints, rng)
-        clean = DramDevice(device)
-        chip_sets = [[clean] * chips for _ in epochs]
-        for k, overlay in overlays.items():
-            chip_sets[k // chips][k % chips] = DramDevice(device, overlay)
-        reads = [
-            (chip_sets[epoch], bank, row, col, None)
-            for epoch, (bank, row, col) in zip(epoch_of.tolist(), coords.tolist())
-        ]
-        tally = _tally_reads(scheme, reads)
-    _observe_chunk(sp, len(reads))
-    return tally
+    epochs = iid_epochs(scheme, config)
+    per_chunk = max(1, chunk_trials // max(1, config.resample_faults_every))
+    return [epochs[i : i + per_chunk] for i in range(0, len(epochs), per_chunk)]
 
 
 def iid_chunk_tally(scheme: EccScheme, rates: FaultRates, epochs: list) -> Tally:
-    """Public alias of the i.i.d. chunk executor (campaign worker entry)."""
-    return _iid_chunk(scheme, rates, epochs)
+    """One dispatch unit: a run of (chip_seed, coords) fault-universe epochs.
+
+    Every chip's structured faults are sampled at once (``faults.overlay``),
+    then the chunk's reads are built over them (:func:`_universe_reads`).
+    The campaign's i.i.d. worker entry.
+    """
+    with _trace.span("reliability.iid_chunk", epochs=len(epochs)) as sp:
+        rng = scratch_generator()
+        coords = np.array([c for _, epoch in epochs for c in epoch], dtype=np.int64).reshape(-1, 3)
+        universe = np.repeat(np.arange(len(epochs)), [len(epoch) for _, epoch in epochs])
+        with _trace.span("faults.overlay"):
+            seeds = [chip_seed for seed, _ in epochs for chip_seed in _chip_seeds(scheme, seed)]
+            faults = sample_fault_lists(scheme.rank.device, rates, seeds, rng)
+        reads = _universe_reads(
+            scheme, rates, seeds, faults, universe, coords, [None] * len(coords), rng
+        )
+        tally = _tally_reads(scheme, reads)
+    _observe_chunk(sp, len(reads))
+    return tally
 
 
 def run_iid_batched(
@@ -238,24 +253,21 @@ def run_iid_batched(
     ``config.seed + first_trial``), epochs into chunks of roughly
     ``chunk_trials`` trials, and chunks across ``workers`` processes.
     """
-    epochs = iid_epochs(scheme, config)
-    every = max(1, config.resample_faults_every)
-    per_chunk = max(1, chunk_trials // every)
-    chunks = [epochs[i : i + per_chunk] for i in range(0, len(epochs), per_chunk)]
-    return _merge_dispatch(
-        _iid_chunk,
+    chunks = iid_chunks(scheme, config, chunk_trials)
+    return _merge(_dispatch(
+        iid_chunk_tally,
         [(scheme, rates, chunk) for chunk in chunks],
         workers,
         labels=[
             f"iid chunk {i} (chip_seed={chunk[0][0]})" for i, chunk in enumerate(chunks)
         ],
-    )
+    ))
 
 
 # -- one planted structured fault ----------------------------------------------
 
 
-def _sample_single_fault_trials(
+def single_fault_specs(
     scheme: EccScheme, kind: FaultType, rates: FaultRates, config: ExactRunConfig
 ) -> list[tuple[int, int, FaultInstance, TransferBurst | None]]:
     """(trial, col, fault, burst) per trial, drawn in the scalar loop's order.
@@ -270,7 +282,7 @@ def _sample_single_fault_trials(
     specs = []
     for trial in range(config.trials):
         col = int(rng.integers(device.columns_per_row))
-        fault = _plant_fault(kind, rates, device, 64, col, total_bits, rng)
+        fault = _plant_fault(kind, rates, device, _PLANT_ROW, col, total_bits, rng)
         burst = None
         if kind is FaultType.TRANSFER_BURST:
             length = min(rates.transfer_burst_length, device.burst_length)
@@ -283,43 +295,44 @@ def _sample_single_fault_trials(
     return specs
 
 
-def single_fault_specs(
-    scheme: EccScheme, kind: FaultType, rates: FaultRates, config: ExactRunConfig
-) -> list[tuple[int, int, FaultInstance, TransferBurst | None]]:
-    """Public alias of the single-fault trial pre-sampler (campaign planner)."""
-    return _sample_single_fault_trials(scheme, kind, rates, config)
-
-
-def _single_fault_reads(
-    scheme: EccScheme, clean: FaultRates, seed: int, specs: list
-) -> list:
-    reads = []
-    for trial, col, fault, burst in specs:
-        faults_per_chip: list[list[FaultInstance]] = [[] for _ in range(scheme.rank.chips)]
-        faults_per_chip[0] = [fault]
-        chips = _make_chips(
-            scheme, clean, seed=seed * 7919 + trial, faults_per_chip=faults_per_chip
-        )
-        reads.append((chips, 0, 64, col, {0: burst} if burst is not None else None))
-    return reads
-
-
-def _single_fault_chunk(
-    scheme: EccScheme, clean: FaultRates, seed: int, specs: list
-) -> Tally:
-    with _trace.span("reliability.single_fault_chunk", trials=len(specs)) as sp:
-        reads = _single_fault_reads(scheme, clean, seed, specs)
-        _prime_reads(scheme, reads, scratch_generator())
-        tally = _tally_reads(scheme, reads)
-    _observe_chunk(sp, len(specs))
-    return tally
+def single_fault_chunks(
+    scheme: EccScheme,
+    kind: FaultType,
+    rates: FaultRates,
+    config: ExactRunConfig,
+    chunk_trials: int,
+) -> list[list]:
+    """The single-fault run's trials cut into chunks of ``chunk_trials``
+    (:func:`run_single_fault_batched` and the campaign planner)."""
+    specs = single_fault_specs(scheme, kind, rates, config)
+    return [specs[i : i + chunk_trials] for i in range(0, len(specs), chunk_trials)]
 
 
 def single_fault_chunk_tally(
     scheme: EccScheme, clean: FaultRates, seed: int, specs: list
 ) -> Tally:
-    """Public alias of the single-fault chunk executor (campaign worker entry)."""
-    return _single_fault_chunk(scheme, clean, seed, specs)
+    """One dispatch unit of single-fault trials.
+
+    Each trial is a fault universe of its own: chip seeds
+    ``_chip_seeds(scheme, seed * 7919 + trial)``, the trial's fault on chip
+    0 and none on the others, one read of bank 0, row ``_PLANT_ROW``.  The
+    campaign's single-fault worker entry.
+    """
+    with _trace.span("reliability.single_fault_chunk", trials=len(specs)) as sp:
+        chips = scheme.rank.chips
+        seeds = [s for trial, *_ in specs for s in _chip_seeds(scheme, seed * 7919 + trial)]
+        faults = [[fault] if k == 0 else [] for _, _, fault, _ in specs for k in range(chips)]
+        coords = np.array(
+            [(0, _PLANT_ROW, col) for _, col, _, _ in specs], dtype=np.int64
+        ).reshape(-1, 3)
+        bursts = [None if burst is None else {0: burst} for *_, burst in specs]
+        reads = _universe_reads(
+            scheme, clean, seeds, faults, np.arange(len(specs)), coords, bursts,
+            scratch_generator(),
+        )
+        tally = _tally_reads(scheme, reads)
+    _observe_chunk(sp, len(reads))
+    return tally
 
 
 def run_single_fault_batched(
@@ -337,11 +350,10 @@ def run_single_fault_batched(
     each fault class's per-event severity (experiment F3); combining with
     occurrence rates is done by the bench.
     """
-    specs = _sample_single_fault_trials(scheme, kind, rates, config)
+    chunks = single_fault_chunks(scheme, kind, rates, config, chunk_trials)
     clean = rates.with_ber(0.0)
-    chunks = [specs[i : i + chunk_trials] for i in range(0, len(specs), chunk_trials)]
-    return _merge_dispatch(
-        _single_fault_chunk,
+    return _merge(_dispatch(
+        single_fault_chunk_tally,
         [(scheme, clean, config.seed, chunk) for chunk in chunks],
         workers,
         labels=[
@@ -349,25 +361,18 @@ def run_single_fault_batched(
             f"seed={config.seed})"
             for i, chunk in enumerate(chunks)
         ],
-    )
+    ))
 
 
 # -- write-path transfer bursts ------------------------------------------------
 
 
-def _burst_length_tally(
-    scheme: EccScheme, length: int, config: ExactRunConfig
-) -> tuple[int, Tally]:
+def _burst_length_tally(scheme: EccScheme, length: int, config: ExactRunConfig) -> Tally:
     device = scheme.rank.device
     rng = np.random.default_rng([config.seed, 0xB0057, length])
     length_eff = min(length, device.burst_length)
-    clean = FaultRates(
-        single_cell_ber=0.0, row_faults_per_device=0.0, column_faults_per_device=0.0,
-        pin_faults_per_device=0.0, mat_faults_per_device=0.0,
-        transfer_burst_per_access=0.0,
-    )
     with _trace.span("reliability.burst_chunk", length=length) as sp:
-        chips = _make_chips(scheme, clean, seed=config.seed)
+        chips = scheme.make_devices()
         reads = []
         for _ in range(config.trials):
             row = int(rng.integers(device.rows_per_bank))
@@ -380,7 +385,7 @@ def _burst_length_tally(
             reads.append((chips, 0, row, col, {0: burst}))
         tally = _tally_reads(scheme, reads)
     _observe_chunk(sp, len(reads))
-    return length, tally
+    return tally
 
 
 def run_burst_lengths_batched(
@@ -396,24 +401,10 @@ def run_burst_lengths_batched(
     independent run with its own generator stream, so lengths are the
     parallelism unit.
     """
-    if workers <= 1 or len(lengths) <= 1:
-        return {length: _burst_length_tally(scheme, length, config)[1] for length in lengths}
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    out: dict[int, Tally] = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_burst_length_tally, scheme, length, config) for length in lengths
-        ]
-        for length, future in zip(lengths, futures):
-            try:
-                got_length, tally = future.result()
-            except BrokenProcessPool as exc:
-                raise ChunkFailure(
-                    f"worker process died while running burst length {length} "
-                    f"(seed={config.seed})",
-                    seed=config.seed,
-                ) from exc
-            out[got_length] = tally
-    return out
+    tallies = _dispatch(
+        _burst_length_tally,
+        [(scheme, length, config) for length in lengths],
+        workers,
+        labels=[f"burst length {length} (seed={config.seed})" for length in lengths],
+    )
+    return dict(zip(lengths, tallies))

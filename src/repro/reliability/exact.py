@@ -7,10 +7,10 @@ are the ground truth the semi-analytic engine
 (:mod:`repro.reliability.analytic`) is validated against, and the
 workhorse for structured-fault and burst experiments where correlations
 matter.  This module holds what every run shares: the run config, the chip
-seeds of a fault universe, the per-trial chip construction of the
-single-fault and burst engines (and of the scalar oracle) and the
-planting of one structured fault.  The i.i.d. engine builds its chips
-from the same seeds in one pass per chunk instead.
+seeds of a fault universe and the planting of one structured fault.  The
+engines build each chunk's universes from those seeds in one pass
+(:func:`repro.reliability.batch._universe_reads`); the scalar oracle
+builds one chip at a time from the same seeds.
 
 Because every scheme here is linear, the all-zero line is a valid encoded
 state of every scheme (encode(0) = 0), so trials run against zero-filled
@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dram.device import DramDevice
+from ..dram.config import DeviceConfig
 from ..faults.rates import FaultRates
-from ..faults.sampler import FaultOverlay
 from ..faults.types import FaultInstance, FaultType
 from ..schemes.base import EccScheme
 
@@ -50,21 +49,10 @@ def _chip_seeds(scheme: EccScheme, seed: int) -> list[int]:
     return [seed * 1009 + chip_idx for chip_idx in range(scheme.rank.chips)]
 
 
-def _make_chips(scheme: EccScheme, rates: FaultRates, seed: int,
-                faults_per_chip: list[list[FaultInstance]] | None = None) -> list[DramDevice]:
-    overlays = []
-    for chip_idx, chip_seed in enumerate(_chip_seeds(scheme, seed)):
-        forced = None if faults_per_chip is None else faults_per_chip[chip_idx]
-        overlays.append(
-            FaultOverlay(scheme.rank.device, rates, seed=chip_seed, faults=forced)
-        )
-    return scheme.make_devices(overlays)
-
-
 def _plant_fault(
     kind: FaultType,
     rates: FaultRates,
-    device: DramDevice,
+    device: DeviceConfig,
     row: int,
     col: int,
     total_bits: int,

@@ -74,7 +74,7 @@ from ..schemes.pair import PairScheme
 from ..schemes.rank import RankSecDed
 from ..schemes.xed import Xed
 from .analytic import build_model
-from .batch import DEFAULT_CHUNK_TRIALS, _merge_dispatch, run_iid_batched
+from .batch import DEFAULT_CHUNK_TRIALS, _dispatch, _merge, run_iid_batched
 from .exact import ExactRunConfig
 from .outcomes import Tally
 from .stats import (
@@ -526,7 +526,7 @@ def run_rareevent_iid(
         }
         for start in range(0, config.trials, per_chunk)
     ]
-    tally = _merge_dispatch(
+    tally = _merge(_dispatch(
         rareevent_chunk_tally,
         [(scheme, rates, config, payload) for payload in payloads],
         workers,
@@ -534,7 +534,7 @@ def run_rareevent_iid(
             f"rareevent chunk {i} (start={p['start']}, tilt={tilt:.3f})"
             for i, p in enumerate(payloads)
         ],
-    )
+    ))
     summary = weighted_summary(tally.extra["weighted"])
     if _obs.enabled():
         _G_ESS.set(summary["ess"])

@@ -33,6 +33,8 @@ from .. import oracle
 
 RATES = DEFAULT_RATES.with_ber(3e-3)
 TRIALS, SEED, CHUNK = 32, 7, 8  # -> 4 chunks
+#: the fault classes a single-fault campaign plants (weak cells are i.i.d.)
+PLANTED = [kind for kind in FaultType if kind is not FaultType.SINGLE_CELL]
 
 
 def counts(tally):
@@ -70,12 +72,13 @@ class TestHappyPath:
         assert result.complete
         assert counts(result.tally) == counts(reference)
 
-    def test_single_fault_kind_matches_engine(self, tmp_path, pair_scheme):
-        ref = oracle.run_single_fault(
-            pair_scheme, FaultType.ROW, RATES, ExactRunConfig(trials=16, seed=2)
-        )
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("kind", PLANTED, ids=lambda kind: kind.value)
+    def test_single_fault_kind_matches_engine(self, tmp_path, pair_scheme, kind, workers):
+        ref = oracle.run_single_fault(pair_scheme, kind, RATES, ExactRunConfig(trials=16, seed=2))
         result = start_campaign(
-            tmp_path, config(kind="single:row", trials=16, seed=2), policy()
+            tmp_path, config(kind=f"single:{kind.value}", trials=16, seed=2),
+            policy(workers=workers),
         )
         assert result.complete
         assert counts(result.tally) == counts(ref)
@@ -108,6 +111,20 @@ class TestChaosRecovery:
         manifest = Manifest.load(tmp_path)
         # the crashed and hung chunks took more than one attempt
         assert manifest.chunks[1].attempts >= 2 or manifest.chunks[2].attempts >= 2
+
+    def test_single_fault_crash_abort_then_resume_bit_identical(self, tmp_path, pair_scheme):
+        # single-fault chunks are rebuilt from the plan on resume, like i.i.d. ones
+        ref = oracle.run_single_fault(
+            pair_scheme, FaultType.COLUMN, RATES, ExactRunConfig(trials=TRIALS, seed=SEED)
+        )
+        single = config(kind="single:column")
+        with pytest.raises(CampaignAborted):
+            start_campaign(tmp_path, single, policy(), ChaosSchedule.parse("crash:1,abort:2"))
+        status = campaign_status(tmp_path)
+        assert 0 < status["chunks_done"] < status["total_chunks"]
+        result = resume_campaign(tmp_path, policy())
+        assert result.complete
+        assert counts(result.tally) == counts(ref)
 
     def test_engine_raise_retries_on_the_same_engine(self, tmp_path, reference):
         # chunk 0 raises on attempt 0 only; the retry runs the same engine
@@ -356,6 +373,9 @@ class TestValidation:
             config(kind="bogus")
         with pytest.raises(ValueError, match="unknown fault type"):
             config(kind="single:bogus")
+        # weak cells are the i.i.d. process: no single fault plants them
+        with pytest.raises(ValueError, match="unknown fault type 'single-cell'"):
+            config(kind="single:single-cell")
 
     def test_bad_trials_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram import DDR5_X8
+from repro.dram import DDR5_X8, DeviceConfig
 from repro.dram.mapping import merge_spans
 from repro.faults import (
     FaultInstance,
@@ -18,7 +18,7 @@ from repro.faults import (
     sample_transfer_burst,
 )
 from repro.faults import rng as fault_rng
-from repro.faults.sampler import prime_masks, sample_fault_lists
+from repro.faults.sampler import dirty_overlays, sample_fault_lists
 
 SHAPE = (8, 8192)
 
@@ -434,44 +434,52 @@ class TestFootprintWindow:
 
     @pytest.mark.parametrize("min_runs", [0, 10**9])
     def test_primed_masks_for_every_default_scheme(self, min_runs, monkeypatch):
-        """One prime_masks pass over many overlays, each read's footprint
+        """One dirty_overlays pass over many chips, each read's footprint
         taken from the scheme, builds the masks the oracle describes - with
         every short run jumped, and with every run drawn in C."""
-        from repro.faults import rng
-        from repro.faults.rng import scratch_generator
         from repro.schemes import default_schemes
 
-        monkeypatch.setattr(rng, "_JUMP_MIN_RUNS", min_runs)
+        monkeypatch.setattr(fault_rng, "_JUMP_MIN_RUNS", min_runs)
         faults = [
             FaultInstance(FaultType.PIN_LINE, 0, 0, DDR5_X8.rows_per_bank, 4, 0, 8192, 0.01),
             FaultInstance(FaultType.ROW, 1, 3, 1, -1, 0, 8192, 0.02),
             FaultInstance(FaultType.COLUMN, 0, 0, 8, 6, 7681, 1, 1.0),
         ]
         rates = clean_rates(single_cell_ber=2e-3, cell_cluster_per_bit=1e-3)
+        seeds = [5, 2**40 + 1]
+        reads = [(0, 2, 0), (1, 3, 1), (0, 2, 127), (1, 3, 64)]
+        chip = np.repeat(np.arange(len(seeds)), len(reads))
+        bank, row, _ = (np.tile(column, len(seeds)) for column in np.array(reads).T)
+        footprint = np.tile(np.arange(len(reads)), len(seeds))
         for scheme in default_schemes():
-            overlays = [
-                FaultOverlay(DDR5_X8, rates, seed=seed, faults=faults)
-                for seed in (5, 2**40 + 1)
-            ]
-            reads = [(0, 2, 0), (1, 3, 1), (0, 2, 127), (1, 3, 64)]
-            requests = [
-                (overlay, bank, row, SHAPE, scheme.read_footprint(col))
-                for overlay in overlays
-                for bank, row, col in reads
-            ]
-            prime_masks(requests, scratch_generator())
-            for overlay, bank, row, shape, footprint in requests:
-                assert footprint in overlay._cache[(bank, row)]  # primed, not lazy
-                assert_window_exact(overlay, bank, row, shape, footprint)
+            footprints = [scheme.read_footprint(col) or ((0, SHAPE[1]),) for _, _, col in reads]
+            overlays = dirty_overlays(
+                DDR5_X8, rates, seeds, [faults] * len(seeds), (chip, bank, row, footprint),
+                footprints, fault_rng.scratch_generator(),
+            )
+            assert sorted(overlays) == list(range(len(seeds)))
+            for k, b, r, f in zip(chip.tolist(), bank.tolist(), row.tolist(), footprint.tolist()):
+                overlay = overlays[k]
+                assert overlay.seed == seeds[k] and overlay.faults == faults
+                assert footprints[f] in overlay._cache[(b, r)]  # primed, not lazy
+                assert_window_exact(overlay, b, r, SHAPE, footprints[f])
 
     def test_priming_respects_cache_rows(self):
-        overlay = FaultOverlay(
-            DDR5_X8, clean_rates(single_cell_ber=1e-2), seed=18, faults=[], cache_rows=4
+        # one chip read on more rows than its overlay caches: the cache stays
+        # bounded and every row's mask is still the oracle's
+        config = DeviceConfig(name="tiny", pins=2, banks=1, rows_per_bank=8192,
+                              data_bits_per_pin_per_row=16, spare_bits_per_pin_per_row=0)
+        shape, footprints = (2, 16), [((0, 16),)]
+        rows = np.arange(4096 + 100)
+        zeros = np.zeros(len(rows), dtype=np.intp)
+        overlays = dirty_overlays(
+            config, clean_rates(single_cell_ber=1e-2), [18], [[]], (zeros, zeros, rows, zeros),
+            footprints,
         )
-        prime_masks([(overlay, 0, row, SHAPE, ((0, 16),)) for row in range(10)])
-        assert len(overlay._cache) <= 4
-        for row in range(10):
-            assert_window_exact(overlay, 0, row, SHAPE, ((0, 16),))
+        overlay = overlays[0]
+        assert len(overlay._cache) <= overlay._cache_rows < len(rows)
+        for row in rows.tolist():
+            assert_window_exact(overlay, 0, row, shape, footprints[0])
 
     def test_masks_are_cached_per_footprint(self):
         overlay = FaultOverlay(DDR5_X8, clean_rates(single_cell_ber=1e-2), seed=17, faults=[])

@@ -9,9 +9,9 @@ breaks them.
 
 from repro import obs
 from repro.dram import AddressMapper, RANK_X8_5CHIP
-from repro.faults import DEFAULT_RATES, FaultRates, FaultSampler
+from repro.faults import DEFAULT_RATES, FaultRates, FaultSampler, FaultType
 from repro.perf import WORKLOADS, generate_trace, simulate
-from repro.reliability import ExactRunConfig, run_iid_batched
+from repro.reliability import ExactRunConfig, run_iid_batched, run_single_fault_batched
 from repro.reliability.exact import _chip_seeds
 from repro.schemes import PairScheme
 
@@ -27,6 +27,15 @@ def rates(ber):
 def run_tally():
     tally = run_iid_batched(
         PairScheme(), rates(3e-4), ExactRunConfig(trials=40, seed=9)
+    )
+    return (tally.ok, tally.ce, tally.due, tally.sdc)
+
+
+def single_fault_tally(trials=24):
+    """Mat faults over two single-fault chunks."""
+    tally = run_single_fault_batched(
+        PairScheme(), FaultType.MAT, DEFAULT_RATES, ExactRunConfig(trials=trials, seed=4),
+        chunk_trials=12,
     )
     return (tally.ok, tally.ce, tally.due, tally.sdc)
 
@@ -75,6 +84,19 @@ class TestFaultStreamCounters:
         counters = obs.snapshot()["counters"]
         assert counters["faults.masks.primed"] == trials * chips
         assert counters["faults.streams.seeded"] == 2 * trials * chips
+
+    def test_single_fault_chunk_primes_every_chip(self):
+        """A single-fault trial is a universe of its own: its one read's
+        mask is built ahead of the read on every chip, and counting them
+        changes no result."""
+        trials, chips = 24, PairScheme().rank.chips
+        with obs.enabled_scope(False):
+            off = single_fault_tally(trials)
+        assert obs.snapshot()["counters"] == {}
+        with obs.enabled_scope(True):
+            on = single_fault_tally(trials)
+        assert off == on
+        assert obs.snapshot()["counters"]["faults.masks.primed"] == trials * chips
 
     def test_only_samplers_failing_the_zero_screen_draw(self):
         """At sparse structured rates most fault samplers are screened empty;
@@ -135,3 +157,15 @@ class TestChunkSpans:
             assert len(layer) == len(chunks)
             assert all(span.parent == "reliability.iid_chunk" for span in layer)
             assert all(span.depth == chunks[0].depth + 1 for span in layer)
+
+    def test_mask_span_nests_in_the_single_fault_chunk(self):
+        """A single-fault chunk times its mask pass as ``faults.mask``
+        inside the chunk's span."""
+        with obs.enabled_scope(True):
+            single_fault_tally()
+        spans = obs.finished_spans()
+        chunks = [span for span in spans if span.name == "reliability.single_fault_chunk"]
+        masks = [span for span in spans if span.name == "faults.mask"]
+        assert len(chunks) == len(masks) == 2
+        assert all(span.parent == "reliability.single_fault_chunk" for span in masks)
+        assert all(span.depth == chunks[0].depth + 1 for span in masks)

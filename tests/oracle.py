@@ -43,9 +43,10 @@ import numpy as np
 from repro.codes.base import BlockCode, DecodeStatus
 from repro.dram.device import DramDevice
 from repro.faults.rates import FaultRates
+from repro.faults.sampler import FaultOverlay
 from repro.faults.types import FaultInstance, FaultType, TransferBurst
 from repro.reliability.conditional import WordConditionals
-from repro.reliability.exact import ExactRunConfig, _make_chips, _plant_fault, _zero_line
+from repro.reliability.exact import ExactRunConfig, _chip_seeds, _plant_fault, _zero_line
 from repro.reliability.outcomes import Tally, classify
 from repro.reliability import rareevent
 from repro.reliability.rareevent import COMBINE_FLAG_DUE, COMBINE_XED, LineLaw
@@ -283,6 +284,22 @@ def read_line(
 # -- Monte-Carlo engines -------------------------------------------------------
 
 
+def make_chips(
+    scheme: EccScheme,
+    rates: FaultRates,
+    seed: int,
+    faults_per_chip: list[list[FaultInstance]] | None = None,
+) -> list[DramDevice]:
+    """One fault universe, a lazy overlay per chip: each chip samples its
+    own faults (or takes ``faults_per_chip``) and builds each mask when a
+    read first asks for it."""
+    overlays = []
+    for chip_idx, chip_seed in enumerate(_chip_seeds(scheme, seed)):
+        forced = None if faults_per_chip is None else faults_per_chip[chip_idx]
+        overlays.append(FaultOverlay(scheme.rank.device, rates, seed=chip_seed, faults=forced))
+    return scheme.make_devices(overlays)
+
+
 def iid_coords(scheme: EccScheme, config: ExactRunConfig) -> list[tuple[int, int, int]]:
     """(bank, row, col) per trial, one scalar draw at a time (reference of
     ``batch._sample_iid_coords``)."""
@@ -308,7 +325,7 @@ def run_iid(scheme: EccScheme, rates: FaultRates, config: ExactRunConfig) -> Tal
     chips = None
     for trial, (bank, row, col) in enumerate(iid_coords(scheme, config)):
         if chips is None or trial % config.resample_faults_every == 0:
-            chips = _make_chips(scheme, rates, seed=config.seed + trial)
+            chips = make_chips(scheme, rates, seed=config.seed + trial)
         tally.add(classify(read_line(scheme, chips, bank, row, col), expected))
     return tally
 
@@ -329,7 +346,7 @@ def run_single_fault(
         fault = _plant_fault(kind, rates, device, row, col, total_bits, rng)
         faults_per_chip: list[list[FaultInstance]] = [[] for _ in range(scheme.rank.chips)]
         faults_per_chip[0] = [fault]
-        chips = _make_chips(
+        chips = make_chips(
             scheme, clean, seed=config.seed * 7919 + trial, faults_per_chip=faults_per_chip
         )
         bursts = None
@@ -359,7 +376,7 @@ def run_burst_lengths(
         rng = np.random.default_rng([config.seed, 0xB0057, length])
         tally = Tally()
         length_eff = min(length, device.burst_length)
-        chips = _make_chips(scheme, clean, seed=config.seed)
+        chips = make_chips(scheme, clean, seed=config.seed)
         for _ in range(config.trials):
             row = int(rng.integers(device.rows_per_bank))
             col = int(rng.integers(device.columns_per_row))

@@ -117,7 +117,7 @@ class TestSeededChunks:
         # the chunk samples every chip of every epoch in one call
         from repro.faults.rng import scratch_generator
         from repro.faults.sampler import sample_fault_lists
-        from repro.reliability.exact import _chip_seeds, _make_chips
+        from repro.reliability.exact import _chip_seeds
 
         rates = replace(DEFAULT_RATES, row_faults_per_device=3.0, mat_faults_per_device=3.0)
         seeds = [0, 17, 5_000_000]
@@ -126,7 +126,7 @@ class TestSeededChunks:
         chip_seeds = [chip_seed for seed in seeds for chip_seed in _chip_seeds(scheme, seed)]
         lists = sample_fault_lists(scheme.rank.device, rates, chip_seeds, scratch_generator())
         for at, seed in enumerate(seeds):
-            lazy = _make_chips(scheme, rates, seed)
+            lazy = oracle.make_chips(scheme, rates, seed)
             got = lists[at * chips : (at + 1) * chips]
             assert got == [c.fault_overlay.faults for c in lazy]
             assert any(got)
@@ -258,7 +258,6 @@ class TestReadLinesContract:
         # Each scheme's one reader must agree with its scalar oracle reader
         # on every read, not just in aggregate.
         from repro.reliability.batch import _sample_iid_coords
-        from repro.reliability.exact import _make_chips
 
         rates = DEFAULT_RATES.with_ber(2e-4)
         config = ExactRunConfig(trials=20, seed=8)
@@ -266,7 +265,7 @@ class TestReadLinesContract:
             coords = _sample_iid_coords(scheme, config)
             reads = []
             for trial, (bank, row, col) in enumerate(coords):
-                chips = _make_chips(scheme, rates, seed=config.seed + trial)
+                chips = oracle.make_chips(scheme, rates, seed=config.seed + trial)
                 reads.append((chips, bank, row, col, None))
             batched = scheme.read_lines(reads)
             assert len(batched) == len(reads)
@@ -314,10 +313,10 @@ def _exit_hard(*args):
 class TestBrokenPoolHardening:
     def test_dead_worker_surfaces_as_chunk_failure(self):
         from repro.errors import ChunkFailure
-        from repro.reliability.batch import _merge_dispatch
+        from repro.reliability.batch import _dispatch
 
         with pytest.raises(ChunkFailure) as excinfo:
-            _merge_dispatch(
+            _dispatch(
                 _exit_hard,
                 [(0,), (1,)],
                 workers=2,
@@ -325,6 +324,19 @@ class TestBrokenPoolHardening:
             )
         message = str(excinfo.value)
         assert "chunk 0" in message and "chip_seed=7" in message
+        assert excinfo.value.chunk_id == 0
+
+    def test_dead_worker_in_a_burst_run_names_the_length_and_seed(self, monkeypatch):
+        # the burst engine fans its lengths out through the same dispatcher
+        from repro.errors import ChunkFailure
+        from repro.reliability import batch
+
+        monkeypatch.setattr(batch, "_burst_length_tally", _exit_hard)
+        with pytest.raises(ChunkFailure) as excinfo:
+            run_burst_lengths_batched(PairScheme(), [4, 8], ExactRunConfig(trials=2, seed=13),
+                                      workers=2)
+        message = str(excinfo.value)
+        assert "burst length 4" in message and "seed=13" in message
         assert excinfo.value.chunk_id == 0
 
     def test_sequential_path_fallback_matches_batched(self, schemes):
@@ -356,7 +368,6 @@ class TestChunkUniverse:
     def test_only_chips_that_read_dirty_get_objects(self, monkeypatch):
         from repro.dram.device import DramDevice
         from repro.reliability.batch import iid_chunk_tally, iid_epochs
-        from repro.reliability.exact import _make_chips
 
         scheme = PairScheme()
         device = scheme.rank.device
@@ -365,7 +376,7 @@ class TestChunkUniverse:
         epochs = iid_epochs(scheme, ExactRunConfig(trials=256, seed=1009))  # one chunk
         dirty = []  # the chips with a non-empty mask for one of their reads
         for chip_seed, coords in epochs:
-            for chip in _make_chips(scheme, rates, chip_seed):
+            for chip in oracle.make_chips(scheme, rates, chip_seed):
                 overlay = chip.fault_overlay
                 if any(
                     overlay.mask_for_row(bank, row, shape, scheme.read_footprint(col))
