@@ -54,9 +54,31 @@ def _as_bits(values: np.ndarray) -> np.ndarray:
     raise ValueError(f"{where}: {values[tuple(index)]} is not a bit (0 or 1)")
 
 
-def _batch_syndrome_values(words: np.ndarray, column_values: np.ndarray) -> np.ndarray:
-    """Integer syndrome of every row: XOR of column values at set bits."""
-    return np.bitwise_xor.reduce(words.astype(np.int64) * column_values[None, :], axis=1)
+def _byte_tables(column_values: np.ndarray) -> np.ndarray:
+    """Per-byte XOR tables of the parity-check columns, ``(ceil(n/8), 256)``.
+
+    Entry ``[b, v]`` is the XOR of the columns of bits ``8b..8b+7``
+    set in byte value ``v`` (bit ``i`` of ``v`` is bit ``8b + i`` of the
+    word, as ``np.packbits(..., bitorder="little")`` packs it).  Bits past
+    ``n`` in the last byte have zero columns.
+    """
+    n_bytes = -(-len(column_values) // 8)
+    columns = np.zeros(8 * n_bytes, dtype=np.intp)
+    columns[: len(column_values)] = column_values
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    return np.bitwise_xor.reduce(bits * columns.reshape(n_bytes, 1, 8), axis=2)
+
+
+def _batch_syndrome_values(words: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """Integer syndrome of every row: XOR of column values at set bits.
+
+    Each packed byte of a row gathers its entry of :func:`_byte_tables`
+    (one gather for all of them) and the entries XOR together; XOR is
+    exact, so this equals the XOR of the columns bit by bit.
+    """
+    packed = np.packbits(words, axis=1, bitorder="little")
+    offsets = np.arange(0, tables.size, tables.shape[1])
+    return np.bitwise_xor.reduce(tables.ravel()[packed + offsets], axis=1)
 
 
 class _ParityCheckCode(BlockCode):
@@ -78,7 +100,7 @@ class _ParityCheckCode(BlockCode):
             for j in range(r):
                 h[j, idx] = (value >> j) & 1
         self.H = h
-        self._column_values = np.asarray(columns, dtype=np.int64)
+        self._syndrome_tables = _byte_tables(np.asarray(columns, dtype=np.intp))
         # Per r-bit syndrome value: the bit it corrects (-1 for none), and
         # the decode status.  The zero syndrome is no column.
         self._position_lookup = np.full(1 << r, -1, dtype=np.int64)
@@ -110,7 +132,7 @@ class _ParityCheckCode(BlockCode):
         if words.ndim != 2 or words.shape[1] != self.n:
             raise ValueError(f"expected (batch, {self.n}) matrix, got {words.shape}")
         words = _as_bits(words)
-        synds = _batch_syndrome_values(words, self._column_values)
+        synds = _batch_syndrome_values(words, self._syndrome_tables)
         status = self._status_lookup[synds]
         corrected = self._position_lookup[synds][:, None] == self._positions
         codewords = words ^ corrected

@@ -23,6 +23,7 @@ BER in the integration test suite.
 from __future__ import annotations
 
 import abc
+import functools
 import itertools
 import math
 
@@ -157,33 +158,45 @@ class XedModel(ReliabilityModel):
         p_flag = _mix(n, ber, self.table.p_flag)
         p_bad = _mix(n, ber, self.table.p_bad)
         p_good = max(0.0, 1.0 - p_flag - p_bad)
-        data_chips = self.scheme.rank.data_chips
-        words = data_chips + 1  # + parity chip
-        sdc = due = 0.0
-        for states in itertools.product((0, 1, 2), repeat=words):  # f/b/g
-            prob = 1.0
-            for s in states:
-                prob *= (p_flag, p_bad, p_good)[s]
-            if prob == 0.0:
-                continue
-            flags = [i for i, s in enumerate(states) if s == 0]
-            bads = [i for i, s in enumerate(states) if s == 1]
-            if len(flags) >= 2:
-                due += prob
-            elif len(flags) == 1:
-                lane = flags[0]
-                if lane < data_chips:
-                    # reconstruction XORs every other word; any silent
-                    # corruption there poisons the rebuilt lane
-                    if bads:
-                        sdc += prob
-                else:  # parity chip flagged; data words stand as decoded
-                    if any(b < data_chips for b in bads):
-                        sdc += prob
-            else:
-                if any(b < data_chips for b in bads):
-                    sdc += prob
-        return {"sdc": sdc, "due": due}
+        states, sdc_mask, due_mask = _xed_word_states(self.scheme.rank.data_chips)
+        # Each state's probability is the product of its words' in position
+        # order, and the running sums add states in enumeration order:
+        # float for float the scalar loop over ``itertools.product``.
+        word_probs = np.array([p_flag, p_bad, p_good])
+        prob = word_probs[states[:, 0]]
+        for column in states.T[1:]:
+            prob = prob * word_probs[column]
+        return {"sdc": _running_sum(prob[sdc_mask]), "due": _running_sum(prob[due_mask])}
+
+
+def _running_sum(values: np.ndarray) -> float:
+    """``0.0 + values[0] + values[1] + ...``, added left to right."""
+    return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
+
+
+@functools.lru_cache(maxsize=None)
+def _xed_word_states(data_chips: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every XED line state with its SDC and DUE masks.
+
+    A state gives each of the ``data_chips + 1`` words (the parity chip
+    last) an outcome 0 = flagged, 1 = silently bad, 2 = good; the rows run
+    in ``itertools.product`` order.  Two or more flags are a DUE.  One
+    flagged data word is rebuilt from every other word, so any bad word
+    poisons it (SDC); a flagged parity word leaves the data as decoded.
+    With no flag, a bad data word is an SDC.
+    """
+    words = data_chips + 1
+    states = np.array(list(itertools.product((0, 1, 2), repeat=words)), dtype=np.intp)
+    flagged = states == 0
+    bad = states == 1
+    flags = flagged.sum(axis=1)
+    data_bad = bad[:, :data_chips].any(axis=1)
+    data_flagged = flagged[:, :data_chips].any(axis=1)
+    sdc = np.where(data_flagged, bad.any(axis=1), data_bad) & (flags <= 1)
+    due = flags >= 2
+    for shared in (states, sdc, due):  # the cache hands these to every caller
+        shared.flags.writeable = False
+    return states, sdc, due
 
 
 class DuoModel(ReliabilityModel):

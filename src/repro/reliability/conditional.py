@@ -21,6 +21,13 @@ same state - those rows do not depend on whether the settled rows were
 decoded.  ``tests/oracle.py`` decodes every row word by word and must
 agree bit for bit.
 
+A binary code's words are decoded once per (code key, ``j_max``,
+``samples``, ``seed``): :func:`_bit_counts` keeps three integer counts per
+row (flagged, unflagged but wrong, wrong), and both the flagging table
+and the ``silent_on_detect`` table (conventional IECC's, which shares the
+XED code and draws) derive from them.  :data:`_TABLE_CACHE` still holds
+one table per requested key.
+
 Rows ``j > t`` are decoded in packed groups: consecutive rows share one
 ``decode_batch`` call of at most :data:`_DECODE_WORDS` words, and the
 result splits back by row (``decode_batch`` decodes each word as
@@ -69,6 +76,8 @@ class WordConditionals:
 
 
 _TABLE_CACHE: dict[tuple[object, ...], WordConditionals] = {}
+#: :func:`_bit_counts` per (code key, ``j_max``, ``samples``, ``seed``).
+_COUNT_CACHE: dict[tuple[object, ...], np.ndarray] = {}
 
 #: most words one packed ``decode_batch`` call takes.  Sized from the
 #: decoder's working set, which grows with the batch: growing the F2 sweep's
@@ -138,6 +147,38 @@ def _decoded_rows(
             yield j, detected[block], data[block]
 
 
+def _bit_counts(code: BlockCode, j_max: int, samples: int, seed: int) -> np.ndarray:
+    """Per-row counts of a binary code's trial words, decoded once per key.
+
+    Row ``j`` holds ``(flagged, unflagged but wrong, wrong)``: words the
+    decoder detected, words it did not detect whose data is wrong anyway,
+    and all words whose data is wrong.  Both the flagging and the
+    ``silent_on_detect`` table of :func:`measure_bit_code` derive from
+    these, so the two share one decode pass.
+    """
+    key = (*_code_key(code), j_max, samples, seed)
+    counts = _COUNT_CACHE.get(key)
+    if counts is not None:
+        return counts
+    rng = np.random.default_rng([seed, 0xC0DE])
+
+    def draw(j: int) -> tuple[np.ndarray, int]:
+        # Every trial word at once, drawn as a choice() loop would draw them.
+        positions, _ = trial_words(rng, code.n, j, samples)
+        return positions, 1
+
+    counts = np.zeros((j_max + 1, 3), dtype=np.int64)
+    for j, detected, data in _decoded_rows(code, j_max, samples, draw, np.uint8):
+        wrong = data.any(axis=1)
+        counts[j] = (
+            np.count_nonzero(detected),
+            np.count_nonzero(~detected & wrong),
+            np.count_nonzero(wrong),
+        )
+    _COUNT_CACHE[key] = counts
+    return counts
+
+
 def measure_bit_code(
     code: BlockCode,
     j_max: int,
@@ -150,28 +191,21 @@ def measure_bit_code(
     ``silent_on_detect`` models conventional IECC, which forwards raw data
     on detection instead of flagging: detections count as bad-if-wrong.
     Rows ``j <= code.t`` (single errors for SEC and SEC-DED) are settled by
-    the distance and left zero; only rows ``j > code.t`` are decoded.
+    the distance and left zero; only rows ``j > code.t`` are decoded, once
+    for both settings of ``silent_on_detect`` (:func:`_bit_counts`).
     """
     _check_args(code, j_max, samples)
     key = ("bit", *_code_key(code), j_max, samples, seed, silent_on_detect)
     cached = _cached(key)
     if cached is not None:
         return cached
-    rng = np.random.default_rng([seed, 0xC0DE])
-    j_values = np.arange(j_max + 1)
-    p_flag = np.zeros(j_max + 1)
-    p_bad = np.zeros(j_max + 1)
-
-    def draw(j: int) -> tuple[np.ndarray, int]:
-        # Every trial word at once, drawn as a choice() loop would draw them.
-        positions, _ = trial_words(rng, code.n, j, samples)
-        return positions, 1
-
-    for j, detected, data in _decoded_rows(code, j_max, samples, draw, np.uint8):
-        flagged = np.zeros(samples, dtype=bool) if silent_on_detect else detected
-        p_flag[j] = np.count_nonzero(flagged) / samples
-        p_bad[j] = np.count_nonzero(~flagged & data.any(axis=1)) / samples
-    table = WordConditionals(j_values, p_flag, p_bad)
+    flagged, unflagged_bad, wrong = _bit_counts(code, j_max, samples, seed).T
+    if silent_on_detect:
+        table = WordConditionals(np.arange(j_max + 1), np.zeros(j_max + 1), wrong / samples)
+    else:
+        table = WordConditionals(
+            np.arange(j_max + 1), flagged / samples, unflagged_bad / samples
+        )
     _TABLE_CACHE[key] = table
     return table
 
@@ -218,5 +252,6 @@ def measure_symbol_code(
 
 
 def clear_cache() -> None:
-    """Drop all measured tables (tests use this to control determinism)."""
+    """Drop all measured tables and counts (tests use this to control determinism)."""
     _TABLE_CACHE.clear()
+    _COUNT_CACHE.clear()

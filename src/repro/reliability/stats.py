@@ -46,8 +46,22 @@ def _lgamma(x: float) -> float:
     return math.lgamma(x)
 
 
+#: ``math.lgamma(k)`` at ``k = 0, 1, ...`` (``inf`` at 0), grown on demand.
+_LGAMMA_TABLE = np.full(1, math.inf)
+
+
 def _lgamma_arr(x: np.ndarray) -> np.ndarray:
-    return np.vectorize(math.lgamma, otypes=[float])(x)
+    """``math.lgamma`` of every entry of an array of integers ``>= 1``.
+
+    Read from :data:`_LGAMMA_TABLE`, which holds the same floats as
+    ``math.lgamma`` (it is filled by it).
+    """
+    global _LGAMMA_TABLE
+    top = int(x.max(initial=0))
+    if top >= len(_LGAMMA_TABLE):
+        more = [math.lgamma(k) for k in range(len(_LGAMMA_TABLE), top + 1)]
+        _LGAMMA_TABLE = np.concatenate([_LGAMMA_TABLE, more])
+    return _LGAMMA_TABLE[x]
 
 
 def binom_tail(n: int, j_min: int, p: float) -> float:

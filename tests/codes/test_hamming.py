@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.codes import DecodeStatus, HammingSEC, HsiaoSECDED
+from repro.codes.hamming import _batch_syndrome_values
 from repro.galois import linalg2
+from tests import oracle
 
 
 class TestHammingSEC:
@@ -194,3 +196,21 @@ class TestBitRange:
         assert a.status is b.status
         assert a.corrected_positions == b.corrected_positions
         assert np.array_equal(a.data, b.data)
+
+
+class TestByteTableSyndromes:
+    """Per-byte table gathers equal the multiply-and-XOR over every bit."""
+
+    @pytest.mark.parametrize("code", [HammingSEC(136, 128), HsiaoSECDED(72, 64),
+                                      HammingSEC(12, 8)], ids=lambda c: f"{c.n}-{c.k}")
+    def test_equal_the_bitwise_reference(self, code):
+        rng = np.random.default_rng(code.n)
+        batches = [
+            rng.integers(0, 2, size=(300, code.n), dtype=np.uint8),
+            np.zeros((2, code.n), dtype=np.uint8),
+            np.ones((2, code.n), dtype=np.uint8),
+            np.eye(code.n, dtype=np.uint8),
+        ]
+        for words in batches:
+            got = _batch_syndrome_values(words, code._syndrome_tables)
+            np.testing.assert_array_equal(got, oracle.syndrome_values(words, code._columns))

@@ -28,6 +28,13 @@
   bad thresholds evaluated at its own cell, where
   :mod:`repro.reliability.rareevent` evaluates them once per error count
   and gathers (``test_rareevent.py::TestChunkKernelParity``).
+* The closed forms' arithmetic the slow way: XED's line probabilities
+  enumerated state by state (:func:`xed_line_probs`), log-gamma per value
+  (:func:`lgamma_arr`) and the Hamming syndrome as a multiply-and-XOR over
+  every bit (:func:`syndrome_values`); :mod:`repro.reliability.analytic`,
+  :mod:`repro.reliability.stats` and :mod:`repro.codes.hamming` tabulate
+  them and must agree float for float (``test_analytic.py``,
+  ``test_stats.py``, ``test_hamming.py``).
 
 The oracle lives in ``tests/`` because nothing in the library needs a
 second, slower copy of the same answer.
@@ -35,6 +42,7 @@ second, slower copy of the same answer.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Any
 
@@ -45,6 +53,7 @@ from repro.dram.device import DramDevice
 from repro.faults.rates import FaultRates
 from repro.faults.sampler import FaultOverlay
 from repro.faults.types import FaultInstance, FaultType, TransferBurst
+from repro.reliability.analytic import XedModel, _mix
 from repro.reliability.conditional import WordConditionals
 from repro.reliability.exact import ExactRunConfig, _chip_seeds, _plant_fault, _zero_line
 from repro.reliability.outcomes import Tally, classify
@@ -630,3 +639,48 @@ def conditional_outcome_probs(
     p_due = np.clip(1.0 - p_zero_flags - p_one_flag, 0.0, 1.0)
     p_sdc += p_zero_flags - good[:, :data].prod(axis=1) * no_flag[:, data]
     return p_due, np.clip(p_sdc, 0.0, 1.0)
+
+
+def xed_line_probs(model: XedModel, ber: float) -> dict[str, float]:
+    """``XedModel.line_probs`` as a loop over every per-word outcome state."""
+    n = model.scheme.code.n
+    p_flag = _mix(n, ber, model.table.p_flag)
+    p_bad = _mix(n, ber, model.table.p_bad)
+    p_good = max(0.0, 1.0 - p_flag - p_bad)
+    data_chips = model.scheme.rank.data_chips
+    words = data_chips + 1  # + parity chip
+    sdc = due = 0.0
+    for states in itertools.product((0, 1, 2), repeat=words):  # f/b/g
+        prob = 1.0
+        for s in states:
+            prob *= (p_flag, p_bad, p_good)[s]
+        if prob == 0.0:
+            continue
+        flags = [i for i, s in enumerate(states) if s == 0]
+        bads = [i for i, s in enumerate(states) if s == 1]
+        if len(flags) >= 2:
+            due += prob
+        elif len(flags) == 1:
+            lane = flags[0]
+            if lane < data_chips:
+                # reconstruction XORs every other word; any silent
+                # corruption there poisons the rebuilt lane
+                if bads:
+                    sdc += prob
+            else:  # parity chip flagged; data words stand as decoded
+                if any(b < data_chips for b in bads):
+                    sdc += prob
+        else:
+            if any(b < data_chips for b in bads):
+                sdc += prob
+    return {"sdc": sdc, "due": due}
+
+
+#: ``stats._lgamma_arr`` computed value by value.
+lgamma_arr = np.vectorize(math.lgamma, otypes=[float])
+
+
+def syndrome_values(words: np.ndarray, columns: list[int]) -> np.ndarray:
+    """``hamming._batch_syndrome_values`` as the XOR of every set bit's column."""
+    column_values = np.asarray(columns, dtype=np.int64)
+    return np.bitwise_xor.reduce(words.astype(np.int64) * column_values[None, :], axis=1)

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.analysis.sweep import log_space
+from repro.dram.config import DDR5_X8, RankConfig
 from repro.reliability import build_model
 from repro.reliability.analytic import rs_decodable_fraction
 from repro.schemes import ConventionalIecc, Duo, NoEcc, PairScheme, RankSecDed, Xed
+from tests import oracle
 
 SAMPLES = 250  # enough for table structure; floors come from closed forms
 
@@ -102,3 +105,28 @@ class TestPaperOrdering:
 
     def test_conventional_never_flags(self, models):
         assert models["iecc-sec"].line_probs(1e-4)["due"] == 0.0
+
+
+def hexes(probs):
+    return {key: value.hex() for key, value in probs.items()}
+
+
+class TestXedStates:
+    """Tabulated XED states equal the state-by-state loop float for float."""
+
+    F2_BERS = [float(b) for b in log_space(1e-7, 1e-3, 9)]
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_every_f2_ber_and_the_edges(self, seed):
+        model = build_model(Xed(), samples=400, seed=seed)
+        for ber in [*self.F2_BERS, 0.0, 1e-12, 0.5]:
+            probs = model.line_probs(ber)
+            assert all(type(value) is float for value in probs.values())
+            assert hexes(probs) == hexes(oracle.xed_line_probs(model, ber)), ber
+
+    @pytest.mark.parametrize("data_chips", [2, 6])
+    def test_other_chip_counts(self, data_chips):
+        rank = RankConfig(device=DDR5_X8, data_chips=data_chips, ecc_chips=1)
+        model = build_model(Xed(rank), samples=40, seed=1)
+        for ber in (1e-5, 1e-3):
+            assert hexes(model.line_probs(ber)) == hexes(oracle.xed_line_probs(model, ber))

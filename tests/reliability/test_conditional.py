@@ -136,6 +136,38 @@ class TestLoopParity:
         assert counters["reliability.tables.reused"] == 1
 
 
+class TestSharedDecodePass:
+    """The flagging and the silent table of a code share one decode pass."""
+
+    @pytest.mark.parametrize("first", [False, True])
+    @pytest.mark.parametrize("code", [HammingSEC(136, 128), HsiaoSECDED(72, 64)],
+                             ids=lambda c: f"{c.n}-{c.k}")
+    def test_either_order_decodes_once(self, code, first):
+        j_max, samples = code.t + 5, 40
+        metrics.reset()
+        with obs.enabled_scope(True):
+            tables = {silent: measure_bit_code(code, j_max, samples, 3,
+                                               silent_on_detect=silent)
+                      for silent in (first, not first)}
+        counters = metrics.snapshot()["counters"]
+        assert counters["hamming.decode.words"] == (j_max - code.t) * samples
+        assert counters["reliability.tables.built"] == 2
+        for silent, table in tables.items():
+            assert_same_table(table, oracle.measure_bit_code(
+                code, j_max, samples, 3, silent_on_detect=silent))
+        assert len(conditional._TABLE_CACHE) == 2
+
+    def test_clear_cache_drops_the_counts(self):
+        code = HammingSEC(12, 8)
+        measure_bit_code(code, 4, 10, 0)
+        clear_cache()
+        assert not conditional._TABLE_CACHE and not conditional._COUNT_CACHE
+        metrics.reset()
+        with obs.enabled_scope(True):
+            measure_bit_code(code, 4, 10, 0, silent_on_detect=True)
+        assert metrics.snapshot()["counters"]["hamming.decode.words"] == 3 * 10
+
+
 SETTLED_CODES = {
     "sec-136-128": (HammingSEC(136, 128), False),
     "secded-72-64": (HsiaoSECDED(72, 64), False),

@@ -11,12 +11,14 @@ from repro.reliability import (
     binom_pmf,
     binom_tail,
     merge_weighted,
+    stats,
     unit_weighted_tally,
     weighted_summary,
     weighted_tally,
     wilson_interval,
     wilson_interval_weighted,
 )
+from tests import oracle
 
 
 class TestBinomPmf:
@@ -55,6 +57,37 @@ class TestBinomTail:
     def test_trivial_cases(self):
         assert binom_tail(10, 0, 0.5) == 1.0
         assert binom_tail(10, 11, 0.5) == 0.0
+
+
+def hex_list(values):
+    return [float(v).hex() for v in np.atleast_1d(values)]
+
+
+class TestLgammaTable:
+    """Tabulated log-gamma gives the per-value ``math.lgamma`` floats."""
+
+    NS = [12, 76, 136, 256]
+    PS = [0.0, 1e-9, 1e-4, 0.5, 1.0]
+
+    def per_value(self, monkeypatch, fn, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(stats, "_lgamma_arr", oracle.lgamma_arr)
+            return fn(*args)
+
+    @pytest.mark.parametrize("n", NS)
+    @pytest.mark.parametrize("p", PS)
+    def test_pmf_and_tail_equal_the_per_value_form(self, monkeypatch, n, p):
+        js = np.arange(-2, n + 3)
+        for fn in (binom_logpmf, binom_pmf):
+            assert hex_list(fn(n, js, p)) == hex_list(self.per_value(monkeypatch, fn, n, js, p))
+            for j in (0, 1, n // 2, n):  # scalar j
+                got = fn(n, j, p)
+                assert isinstance(got, float)
+                assert got.hex() == self.per_value(monkeypatch, fn, n, j, p).hex()
+        for j_min in range(n + 3):
+            got = binom_tail(n, j_min, p)
+            assert got.hex() == self.per_value(monkeypatch, binom_tail, n, j_min, p).hex()
+        assert binom_tail(n, n + 1, p) == 0.0  # empty range
 
 
 class TestWilson:
