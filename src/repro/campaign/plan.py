@@ -1,9 +1,9 @@
 """Deterministic chunk plans: the resumable unit of a campaign.
 
 A campaign is a Monte-Carlo run split into self-contained *chunks*.  The
-split is the batched engine's own
-(:func:`repro.reliability.batch.iid_chunks` /
-:func:`~repro.reliability.batch.single_fault_chunks`), so the set of chunks
+split is the engine's own (:func:`repro.reliability.batch.iid_chunks` /
+:func:`~repro.reliability.batch.single_fault_chunks` /
+:func:`repro.reliability.rareevent.rareevent_chunks`), so the set of chunks
 - and every random draw inside each chunk - is a pure function of the
 campaign config.  Two consequences the whole subsystem leans on:
 
@@ -21,7 +21,7 @@ a chunk can execute in a supervised worker process with no shared state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..faults.rates import FaultRates
 from ..faults.types import FaultType
@@ -34,6 +34,9 @@ from ..reliability.batch import (
 from ..reliability.exact import ExactRunConfig
 from ..reliability.outcomes import Tally
 from ..schemes.base import EccScheme
+
+if TYPE_CHECKING:
+    from ..reliability.rareevent import RareEventParams
 
 #: bumped whenever chunking/seed derivation changes; part of the campaign
 #: fingerprint, so an old manifest refuses to resume under a new plan.
@@ -54,7 +57,7 @@ class ChunkSpec:
 class CampaignPlan:
     """The full deterministic decomposition of one campaign."""
 
-    kind: str  # "iid" or "single:<fault-type-value>"
+    kind: str  # "iid", "rareevent" or "single:<fault-type-value>"
     scheme: EccScheme
     rates: FaultRates
     config: ExactRunConfig
@@ -88,35 +91,29 @@ def build_plan(
     config: ExactRunConfig,
     chunk_trials: int,
     kind: str = "iid",
-    rareevent: dict[str, Any] | None = None,
+    rareevent: RareEventParams | None = None,
 ) -> CampaignPlan:
     """Derive the chunk set for a campaign config (pure, deterministic).
 
-    ``kind="rareevent"`` plans importance-sampling chunks: each payload is
-    a plain-number dict (start trial, size, tilt, defensive mass, table
-    parameters from ``rareevent``) consumed by
-    :func:`repro.reliability.rareevent.rareevent_chunk_tally`.  A zero tilt
-    degenerates to the exact i.i.d. plan, so ``repro campaign --kind
-    rareevent --tilt 0`` is bit-identical to ``--kind iid``.
+    ``kind="rareevent"`` plans importance-sampling chunks through
+    :func:`repro.reliability.rareevent.rareevent_chunks`, the direct run's
+    chunker, with the proposal ``rareevent`` (default ``RareEventParams()``).
+    A zero tilt plans kind ``"iid"``, so a ``rareevent`` campaign at
+    ``--tilt 0`` (pure weak-cell rates, as at every tilt) is bit-identical
+    to ``repro rareevent --tilt 0``.
     """
     fault_kind = parse_kind(kind)
-    params = rareevent or {}
-    tilt = float(params.get("tilt", 0.0)) if kind == "rareevent" else 0.0
     chunks: list[ChunkSpec] = []
-    if tilt != 0.0:
-        from ..reliability.rareevent import require_pure_ber
+    if kind == "rareevent":
+        from ..reliability.rareevent import RareEventParams, rareevent_chunks
 
-        require_pure_ber(rates, context="rareevent campaign")
-        for index, start in enumerate(range(0, config.trials, chunk_trials)):
-            payload = {
-                "start": start,
-                "trials": min(chunk_trials, config.trials - start),
-                "tilt": tilt,
-                "defensive": float(params.get("defensive", 0.05)),
-                "samples": int(params.get("samples", 400)),
-                "table_seed": int(params.get("table_seed", 0)),
-            }
-            chunks.append(ChunkSpec(index, config.seed * 7919 + start, payload["trials"], payload))
+        params = rareevent or RareEventParams()
+        kind = "rareevent" if params.tilt != 0.0 else "iid"
+    if kind == "rareevent":
+        payloads = rareevent_chunks(scheme, rates, config, params, chunk_trials)
+        for index, payload in enumerate(payloads):
+            chunks.append(ChunkSpec(index, config.seed * 7919 + payload["start"],
+                                    payload["trials"], payload))
     elif fault_kind is None:  # iid, and rareevent at tilt 0
         for index, group in enumerate(iid_chunks(scheme, config, chunk_trials)):
             trials = sum(len(coords) for _, coords in group)
@@ -139,11 +136,11 @@ def build_plan(
 def execute_chunk(plan_kind: str, scheme: EccScheme, rates: FaultRates,
                   config: ExactRunConfig, spec: ChunkSpec) -> Tally:
     """Run one chunk to a tally."""
-    if plan_kind == "rareevent" and isinstance(spec.payload, dict):
+    if plan_kind == "rareevent":
         # tilted importance-sampling chunk (count-level sampler)
         from ..reliability.rareevent import rareevent_chunk_tally
 
         return rareevent_chunk_tally(scheme, rates, config, spec.payload)
-    if plan_kind in ("iid", "rareevent"):
+    if plan_kind == "iid":
         return iid_chunk_tally(scheme, rates, spec.payload)
     return single_fault_chunk_tally(scheme, rates.with_ber(0.0), config.seed, spec.payload)

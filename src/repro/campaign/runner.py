@@ -34,6 +34,7 @@ from .chaos import ChaosSchedule
 from .manifest import Manifest, QuarantineRecord
 
 if TYPE_CHECKING:
+    from ..reliability.rareevent import RareEventParams
     from ..schemes.base import EccScheme
     from .plan import CampaignPlan
     from .supervisor import ChunkSpec, SupervisorPolicy
@@ -56,9 +57,9 @@ class CampaignConfig:
     resample_faults_every: int = 1
     chunk_trials: int = 256
     rates: FaultRates = field(default_factory=lambda: DEFAULT_RATES)
-    # rare-event (kind="rareevent") proposal parameters.  They change every
-    # importance weight, so they are fingerprinted - but only for rareevent
-    # campaigns, keeping every existing manifest's fingerprint stable.
+    # rare-event (kind="rareevent") proposal, checked as RareEventParams.  It
+    # changes every importance weight, so it is fingerprinted - but only for
+    # rareevent campaigns, keeping every existing manifest's fingerprint stable.
     tilt: float = 0.0
     defensive: float = 0.05
     rare_samples: int = 400
@@ -72,20 +73,18 @@ class CampaignConfig:
             raise ValueError("trials must be positive")
         if self.chunk_trials <= 0:
             raise ValueError("chunk_trials must be positive")
-        if not 0.0 <= self.defensive < 1.0:
-            raise ValueError("defensive mass must be in [0, 1)")
-        if self.tilt != self.tilt or self.tilt in (float("inf"), float("-inf")):
-            raise ValueError("tilt must be finite")
-        if self.tilt != 0.0 and self.kind != "rareevent":
+        if self.kind == "rareevent":
+            self._rareevent_params()
+        elif self.tilt != 0.0:
             raise ValueError("tilt is only meaningful for kind='rareevent'")
 
-    def _rareevent_dict(self) -> dict[str, Any]:
-        return {
-            "tilt": self.tilt,
-            "defensive": self.defensive,
-            "samples": self.rare_samples,
-            "table_seed": self.rare_table_seed,
-        }
+    def _rareevent_params(self) -> RareEventParams:
+        """The proposal as the engine's :class:`RareEventParams` (validated)."""
+        from ..reliability.rareevent import RareEventParams
+
+        return RareEventParams(tilt=self.tilt, defensive=self.defensive,
+                               samples=self.rare_samples,
+                               table_seed=self.rare_table_seed)
 
     def fingerprint_dict(self) -> dict[str, Any]:
         """The canonical, JSON-safe view that the manifest fingerprints."""
@@ -102,7 +101,9 @@ class CampaignConfig:
             "rates": asdict(self.rates),
         }
         if self.kind == "rareevent":
-            out["rareevent"] = self._rareevent_dict()
+            out["rareevent"] = {"tilt": self.tilt, "defensive": self.defensive,
+                                "samples": self.rare_samples,
+                                "table_seed": self.rare_table_seed}
         return out
 
     @classmethod
@@ -116,10 +117,10 @@ class CampaignConfig:
             resample_faults_every=raw["resample_faults_every"],
             chunk_trials=raw["chunk_trials"],
             rates=FaultRates(**raw["rates"]),
-            tilt=float(rare.get("tilt", 0.0)),
-            defensive=float(rare.get("defensive", 0.05)),
-            rare_samples=int(rare.get("samples", 400)),
-            rare_table_seed=int(rare.get("table_seed", 0)),
+            tilt=float(rare.get("tilt", cls.tilt)),
+            defensive=float(rare.get("defensive", cls.defensive)),
+            rare_samples=int(rare.get("samples", cls.rare_samples)),
+            rare_table_seed=int(rare.get("table_seed", cls.rare_table_seed)),
         )
 
     def build_scheme(self) -> EccScheme:
@@ -147,7 +148,7 @@ class CampaignConfig:
             ),
             self.chunk_trials,
             kind=self.kind,
-            rareevent=self._rareevent_dict() if self.kind == "rareevent" else None,
+            rareevent=self._rareevent_params() if self.kind == "rareevent" else None,
         )
 
 

@@ -12,9 +12,9 @@ result pipe, its process sentinel (a dead process with no result is a
 ``timeout``, so a hung chunk cannot starve the campaign); the deadline
 and the ``campaign.chunk`` span start at dispatch, not at fork.
 
-The conditional tables a rare-event chunk's line law measures stay cached
-for the worker's life, so each worker measures a table at most once (the
-RS schemes' laws measure none).  Between events the parent blocks in
+A rare-event chunk carries its run's line law in its payload: the planner
+builds it once, in the parent, before any worker forks, so a worker builds
+no law and measures no table.  Between events the parent blocks in
 :func:`multiprocessing.connection.wait` until a pipe or sentinel fires,
 the earliest deadline, or - with a worker slot free - the earliest backoff
 expiry; it never polls.  When ``run`` returns or raises, no worker

@@ -126,15 +126,9 @@ def cmd_reliability(args: argparse.Namespace) -> None:
     print(format_series("ber", [f"{b:.0e}" for b in args.bers], series))
 
 
-def _parse_tilt(value: str) -> float | str:
-    if value == "auto":
-        return "auto"
-    try:
-        return float(value)
-    except ValueError:
-        raise SystemExit(
-            f"--tilt must be a number or 'auto', got {value!r}"
-        ) from None
+def tilt(value: str) -> float | str:
+    """``--tilt``: ``"auto"`` or a number (argparse names this in its error)."""
+    return value if value == "auto" else float(value)
 
 
 def cmd_rareevent(args: argparse.Namespace) -> None:
@@ -156,7 +150,10 @@ def cmd_rareevent(args: argparse.Namespace) -> None:
     )
 
     schemes = _scheme_lineup(args.schemes)
-    tilt = _parse_tilt(args.tilt)
+    # one table seed for the sampler, the splitting run and the reference
+    params = _or_exit("rareevent", RareEventParams, tilt=args.tilt,
+                      defensive=args.defensive, samples=args.samples,
+                      table_seed=args.seed)
     rates = DEFAULT_RATES.pure_ber(args.ber)
     profile = AccessProfile()
     _obs_begin(args)
@@ -164,18 +161,17 @@ def cmd_rareevent(args: argparse.Namespace) -> None:
     for scheme in schemes:
         start = time.perf_counter()
         if args.estimator == "splitting":
-            split = run_splitting_iid(
-                scheme, rates, effort=args.effort, seed=args.seed,
-                k=args.k, samples=args.samples,
+            split = _or_exit(
+                "rareevent", run_splitting_iid, scheme, rates, effort=args.effort,
+                seed=args.seed, k=args.k, samples=params.samples,
+                table_seed=params.table_seed,
             )
             row = split.as_dict()
             row["p_fail_ci"] = [row.pop("ci_lo"), row.pop("ci_hi")]
         else:
-            result = run_rareevent_iid(
-                scheme, rates,
-                ExactRunConfig(trials=args.trials, seed=args.seed),
-                RareEventParams(tilt=tilt, defensive=args.defensive,
-                                samples=args.samples),
+            result = _or_exit(
+                "rareevent", run_rareevent_iid, scheme, rates,
+                ExactRunConfig(trials=args.trials, seed=args.seed), params,
                 workers=args.workers,
             )
             summary = result.as_dict()
@@ -196,8 +192,8 @@ def cmd_rareevent(args: argparse.Namespace) -> None:
         row["fit"] = fit_rate(p_fail, profile)
         row["fit_ci"] = list(fit_interval(tuple(row["p_fail_ci"]), profile))
         try:
-            ref = build_model(scheme, samples=args.samples,
-                              seed=args.seed).line_probs(args.ber)
+            ref = build_model(scheme, samples=params.samples,
+                              seed=params.table_seed).line_probs(args.ber)
             row["analytic_fail"] = ref["sdc"] + ref["due"]
         except Exception:  # a scheme without a closed form is still runnable
             row["analytic_fail"] = None
@@ -376,25 +372,26 @@ def _campaign_config_from_args(args: argparse.Namespace):
     from .faults import DEFAULT_RATES
 
     rates = DEFAULT_RATES.with_ber(args.ber)
-    tilt = 0.0
-    defensive = 0.05
+    proposal = {}
     if args.kind == "rareevent":
-        tilt = _parse_tilt(args.tilt)
-        defensive = args.defensive
-        if tilt == "auto":
-            # the fingerprint needs a concrete number: resolve against the
-            # scheme's line law now, exactly as the library engine would
+        # the rare-event tier models the pure weak-cell process at every
+        # tilt, 0 included, as ``repro rareevent`` does
+        rates = DEFAULT_RATES.pure_ber(args.ber)
+        proposal = {"tilt": args.tilt, "defensive": args.defensive}
+        if args.tilt == "auto":
+            # the fingerprint needs a concrete number: resolve it against
+            # the law the campaign's default table parameters give
             from .reliability.rareevent import line_law, resolve_tilt
 
             scheme = _scheme_lineup([args.scheme])[0]
-            tilt = resolve_tilt("auto", line_law(scheme, args.ber))
-        if tilt != 0.0:
-            # the tilted sampler models the pure weak-cell process
-            rates = DEFAULT_RATES.pure_ber(args.ber)
+            proposal["tilt"] = resolve_tilt("auto", line_law(
+                scheme, args.ber, CampaignConfig.rare_samples,
+                CampaignConfig.rare_table_seed,
+            ))
     config = CampaignConfig(
         scheme=args.scheme, kind=args.kind, trials=args.trials, seed=args.seed,
         resample_faults_every=args.resample_every, chunk_trials=args.chunk_trials,
-        rates=rates, tilt=tilt, defensive=defensive,
+        rates=rates, **proposal,
     )
     config.build_scheme()  # an unknown scheme fails here, not once running
     return config
@@ -734,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "rare-event tier models the i.i.d. process)")
     p_rare.add_argument("--trials", type=int, default=400_000,
                         help="count-level proposals (importance sampling)")
-    p_rare.add_argument("--tilt", default="auto", metavar="THETA",
+    p_rare.add_argument("--tilt", type=tilt, default="auto", metavar="THETA",
                         help="log-odds tilt of the error rate; 'auto' aims "
                              "the tilted word at the failure radius; 0 runs "
                              "the exact decoder-in-the-loop engine")
@@ -813,7 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="weak-cell BER applied to the default fault rates")
         p.add_argument("--chunk-trials", type=int, default=256)
         p.add_argument("--resample-every", type=int, default=1)
-        p.add_argument("--tilt", default="auto", metavar="THETA",
+        p.add_argument("--tilt", type=tilt, default="auto", metavar="THETA",
                        help="kind=rareevent only: log-odds tilt ('auto' "
                             "resolves against the scheme before the "
                             "fingerprint is taken; 0 = exact engine)")

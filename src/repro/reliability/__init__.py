@@ -42,6 +42,7 @@ if TYPE_CHECKING:
         SplittingResult,
         line_law,
         rareevent_chunk_tally,
+        rareevent_chunks,
         run_rareevent_iid,
         run_splitting_iid,
     )
@@ -75,6 +76,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
               "unit_weighted_tally", "merge_weighted", "weighted_summary"),
     "rareevent": ("LineLaw", "line_law", "RareEventParams", "RareEventResult",
                   "SplittingResult", "run_rareevent_iid", "run_splitting_iid",
-                  "rareevent_chunk_tally"),
+                  "rareevent_chunk_tally", "rareevent_chunks"),
     "system": ("SystemReliability", "evaluate_system", "STRUCTURED"),
 })

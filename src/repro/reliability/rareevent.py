@@ -47,11 +47,12 @@ computed exactly from the conditional tables (again one value per count,
 gathered), so even a miscorrection branch far below 1/effort contributes
 without sampling noise.
 
-Campaign integration: ``kind="rareevent"`` chunk plans carry the tilt
-parameters in each (picklable, number-only) payload and in the SHA-256
-config fingerprint, so fleet/campaign runs stay deterministic, resumable
-and refuse mismatched resumes.  Chunks accumulate in fixed trial order and
-merge in chunk order, which keeps the float log-sums bit-identical across
+Campaign integration: the direct run and the ``kind="rareevent"`` planner
+share one chunker (:func:`rareevent_chunks`), which builds the line law
+once per run and carries it in every picklable payload.  The proposal
+parameters sit in the SHA-256 config fingerprint, so fleet/campaign runs
+stay deterministic, resumable and refuse mismatched resumes.  Chunks merge
+in chunk order, which keeps the float log-sums bit-identical across
 workers=N, crash/resume and the distributed fleet.
 """
 
@@ -192,42 +193,28 @@ def line_law(
             combine=COMBINE_FLAG_DUE, k_fail=1,
         )
     model = build_model(scheme, samples=samples, seed=seed)
-    if isinstance(scheme, ConventionalIecc):
-        p_flag = np.zeros_like(model.table.p_bad)
-        p_bad = model.table.p_bad
-        return LineLaw(
-            scheme=scheme.name, words=scheme.rank.data_chips, n=scheme.code.n,
-            q=ber, p_flag=p_flag, p_bad=p_bad, combine=COMBINE_FLAG_DUE,
-            k_fail=_k_fail(p_flag, p_bad),
+    if isinstance(scheme, (Duo, PairScheme)):
+        words = 1 if isinstance(scheme, Duo) else (
+            len(scheme.layout.codewords_of_access(0)) * scheme.rank.data_chips
         )
-    if isinstance(scheme, Xed):
-        p_flag, p_bad = model.table.p_flag, model.table.p_bad
-        return LineLaw(
-            scheme=scheme.name, words=scheme.rank.data_chips + 1,
-            n=scheme.code.n, q=ber, p_flag=p_flag, p_bad=p_bad,
-            combine=COMBINE_XED, k_fail=_k_fail(p_flag, p_bad),
-        )
-    if isinstance(scheme, Duo):
-        return LineLaw(
-            scheme=scheme.name, words=1, n=scheme.code.n, q=_symbol_rate(ber),
-            p_flag=model._flag, p_bad=model._bad, combine=COMBINE_FLAG_DUE,
-            k_fail=scheme.code.t + 1,
-        )
-    if isinstance(scheme, PairScheme):
-        words = len(scheme.layout.codewords_of_access(0)) * scheme.rank.data_chips
         return LineLaw(
             scheme=scheme.name, words=words, n=scheme.code.n,
             q=_symbol_rate(ber), p_flag=model._flag, p_bad=model._bad,
             combine=COMBINE_FLAG_DUE, k_fail=scheme.code.t + 1,
         )
-    if isinstance(scheme, RankSecDed):
-        p_flag, p_bad = model.table.p_flag, model.table.p_bad
-        return LineLaw(
-            scheme=scheme.name, words=scheme.slices, n=scheme.code.n, q=ber,
-            p_flag=p_flag, p_bad=p_bad, combine=COMBINE_FLAG_DUE,
-            k_fail=_k_fail(p_flag, p_bad),
-        )
-    raise TypeError(f"no count-level line law for scheme {scheme.name}")
+    p_flag, p_bad, combine = model.table.p_flag, model.table.p_bad, COMBINE_FLAG_DUE
+    if isinstance(scheme, ConventionalIecc):
+        words, p_flag = scheme.rank.data_chips, np.zeros_like(p_bad)
+    elif isinstance(scheme, Xed):
+        words, combine = scheme.rank.data_chips + 1, COMBINE_XED
+    elif isinstance(scheme, RankSecDed):
+        words = scheme.slices
+    else:
+        raise TypeError(f"no count-level line law for scheme {scheme.name}")
+    return LineLaw(
+        scheme=scheme.name, words=words, n=scheme.code.n, q=ber, p_flag=p_flag,
+        p_bad=p_bad, combine=combine, k_fail=_k_fail(p_flag, p_bad),
+    )
 
 
 # -- exponential tilting -------------------------------------------------------
@@ -257,11 +244,18 @@ def auto_tilt(law: LineLaw) -> float:
 
 
 def resolve_tilt(tilt: float | str, law: LineLaw) -> float:
-    """``"auto"`` -> :func:`auto_tilt`; numbers pass through as floats."""
+    """``"auto"`` -> :func:`auto_tilt`, refusing 0 (only an explicit ``0.0``
+    selects the exact engine); numbers pass through as floats."""
     if isinstance(tilt, str):
         if tilt != "auto":
             raise ValueError(f"tilt must be a float or 'auto', got {tilt!r}")
-        return auto_tilt(law)
+        resolved = auto_tilt(law)
+        if resolved == 0.0:
+            raise ValueError(
+                "resolved tilt is 0 (the nominal rate already reaches the failure "
+                "radius); pass tilt=0.0 explicitly for the exact engine"
+            )
+        return resolved
     return float(tilt)
 
 
@@ -368,19 +362,15 @@ def rareevent_chunk_tally(
 ) -> Tally:
     """One tilted importance-sampling chunk (campaign worker entry point).
 
-    ``payload`` is a picklable dict of plain numbers - ``start`` (first
-    trial index, which keys the chunk's private rng stream), ``trials``,
-    ``tilt``, ``defensive``, ``samples`` and ``table_seed`` - so the chunk
-    is a pure function of the campaign config (REPRO201/211: no generators
-    or closures cross the process boundary).  A retry re-runs the same
-    function: the vectorized path is the definition of the engine.
+    ``payload`` is one of :func:`rareevent_chunks`' picklable dicts -
+    ``start`` (first trial index, which keys the chunk's private rng
+    stream), ``trials``, ``tilt``, ``defensive`` and the run's ``law`` - so
+    the chunk builds no law and is a pure function of its payload and
+    ``config.seed`` (REPRO201/211: no generators or closures cross the
+    process boundary); ``scheme`` and ``rates`` keep the campaign's chunk
+    signature and are not read.  A retry re-runs the same function.
     """
-    ber = require_pure_ber(rates, context="rareevent campaign chunk")
-    law = line_law(
-        scheme, ber,
-        samples=int(payload.get("samples", 400)),
-        seed=int(payload.get("table_seed", 0)),
-    )
+    law: LineLaw = payload["law"]
     tilt = float(payload["tilt"])
     defensive = float(payload["defensive"])
     trials = int(payload["trials"])
@@ -432,7 +422,8 @@ class RareEventParams:
     silently meaningless tally.  ``samples``/``table_seed`` parameterize
     the measured conditional tables of the bit-code schemes (shared with
     the analytic models); PAIR's and DUO's laws measure nothing and do not
-    read them.
+    read them.  These are the run's only defaults and checks: the campaign
+    config validates its proposal fields by building one of these.
     """
 
     tilt: float | str = "auto"
@@ -442,10 +433,36 @@ class RareEventParams:
     table_seed: int = 0
 
     def __post_init__(self) -> None:
+        if isinstance(self.tilt, str):
+            if self.tilt != "auto":
+                raise ValueError(f"tilt must be a float or 'auto', got {self.tilt!r}")
+        elif not math.isfinite(self.tilt):
+            raise ValueError("tilt must be finite")
         if not 0.0 <= self.defensive < 1.0:
             raise ValueError("defensive mass must be in [0, 1)")
         if self.samples <= 0:
             raise ValueError("samples must be positive")
+
+
+def rareevent_chunks(
+    scheme: EccScheme,
+    rates: FaultRates,
+    config: ExactRunConfig,
+    params: RareEventParams,
+    chunk_trials: int,
+) -> list[dict[str, Any]]:
+    """The :func:`rareevent_chunk_tally` payloads of one tilted run.
+
+    The one chunker of the direct run and the campaign planner: it builds
+    the line law once, resolves the tilt against it, and hands both to
+    every chunk of ``chunk_trials`` trials.
+    """
+    ber = require_pure_ber(rates)
+    law = line_law(scheme, ber, params.samples, params.table_seed)
+    tilt = resolve_tilt(params.tilt, law)
+    return [{"start": start, "trials": min(chunk_trials, config.trials - start),
+             "tilt": tilt, "defensive": params.defensive, "law": law}
+            for start in range(0, config.trials, chunk_trials)]
 
 
 @dataclass
@@ -494,7 +511,7 @@ def run_rareevent_iid(
     streams keyed by their first trial and merge in chunk order.
     """
     params = params or RareEventParams()
-    if isinstance(params.tilt, (int, float)) and float(params.tilt) == 0.0:
+    if params.tilt == 0.0:
         tally = run_iid_batched(
             scheme, rates, config, workers=workers,
             chunk_trials=chunk_trials or DEFAULT_CHUNK_TRIALS,
@@ -507,25 +524,10 @@ def run_rareevent_iid(
             tilt=0.0, defensive=0.0, estimator="exact", tally=tally,
         )
 
-    ber = require_pure_ber(rates)
-    law = line_law(scheme, ber, samples=params.samples, seed=params.table_seed)
-    tilt = resolve_tilt(params.tilt, law)
-    if tilt == 0.0:
-        raise ValueError(
-            "resolved tilt is 0; pass tilt=0.0 explicitly for the exact engine"
-        )
-    per_chunk = chunk_trials or DEFAULT_RARE_CHUNK_TRIALS
-    payloads = [
-        {
-            "start": start,
-            "trials": min(per_chunk, config.trials - start),
-            "tilt": tilt,
-            "defensive": params.defensive,
-            "samples": params.samples,
-            "table_seed": params.table_seed,
-        }
-        for start in range(0, config.trials, per_chunk)
-    ]
+    payloads = rareevent_chunks(
+        scheme, rates, config, params, chunk_trials or DEFAULT_RARE_CHUNK_TRIALS
+    )
+    tilt = payloads[0]["tilt"]
     tally = _merge(_dispatch(
         rareevent_chunk_tally,
         [(scheme, rates, config, payload) for payload in payloads],
@@ -547,8 +549,8 @@ def run_rareevent_iid(
             "tilt, raise the defensive mass, or add trials"
         )
     return RareEventResult(
-        scheme=scheme.name, ber=ber, trials=config.trials, tilt=tilt,
-        defensive=params.defensive, estimator="is", tally=tally,
+        scheme=scheme.name, ber=rates.single_cell_ber, trials=config.trials,
+        tilt=tilt, defensive=params.defensive, estimator="is", tally=tally,
     )
 
 

@@ -10,6 +10,7 @@ than silently merged into a biased estimate.
 """
 
 import json
+import pickle
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.reliability import (
     ExactRunConfig,
     RareEventParams,
     conditional,
+    rareevent,
     run_rareevent_iid,
     weighted_summary,
 )
@@ -184,9 +186,31 @@ class TestColdCaches:
             assert result.tally.extra["weighted"] == \
                 reference.tally.extra["weighted"]
 
-    def test_each_worker_measures_a_table_at_most_once(self, tmp_path):
-        # XED's law measures a Hamming table (PAIR's measures none); each
-        # persistent worker keeps it cached across its chunks
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_bit_code_law_built_in_the_planner(self, tmp_path, workers):
+        # XED's law measures a Hamming table (PAIR's measures none); the
+        # planner builds it and every chunk reads it from its payload
+        xed = next(s for s in default_schemes() if s.name == "xed")
+        cold()
+        reference = engine_run(xed)
+        cold()
+        whole = start_campaign(tmp_path / "whole", config(scheme="xed"),
+                               policy(workers=workers))
+        cold()
+        with pytest.raises(CampaignAborted):
+            start_campaign(tmp_path / "resumed", config(scheme="xed"),
+                           policy(workers=workers), ChaosSchedule.parse("abort:2"))
+        cold()
+        resumed = resume_campaign(tmp_path / "resumed", policy(workers=workers))
+        for result in (whole, resumed):
+            assert result.complete
+            assert counts(result.tally) == counts(reference.tally)
+            assert result.tally.extra["weighted"] == \
+                reference.tally.extra["weighted"]
+
+    def test_workers_build_no_table(self, tmp_path):
+        # the law rides in each payload, so no worker measures or looks up
+        # a table, even for a bit-code scheme
         cold()
         try:
             with obs.enabled_scope(True):
@@ -196,9 +220,70 @@ class TestColdCaches:
             obs.reset_all()
         assert result.complete
         merged = Manifest.load(tmp_path).obs["metrics"]["counters"]
-        built = merged["reliability.tables.built"]
-        assert 1 <= built <= 2
-        assert built + merged["reliability.tables.reused"] == TRIALS // CHUNK
+        assert merged["rareevent.proposals"] == TRIALS  # the workers' counters
+        assert (merged.get("reliability.tables.built", 0)
+                + merged.get("reliability.tables.reused", 0)) == 0
+
+
+class TestOneStatement:
+    """The direct run and the campaign plan through one chunker."""
+
+    @pytest.fixture
+    def law_calls(self, monkeypatch):
+        calls = []
+        real = rareevent.line_law
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rareevent, "line_law", counting)
+        return calls
+
+    def test_run_builds_the_law_once(self, pair_scheme, law_calls):
+        result = run_rareevent_iid(
+            pair_scheme, RATES, ExactRunConfig(trials=16 * 512, seed=SEED),
+            RareEventParams(tilt=TILT, samples=SAMPLES), chunk_trials=512,
+        )
+        assert result.tally.extra["weighted"]["n"] == 16 * 512
+        assert law_calls == ["pair"]
+
+    def test_plan_builds_the_law_once(self, law_calls):
+        plan = config().build_plan()
+        assert len(plan.chunks) == TRIALS // CHUNK
+        assert law_calls == ["pair"]
+        assert {id(spec.payload["law"]) for spec in plan.chunks} == \
+            {id(plan.chunks[0].payload["law"])}
+
+    def test_plan_payloads_are_the_run_payloads(self, pair_scheme):
+        plan = config().build_plan()
+        payloads = rareevent.rareevent_chunks(
+            pair_scheme, RATES, ExactRunConfig(trials=TRIALS, seed=SEED),
+            RareEventParams(tilt=TILT, defensive=DEFENSIVE, samples=SAMPLES), CHUNK,
+        )
+        assert plan.kind == "rareevent"
+        assert [spec.payload["start"] for spec in plan.chunks] == \
+            [p["start"] for p in payloads]
+        for spec, payload in zip(plan.chunks, payloads):
+            assert spec.payload.keys() == payload.keys() == \
+                {"start", "trials", "tilt", "defensive", "law"}
+            assert spec.trials == payload["trials"]
+            assert pickle.dumps(spec.payload["law"]) == pickle.dumps(payload["law"])
+
+    def test_zero_tilt_plans_iid_chunks(self):
+        assert config(tilt=0.0).build_plan().kind == "iid"
+
+    def test_proposal_defaults_are_the_engine_defaults(self):
+        engine = RareEventParams()
+        assert (CampaignConfig.defensive, CampaignConfig.rare_samples,
+                CampaignConfig.rare_table_seed) == \
+            (engine.defensive, engine.samples, engine.table_seed)
+        raw = config().fingerprint_dict()
+        del raw["rareevent"]
+        restored = CampaignConfig.from_manifest_dict(raw)
+        assert (restored.tilt, restored.defensive, restored.rare_samples,
+                restored.rare_table_seed) == (0.0, engine.defensive,
+                                              engine.samples, engine.table_seed)
 
 
 class TestConfigValidation:
@@ -210,6 +295,15 @@ class TestConfigValidation:
     def test_defensive_range_checked(self):
         with pytest.raises(ValueError, match="defensive"):
             config(defensive=1.0)
+
+    @pytest.mark.parametrize("bad, match", [
+        ({"tilt": float("inf")}, "tilt must be finite"),
+        ({"tilt": float("nan")}, "tilt must be finite"),
+        ({"rare_samples": 0}, "samples must be positive"),
+    ])
+    def test_proposal_checked_by_the_engine_params(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            config(**bad)
 
     def test_structured_rates_refused_in_plan(self, tmp_path):
         bad = config(rates=DEFAULT_RATES.with_ber(BER))

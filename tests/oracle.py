@@ -556,13 +556,9 @@ def rareevent_chunk_tally(
     payload: dict[str, Any],
 ) -> Tally:
     """``rareevent.rareevent_chunk_tally`` evaluated cell by cell: the same
-    draws in the same order, then each word's log-ratio and flag/bad
-    thresholds computed from its own count."""
-    law = rareevent.line_law(
-        scheme, rates.single_cell_ber,
-        samples=int(payload.get("samples", 400)),
-        seed=int(payload.get("table_seed", 0)),
-    )
+    draws in the same order from the payload's law, then each word's
+    log-ratio and flag/bad thresholds computed from its own count."""
+    law = payload["law"]
     tilt = float(payload["tilt"])
     defensive = float(payload["defensive"])
     trials = int(payload["trials"])

@@ -86,6 +86,23 @@ class TestTiltMath:
         with pytest.raises(ValueError, match="'auto'"):
             resolve_tilt("steep", law)
 
+    def test_auto_that_resolves_to_zero_is_refused(self, get_scheme):
+        # DUO's symbol rate at BER 0.02 is past its failure radius already
+        law = line_law(get_scheme(Duo), 0.02, samples=50)
+        assert auto_tilt(law) == 0.0
+        with pytest.raises(ValueError, match="resolved tilt is 0"):
+            resolve_tilt("auto", law)
+        assert resolve_tilt(0.0, law) == 0.0
+
+    @pytest.mark.parametrize("tilt, match", [
+        (math.inf, "tilt must be finite"), (-math.inf, "tilt must be finite"),
+        (math.nan, "tilt must be finite"), ("steep", "'auto'"),
+    ])
+    def test_params_refuse_a_bad_tilt(self, tilt, match):
+        # refused when the run is stated, before any law is built
+        with pytest.raises(ValueError, match=match):
+            RareEventParams(tilt=tilt)
+
     def test_require_pure_ber_names_offending_rates(self):
         with pytest.raises(ValueError, match="row_faults_per_device"):
             require_pure_ber(FaultRates(single_cell_ber=1e-5))
@@ -173,7 +190,7 @@ class TestLogWeightStability:
         tally = rareevent_chunk_tally(
             scheme, iid_rates(1e-4), ExactRunConfig(trials=2_000, seed=1),
             {"start": 0, "trials": 2_000, "tilt": tilt, "defensive": 0.05,
-             "samples": 100, "table_seed": 0},
+             "law": line_law(scheme, 1e-4, samples=100)},
         )
         weighted = tally.extra["weighted"]
         for name, row in weighted["outcomes"].items():
@@ -190,8 +207,8 @@ class TestLogWeightStability:
         trials, defensive = 5_000, 0.1
         tally = rareevent_chunk_tally(
             scheme, iid_rates(1e-4), ExactRunConfig(trials=trials, seed=2),
-            {"start": 0, "trials": trials, "tilt": 8.0,
-             "defensive": defensive, "samples": 100, "table_seed": 0},
+            {"start": 0, "trials": trials, "tilt": 8.0, "defensive": defensive,
+             "law": line_law(scheme, 1e-4, samples=100)},
         )
         total = None
         for row in tally.extra["weighted"]["outcomes"].values():
@@ -361,8 +378,7 @@ class TestChunkKernelParity:
                 for seed in (0, 3, 1009):
                     payload = {"start": 2048, "trials": 2048,
                                "tilt": resolve_tilt(tilt, law),
-                               "defensive": defensive, "samples": 50,
-                               "table_seed": 0}
+                               "defensive": defensive, "law": law}
                     config = ExactRunConfig(trials=8192, seed=seed)
                     got = rareevent_chunk_tally(scheme, rates, config, payload)
                     want = oracle.rareevent_chunk_tally(scheme, rates, config, payload)
@@ -375,7 +391,7 @@ class TestChunkKernelParity:
     def test_empty_chunk(self, get_scheme):
         scheme = get_scheme(PairScheme)
         payload = {"start": 0, "trials": 0, "tilt": 3.0, "defensive": 0.05,
-                   "samples": 50, "table_seed": 0}
+                   "law": line_law(scheme, 1e-4, samples=50)}
         config = ExactRunConfig(trials=1, seed=0)
         got = rareevent_chunk_tally(scheme, iid_rates(1e-4), config, payload)
         want = oracle.rareevent_chunk_tally(scheme, iid_rates(1e-4), config, payload)

@@ -284,6 +284,84 @@ class TestFleet:
         assert "could not reach" in capsys.readouterr().out
 
 
+AUTO_TILT_ZERO = ["--kind", "rareevent", "--scheme", "duo", "--ber", "0.02",
+                  "--tilt", "auto", "--trials", "512"]
+
+
+class TestRareEvent:
+    RUN = ["rareevent", "--trials", "4096", "--samples", "50", "--json"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--defensive", "1.5"], "defensive mass must be in [0, 1)"),
+        (["--tilt", "nan"], "tilt must be finite"),
+        (["--tilt", "auto", "--schemes", "duo", "--ber", "0.02"], "resolved tilt is 0"),
+    ])
+    def test_bad_parameter_exits_with_one_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.RUN + argv)
+        text = str(excinfo.value.code)
+        assert text.startswith("rareevent: ") and message in text, text
+        assert "\n" not in text
+        assert capsys.readouterr().out == ""
+
+    def test_one_table_seed_for_every_estimate(self, capsys):
+        import json
+
+        from repro.faults import DEFAULT_RATES
+        from repro.reliability import (
+            ExactRunConfig,
+            RareEventParams,
+            build_model,
+            run_rareevent_iid,
+            run_splitting_iid,
+        )
+        from repro.schemes import Xed
+
+        xed, rates = Xed(), DEFAULT_RATES.pure_ber(1e-4)
+        main(self.RUN + ["--schemes", "xed", "--seed", "5"])
+        row = json.loads(capsys.readouterr().out)["schemes"]["xed"]
+        direct = run_rareevent_iid(
+            xed, rates, ExactRunConfig(trials=4096, seed=5),
+            RareEventParams(samples=50, table_seed=5),
+        )
+        assert row["p_fail"] == direct.estimates()["outcomes"]["fail"]["p_ht"]
+        ref = build_model(xed, samples=50, seed=5).line_probs(1e-4)
+        assert row["analytic_fail"] == ref["sdc"] + ref["due"]
+
+        main(self.RUN + ["--schemes", "xed", "--seed", "5",
+                         "--estimator", "splitting", "--effort", "256"])
+        row = json.loads(capsys.readouterr().out)["schemes"]["xed"]
+        split = run_splitting_iid(xed, rates, effort=256, seed=5, samples=50,
+                                  table_seed=5)
+        assert row["p_fail"] == split.p_fail
+
+    def test_campaign_at_tilt_zero_is_the_exact_engine(self, capsys, tmp_path):
+        # a rareevent campaign takes the pure weak-cell rates at every tilt
+        import json
+        from dataclasses import asdict
+
+        from repro.campaign import Manifest
+        from repro.faults import DEFAULT_RATES
+        from repro.reliability import ExactRunConfig, run_iid_batched
+        from repro.schemes import PairScheme
+
+        main(["campaign", "run", "--dir", str(tmp_path), "--kind", "rareevent",
+              "--scheme", "pair", "--ber", "1e-3", "--tilt", "0", "--trials", "64",
+              "--chunk-trials", "16", "--seed", "3"])
+        capsys.readouterr()
+        manifest = Manifest.load(tmp_path)
+        assert manifest.config["rates"] == asdict(DEFAULT_RATES.pure_ber(1e-3))
+        tally = manifest.merged_tally()
+        main(["rareevent", "--schemes", "pair", "--ber", "1e-3", "--tilt", "0",
+              "--trials", "64", "--seed", "3", "--json"])
+        row = json.loads(capsys.readouterr().out)["schemes"]["pair"]
+        assert row["estimator"] == "exact"
+        assert row["p_fail"] == (tally.due + tally.sdc) / 64
+        direct = run_iid_batched(PairScheme(), DEFAULT_RATES.pure_ber(1e-3),
+                                 ExactRunConfig(trials=64, seed=3))
+        assert tally.as_dict() == direct.as_dict()
+
+
 class TestBadConfigFlags:
     """A bad campaign config flag exits with one line and writes nothing."""
 
@@ -294,6 +372,10 @@ class TestBadConfigFlags:
         ["fleet", "serve", "--degrade-after", "0.1", "--scheme", "nope"],
         ["fleet", "submit", "--trials", "0"],
         ["fleet", "submit", "--scheme", "nope"],
+        # DUO's symbol rate at BER 0.02 already exceeds its failure radius,
+        # so 'auto' resolves to 0: refused, not run as a decoder campaign
+        ["campaign", "run", *AUTO_TILT_ZERO],
+        ["fleet", "serve", "--degrade-after", "0.1", *AUTO_TILT_ZERO],
     ])
     def test_exits_with_one_line_and_no_manifest(self, tmp_path, argv):
         import subprocess
