@@ -8,36 +8,14 @@ BER at which each scheme's per-64B-read failure probability stays below a
 target, and reports every scheme's headroom relative to conventional IECC.
 """
 
-import math
-
 import pytest
 
 from repro.analysis import format_table
+from repro.analysis.sweep import max_tolerable_ber
 from repro.reliability import build_model
 from repro.schemes import default_schemes
 
 TARGETS = (1e-12, 1e-15, 1e-18)
-
-
-def max_tolerable_ber(model, target: float, lo: float = 1e-10, hi: float = 1e-2) -> float:
-    """Largest BER with failure probability <= target (log bisection)."""
-
-    def fail(ber: float) -> float:
-        probs = model.line_probs(ber)
-        return probs["sdc"] + probs["due"]
-
-    if fail(hi) <= target:
-        return hi
-    if fail(lo) > target:
-        return lo
-    log_lo, log_hi = math.log10(lo), math.log10(hi)
-    for _ in range(60):
-        mid = 10 ** ((log_lo + log_hi) / 2)
-        if fail(mid) <= target:
-            log_lo = math.log10(mid)
-        else:
-            log_hi = math.log10(mid)
-    return 10 ** log_lo
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,6 @@ bench-grade settings.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..dram.addressing import AddressMapper
@@ -28,7 +27,7 @@ from ..reliability.batch import run_burst_lengths_batched
 from ..reliability.exact import ExactRunConfig
 from ..schemes import EccScheme, default_schemes
 from ..utils.atomic_io import atomic_write_text
-from .sweep import geomean, log_space
+from .sweep import geomean, log_space, max_tolerable_ber
 
 
 @dataclass
@@ -153,15 +152,7 @@ def section_headroom(schemes: list[EccScheme], config: ReportConfig) -> str:
     for target in (1e-12, 1e-15):
         row = {"failure_target": f"{target:.0e}"}
         for name, model in models.items():
-            lo, hi = math.log10(1e-10), math.log10(1e-2)
-            for _ in range(50):
-                mid = 10 ** ((lo + hi) / 2)
-                probs = model.line_probs(mid)
-                if probs["sdc"] + probs["due"] <= target:
-                    lo = math.log10(mid)
-                else:
-                    hi = math.log10(mid)
-            row[name] = f"{10 ** lo:.2e}"
+            row[name] = f"{max_tolerable_ber(model, target):.2e}"
         rows.append(row)
     return "## Scaling headroom: max tolerable BER (F9)\n\n" + _md_table(rows)
 

@@ -7,13 +7,38 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..reliability.analytic import build_model
+from ..reliability.analytic import ReliabilityModel, build_model
 from ..schemes.base import EccScheme
 
 
 def log_space(start: float, stop: float, points: int) -> np.ndarray:
     """Logarithmically spaced sweep values, inclusive of both ends."""
     return np.logspace(math.log10(start), math.log10(stop), points)
+
+
+def max_tolerable_ber(
+    model: ReliabilityModel, target: float, lo: float = 1e-10, hi: float = 1e-2
+) -> float:
+    """Largest BER in ``[lo, hi]`` whose per-read failure probability
+    (SDC + DUE) stays at or below ``target``: a 60-step bisection in log
+    BER (figure F9's scaling headroom)."""
+
+    def fail(ber: float) -> float:
+        probs = model.line_probs(ber)
+        return probs["sdc"] + probs["due"]
+
+    if fail(hi) <= target:
+        return hi
+    if fail(lo) > target:
+        return lo
+    log_lo, log_hi = math.log10(lo), math.log10(hi)
+    for _ in range(60):
+        mid = 10 ** ((log_lo + log_hi) / 2)
+        if fail(mid) <= target:
+            log_lo = math.log10(mid)
+        else:
+            log_hi = math.log10(mid)
+    return 10 ** log_lo
 
 
 def reliability_sweep(

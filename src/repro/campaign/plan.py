@@ -64,9 +64,6 @@ class CampaignPlan:
     chunk_trials: int
     chunks: tuple[ChunkSpec, ...]
 
-    @property
-    def total_trials(self) -> int:
-        return sum(chunk.trials for chunk in self.chunks)
 
 
 def parse_kind(kind: str) -> FaultType | None:

@@ -208,22 +208,6 @@ class Project:
     def module(self, name: str) -> ModuleInfo | None:
         return self.modules.get(name)
 
-    def import_edges(self) -> dict[str, set[str]]:
-        """Module-level import graph restricted to loaded project modules.
-
-        An edge ``a -> b`` means module ``a`` binds a name whose target is
-        module ``b`` or a symbol inside it.
-        """
-        edges: dict[str, set[str]] = {name: set() for name in self.modules}
-        for info in self.modules.values():
-            for binding in info.imports.values():
-                target = binding.target
-                # the target may name a module directly or a symbol in one
-                hit = self._owning_module(target)
-                if hit is not None and hit != info.name:
-                    edges[info.name].add(hit)
-        return edges
-
     def _owning_module(self, qualname: str) -> str | None:
         """Longest loaded-module prefix of a qualified name, if any."""
         parts = qualname.split(".")

@@ -116,7 +116,8 @@ def cmd_reliability(args: argparse.Namespace) -> None:
     from .reliability import build_model
 
     schemes = _scheme_lineup(args.schemes)
-    models = {s.name: build_model(s, samples=args.samples) for s in schemes}
+    models = {s.name: _or_exit("reliability", build_model, s, samples=args.samples)
+              for s in schemes}
     series = {}
     for name, model in models.items():
         series[name] = [
@@ -266,6 +267,8 @@ def cmd_burst(args: argparse.Namespace) -> None:
     from .analysis import format_series
     from .reliability import ExactRunConfig, run_burst_lengths_batched
 
+    if args.trials < 1:
+        raise SystemExit("burst: trials must be positive")
     schemes = _scheme_lineup(args.schemes)
     config = ExactRunConfig(trials=args.trials, seed=args.seed)
     _obs_begin(args)
@@ -291,26 +294,18 @@ def cmd_energy(args: argparse.Namespace) -> None:
 
 
 def cmd_headroom(args: argparse.Namespace) -> None:
-    import math
-
     from .analysis import format_table
+    from .analysis.sweep import max_tolerable_ber
     from .reliability import build_model
 
     schemes = [s for s in _scheme_lineup(args.schemes) if s.name != "no-ecc"]
-    models = {s.name: build_model(s, samples=args.samples) for s in schemes}
+    models = {s.name: _or_exit("headroom", build_model, s, samples=args.samples)
+              for s in schemes}
     rows = []
     for target in args.targets:
         row = {"failure_target": f"{target:.0e}"}
         for name, model in models.items():
-            lo, hi = math.log10(1e-10), math.log10(1e-2)
-            for _ in range(50):
-                mid = 10 ** ((lo + hi) / 2)
-                probs = model.line_probs(mid)
-                if probs["sdc"] + probs["due"] <= target:
-                    lo = math.log10(mid)
-                else:
-                    hi = math.log10(mid)
-            row[name] = f"{10 ** lo:.2e}"
+            row[name] = f"{max_tolerable_ber(model, target):.2e}"
         rows.append(row)
     print("maximum tolerable weak-cell BER per failure budget:")
     print(format_table(rows))

@@ -615,24 +615,6 @@ class ReedSolomonCode(BlockCode):
         """Minimum distance (RS codes are MDS)."""
         return self.r + 1
 
-    # -- layout helpers ----------------------------------------------------
-
-    def _word_to_poly(self, word: np.ndarray) -> np.ndarray:
-        """Codeword positions -> ascending-degree coefficients."""
-        return np.asarray(word, dtype=np.int64)[::-1]
-
-    def _poly_to_word(self, coeffs: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n, dtype=np.int64)
-        coeffs = np.asarray(coeffs, dtype=np.int64)
-        out[self.n - coeffs.size :] = coeffs[::-1]
-        return out
-
-    def position_of_coeff(self, coeff_index: int) -> int:
-        return self.n - 1 - coeff_index
-
-    def coeff_of_position(self, position: int) -> int:
-        return self.n - 1 - position
-
     # -- codec -------------------------------------------------------------
 
     def encode(self, data: np.ndarray) -> np.ndarray:

@@ -56,10 +56,6 @@ class DeviceConfig:
         return self.pins * self.burst_length
 
     @property
-    def bits_per_pin_per_access(self) -> int:
-        return self.burst_length
-
-    @property
     def columns_per_row(self) -> int:
         """Column-access positions per row."""
         return self.data_bits_per_pin_per_row // self.burst_length

@@ -148,10 +148,6 @@ class SegmentedLayout:
         bits = ((symbols[:, None] >> shifts) & 1).astype(np.uint8)
         _cells(row)[self._cell_index[codeword]] = bits
 
-    def gather_error_symbols(self, error_row: np.ndarray, codeword: int) -> np.ndarray:
-        """Same as :meth:`gather` but named for error-mask matrices."""
-        return self.gather(error_row, codeword)
-
     # -- access relationships --------------------------------------------------
 
     def segment_of_col(self, col: int) -> int:

@@ -5,16 +5,7 @@ from typing import TYPE_CHECKING
 from .._exports import lazy_exports
 
 if TYPE_CHECKING:
-    from .analytic import (
-        ConventionalIeccModel,
-        DuoModel,
-        NoEccModel,
-        PairModel,
-        RankSecDedModel,
-        ReliabilityModel,
-        XedModel,
-        build_model,
-    )
+    from .analytic import NoEccModel, ReliabilityModel, XedModel, build_model
     from .batch import (
         DEFAULT_CHUNK_TRIALS,
         iid_chunk_tally,
@@ -66,8 +57,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "batch": ("run_iid_batched", "run_single_fault_batched", "run_burst_lengths_batched",
               "DEFAULT_CHUNK_TRIALS", "iid_epochs", "iid_chunk_tally", "single_fault_specs",
               "single_fault_chunk_tally"),
-    "analytic": ("ReliabilityModel", "build_model", "NoEccModel", "ConventionalIeccModel",
-                 "XedModel", "DuoModel", "PairModel", "RankSecDedModel"),
+    "analytic": ("ReliabilityModel", "build_model", "NoEccModel", "XedModel"),
     "conditional": ("WordConditionals", "measure_bit_code", "measure_symbol_code"),
     "fit": ("AccessProfile", "events_per_device_year", "fit_rate", "fit_interval",
             "relative_reliability"),

@@ -16,16 +16,20 @@ distance, and a pattern beyond ``t`` miscorrects at the analytic floor
 (``tests/reliability/test_rs_floor.py`` checks the floor against the
 decoder on short codes, where it is measurable).
 
-Each model is validated against the decoder-in-the-loop engine at elevated
-BER in the integration test suite.
+Every scheme's line is one :class:`ReliabilityModel` - words per read,
+word length, error unit and conditional rows - built by :func:`build_model`,
+the one per-scheme dispatch.  The closed forms evaluate it, and
+:meth:`ReliabilityModel.law` hands the same line to the rare-event engines
+(:mod:`repro.reliability.rareevent`).  Each model is validated against the
+decoder-in-the-loop engine at elevated BER in the integration test suite.
 """
 
 from __future__ import annotations
 
-import abc
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,17 +45,94 @@ from .conditional import measure_bit_code
 from .stats import at_least_one, binom_pmf, binom_tail
 
 
-class ReliabilityModel(abc.ABC):
-    """P(SDC) and P(DUE) per line read as a function of weak-cell BER."""
+#: per-word outcome combination rules (how word states make a line outcome).
+COMBINE_FLAG_DUE = "flag-due-bad-sdc"  # any flag -> DUE, else any bad -> SDC
+COMBINE_XED = "xed"  # cross-chip reconstruction logic (see _xed_word_states)
 
-    def __init__(self, scheme: EccScheme, samples: int = 2000, seed: int = 0):
+
+@dataclass(frozen=True)
+class LineLaw:
+    """One line read as i.i.d. words: count statistics x conditional tables.
+
+    ``words`` words per line, each with ``n`` i.i.d. error positions at
+    rate ``q`` (per bit for bit codes, per 8-bit symbol for the RS
+    schemes); a word with ``j`` errors flags with ``p_flag[j]`` and is
+    silently bad with ``p_bad[j]`` (counts beyond the table behave like
+    the last entry, as in :func:`_mix`).  ``combine`` names the cross-word
+    rule; ``k_fail`` is the smallest count with any failure mass - the
+    natural splitting threshold and auto-tilt target.
+    """
+
+    scheme: str
+    words: int
+    n: int
+    q: float
+    p_flag: np.ndarray
+    p_bad: np.ndarray
+    combine: str
+    k_fail: int
+
+
+def _symbol_rate(ber: float) -> float:
+    """Per-8-bit-symbol error probability: 1 - (1-ber)^8."""
+    return -math.expm1(8.0 * math.log1p(-min(ber, 1.0))) if ber > 0 else 0.0
+
+
+def _k_fail(p_flag: np.ndarray, p_bad: np.ndarray) -> int:
+    mass = np.asarray(p_flag) + np.asarray(p_bad)
+    nonzero = np.nonzero(mass > 0)[0]
+    return int(nonzero[0]) if nonzero.size else len(mass) - 1
+
+
+class ReliabilityModel:
+    """One scheme's line read: P(SDC) and P(DUE) as a function of weak-cell BER.
+
+    The line is ``words`` i.i.d. words of ``n`` error positions each, at the
+    BER per bit or, with ``symbols``, at the 8-bit symbol rate; a word with
+    ``j`` errors flags with ``p_flag[j]`` and is silently bad with
+    ``p_bad[j]``.  Under ``COMBINE_FLAG_DUE`` any flagged word is a DUE and
+    any silently bad word an SDC; a one-word line reads its word's
+    probabilities directly.  :meth:`law` hands the same line to the
+    rare-event engines.
+    """
+
+    combine = COMBINE_FLAG_DUE
+
+    def __init__(
+        self,
+        scheme: EccScheme,
+        words: int,
+        n: int,
+        p_flag: np.ndarray,
+        p_bad: np.ndarray,
+        symbols: bool = False,
+    ):
         self.scheme = scheme
-        self.samples = samples
-        self.seed = seed
+        self.words = words
+        self.n = n
+        self.p_flag = p_flag
+        self.p_bad = p_bad
+        self.symbols = symbols
+        self.k_fail = _k_fail(p_flag, p_bad)
 
-    @abc.abstractmethod
+    def rate(self, ber: float) -> float:
+        """Per-position error rate of a word: the BER, or the symbol rate."""
+        return _symbol_rate(ber) if self.symbols else ber
+
     def line_probs(self, ber: float) -> dict[str, float]:
         """Return ``{"sdc": ..., "due": ...}`` for one line read."""
+        flag, bad = _mix(self.n, self.rate(ber), self.p_flag, self.p_bad)
+        if self.words == 1:
+            return {"sdc": bad, "due": flag}
+        return {"sdc": at_least_one(bad, self.words), "due": at_least_one(flag, self.words)}
+
+    def law(self, ber: float) -> LineLaw:
+        """The count-level line law the rare-event engines sample at ``ber``."""
+        return LineLaw(
+            scheme=self.scheme.name, words=self.words, n=self.n, q=self.rate(ber),
+            p_flag=self.p_flag, p_bad=self.p_bad, combine=self.combine,
+            k_fail=self.k_fail,
+        )
 
     def sweep(self, bers: np.ndarray) -> dict[str, np.ndarray]:
         probs = [self.line_probs(p) for p in bers]
@@ -108,57 +189,44 @@ def _rs_rows(
     return flag, bad
 
 
-def _mix(n: int, p: float, conditional: np.ndarray) -> float:
-    """E[conditional(J)] for J ~ Binomial(n, p), truncated at table length."""
-    j = np.arange(len(conditional))
+def _mix(n: int, p: float, *rows: np.ndarray) -> list[float]:
+    """E[row(J)] per row for J ~ Binomial(n, p), truncated at table length.
+
+    The rows share one length, so the binomial weights and tail are
+    computed once for all of them.
+    """
+    j = np.arange(len(rows[0]))
     weights = binom_pmf(n, j, p)
-    value = float((weights * conditional).sum())
     # Everything past the table is assumed to behave like the last entry.
     # The tail mass is summed exactly; computing it as 1 - sum(weights)
     # would leave ~1e-16 of float cancellation noise, swamping the tiny
     # probabilities this model exists to resolve.
-    tail = binom_tail(n, len(conditional), p)
-    if tail > 0:
-        value += tail * float(conditional[-1])
-    return value
+    tail = binom_tail(n, len(rows[0]), p)
+    values = []
+    for row in rows:
+        value = float((weights * row).sum())
+        if tail > 0:
+            value += tail * float(row[-1])
+        values.append(value)
+    return values
 
 
 class NoEccModel(ReliabilityModel):
-    def line_probs(self, ber: float) -> dict[str, float]:
-        bits = self.scheme.rank.access_data_bits
-        return {"sdc": at_least_one(ber, bits), "due": 0.0}
-
-
-class ConventionalIeccModel(ReliabilityModel):
-    """Per-chip SEC word, silent on detection, no rank signalling."""
-
-    def __init__(self, scheme: ConventionalIecc, samples: int = 2000, seed: int = 0):
-        super().__init__(scheme, samples, seed)
-        self.table = measure_bit_code(
-            scheme.code, j_max=12, samples=samples, seed=seed, silent_on_detect=True
-        )
+    """The whole access is one word, and any flipped bit is an SDC."""
 
     def line_probs(self, ber: float) -> dict[str, float]:
-        word_bad = _mix(self.scheme.code.n, ber, self.table.p_bad)
-        chips = self.scheme.rank.data_chips
-        return {"sdc": at_least_one(word_bad, chips), "due": 0.0}
+        return {"sdc": at_least_one(ber, self.n), "due": 0.0}
 
 
 class XedModel(ReliabilityModel):
     """Exact enumeration over per-chip word outcomes {flag, bad, good}."""
 
-    def __init__(self, scheme: Xed, samples: int = 2000, seed: int = 0):
-        super().__init__(scheme, samples, seed)
-        self.table = measure_bit_code(
-            scheme.code, j_max=12, samples=samples, seed=seed
-        )
+    combine = COMBINE_XED
 
     def line_probs(self, ber: float) -> dict[str, float]:
-        n = self.scheme.code.n
-        p_flag = _mix(n, ber, self.table.p_flag)
-        p_bad = _mix(n, ber, self.table.p_bad)
+        p_flag, p_bad = _mix(self.n, ber, self.p_flag, self.p_bad)
         p_good = max(0.0, 1.0 - p_flag - p_bad)
-        states, sdc_mask, due_mask = _xed_word_states(self.scheme.rank.data_chips)
+        states, sdc_mask, due_mask = _xed_word_states(self.words - 1)
         # Each state's probability is the product of its words' in position
         # order, and the running sums add states in enumeration order:
         # float for float the scalar loop over ``itertools.product``.
@@ -180,10 +248,11 @@ def _xed_word_states(data_chips: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     A state gives each of the ``data_chips + 1`` words (the parity chip
     last) an outcome 0 = flagged, 1 = silently bad, 2 = good; the rows run
-    in ``itertools.product`` order.  Two or more flags are a DUE.  One
-    flagged data word is rebuilt from every other word, so any bad word
-    poisons it (SDC); a flagged parity word leaves the data as decoded.
-    With no flag, a bad data word is an SDC.
+    in ``itertools.product`` order, so a state's row is its outcomes read
+    as a base-3 number, first word most significant.  Two or more flags
+    are a DUE.  One flagged data word is rebuilt from every other word, so
+    any bad word poisons it (SDC); a flagged parity word leaves the data as
+    decoded.  With no flag, a bad data word is an SDC.
     """
     words = data_chips + 1
     states = np.array(list(itertools.product((0, 1, 2), repeat=words)), dtype=np.intp)
@@ -199,78 +268,21 @@ def _xed_word_states(data_chips: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return states, sdc, due
 
 
-class DuoModel(ReliabilityModel):
-    """One long RS word per line; symbol errors binomial in symbol count."""
+def _rs_model(scheme: Duo | PairScheme, words: int, window_factor: float = 1.0
+              ) -> ReliabilityModel:
+    """An RS scheme's line: rows from the distance bound and :func:`rs_floor`.
 
-    def __init__(self, scheme: Duo, samples: int = 1500, seed: int = 0):
-        super().__init__(scheme, samples, seed)
-        code = scheme.code
-        # A miscorrected word is a different codeword: >= d_min symbols
-        # differ, virtually certain to touch the 64 data symbols.  The rows
-        # run to t + 8 although every row past t is the same: ``_mix`` sums
-        # the table and then the binomial tail, and a shorter table would
-        # round differently and move every golden.
-        self._flag, self._bad = _rs_rows(code.t + 8, code.t, rs_floor(code))
-
-    def line_probs(self, ber: float) -> dict[str, float]:
-        q_sym = -math.expm1(8 * math.log1p(-ber))  # 1 - (1-p)^8
-        n = self.scheme.code.n
-        return {
-            "sdc": _mix(n, q_sym, self._bad),
-            "due": _mix(n, q_sym, self._flag),
-        }
-
-
-class PairModel(ReliabilityModel):
-    """Independent per-pin codewords; SDC restricted to the accessed window."""
-
-    def __init__(self, scheme: PairScheme, samples: int = 1500, seed: int = 0):
-        super().__init__(scheme, samples, seed)
-        code = scheme.code
-        # data symbols of one codeword that a single access consumes
-        # (orientation-dependent: 2 for pin-aligned, 16 for beat-aligned)
-        first_cw = scheme.layout.codewords_of_access(0)[0]
-        lo, hi = scheme.layout.data_symbol_range_of_access(first_cw, 0)
-        window = max(1, hi - lo)
-        # a miscorrection moves >= d_min symbols; the chance that one of
-        # them lands in the accessed window is what the read sees
-        window_factor = -math.expm1(code.d_min * math.log1p(-window / code.n))
-        # t + 8 rows for the same rounding reason as DUO's
-        self._flag, self._bad = _rs_rows(
-            code.t + 8, code.t, rs_floor(code), window_factor
-        )
-
-    def line_probs(self, ber: float) -> dict[str, float]:
-        q_sym = -math.expm1(8 * math.log1p(-ber))
-        n = self.scheme.code.n
-        cw_bad = _mix(n, q_sym, self._bad)
-        cw_flag = _mix(n, q_sym, self._flag)
-        codewords = len(self.scheme.layout.codewords_of_access(0)) * self.scheme.rank.data_chips
-        return {
-            "sdc": at_least_one(cw_bad, codewords),
-            "due": at_least_one(cw_flag, codewords),
-        }
-
-
-class RankSecDedModel(ReliabilityModel):
-    def __init__(self, scheme: RankSecDed, samples: int = 2000, seed: int = 0):
-        super().__init__(scheme, samples, seed)
-        self.table = measure_bit_code(
-            scheme.code, j_max=10, samples=samples, seed=seed
-        )
-
-    def line_probs(self, ber: float) -> dict[str, float]:
-        word_flag = _mix(self.scheme.code.n, ber, self.table.p_flag)
-        word_bad = _mix(self.scheme.code.n, ber, self.table.p_bad)
-        slices = self.scheme.slices
-        return {
-            "sdc": at_least_one(word_bad, slices),
-            "due": at_least_one(word_flag, slices),
-        }
+    The rows run to ``t + 8`` although every row past ``t`` is the same:
+    ``_mix`` sums the table and then the binomial tail, and a shorter table
+    would round differently and move every golden.
+    """
+    code = scheme.code
+    rows = _rs_rows(code.t + 8, code.t, rs_floor(code), window_factor)
+    return ReliabilityModel(scheme, words, code.n, *rows, symbols=True)
 
 
 def build_model(scheme: EccScheme, samples: int = 1500, seed: int = 0) -> ReliabilityModel:
-    """Factory mapping a scheme instance to its analytic model.
+    """Factory mapping a scheme instance to its line model.
 
     ``samples`` and ``seed`` size and seed the decoder-measured conditional
     table, which only the bit-code models have: XED, IECC-SEC and rank
@@ -278,15 +290,43 @@ def build_model(scheme: EccScheme, samples: int = 1500, seed: int = 0) -> Reliab
     from :func:`rs_floor`), so their curves do not depend on them.
     """
     if isinstance(scheme, NoEcc):
-        return NoEccModel(scheme, samples, seed)
+        bits = scheme.rank.access_data_bits
+        return NoEccModel(scheme, 1, bits, np.zeros(2), np.array([0.0, 1.0]))
     if isinstance(scheme, ConventionalIecc):
-        return ConventionalIeccModel(scheme, samples, seed)
+        # a per-chip SEC word, silent on detection, no rank signalling
+        table = measure_bit_code(
+            scheme.code, j_max=12, samples=samples, seed=seed, silent_on_detect=True
+        )
+        return ReliabilityModel(
+            scheme, scheme.rank.data_chips, scheme.code.n, table.p_flag, table.p_bad
+        )
     if isinstance(scheme, Xed):
-        return XedModel(scheme, samples, seed)
+        table = measure_bit_code(scheme.code, j_max=12, samples=samples, seed=seed)
+        return XedModel(
+            scheme, scheme.rank.data_chips + 1, scheme.code.n, table.p_flag, table.p_bad
+        )
     if isinstance(scheme, Duo):
-        return DuoModel(scheme, samples, seed)
+        # one long word per line: a miscorrected word is a different
+        # codeword, >= d_min symbols away, virtually certain to touch the
+        # 64 data symbols
+        return _rs_model(scheme, 1)
     if isinstance(scheme, PairScheme):
-        return PairModel(scheme, samples, seed)
+        # independent per-pin codewords; the data symbols of one codeword
+        # that a single access consumes (orientation-dependent: 2 for
+        # pin-aligned, 16 for beat-aligned)
+        layout = scheme.layout
+        first_cw = layout.codewords_of_access(0)[0]
+        lo, hi = layout.data_symbol_range_of_access(first_cw, 0)
+        window = max(1, hi - lo)
+        # a miscorrection moves >= d_min symbols; the chance that one of
+        # them lands in the accessed window is what the read sees
+        code = scheme.code
+        window_factor = -math.expm1(code.d_min * math.log1p(-window / code.n))
+        words = len(layout.codewords_of_access(0)) * scheme.rank.data_chips
+        return _rs_model(scheme, words, window_factor)
     if isinstance(scheme, RankSecDed):
-        return RankSecDedModel(scheme, samples, seed)
+        table = measure_bit_code(scheme.code, j_max=10, samples=samples, seed=seed)
+        return ReliabilityModel(
+            scheme, scheme.slices, scheme.code.n, table.p_flag, table.p_bad
+        )
     raise TypeError(f"no analytic model for scheme {scheme.name}")

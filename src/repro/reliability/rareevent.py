@@ -60,21 +60,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from ..errors import NumericalGuard
 from ..faults.rates import FaultRates
 from ..obs import metrics as _obs
-from ..schemes.base import EccScheme
-from ..schemes.duo import Duo
-from ..schemes.iecc_sec import ConventionalIecc
-from ..schemes.no_ecc import NoEcc
-from ..schemes.pair import PairScheme
-from ..schemes.rank import RankSecDed
-from ..schemes.xed import Xed
-from .analytic import build_model
+from .analytic import (
+    COMBINE_FLAG_DUE,
+    COMBINE_XED,
+    LineLaw,
+    _symbol_rate,  # noqa: F401  (re-exported: perfbench's auto tilt reads it here)
+    _xed_word_states,
+    build_model,
+)
 from .batch import DEFAULT_CHUNK_TRIALS, _dispatch, _merge, run_iid_batched
 from .exact import ExactRunConfig
 from .outcomes import Tally
@@ -88,6 +88,9 @@ from .stats import (
     weighted_tally,
 )
 
+if TYPE_CHECKING:
+    from ..schemes.base import EccScheme
+
 #: rng stream tags (sub-seeds) for the two engines.
 _RNG_TAG_IS = 0x4A2E
 _RNG_TAG_SPLIT = 0x59117
@@ -96,10 +99,6 @@ _RNG_TAG_SPLIT = 0x59117
 #: trials are orders of magnitude cheaper than decoder trials, so chunks
 #: are much larger than the decode engine's DEFAULT_CHUNK_TRIALS.
 DEFAULT_RARE_CHUNK_TRIALS = 65_536
-
-#: per-word outcome combination rules (how word states make a line outcome).
-COMBINE_FLAG_DUE = "flag-due-bad-sdc"  # any flag -> DUE, else any bad -> SDC
-COMBINE_XED = "xed"  # cross-chip reconstruction logic (see XedModel)
 
 # Observability (DESIGN.md 6e/6i): proposal volume, how many proposals took
 # the tilted arm, how many landed in the failure region, plus run-level
@@ -113,40 +112,6 @@ _G_WEIGHT_CV2 = _obs.gauge("rareevent.weight_cv2")
 
 
 # -- the count-level line law --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LineLaw:
-    """One line read as i.i.d. words: count statistics x conditional tables.
-
-    ``words`` words per line, each with ``n`` i.i.d. error positions at
-    rate ``q`` (per bit for bit codes, per 8-bit symbol for the RS
-    schemes); a word with ``j`` errors flags with ``p_flag[j]`` and is
-    silently bad with ``p_bad[j]`` (counts beyond the table behave like
-    the last entry, as in the analytic models).  ``combine`` names the
-    cross-word rule; ``k_fail`` is the smallest count with any failure
-    mass - the natural splitting threshold and auto-tilt target.
-    """
-
-    scheme: str
-    words: int
-    n: int
-    q: float
-    p_flag: np.ndarray
-    p_bad: np.ndarray
-    combine: str
-    k_fail: int
-
-
-def _symbol_rate(ber: float) -> float:
-    """Per-8-bit-symbol error probability: 1 - (1-ber)^8."""
-    return -math.expm1(8.0 * math.log1p(-min(ber, 1.0))) if ber > 0 else 0.0
-
-
-def _k_fail(p_flag: np.ndarray, p_bad: np.ndarray) -> int:
-    mass = np.asarray(p_flag) + np.asarray(p_bad)
-    nonzero = np.nonzero(mass > 0)[0]
-    return int(nonzero[0]) if nonzero.size else len(mass) - 1
 
 
 def require_pure_ber(rates: FaultRates, context: str = "rare-event engine") -> float:
@@ -176,45 +141,16 @@ def require_pure_ber(rates: FaultRates, context: str = "rare-event engine") -> f
 def line_law(
     scheme: EccScheme, ber: float, samples: int = 400, seed: int = 0
 ) -> LineLaw:
-    """Build the count-level law for one scheme at one BER.
+    """The count-level law of one scheme at one BER: its analytic model's line.
 
-    The tables come from the same analytic models the closed forms use
-    (:func:`repro.reliability.analytic.build_model`), so the rare-event
-    estimators target exactly the quantity those models compute.  PAIR's
-    and DUO's rows follow from the distance bound, the RS miscorrection
-    floor and PAIR's access-window factor; ``samples`` and ``seed`` size
-    and seed the measured tables of the bit-code schemes only (XED,
-    conventional IECC, rank SEC-DED).
+    The law is :meth:`repro.reliability.analytic.ReliabilityModel.law`, so
+    the rare-event estimators target exactly the quantity the closed forms
+    compute.  PAIR's and DUO's rows follow from the distance bound, the RS
+    miscorrection floor and PAIR's access-window factor; ``samples`` and
+    ``seed`` size and seed the measured tables of the bit-code schemes only
+    (XED, conventional IECC, rank SEC-DED).
     """
-    if isinstance(scheme, NoEcc):
-        return LineLaw(
-            scheme=scheme.name, words=1, n=scheme.rank.access_data_bits,
-            q=ber, p_flag=np.zeros(2), p_bad=np.array([0.0, 1.0]),
-            combine=COMBINE_FLAG_DUE, k_fail=1,
-        )
-    model = build_model(scheme, samples=samples, seed=seed)
-    if isinstance(scheme, (Duo, PairScheme)):
-        words = 1 if isinstance(scheme, Duo) else (
-            len(scheme.layout.codewords_of_access(0)) * scheme.rank.data_chips
-        )
-        return LineLaw(
-            scheme=scheme.name, words=words, n=scheme.code.n,
-            q=_symbol_rate(ber), p_flag=model._flag, p_bad=model._bad,
-            combine=COMBINE_FLAG_DUE, k_fail=scheme.code.t + 1,
-        )
-    p_flag, p_bad, combine = model.table.p_flag, model.table.p_bad, COMBINE_FLAG_DUE
-    if isinstance(scheme, ConventionalIecc):
-        words, p_flag = scheme.rank.data_chips, np.zeros_like(p_bad)
-    elif isinstance(scheme, Xed):
-        words, combine = scheme.rank.data_chips + 1, COMBINE_XED
-    elif isinstance(scheme, RankSecDed):
-        words = scheme.slices
-    else:
-        raise TypeError(f"no count-level line law for scheme {scheme.name}")
-    return LineLaw(
-        scheme=scheme.name, words=words, n=scheme.code.n, q=ber, p_flag=p_flag,
-        p_bad=p_bad, combine=combine, k_fail=_k_fail(p_flag, p_bad),
-    )
+    return build_model(scheme, samples=samples, seed=seed).law(ber)
 
 
 # -- exponential tilting -------------------------------------------------------
@@ -320,7 +256,7 @@ def _chunk_outcomes(
         due = flagged.any(axis=1)
         sdc = ~due & failing.any(axis=1)
     elif law.combine == COMBINE_XED:
-        due, sdc = _xed_outcomes(law, flagged, failing & ~flagged)
+        due, sdc = _xed_outcomes(law, flagged, failing)
     else:
         raise ValueError(f"unknown combine rule {law.combine!r}")
     touched = counts.any(axis=1)
@@ -331,27 +267,19 @@ def _chunk_outcomes(
 
 
 def _xed_outcomes(
-    law: LineLaw, flagged: np.ndarray, bad: np.ndarray
+    law: LineLaw, flagged: np.ndarray, failing: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """XED's (due, sdc) line masks from per-word (flagged, bad) states.
+    """XED's (due, sdc) line masks from per-word (flagged, failing) states.
 
-    Cross-chip reconstruction (see ``XedModel``): two flags are a DUE; one
-    flagged data lane is rebuilt from the others, so any bad word poisons
-    it; a flagged parity word leaves the data as decoded.
+    A word is flagged (0), else silently bad when failing (1), else good
+    (2); a line's words read as a base-3 number index the masks of
+    :func:`repro.reliability.analytic._xed_word_states`, the cross-chip
+    reconstruction rule the closed form sums over.
     """
-    data = law.words - 1  # last word is the parity chip
-    n_flags = flagged.sum(axis=1)
-    due = n_flags >= 2
-    one = n_flags == 1
-    lane = flagged.argmax(axis=1)
-    any_bad = bad.any(axis=1)
-    any_data_bad = bad[:, :data].any(axis=1)
-    sdc = ~due & (
-        (one & (lane < data) & any_bad)
-        | (one & (lane == data) & any_data_bad)
-        | ((n_flags == 0) & any_data_bad)
-    )
-    return due, sdc
+    _, sdc, due = _xed_word_states(law.words - 1)
+    state = 2 - flagged.astype(np.intp) - failing  # a flagged word is failing
+    index = state @ 3 ** np.arange(law.words - 1, -1, -1)
+    return due[index], sdc[index]
 
 
 def rareevent_chunk_tally(
@@ -510,6 +438,8 @@ def run_rareevent_iid(
     bit-identical across ``workers`` settings: chunks own disjoint rng
     streams keyed by their first trial and merge in chunk order.
     """
+    if config.trials < 1:
+        raise ValueError("trials must be positive")
     params = params or RareEventParams()
     if params.tilt == 0.0:
         tally = run_iid_batched(

@@ -58,14 +58,6 @@ class SystemReliability:
     prob_due_year: dict[str, float]
 
     @property
-    def total_sdc(self) -> float:
-        return sum(self.sdc_per_year.values())
-
-    @property
-    def total_due(self) -> float:
-        return sum(self.due_per_year.values())
-
-    @property
     def any_sdc_probability(self) -> float:
         """P(>= 1 silent corruption within a device-year)."""
         survive = 1.0

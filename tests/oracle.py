@@ -640,8 +640,7 @@ def conditional_outcome_probs(
 def xed_line_probs(model: XedModel, ber: float) -> dict[str, float]:
     """``XedModel.line_probs`` as a loop over every per-word outcome state."""
     n = model.scheme.code.n
-    p_flag = _mix(n, ber, model.table.p_flag)
-    p_bad = _mix(n, ber, model.table.p_bad)
+    p_flag, p_bad = _mix(n, ber, model.p_flag, model.p_bad)
     p_good = max(0.0, 1.0 - p_flag - p_bad)
     data_chips = model.scheme.rank.data_chips
     words = data_chips + 1  # + parity chip

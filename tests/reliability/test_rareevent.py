@@ -171,6 +171,18 @@ class TestDegenerateTilt:
         assert due["p_ht"] == pytest.approx(reference.due / 64)
         assert due["p_sn"] == pytest.approx(reference.due / 64)
 
+    @pytest.mark.parametrize("tilt", [2.0, 0.0])
+    def test_zero_trials_refused_before_the_law(self, monkeypatch, get_scheme, tilt):
+        def no_law(*args, **kwargs):
+            raise AssertionError("the law was built")
+
+        monkeypatch.setattr(rareevent, "line_law", no_law)
+        with pytest.raises(ValueError, match="trials must be positive"):
+            run_rareevent_iid(
+                get_scheme(PairScheme), iid_rates(1e-4), ExactRunConfig(trials=0),
+                RareEventParams(tilt=tilt),
+            )
+
     def test_structured_rates_refused_for_tilted_runs(self, get_scheme):
         with pytest.raises(ValueError, match="weak-cell"):
             run_rareevent_iid(

@@ -362,6 +362,21 @@ class TestRareEvent:
         assert tally.as_dict() == direct.as_dict()
 
 
+class TestZeroSizeRuns:
+    @pytest.mark.parametrize("argv, message", [
+        (["rareevent", "--trials", "0"], "rareevent: trials must be positive"),
+        (["burst", "--trials", "0"], "burst: trials must be positive"),
+        (["reliability", "--samples", "0"], "reliability: samples must be >= 1"),
+        (["headroom", "--samples", "0"], "headroom: samples must be >= 1"),
+    ])
+    def test_exits_with_one_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        text = str(excinfo.value.code)
+        assert text.startswith(message) and "\n" not in text, text
+        assert capsys.readouterr().out == ""
+
+
 class TestBadConfigFlags:
     """A bad campaign config flag exits with one line and writes nothing."""
 
