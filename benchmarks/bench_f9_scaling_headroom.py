@@ -6,12 +6,14 @@ BER can each IECC scheme absorb while staying under a failure budget?*
 This bench solves (by bisection on the analytic models) for the maximum
 BER at which each scheme's per-64B-read failure probability stays below a
 target, and reports every scheme's headroom relative to conventional IECC.
+A scheme that fails the target even at the search floor reads ``< 1e-10``,
+and no ratio is formed from it.
 """
 
 import pytest
 
 from repro.analysis import format_table
-from repro.analysis.sweep import max_tolerable_ber
+from repro.analysis.sweep import HEADROOM_FLOOR, format_tolerable_ber, max_tolerable_ber
 from repro.reliability import build_model
 from repro.schemes import default_schemes
 
@@ -36,8 +38,9 @@ def test_f9_tolerable_ber(benchmark, headroom, report):
         for target, per_scheme in headroom.items():
             row = {"failure_target": f"{target:.0e}"}
             for name, ber in per_scheme.items():
-                row[name] = f"{ber:.2e}"
-            row["pair_vs_iecc"] = f"{per_scheme['pair'] / per_scheme['iecc-sec']:.0f}x"
+                row[name] = format_tolerable_ber(ber)
+            iecc = per_scheme["iecc-sec"]
+            row["pair_vs_iecc"] = "-" if iecc is None else f"{per_scheme['pair'] / iecc:.0f}x"
             rows.append(row)
         return rows
 
@@ -50,9 +53,13 @@ def test_f9_tolerable_ber(benchmark, headroom, report):
     for target in TARGETS:
         per_scheme = headroom[target]
         # PAIR extends the tolerable fault rate by orders of magnitude over
-        # the p^2-limited schemes - the 'enables further scaling' story
-        assert per_scheme["pair"] > 50 * per_scheme["iecc-sec"], target
-        assert per_scheme["pair"] > 50 * per_scheme["xed"], target
+        # the p^2-limited schemes - the 'enables further scaling' story; a
+        # weak scheme below the search floor is beaten by more than PAIR's
+        # margin over the floor itself
+        for weak in ("iecc-sec", "xed"):
+            ber = per_scheme[weak]
+            assert per_scheme["pair"] > 50 * (HEADROOM_FLOOR if ber is None else ber), (
+                target, weak)
         # and the strong schemes land within ~10x of each other
         ratio = per_scheme["pair"] / per_scheme["duo"]
         assert 0.1 < ratio < 10, target

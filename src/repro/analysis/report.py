@@ -27,7 +27,7 @@ from ..reliability.batch import run_burst_lengths_batched
 from ..reliability.exact import ExactRunConfig
 from ..schemes import EccScheme, default_schemes
 from ..utils.atomic_io import atomic_write_text
-from .sweep import geomean, log_space, max_tolerable_ber
+from .sweep import format_tolerable_ber, geomean, log_space, max_tolerable_ber
 
 
 @dataclass
@@ -152,7 +152,7 @@ def section_headroom(schemes: list[EccScheme], config: ReportConfig) -> str:
     for target in (1e-12, 1e-15):
         row = {"failure_target": f"{target:.0e}"}
         for name, model in models.items():
-            row[name] = f"{max_tolerable_ber(model, target):.2e}"
+            row[name] = format_tolerable_ber(max_tolerable_ber(model, target))
         rows.append(row)
     return "## Scaling headroom: max tolerable BER (F9)\n\n" + _md_table(rows)
 

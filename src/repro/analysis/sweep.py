@@ -16,12 +16,18 @@ def log_space(start: float, stop: float, points: int) -> np.ndarray:
     return np.logspace(math.log10(start), math.log10(stop), points)
 
 
+#: the lowest BER :func:`max_tolerable_ber` searches by default.
+HEADROOM_FLOOR = 1e-10
+
+
 def max_tolerable_ber(
-    model: ReliabilityModel, target: float, lo: float = 1e-10, hi: float = 1e-2
-) -> float:
+    model: ReliabilityModel, target: float, lo: float = HEADROOM_FLOOR,
+    hi: float = 1e-2,
+) -> float | None:
     """Largest BER in ``[lo, hi]`` whose per-read failure probability
     (SDC + DUE) stays at or below ``target``: a 60-step bisection in log
-    BER (figure F9's scaling headroom)."""
+    BER (figure F9's scaling headroom).  None when even ``lo`` fails the
+    target: the answer lies below the search range, not at its floor."""
 
     def fail(ber: float) -> float:
         probs = model.line_probs(ber)
@@ -30,7 +36,7 @@ def max_tolerable_ber(
     if fail(hi) <= target:
         return hi
     if fail(lo) > target:
-        return lo
+        return None
     log_lo, log_hi = math.log10(lo), math.log10(hi)
     for _ in range(60):
         mid = 10 ** ((log_lo + log_hi) / 2)
@@ -39,6 +45,12 @@ def max_tolerable_ber(
         else:
             log_hi = math.log10(mid)
     return 10 ** log_lo
+
+
+def format_tolerable_ber(ber: float | None) -> str:
+    """A :func:`max_tolerable_ber` answer for a table: None (even
+    :data:`HEADROOM_FLOOR` fails the target) reads ``< 1e-10``."""
+    return f"< {HEADROOM_FLOOR:.0e}" if ber is None else f"{ber:.2e}"
 
 
 def reliability_sweep(

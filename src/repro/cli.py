@@ -295,7 +295,7 @@ def cmd_energy(args: argparse.Namespace) -> None:
 
 def cmd_headroom(args: argparse.Namespace) -> None:
     from .analysis import format_table
-    from .analysis.sweep import max_tolerable_ber
+    from .analysis.sweep import format_tolerable_ber, max_tolerable_ber
     from .reliability import build_model
 
     schemes = [s for s in _scheme_lineup(args.schemes) if s.name != "no-ecc"]
@@ -305,7 +305,7 @@ def cmd_headroom(args: argparse.Namespace) -> None:
     for target in args.targets:
         row = {"failure_target": f"{target:.0e}"}
         for name, model in models.items():
-            row[name] = f"{max_tolerable_ber(model, target):.2e}"
+            row[name] = format_tolerable_ber(max_tolerable_ber(model, target))
         rows.append(row)
     print("maximum tolerable weak-cell BER per failure budget:")
     print(format_table(rows))

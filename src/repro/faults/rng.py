@@ -30,15 +30,23 @@ module reaches the same draws without one Generator per key:
   (:data:`POISSON_MULT_MAX`), so a fault sampler that draws no fault -
   most of them at sparse rates - needs only its first doubles
   (:func:`repro.faults.sampler.sample_fault_lists`).
+* :func:`binomials` makes ``Generator.binomial(n, p, size)`` draws from a
+  :class:`BinomialTable`.  In numpy's inversion regime a draw spends one
+  double and returns a count that is monotone in it, so the count is the
+  number of the table's thresholds at or below the double, and a whole
+  array of draws is one ``random`` call and one ``searchsorted``.  The
+  thresholds are searched with numpy's own draws from crafted states.
 
-``tests/faults/test_rng.py`` checks the first three against numpy's own
-generator, and ``tests/faults/test_sampler.py`` the screen.
+``tests/faults/test_rng.py`` checks the first three and the tables against
+numpy's own generator, and ``tests/faults/test_sampler.py`` the screen.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
+import math
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
@@ -581,3 +589,156 @@ def _lemire(bits: np.random.PCG64, ranges: np.ndarray) -> np.ndarray:
         state["uinteger"] = int(words[pending + 2 * raws - 1]) if raws else saved["uinteger"]
         bits.state = state
     return out.astype(np.int64)
+
+
+# -- binomial draws by threshold table -------------------------------------------
+
+#: ``Generator.binomial(n, p)`` runs numpy's inversion loop when ``n > 0``,
+#: ``0 < p <= 0.5`` and ``n * p <=`` this; elsewhere it mirrors ``p`` or
+#: runs BTPE, whose draws a table cannot reproduce.
+BINOMIAL_INVERSION_MAX_MEAN = 30.0
+#: the doubles ``random()`` returns are ``i * 2**-53`` for ``0 <= i < 2**53``.
+_DOUBLE_STEPS = 2**53
+#: ``_MULT``'s inverse mod 2**128, which steps PCG64's LCG back.
+_MULT_INVERSE = pow(_MULT, -1, 1 << 128)
+
+
+@dataclass(frozen=True)
+class BinomialTable:
+    """``Generator.binomial(n, p)`` as thresholds on the one double it spends.
+
+    numpy's inversion draw takes a double ``U`` and runs ``X = 0, px = q**n;
+    while U > px: X += 1; U -= px; px *= (n - X + 1) p / (X q)``, restarting from a fresh ``U`` once ``X`` passes its ``bound``.  Each
+    step is monotone in ``U``, so with ``thresholds[k - 1]`` the smallest
+    ``U`` that reaches ``X = k``, a draw is the number of ``thresholds[:-1]``
+    at or below ``U``, and ``U >= thresholds[-1]`` is a restart.  An
+    unreachable threshold is ``inf``.  ``thresholds`` is None outside the
+    inversion regime, or where this numpy's loop has another shape
+    (:func:`binomial_table`), and :func:`binomials` then calls
+    ``rng.binomial``.
+    """
+
+    n: int
+    p: float
+    thresholds: np.ndarray | None
+
+
+def binomial_table(n: int, p: float) -> BinomialTable:
+    """The :class:`BinomialTable` of ``Generator.binomial(n, p)``.
+
+    Each threshold is found with numpy's own draws, from PCG64 states made
+    to hand it a chosen double: a gallop out from the cumulative sum of the
+    probabilities, where the threshold would be in exact arithmetic
+    (usually a few doubles away), then a bisection.  The table is then
+    this numpy's, whatever arithmetic its loop runs (a loop that starts
+    from ``exp(n log(1 - p))`` gets its own thresholds); it assumes only
+    the loop's shape in :class:`BinomialTable`, and is None, numpy's own
+    path, if the first double past ``bound`` is not a restart.
+
+    A crafted state: XSL-RR returns the low word of a state whose high word
+    is 0, so the state that draws ``i * 2**-53`` steps to ``i << 11``, and
+    a draw that leaves the generator elsewhere drew again (a restart).
+    """
+    if not (n > 0 and 0.0 < p <= 0.5 and p * n <= BINOMIAL_INVERSION_MAX_MEAN):
+        return BinomialTable(n, p, None)
+    q = 1.0 - p
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    gen = scratch_generator()
+    inc = gen.bit_generator.state["state"]["inc"]
+
+    def count(i: int) -> int:
+        """numpy's draw from the double ``i * 2**-53``; ``n + 1`` for a restart."""
+        stepped = i << 11
+        gen.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": (stepped - inc) * _MULT_INVERSE & _M128, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        x = int(gen.binomial(n, p))
+        return x if gen.bit_generator.state["state"]["state"] == stepped else n + 1
+
+    def reaches(k: int, i: int) -> bool:
+        return count(i) >= k
+
+    top = _DOUBLE_STEPS - 1
+    thresholds = np.full(bound + 1, math.inf)
+    px, total = math.exp(n * math.log1p(-p)), 0.0
+    for k in range(1, bound + 2):
+        total += px
+        px = (n - k + 1) * p * px / (k * q)
+        guess = min(max(math.ceil(total * _DOUBLE_STEPS), 0), top)
+        first = _first_true(functools.partial(reaches, k), guess, top)
+        if first > top:
+            break  # so are all later ones
+        thresholds[k - 1] = first / _DOUBLE_STEPS
+    else:
+        if count(first) <= n:  # a count past bound: not the loop assumed
+            return BinomialTable(n, p, None)
+    return BinomialTable(n, p, thresholds)
+
+
+def _first_true(test: Callable[[int], bool], guess: int, top: int) -> int:
+    """The smallest ``i`` in ``[0, top]`` with ``test(i)`` (``top + 1`` if
+    none) for a ``test`` monotone in ``i``: gallop out from ``guess``, then
+    bisect.  ``lo`` stays false (or -1) and ``hi`` true (or ``top + 1``)."""
+    step = 1
+    if test(guess):
+        hi, lo = guess, guess - 1
+        while lo >= 0 and test(lo):
+            hi, step = lo, 2 * step
+            lo = hi - step
+        lo = max(lo, -1)
+    else:
+        lo, hi = guess, guess + 1
+        while hi <= top and not test(hi):
+            lo, step = hi, 2 * step
+            hi = lo + step
+        hi = min(hi, top + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if test(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def binomials(
+    rng: np.random.Generator,
+    table: BinomialTable,
+    size: int | tuple[int, ...],
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """``rng.binomial(table.n, table.p, size)``, bit for bit, and ``rng`` left
+    in the state that call leaves it in.
+
+    The doubles are drawn into ``out`` (a float array of shape ``size``; a
+    new one when None), so a caller can reuse that buffer afterwards.
+    Most draws of a small mean are 0, so only doubles at or above the first
+    threshold are searched.  At the first restart the generator is put
+    back to just after that draw's first double (its pending uint32 half
+    included) and numpy draws the rest.
+    """
+    thresholds = table.thresholds
+    if thresholds is None:
+        return rng.binomial(table.n, table.p, size)
+    bits = rng.bit_generator
+    saved = bits.state
+    u = rng.random(size) if out is None else rng.random(out=out)
+    flat = u.reshape(-1)
+    counts = np.zeros(flat.shape, dtype=np.int64)
+    hit = np.flatnonzero(flat >= thresholds[0])
+    values = flat[hit]
+    restart = values >= thresholds[-1]
+    if restart.any():
+        cut = int(restart.argmax())
+        hit, values, at = hit[:cut], values[:cut], int(hit[cut])
+        bits.state = saved
+        bits.advance(at + 1)  # advance clears the pending uint32
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = saved["has_uint32"], saved["uinteger"]
+        bits.state = state
+        counts[at:] = rng.binomial(table.n, table.p, len(flat) - at)
+    counts[hit] = np.searchsorted(thresholds[:-1], values, side="right")
+    return counts.reshape(u.shape)

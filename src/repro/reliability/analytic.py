@@ -75,7 +75,7 @@ class LineLaw:
 
 def _symbol_rate(ber: float) -> float:
     """Per-8-bit-symbol error probability: 1 - (1-ber)^8."""
-    return -math.expm1(8.0 * math.log1p(-min(ber, 1.0))) if ber > 0 else 0.0
+    return at_least_one(ber, 8)
 
 
 def _k_fail(p_flag: np.ndarray, p_bad: np.ndarray) -> int:

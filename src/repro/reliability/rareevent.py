@@ -26,7 +26,9 @@ log-likelihood ratio and the flag and flag-or-bad thresholds - depend on
 the word's error count alone, so each is computed once per count and
 gathered by count (:func:`_chunk_outcomes`), bit-identical to evaluating it
 at every cell; the per-cell version is the parity oracle in
-``tests/oracle.py``.
+``tests/oracle.py``.  The counts themselves are drawn from the run's
+inversion tables (:func:`repro.faults.rng.binomials`), equal to
+``Generator.binomial``'s draws.
 
 ``tilt=0`` is special-cased to the exact decoder-in-the-loop engine
 (:func:`repro.reliability.batch.run_iid_batched`): the counts are
@@ -41,8 +43,9 @@ per-word error count ``S``; each level ``P(S >= l+1 | S >= l)`` is
 estimated from *exact* conditional samples (no Markov-chain approximation:
 conditioning on ``S >= l`` factorizes through the first word reaching
 ``l``, which gives a truncated-geometric word index and truncated-binomial
-per-word counts, all invertible by CDF lookup).  The final level is
-Rao-Blackwellized: outcome probabilities given the sampled counts are
+per-word counts, all invertible by CDF lookup); a level below the last
+needs only its survivor count, which is read off its draws.  The final
+level is Rao-Blackwellized: outcome probabilities given the sampled counts are
 computed exactly from the conditional tables (again one value per count,
 gathered), so even a miscorrection branch far below 1/effort contributes
 without sampling noise.
@@ -66,6 +69,7 @@ import numpy as np
 
 from ..errors import NumericalGuard
 from ..faults.rates import FaultRates
+from ..faults.rng import BinomialTable, binomial_table, binomials
 from ..obs import metrics as _obs
 from .analytic import (
     COMBINE_FLAG_DUE,
@@ -211,6 +215,7 @@ def _chunk_outcomes(
     counts: np.ndarray,
     q_tilt: float,
     defensive: float,
+    cell: np.ndarray,
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Per-trial log-likelihood ratio and line outcome masks of one chunk.
 
@@ -227,16 +232,20 @@ def _chunk_outcomes(
     Every per-word quantity depends on the word's count alone, so it is
     computed once per count - ``ell`` over ``0..n`` (a binomial count never
     exceeds ``n``), the flag and fail thresholds over the table's rows - and
-    gathered into one reused cell buffer.  Each entry is the float the
-    per-cell formula gives for that count, so results match it bit for bit.
+    gathered into ``cell``, a float buffer shaped like ``counts`` that the
+    chunk's count draws already used.  Each entry is the float the per-cell
+    formula gives for that count, so results match it bit for bit.  Maxima
+    and ``any`` over a line's words fold column by column, which gives the
+    same answer in any order; the sum over words stays a row sum, whose
+    order is part of its bits.
     """
     a = math.log(q_tilt) - math.log(law.q)
     b = math.log1p(-q_tilt) - math.log1p(-law.q)
     j = np.arange(law.n + 1)
     ell_of = j * a + (law.n - j) * b
 
-    cell = _per_count(ell_of, counts)  # ell, (trials, words)
-    peak = cell.max(axis=1)  # not ell at the largest count: a tilt < 0 flips it
+    _per_count(ell_of, counts, out=cell)  # ell, (trials, words)
+    peak = _fold(np.maximum, cell)  # not ell at the largest count: a tilt < 0 flips it
     cell -= peak[:, None]
     np.exp(cell, out=cell)
     log_mix = peak + np.log(cell.sum(axis=1)) - math.log(law.words)
@@ -253,17 +262,30 @@ def _chunk_outcomes(
     if law.combine == COMBINE_FLAG_DUE:
         # a line with no flag has no flagged word, so its bad words are
         # exactly its failing ones
-        due = flagged.any(axis=1)
-        sdc = ~due & failing.any(axis=1)
+        due = _fold(np.logical_or, flagged)
+        sdc = ~due & _fold(np.logical_or, failing)
     elif law.combine == COMBINE_XED:
         due, sdc = _xed_outcomes(law, flagged, failing)
     else:
         raise ValueError(f"unknown combine rule {law.combine!r}")
-    touched = counts.any(axis=1)
+    touched = _fold(np.logical_or, counts)
     clean = ~due & ~sdc
     return -log_ratio, {
         "ok": ~touched & clean, "ce": touched & clean, "due": due, "sdc": sdc,
     }
+
+
+def _fold(op: np.ufunc, cells: np.ndarray) -> np.ndarray:
+    """``op.reduce(cells, axis=1)`` as a fold over the columns.
+
+    Only for an ``op`` whose result does not depend on the order it runs
+    in (``maximum``, ``logical_or``): numpy reduces a short row axis one
+    row at a time, and a column fold runs a few long vector passes instead.
+    """
+    out = op(cells[:, 0], cells[:, 0])
+    for col in range(1, cells.shape[1]):
+        op(out, cells[:, col], out=out)
+    return out
 
 
 def _xed_outcomes(
@@ -282,6 +304,11 @@ def _xed_outcomes(
     return due[index], sdc[index]
 
 
+def count_tables(law: LineLaw, q_tilt: float) -> tuple[BinomialTable, BinomialTable]:
+    """The nominal and tilted word-count draw tables of one tilted run."""
+    return binomial_table(law.n, law.q), binomial_table(law.n, q_tilt)
+
+
 def rareevent_chunk_tally(
     scheme: EccScheme,
     rates: FaultRates,
@@ -292,17 +319,20 @@ def rareevent_chunk_tally(
 
     ``payload`` is one of :func:`rareevent_chunks`' picklable dicts -
     ``start`` (first trial index, which keys the chunk's private rng
-    stream), ``trials``, ``tilt``, ``defensive`` and the run's ``law`` - so
-    the chunk builds no law and is a pure function of its payload and
-    ``config.seed`` (REPRO201/211: no generators or closures cross the
-    process boundary); ``scheme`` and ``rates`` keep the campaign's chunk
-    signature and are not read.  A retry re-runs the same function.
+    stream), ``trials``, ``tilt``, ``defensive``, the run's ``law`` and its
+    :func:`count_tables` (``tables``) - so the chunk builds no law and no
+    table and is a pure function of its payload and ``config.seed``
+    (REPRO201/211: no generators or closures cross the process boundary);
+    ``scheme`` and ``rates`` keep the campaign's chunk signature and are not
+    read.  A retry re-runs the same function.  Word counts are drawn by table
+    (:func:`repro.faults.rng.binomials`), equal to ``rng.binomial``'s.
     """
     law: LineLaw = payload["law"]
     tilt = float(payload["tilt"])
     defensive = float(payload["defensive"])
     trials = int(payload["trials"])
     q_tilt = tilted_rate(law.q, tilt)
+    nominal, proposal = payload["tables"]
     rng = np.random.default_rng([config.seed, _RNG_TAG_IS, int(payload["start"])])
 
     # Every stream draw happens unconditionally and in a fixed order, so
@@ -310,12 +340,13 @@ def rareevent_chunk_tally(
     # select, never skip, draws.
     arm = rng.random(trials)
     word = rng.integers(law.words, size=trials)
-    counts = rng.binomial(law.n, law.q, size=(trials, law.words))
-    tilted = rng.binomial(law.n, q_tilt, size=trials)
+    cell = np.empty((trials, law.words))
+    counts = binomials(rng, nominal, cell.shape, out=cell)
+    tilted = binomials(rng, proposal, trials)
     take_tilt = arm >= defensive
     counts[take_tilt, word[take_tilt]] = tilted[take_tilt]
 
-    log_w, masks = _chunk_outcomes(rng, law, counts, q_tilt, defensive)
+    log_w, masks = _chunk_outcomes(rng, law, counts, q_tilt, defensive, cell)
 
     weighted = weighted_tally(
         {name: int(mask.sum()) for name, mask in masks.items()},
@@ -382,14 +413,17 @@ def rareevent_chunks(
     """The :func:`rareevent_chunk_tally` payloads of one tilted run.
 
     The one chunker of the direct run and the campaign planner: it builds
-    the line law once, resolves the tilt against it, and hands both to
-    every chunk of ``chunk_trials`` trials.
+    the line law once, resolves the tilt against it, builds the law's
+    nominal and tilted count tables, and hands all of them to every chunk
+    of ``chunk_trials`` trials.
     """
     ber = require_pure_ber(rates)
     law = line_law(scheme, ber, params.samples, params.table_seed)
     tilt = resolve_tilt(params.tilt, law)
+    tables = count_tables(law, tilted_rate(law.q, tilt))
     return [{"start": start, "trials": min(chunk_trials, config.trials - start),
-             "tilt": tilt, "defensive": params.defensive, "law": law}
+             "tilt": tilt, "defensive": params.defensive, "law": law,
+             "tables": tables}
             for start in range(0, config.trials, chunk_trials)]
 
 
@@ -497,29 +531,25 @@ def _count_law(law: LineLaw) -> tuple[np.ndarray, np.ndarray]:
     return logpmf, np.cumsum(np.exp(logpmf))
 
 
-def _conditional_counts_given_max(
+def _level_draws(
     rng: np.random.Generator,
     law: LineLaw,
     level: int,
     trials: int,
     logpmf: np.ndarray,
     cdf: np.ndarray,
-) -> np.ndarray:
-    """Exact samples of per-word counts conditioned on ``max_i J_i >= level``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One splitting level's draws: ``(first, u, below_cdf, tail_cdf)``.
 
-    Factorization through the first word reaching the level: let ``F`` be
-    the smallest index with ``J_F >= level``.  Given the event, ``F`` is
-    truncated-geometric in ``P(J < level)``; words before ``F`` are
-    truncated *below* the level, word ``F`` truncated *at or above* it, and
-    later words unconditioned.  Each piece inverts by CDF lookup, so the
-    sample is exact (no burn-in, no correlation between trials).
-
-    Every cell draws one uniform, but each cell inverts only its own class's
-    CDF.  ``searchsorted`` (``side="left"``) returns 0 exactly where
-    ``u <= cdf[0]``, and ``below_cdf[0] >= cdf[0]``, so a below or free
-    cell under ``cdf[0]`` is 0 without a search; at a low rate that is most
-    of them (about 81% of PAIR's free words at q = 8e-4).
-    ``(logpmf, cdf)`` is :func:`_count_law`.
+    Conditioning on ``max_i J_i >= level`` factorizes through the first
+    word reaching the level: let ``F`` be the smallest index with ``J_F >=
+    level``.  Given the event, ``F`` is truncated-geometric in ``P(J <
+    level)``; words before ``F`` are truncated *below* the level, word
+    ``F`` truncated *at or above* it, and later words unconditioned.  This
+    draws ``F`` per trial (``first``), then one uniform per cell (``u``,
+    ``(trials, words)``), and builds the normalized CDFs of the below and
+    tail classes; the free class inverts ``cdf`` itself.  ``(logpmf,
+    cdf)`` is :func:`_count_law`.
     """
     n, q, m = law.n, law.q, law.words
     tail_mass = binom_tail(n, level, q)  # P(J >= level), exact log-gamma sum
@@ -535,13 +565,34 @@ def _conditional_counts_given_max(
     f_cdf = np.cumsum(f_pmf / at_least_one(tail_mass, m))
     first = np.minimum(np.searchsorted(f_cdf, rng.random(trials)), m - 1)
 
-    # normalized inverse CDFs for the three word classes; the tail one is
-    # renormalized in log space so levels far beyond the mean stay exact.
+    # normalized inverse CDFs for the below and tail classes; the tail one
+    # is renormalized in log space so levels far beyond the mean stay exact.
     below_cdf = cdf[:level] / max(below_mass, np.finfo(float).tiny)
     tail_log = logpmf[level:]
     tail_cdf = np.cumsum(np.exp(tail_log - logsumexp(tail_log)))
+    return first, rng.random((trials, m)), below_cdf, tail_cdf
 
-    u = rng.random((trials, m))
+
+def _conditional_counts_given_max(
+    rng: np.random.Generator,
+    law: LineLaw,
+    level: int,
+    trials: int,
+    logpmf: np.ndarray,
+    cdf: np.ndarray,
+) -> np.ndarray:
+    """Exact samples of per-word counts conditioned on ``max_i J_i >= level``.
+
+    Each piece of :func:`_level_draws`' factorization inverts by CDF
+    lookup, so the sample is exact (no burn-in, no correlation between
+    trials).  Every cell draws one uniform, but each cell inverts only its
+    own class's CDF.  ``searchsorted`` (``side="left"``) returns 0 exactly
+    where ``u <= cdf[0]``, and ``below_cdf[0] >= cdf[0]``, so a below or
+    free cell under ``cdf[0]`` is 0 without a search; at a low rate that is
+    most of them (about 81% of PAIR's free words at q = 8e-4).
+    """
+    n, m = law.n, law.words
+    first, u, below_cdf, tail_cdf = _level_draws(rng, law, level, trials, logpmf, cdf)
     counts = np.zeros(trials * m, dtype=np.intp)
     cells = np.flatnonzero(u > cdf[0])  # flat indices of the cells searched
     cell_u = u.ravel()[cells]
@@ -559,6 +610,33 @@ def _conditional_counts_given_max(
         np.searchsorted(tail_cdf, u[rows, first]), n - level
     )
     return counts
+
+
+def _level_survivors(
+    rng: np.random.Generator,
+    law: LineLaw,
+    level: int,
+    trials: int,
+    logpmf: np.ndarray,
+    cdf: np.ndarray,
+) -> int:
+    """``(counts.max(axis=1) >= level + 1).sum()`` of the counts
+    :func:`_conditional_counts_given_max` makes from the same draws,
+    counted from the draws without building the counts.
+
+    Words before ``F`` stay below the level.  Word ``F`` reaches ``level +
+    1`` when its ``u > tail_cdf[0]``, a later word when its ``u >
+    cdf[level]``: the inequalities ``searchsorted`` (``side="left"``)
+    evaluates.  Neither can pass ``n``, the clips' bound.  The free test is
+    run on the few cells past ``cdf[level]`` only.
+    """
+    first, u, _, tail_cdf = _level_draws(rng, law, level, trials, logpmf, cdf)
+    if level >= law.n:
+        return 0
+    up = u[np.arange(trials), first] > tail_cdf[0]
+    rows, cols = np.divmod(np.flatnonzero(u > cdf[level]), law.words)
+    up[rows[cols > first[rows]]] = True
+    return int(up.sum())
 
 
 def _conditional_outcome_probs(
@@ -678,6 +756,9 @@ def run_splitting_iid(
     final level converts counts to outcome probabilities analytically.
     ``k`` defaults to the scheme's failure radius, where the closed-form
     ladder check ``1 - (1 - binom_tail(n, k, q))^words`` is available.
+    A level below ``k`` needs only its survivor count, which
+    :func:`_level_survivors` reads off the level's draws; only level ``k``
+    builds its counts, for the Rao-Blackwell step.
     """
     ber = require_pure_ber(rates, context="splitting engine")
     law = line_law(scheme, ber, samples=samples, seed=table_seed)
@@ -698,8 +779,7 @@ def run_splitting_iid(
     rel_var = 0.0
     for level in range(1, k):
         rng = np.random.default_rng([seed, _RNG_TAG_SPLIT, level])
-        counts = _conditional_counts_given_max(rng, law, level, effort, *count_law)
-        survivors = int((counts.max(axis=1) >= level + 1).sum())
+        survivors = _level_survivors(rng, law, level, effort, *count_law)
         if _obs.enabled():
             _C_SPLIT_LEVELS.add(1)
         if survivors == 0:

@@ -104,10 +104,15 @@ def wilson_interval_weighted(
 
 
 def at_least_one(p_single: float, count: int) -> float:
-    """P(at least one of ``count`` independent events), numerically careful."""
+    """P(at least one of ``count`` independent events), numerically careful.
+
+    A certain event (``p_single >= 1``) happens once there is one.
+    """
     if p_single <= 0:
         return 0.0
-    return -math.expm1(count * math.log1p(-min(p_single, 1.0)))
+    if p_single >= 1.0:
+        return 1.0 if count >= 1 else 0.0
+    return -math.expm1(count * math.log1p(-p_single))
 
 
 # -- weighted (importance-sampled) tallies ------------------------------------

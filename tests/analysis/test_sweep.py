@@ -3,7 +3,8 @@
 import numpy as np
 
 from repro.analysis import apply_grid, reliability_sweep
-from repro.analysis.sweep import log_space
+from repro.analysis.sweep import format_tolerable_ber, log_space, max_tolerable_ber
+from repro.reliability import build_model
 from repro.schemes import Duo, NoEcc, PairScheme, Xed
 
 
@@ -55,3 +56,19 @@ class TestHeadlineFigures:
         ratio = out["pair"]["fail"] / out["duo"]["fail"]
         assert ratio[0] < 1.0 < ratio[-1], ratio
         assert np.all(np.diff(ratio) > 0), ratio
+
+
+class TestMaxTolerableBer:
+    def test_below_the_floor_is_none(self):
+        model = build_model(Xed(), samples=100, seed=0)
+        assert max_tolerable_ber(model, 1e-18) is None
+        assert max_tolerable_ber(model, 0.0) is None
+        assert format_tolerable_ber(None) == "< 1e-10"
+
+    def test_answer_meets_the_target(self):
+        model = build_model(PairScheme(), samples=100, seed=0)
+        ber = max_tolerable_ber(model, 1e-15)
+        probs = model.line_probs(ber)
+        assert 1e-10 < ber < 1e-2
+        assert probs["sdc"] + probs["due"] <= 1e-15
+        assert format_tolerable_ber(ber) == f"{ber:.2e}"

@@ -240,20 +240,35 @@ class TestOneStatement:
         monkeypatch.setattr(rareevent, "line_law", counting)
         return calls
 
-    def test_run_builds_the_law_once(self, pair_scheme, law_calls):
+    @pytest.fixture
+    def table_calls(self, monkeypatch):
+        calls = []
+        real = rareevent.count_tables
+
+        def counting(law, q_tilt):
+            calls.append(law.scheme)
+            return real(law, q_tilt)
+
+        monkeypatch.setattr(rareevent, "count_tables", counting)
+        return calls
+
+    def test_run_builds_the_law_once(self, pair_scheme, law_calls, table_calls):
         result = run_rareevent_iid(
             pair_scheme, RATES, ExactRunConfig(trials=16 * 512, seed=SEED),
             RareEventParams(tilt=TILT, samples=SAMPLES), chunk_trials=512,
         )
         assert result.tally.extra["weighted"]["n"] == 16 * 512
         assert law_calls == ["pair"]
+        assert table_calls == ["pair"]  # and no chunk built its own
 
-    def test_plan_builds_the_law_once(self, law_calls):
+    def test_plan_builds_the_law_once(self, law_calls, table_calls):
         plan = config().build_plan()
         assert len(plan.chunks) == TRIALS // CHUNK
         assert law_calls == ["pair"]
-        assert {id(spec.payload["law"]) for spec in plan.chunks} == \
-            {id(plan.chunks[0].payload["law"])}
+        assert table_calls == ["pair"]
+        for key in ("law", "tables"):
+            assert {id(spec.payload[key]) for spec in plan.chunks} == \
+                {id(plan.chunks[0].payload[key])}
 
     def test_plan_payloads_are_the_run_payloads(self, pair_scheme):
         plan = config().build_plan()
@@ -266,9 +281,10 @@ class TestOneStatement:
             [p["start"] for p in payloads]
         for spec, payload in zip(plan.chunks, payloads):
             assert spec.payload.keys() == payload.keys() == \
-                {"start", "trials", "tilt", "defensive", "law"}
+                {"start", "trials", "tilt", "defensive", "law", "tables"}
             assert spec.trials == payload["trials"]
-            assert pickle.dumps(spec.payload["law"]) == pickle.dumps(payload["law"])
+            for key in ("law", "tables"):
+                assert pickle.dumps(spec.payload[key]) == pickle.dumps(payload[key])
 
     def test_zero_tilt_plans_iid_chunks(self):
         assert config(tilt=0.0).build_plan().kind == "iid"

@@ -1,5 +1,7 @@
 """Batch-seeded PCG64 substreams against numpy's own generator."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,3 +246,170 @@ class TestTrialWords:
         with pytest.raises(ValueError):
             rng.trial_words(gen, n, j, 3)
         assert gen.bit_generator.state == before
+
+
+# -- binomial draws by threshold table ---------------------------------------------
+
+
+#: the two ways numpy's inversion loop has written its start ``px = q**n``
+INVERSION_STARTS = {
+    "log1p": lambda n, p: math.exp(n * math.log1p(-p)),
+    "log": lambda n, p: math.exp(n * math.log(1.0 - p)),
+}
+
+
+def inversion_draw(n, p, u, start="log1p"):
+    """numpy's inversion loop for one draw from the double ``u``, written out
+    in Python floats from one of :data:`INVERSION_STARTS`; ``None`` where it
+    would restart from a fresh double."""
+    q = 1.0 - p
+    px = INVERSION_STARTS[start](n, p)
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    x = 0
+    while u > px:
+        x += 1
+        if x > bound:
+            return None
+        u -= px
+        px = ((n - x + 1) * p * px) / (x * q)
+    return x
+
+
+def state_drawing(u, ahead=0, has_uint32=0, uinteger=0):
+    """A PCG64 state whose ``ahead + 1``-th double is ``u`` (on the 2**-53 grid).
+
+    An output's high word of 0 makes XSL-RR return the low word, so the
+    stepped state is ``u * 2**64`` and the LCG is stepped back from it.
+    """
+    inc = np.random.default_rng(11).bit_generator.state["state"]["inc"]
+    inverse = pow(rng._MULT, -1, 2**128)
+    state = int(u * 2**53) << 11
+    for _ in range(ahead + 1):
+        state = (state - inc) * inverse % 2**128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": has_uint32, "uinteger": uinteger}
+
+
+def generator_draw(n, p, u):
+    """``Generator.binomial(n, p)`` from the double ``u``; ``None`` where it
+    restarts (takes more than one double)."""
+    gen = rng.scratch_generator()
+    gen.bit_generator.state = state_drawing(u)
+    x = int(gen.binomial(n, p))
+    after = rng.scratch_generator()
+    after.bit_generator.state = state_drawing(u)
+    after.random()
+    return x if gen.bit_generator.state == after.bit_generator.state else None
+
+
+def rare_event_rates():
+    """Every (n, q) and (n, q_tilt) the four rare-event schemes draw at."""
+    from repro.reliability import rareevent
+    from repro.schemes import ConventionalIecc, Duo, PairScheme, Xed
+
+    out = set()
+    for scheme in (PairScheme(), Duo(), Xed(), ConventionalIecc()):
+        for ber in (1e-5, 1e-4, 1e-3):
+            law = rareevent.line_law(scheme, ber, samples=16)
+            q_tilt = rareevent.tilted_rate(law.q, rareevent.auto_tilt(law))
+            out |= {(law.n, law.q), (law.n, q_tilt)}
+    return sorted(out)
+
+
+#: tiny p, n*p at (and just past) 30, p = 0.5, n = 1, and the regimes numpy
+#: leaves to BTPE or to the mirrored p (no table), and the no-draw cases
+TABLE_GRID = [
+    (256, 1e-12), (136, 1e-7), (1, 1e-9), (1, 0.5), (2, 0.5), (60, 0.5),
+    (3000, 0.01), (300, 0.1), (100, 0.3), (301, 0.1), (76, 0.6), (500, 0.2),
+    (0, 0.1), (10, 0.0),
+]
+RATES = TABLE_GRID + rare_event_rates()
+
+
+def assert_table_draws(gen_state, n, p, size, out=None):
+    want_gen, got_gen = rng.scratch_generator(), rng.scratch_generator()
+    want_gen.bit_generator.state = gen_state
+    got_gen.bit_generator.state = gen_state
+    want = want_gen.binomial(n, p, size)
+    got = rng.binomials(got_gen, rng.binomial_table(n, p), size, out=out)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    assert got_gen.bit_generator.state == want_gen.bit_generator.state
+
+
+class TestBinomialTables:
+    @pytest.mark.parametrize("n, p", RATES)
+    def test_equals_generator_binomial(self, n, p):
+        for seed in (0, 3, 1009):
+            gen = np.random.default_rng(seed)
+            gen.integers(0, 7)  # start on a pending uint32 half
+            state = gen.bit_generator.state
+            for size in (1, 4097, (512, 32), 0):
+                assert_table_draws(state, n, p, size)
+
+    def test_draws_into_the_buffer_given(self):
+        state = np.random.default_rng(5).bit_generator.state
+        buffer = np.empty((64, 32))
+        assert_table_draws(state, 256, 8e-4, buffer.shape, out=buffer)
+        want = np.random.default_rng(5).random(buffer.shape)
+        np.testing.assert_array_equal(buffer, want)
+
+    def test_regime(self):
+        assert rng.binomial_table(60, 0.5).thresholds is not None
+        assert rng.binomial_table(300, 0.1).thresholds is not None  # n * p == 30.0
+        for n, p in [(301, 0.1), (76, 0.6), (0, 0.1), (10, 0.0)]:
+            assert rng.binomial_table(n, p).thresholds is None, (n, p)
+
+    @pytest.mark.parametrize("n, p", [
+        (n, p) for n, p in RATES if rng.binomial_table(n, p).thresholds is not None
+    ])
+    def test_thresholds_are_the_first_doubles_of_each_count(self, n, p):
+        # X(m_k - 1 step) < k <= X(m_k), a restart counting as bound + 1, by
+        # numpy itself at crafted doubles, and by the scalar loop from the
+        # start this numpy writes: random draws almost never land within a
+        # step of a threshold
+        thresholds = rng.binomial_table(n, p).thresholds
+        restart = len(thresholds)
+        step = 2.0**-53
+
+        def first_doubles(draw):
+            def count(u):
+                x = draw(n, p, u)
+                return restart if x is None else x
+
+            return all(
+                count(1.0 - step) < k if math.isinf(m)  # the largest double falls short
+                else count(m - step) < k <= count(m)
+                for k, m in enumerate(thresholds, start=1)
+            )
+
+        assert first_doubles(generator_draw)
+        assert any(
+            first_doubles(lambda n, p, u: inversion_draw(n, p, u, start))
+            for start in INVERSION_STARTS
+        )
+
+    def test_restart_hands_the_rest_to_numpy(self):
+        # a state whose fourth double is the first one that restarts, with a
+        # buffered uint32 half that the hand-over must keep
+        n, p = 1000, 1e-3
+        restart = rng.binomial_table(n, p).thresholds[-1]
+        assert restart < 1.0
+        state = state_drawing(restart, ahead=3, has_uint32=1, uinteger=12345)
+        probe = rng.scratch_generator()
+        probe.bit_generator.state = state
+        assert probe.random(4)[3] == restart
+        assert generator_draw(n, p, restart) is None
+        assert_table_draws(state, n, p, 10)
+        assert_table_draws(state, n, p, (3, 5))
+
+    def test_the_guess_does_not_make_the_table(self, monkeypatch):
+        # the thresholds are numpy's own: a search started from another
+        # guess (exp(n log(1 - p)), 14 doubles above exp(n log1p(-p)) here)
+        # finds the same ones
+        n, p = 136, 1e-4
+        assert math.exp(n * math.log(1 - p)) != math.exp(n * math.log1p(-p))
+        want = rng.binomial_table(n, p).thresholds
+        monkeypatch.setattr(math, "log1p", lambda x: math.log(1 + x))
+        np.testing.assert_array_equal(rng.binomial_table(n, p).thresholds, want)

@@ -192,6 +192,13 @@ class TestDegenerateTilt:
             )
 
 
+def chunk_payload(law, start, trials, tilt, defensive):
+    """A hand-made :func:`rareevent_chunk_tally` payload, laid out as
+    ``rareevent_chunks`` lays one out: the law's count tables ride along."""
+    return {"start": start, "trials": trials, "tilt": tilt, "defensive": defensive,
+            "law": law, "tables": rareevent.count_tables(law, tilted_rate(law.q, tilt))}
+
+
 class TestLogWeightStability:
     @SETTINGS
     @given(tilt=st.sampled_from([6.0, 9.0, 12.0, -4.0]))
@@ -201,8 +208,7 @@ class TestLogWeightStability:
         scheme = get_scheme(Xed)
         tally = rareevent_chunk_tally(
             scheme, iid_rates(1e-4), ExactRunConfig(trials=2_000, seed=1),
-            {"start": 0, "trials": 2_000, "tilt": tilt, "defensive": 0.05,
-             "law": line_law(scheme, 1e-4, samples=100)},
+            chunk_payload(line_law(scheme, 1e-4, samples=100), 0, 2_000, tilt, 0.05),
         )
         weighted = tally.extra["weighted"]
         for name, row in weighted["outcomes"].items():
@@ -219,8 +225,7 @@ class TestLogWeightStability:
         trials, defensive = 5_000, 0.1
         tally = rareevent_chunk_tally(
             scheme, iid_rates(1e-4), ExactRunConfig(trials=trials, seed=2),
-            {"start": 0, "trials": trials, "tilt": 8.0, "defensive": defensive,
-             "law": line_law(scheme, 1e-4, samples=100)},
+            chunk_payload(line_law(scheme, 1e-4, samples=100), 0, trials, 8.0, defensive),
         )
         total = None
         for row in tally.extra["weighted"]["outcomes"].values():
@@ -346,6 +351,34 @@ class TestSplittingSamplerParity:
                     assert got.dtype == want.dtype
                     np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("factory", [PairScheme, Duo, Xed, ConventionalIecc])
+    def test_survivors_from_draws_equal_the_oracle_counts(self, get_scheme, factory):
+        law = line_law(get_scheme(factory), 1e-4, samples=50)
+        count_law = rareevent._count_law(law)
+        for seed in (0, 3, 1009):
+            for level in range(1, law.k_fail + 1):
+                key = [seed, rareevent._RNG_TAG_SPLIT, level]
+                got = rareevent._level_survivors(
+                    np.random.default_rng(key), law, level, 4096, *count_law
+                )
+                counts = oracle.conditional_counts_given_max(
+                    np.random.default_rng(key), law, level, 4096
+                )
+                assert got == int((counts.max(axis=1) >= level + 1).sum()), (seed, level)
+
+    def test_survivors_at_the_word_length(self, get_scheme):
+        # level n: no word can pass n, whatever its draw
+        law = line_law(get_scheme(Duo), 0.3, samples=20)
+        count_law = rareevent._count_law(law)
+        for level in (law.n - 1, law.n):
+            got = rareevent._level_survivors(
+                np.random.default_rng(level), law, level, 64, *count_law
+            )
+            counts = oracle.conditional_counts_given_max(
+                np.random.default_rng(level), law, level, 64
+            )
+            assert got == int((counts.max(axis=1) >= level + 1).sum())
+
     @pytest.mark.parametrize("factory", [PairScheme, Duo])
     def test_run_equals_the_run_with_the_oracle(self, monkeypatch, get_scheme, factory):
         scheme = get_scheme(factory)
@@ -356,6 +389,13 @@ class TestSplittingSamplerParity:
             lambda rng, law, level, trials, *_: oracle.conditional_counts_given_max(
                 rng, law, level, trials
             ),
+        )
+        monkeypatch.setattr(
+            rareevent, "_level_survivors",
+            lambda rng, law, level, trials, *_: int((
+                oracle.conditional_counts_given_max(rng, law, level, trials).max(axis=1)
+                >= level + 1
+            ).sum()),
         )
         want = run_splitting_iid(scheme, iid_rates(1e-4), effort=4096, seed=3,
                                  samples=50)
@@ -388,9 +428,8 @@ class TestChunkKernelParity:
         for tilt in ("auto", -3.0, 40.0):
             for defensive in (0.0, 0.05):
                 for seed in (0, 3, 1009):
-                    payload = {"start": 2048, "trials": 2048,
-                               "tilt": resolve_tilt(tilt, law),
-                               "defensive": defensive, "law": law}
+                    payload = chunk_payload(law, 2048, 2048, resolve_tilt(tilt, law),
+                                            defensive)
                     config = ExactRunConfig(trials=8192, seed=seed)
                     got = rareevent_chunk_tally(scheme, rates, config, payload)
                     want = oracle.rareevent_chunk_tally(scheme, rates, config, payload)
@@ -402,8 +441,7 @@ class TestChunkKernelParity:
 
     def test_empty_chunk(self, get_scheme):
         scheme = get_scheme(PairScheme)
-        payload = {"start": 0, "trials": 0, "tilt": 3.0, "defensive": 0.05,
-                   "law": line_law(scheme, 1e-4, samples=50)}
+        payload = chunk_payload(line_law(scheme, 1e-4, samples=50), 0, 0, 3.0, 0.05)
         config = ExactRunConfig(trials=1, seed=0)
         got = rareevent_chunk_tally(scheme, iid_rates(1e-4), config, payload)
         want = oracle.rareevent_chunk_tally(scheme, iid_rates(1e-4), config, payload)

@@ -243,3 +243,15 @@ class TestAtLeastOne:
 
     def test_zero(self):
         assert at_least_one(0.0, 100) == 0.0
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_certain_event(self, p):
+        # log1p(-1) is a math domain error; a certain event needs no log
+        assert at_least_one(p, 1) == 1.0
+        assert at_least_one(p, 72) == 1.0
+        assert at_least_one(p, 0) == 0.0
+
+    def test_below_one_keeps_its_bits(self):
+        for p, n in [(1e-3, 32), (0.999, 8), (1.0 - 2**-53, 3), (0.5, 0)]:
+            want = -math.expm1(n * math.log1p(-p))
+            assert at_least_one(p, n).hex() == want.hex()

@@ -32,6 +32,13 @@ class TestReliability:
         assert "1e-04" in out
 
 
+    @pytest.mark.parametrize("ber, scheme", [("0.999", "iecc-sec"), ("1.0", "pair")])
+    def test_certain_failure_prints_one(self, capsys, ber, scheme):
+        main(["reliability", "--bers", ber, "--samples", "50", "--schemes", scheme])
+        row = capsys.readouterr().out.splitlines()[-1]
+        assert row.split("|")[1].strip() == "1.00e+00", row
+
+
 class TestPerf:
     def test_single_workload(self, capsys):
         main(["perf", "--workloads", "balanced", "--schemes", "pair", "xed"])
@@ -89,6 +96,19 @@ class TestHeadroom:
         out = capsys.readouterr().out
         assert "tolerable" in out
         assert "1e-12" in out
+
+    def test_below_the_search_floor(self, capsys):
+        # the weak schemes fail 1e-18 even at BER 1e-10, and no scheme
+        # meets a zero budget: the table says so instead of printing 1e-10
+        main(["headroom", "--targets", "1e-18", "0", "--samples", "100"])
+        rows = {line.split("|")[0].strip(): [c.strip() for c in line.split("|")[1:]]
+                for line in capsys.readouterr().out.splitlines() if "|" in line}
+        header = rows["failure_target"]
+        deep = dict(zip(header, rows["1e-18"]))
+        assert deep["iecc-sec"] == deep["xed"] == "< 1e-10"
+        assert deep["pair"] != "< 1e-10" and float(deep["pair"]) > 1e-10
+        assert set(rows["0e+00"]) == {"< 1e-10"}
+        assert "1.00e-10" not in str(rows)
 
     def test_no_ecc_excluded(self, capsys):
         main(["headroom", "--targets", "1e-12", "--samples", "80",
