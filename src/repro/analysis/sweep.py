@@ -16,25 +16,26 @@ def log_space(start: float, stop: float, points: int) -> np.ndarray:
     return np.logspace(math.log10(start), math.log10(stop), points)
 
 
-#: the lowest BER :func:`max_tolerable_ber` searches by default.
-HEADROOM_FLOOR = 1e-10
+#: the lowest and highest BER :func:`max_tolerable_ber` searches by default.
+HEADROOM_FLOOR, HEADROOM_CEILING = 1e-10, 1e-2
 
 
 def max_tolerable_ber(
     model: ReliabilityModel, target: float, lo: float = HEADROOM_FLOOR,
-    hi: float = 1e-2,
+    hi: float = HEADROOM_CEILING,
 ) -> float | None:
     """Largest BER in ``[lo, hi]`` whose per-read failure probability
     (SDC + DUE) stays at or below ``target``: a 60-step bisection in log
     BER (figure F9's scaling headroom).  None when even ``lo`` fails the
-    target: the answer lies below the search range, not at its floor."""
+    target, ``math.inf`` when even ``hi`` meets it: the answer lies outside
+    the search range, not at its edge."""
 
     def fail(ber: float) -> float:
         probs = model.line_probs(ber)
         return probs["sdc"] + probs["due"]
 
     if fail(hi) <= target:
-        return hi
+        return math.inf
     if fail(lo) > target:
         return None
     log_lo, log_hi = math.log10(lo), math.log10(hi)
@@ -49,8 +50,11 @@ def max_tolerable_ber(
 
 def format_tolerable_ber(ber: float | None) -> str:
     """A :func:`max_tolerable_ber` answer for a table: None (even
-    :data:`HEADROOM_FLOOR` fails the target) reads ``< 1e-10``."""
-    return f"< {HEADROOM_FLOOR:.0e}" if ber is None else f"{ber:.2e}"
+    :data:`HEADROOM_FLOOR` fails the target) reads ``< 1e-10``, and
+    ``math.inf`` (even :data:`HEADROOM_CEILING` meets it) ``> 1e-02``."""
+    if ber is None:
+        return f"< {HEADROOM_FLOOR:.0e}"
+    return f"> {HEADROOM_CEILING:.0e}" if ber == math.inf else f"{ber:.2e}"
 
 
 def reliability_sweep(

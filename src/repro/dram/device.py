@@ -3,12 +3,14 @@
 Stores row contents sparsely (only rows that were ever written) as
 ``(pins, bits_per_pin)`` uint8 bit matrices.  Persistent faults are applied
 through an attached *fault overlay*: any object with a
-``mask_for_row(bank, row, shape, footprint=None) -> np.ndarray | None``
-method (see :class:`repro.faults.sampler.FaultOverlay`).  Reads XOR the
-overlay into the returned bits - the stored "truth" stays pristine so tests
-can compare against it.  A read that names a *footprint* (the per-pin bit
+``mask_window(bank, row, shape, footprint) -> np.ndarray | None`` method
+(see :class:`repro.faults.sampler.FaultOverlay`).  Reads XOR the overlay
+into the returned bits - the stored "truth" stays pristine so tests can
+compare against it.  A read that names a *footprint* (the per-pin bit
 intervals it decodes, :data:`repro.dram.mapping.Footprint`) sees the faults
-inside it only; cells outside come back as stored.
+inside it only; cells outside come back as stored.  Scheme readers read
+footprint windows (:meth:`DramDevice.row_window`): the cells inside the
+footprint only, its intervals side by side.
 
 The device knows nothing about ECC; schemes in :mod:`repro.schemes` own the
 codeword layout and drive the device through :meth:`row_view` /
@@ -22,20 +24,18 @@ from typing import Protocol
 import numpy as np
 
 from .config import DeviceConfig
-from .mapping import Footprint
+from .mapping import Footprint, footprint_columns
 
 
 class FaultOverlayProtocol(Protocol):
     """Anything that can produce persistent bit-flip masks per row."""
 
-    def mask_for_row(
-        self, bank: int, row: int, shape: tuple[int, int],
-        footprint: Footprint | None = None,
+    def mask_window(
+        self, bank: int, row: int, shape: tuple[int, int], footprint: Footprint
     ) -> np.ndarray | None:
-        """Return a uint8 flip mask of ``shape`` or None when it would be all zero.
-
-        With a ``footprint`` the mask is zero outside it; None means the
-        whole row.
+        """Return the uint8 flip mask of a ``shape`` row's cells inside
+        ``footprint``, at window size (:func:`repro.dram.mapping.footprint_columns`),
+        or None when it would be all zero.  Callers do not write to it.
         """
         ...
 
@@ -77,31 +77,49 @@ class DramDevice:
         stored = self._rows.get((bank, row))
         # a row never written reads as zeros; reading it allocates no storage
         data = np.zeros(self._row_shape, np.uint8) if stored is None else stored.copy()
-        if self.fault_overlay is not None:
-            mask = self.fault_overlay.mask_for_row(bank, row, self._row_shape, footprint)
-            if mask is not None:
-                data ^= mask
+        footprint = footprint or ((0, self._row_shape[1]),)
+        mask = self._mask(bank, row, footprint)
+        if mask is not None:
+            data[:, footprint_columns(footprint)] ^= mask
         return data
+
+    def row_window(
+        self, bank: int, row: int, footprint: Footprint | None = None
+    ) -> np.ndarray | None:
+        """The row's cells inside ``footprint`` as the sense amps see them.
+
+        A ``(pins, width)`` window, the footprint's intervals side by side
+        (the whole row when None); read-only, as it may be the overlay's
+        cached mask.  None when nothing is stored in the row and no fault
+        lies inside the footprint: the window reads as zeros.
+        """
+        self._check_coords(bank, row)
+        footprint = footprint or ((0, self._row_shape[1]),)
+        mask = self._mask(bank, row, footprint)
+        stored = self._rows.get((bank, row))
+        if stored is None:
+            return mask
+        window = stored[:, footprint_columns(footprint)]
+        if mask is not None:
+            window ^= mask
+        return window
+
+    def _mask(self, bank: int, row: int, footprint: Footprint) -> np.ndarray | None:
+        if self.fault_overlay is None:
+            return None
+        return self.fault_overlay.mask_window(bank, row, self._row_shape, footprint)
 
     def row_is_clean(
         self, bank: int, row: int, footprint: Footprint | None = None
     ) -> bool:
-        """True when a read of the row would return all zeros.
-
-        Lets batched readers skip the decode entirely for untouched,
-        fault-free rows (the common case in Monte-Carlo runs): the stored
+        """True when a read of the row would return all zeros: the stored
         contents are absent or zero and the overlay has no mask for the row
-        inside ``footprint``.
-        """
+        inside ``footprint``."""
         self._check_coords(bank, row)
         stored = self._rows.get((bank, row))
         if stored is not None and stored.any():
             return False
-        if self.fault_overlay is not None:
-            mask = self.fault_overlay.mask_for_row(bank, row, self._row_shape, footprint)
-            if mask is not None:
-                return False
-        return True
+        return self._mask(bank, row, footprint or ((0, self._row_shape[1]),)) is None
 
     @property
     def touched_rows(self) -> int:

@@ -30,6 +30,11 @@ sorted, disjoint, non-touching half-open ``(start, end)`` intervals that
 apply to every pin; the whole row is ``((0, bits_per_pin),)``.  Each layout
 derives the footprint of an access from its geometry, and the fault overlay
 draws masks over that footprint only (DESIGN.md section 6b).
+
+A footprint's *window* is the ``(pins, width)`` matrix of a row's cells
+inside it, its intervals side by side (:func:`footprint_columns`).  Fault
+masks are built at window size, devices read windows, and each layout turns
+the windows of its accesses into codewords directly.
 """
 
 from __future__ import annotations
@@ -65,6 +70,22 @@ def window_span(device: DeviceConfig, col: int) -> tuple[int, int]:
     """The per-pin bit interval column access ``col`` transfers."""
     bl = device.burst_length
     return (col * bl, (col + 1) * bl)
+
+
+@functools.lru_cache(maxsize=4096)
+def footprint_columns(footprint: Footprint) -> np.ndarray:
+    """Row columns of a footprint's window: ``row[:, footprint_columns(fp)]``."""
+    return np.concatenate([np.arange(start, end, dtype=np.intp) for start, end in footprint])
+
+
+def window_offset(footprint: Footprint, bit: int) -> int:
+    """Window column of per-pin offset ``bit``, which lies inside ``footprint``."""
+    col = 0
+    for start, end in footprint:
+        if start <= bit < end:
+            return col + bit - start
+        col += end - start
+    raise ValueError(f"bit {bit} lies outside footprint {footprint}")
 
 
 def _cells(row: np.ndarray):
@@ -147,6 +168,28 @@ class SegmentedLayout:
         shifts = np.arange(self.symbol_bits, dtype=np.int64)
         bits = ((symbols[:, None] >> shifts) & 1).astype(np.uint8)
         _cells(row)[self._cell_index[codeword]] = bits
+
+    # -- footprint windows -------------------------------------------------------
+
+    def window_symbols(self, windows: np.ndarray) -> np.ndarray:
+        """Symbols of the codewords of reads, from their footprint windows.
+
+        ``windows`` is ``(..., pins, width)``: each the window of a read's
+        :meth:`access_footprint`, which holds its codewords' bits and no
+        others.  The result is ``(..., len(codewords_of_access(col)), n)``
+        uint8 and equals :meth:`gather_many` of the row over
+        ``codewords_of_access(col)``: one flat little-endian pack of each
+        codeword's bit stream, which subclasses cut from the windows
+        (``_window_stream``, inverted by ``_stream_window``).
+        """
+        if self.symbol_bits != 8:
+            raise ValueError("footprint windows pack 8-bit symbols only")
+        return np.packbits(self._window_stream(windows), axis=-1, bitorder="little")
+
+    def window_bits(self, symbols: np.ndarray) -> np.ndarray:
+        """The footprint windows of codeword symbols: :meth:`window_symbols` inverted."""
+        stream = np.unpackbits(symbols.astype(np.uint8), axis=-1, bitorder="little")
+        return self._stream_window(stream)
 
     # -- access relationships --------------------------------------------------
 
@@ -244,6 +287,13 @@ class PinAlignedLayout(SegmentedLayout):
         self._pin_index = pin_index
         self._bit_index = bit_index
 
+    def _window_stream(self, windows: np.ndarray) -> np.ndarray:
+        # pin p's window row is codeword p's data then parity, in bit order
+        return windows
+
+    def _stream_window(self, stream: np.ndarray) -> np.ndarray:
+        return stream
+
     def codeword_id(self, pin: int, segment: int) -> int:
         return pin * self.segments_per_pin + segment
 
@@ -319,6 +369,14 @@ class BeatAlignedLayout(SegmentedLayout):
         self._pin_index = pin_index
         self._bit_index = bit_index
 
+    def _window_stream(self, windows: np.ndarray) -> np.ndarray:
+        # the one codeword's bit g sits at window column g // pins, pin g % pins
+        return windows.swapaxes(-1, -2).reshape(*windows.shape[:-2], 1, -1)
+
+    def _stream_window(self, stream: np.ndarray) -> np.ndarray:
+        pins = self.device.pins
+        return stream.reshape(*stream.shape[:-2], stream.shape[-1] // pins, pins).swapaxes(-1, -2)
+
     def codewords_of_access(self, col: int) -> tuple[int, ...]:
         return (self.segment_of_col(col),)
 
@@ -356,6 +414,16 @@ class SecWordLayout:
         data = row[:, col * bl : (col + 1) * bl].T.reshape(-1)  # beat-major
         parity = self._parity_bits_view(row, col)
         return np.concatenate([data, parity])
+
+    def window_words(self, windows: np.ndarray) -> np.ndarray:
+        """``(..., n)`` codewords of reads from their ``(..., pins, width)``
+        footprint windows (:meth:`access_footprint`): equal to :meth:`gather`.
+
+        A window is the access window, then the parity columns, so its
+        column-major bits are the data beat-major followed by the parity.
+        """
+        stream = windows.swapaxes(-1, -2).reshape(*windows.shape[:-2], -1)
+        return stream[..., : self.n]
 
     def scatter(self, row: np.ndarray, col: int, word: np.ndarray) -> None:
         device = self.device

@@ -10,11 +10,14 @@ so reading the same row twice sees the same weak cells (inherent faults are
 persistent), and two schemes evaluated against the same seed see the same
 fault universe - the comparisons in the paper are paired.
 
-Every mask comes from one builder, :func:`_build_masks`: a lazy
-:meth:`FaultOverlay.mask_for_row`, and :func:`dirty_overlays`, which builds
-the masks of a whole Monte-Carlo chunk from arrays of chip seeds and read
-coordinates and makes an overlay only for the chips whose masks are not all
-empty.
+Every mask comes from one builder, :func:`_build_masks`, at the size of the
+footprint it covers: a ``(pins, width)`` window holding the footprint's
+intervals side by side (:func:`repro.dram.mapping.footprint_columns`), never
+a whole row.  A lazy :meth:`FaultOverlay.mask_window` builds one mask, and
+:func:`dirty_overlays` the masks of a whole Monte-Carlo chunk from arrays of
+chip seeds and read coordinates, making an overlay only for the chips whose
+masks are not all empty.  :meth:`FaultOverlay.mask_for_row` widens a mask
+to a whole row for scalar callers (examples, maintenance, the test oracle).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..dram.config import DeviceConfig
-from ..dram.mapping import Footprint
+from ..dram.mapping import Footprint, footprint_columns, window_offset
 from ..obs import metrics as _obs
 from .rates import FaultRates
 from .rng import POISSON_MULT_MAX, Runs, key_array, scratch_generator, seed_states, uniforms
@@ -215,10 +218,12 @@ class FaultOverlay:
     footprint intersects the row.  Each process draws the cells of a row
     matrix in C order from its own ``(seed, bank, row, ...)`` substream; a
     mask asked for over a read's footprint takes only the draws of the cells
-    inside it, so it equals the whole-row mask with every cell outside the
-    footprint zeroed.  Masks are cached (bounded, per row and footprint)
-    because schemes repeatedly read the same hot rows; :func:`dirty_overlays`
-    fills the caches of a chunk's overlays in one pass.
+    inside it, so it equals the whole-row mask restricted to the footprint.
+    Masks are built and cached at the footprint's window size
+    (:meth:`mask_window`; bounded, per row and footprint) because schemes
+    repeatedly read the same hot rows; :func:`dirty_overlays` fills the
+    caches of a chunk's overlays in one pass.  :meth:`mask_for_row` widens a
+    mask to the whole row for scalar callers.
     """
 
     def __init__(
@@ -255,10 +260,26 @@ class FaultOverlay:
         """Flip mask of a row over ``footprint`` (the whole row when None).
 
         Cells outside the footprint are zero; None when the mask would be
-        all zero.
+        all zero.  A fresh whole-row array: :meth:`mask_window` widened.
         """
         if footprint is None:
             footprint = ((0, shape[1]),)
+        window = self.mask_window(bank, row, shape, footprint)
+        if window is None:
+            return None
+        mask = np.zeros(shape, dtype=np.uint8)
+        mask[:, footprint_columns(footprint)] = window
+        return mask
+
+    def mask_window(
+        self, bank: int, row: int, shape: tuple[int, int], footprint: Footprint
+    ) -> np.ndarray | None:
+        """Flip mask of a row's cells inside ``footprint``, at window size.
+
+        ``(pins, width)``, the footprint's intervals side by side
+        (:func:`repro.dram.mapping.footprint_columns`); None when all zero.
+        The array is the cached one: read-only.
+        """
         masks = self._cache.get((bank, row))
         if masks is not None and footprint in masks:
             return masks[footprint]
@@ -300,7 +321,8 @@ def dirty_overlays(
     Chip ``k`` has seed ``seeds[k]`` and structured faults ``faults[k]``.
     ``reads`` holds four arrays with one entry per read of one chip: chip,
     bank, row, and footprint (an index into ``footprints``).  Every mask is
-    built in one pass, equal to :meth:`FaultOverlay.mask_for_row`'s.  Only a
+    built in one pass at window size, equal to
+    :meth:`FaultOverlay.mask_window`'s.  Only a
     chip with a non-empty mask gets an overlay, caching all its reads'
     masks; every other chip reads as zeros, as one without an overlay does.
     ``rng`` is a scratch Generator for the long runs.
@@ -362,12 +384,13 @@ class _Block(NamedTuple):
     threshold: float
     op: np.ufunc  # how the block combines into the mask
     rows: slice  # mask rows the block covers
-    spans: Footprint  # mask columns it covers
+    spans: Footprint  # row columns it covers
     wide: Footprint | None  # cluster anchors: the spans widened one bit left
+    col: int  # the window column of its first span; its spans lie side by side there
 
 
 class _Layout(NamedTuple):
-    """A mask's shape and the blocks its weak-cell stream draws."""
+    """A mask's window shape and the blocks its weak-cell stream draws."""
 
     shape: tuple[int, int]
     blocks: tuple[_Block, ...]
@@ -380,14 +403,15 @@ def _layout(shape: tuple[int, int], footprint: Footprint, ber: float, cluster: f
     blocks = []
     if ber > 0:
         runs = _runs(0, total_bits, pins, footprint)
-        blocks.append(_Block(runs, ber, np.bitwise_or, _EVERY, footprint, None))
+        blocks.append(_Block(runs, ber, np.bitwise_or, _EVERY, footprint, None, 0))
     if cluster > 0:
         # an anchor flips itself and its along-pin right neighbour (clusters
         # never wrap), so each span also needs the anchor just left of it
         wide = tuple((max(start - 1, 0), end) for start, end in footprint)
         runs = _runs(pins * total_bits if ber > 0 else 0, total_bits, pins, wide)
-        blocks.append(_Block(runs, cluster, np.bitwise_or, _EVERY, footprint, wide))
-    return _Layout(shape, tuple(blocks))
+        blocks.append(_Block(runs, cluster, np.bitwise_or, _EVERY, footprint, wide, 0))
+    width = sum(end - start for start, end in footprint)
+    return _Layout((pins, width), tuple(blocks))
 
 
 def _fault_blocks(
@@ -424,9 +448,11 @@ def _fault_blocks(
             rows, runs = _EVERY, _runs(0, bit_end - bit_start, pins, local)
         else:
             rows, runs = slice(fault.pin, fault.pin + 1), _runs(0, 0, 1, local)
+        # the fault is one interval, so its spans are contiguous in the window
+        col = window_offset(footprint, inside[0][0])
         out.append((
             (seed, bank, row, _FAULT_TAG + index),
-            _Block(runs, fault.density, np.bitwise_xor, rows, inside, None),
+            _Block(runs, fault.density, np.bitwise_xor, rows, inside, None, col),
         ))
     return out
 
@@ -503,18 +529,16 @@ def _batches(
 def _combine(
     shape: tuple[int, int], parts: list[tuple[_Block, np.ndarray]]
 ) -> np.ndarray | None:
-    """OR the weak-cell blocks, then XOR the structured faults, in order."""
+    """OR the weak-cell blocks, then XOR the structured faults, in order,
+    into a mask of window ``shape``."""
     mask = np.zeros(shape, dtype=np.uint8)
     for block, flips in parts:
         width = sum(end - start for start, end in block.wide or block.spans)
         flips = flips.reshape(-1, width)
         if block.wide is not None:
             flips = _cluster_pairs(flips, block.spans, block.wide)
-        col = 0
-        for start, end in block.spans:
-            view = mask[block.rows, start:end]
-            block.op(view, flips[:, col : col + end - start], out=view)
-            col += end - start
+        view = mask[block.rows, block.col : block.col + flips.shape[1]]
+        block.op(view, flips, out=view)
     # two structured faults can cancel each other's flips
     return mask if mask.any() else None
 

@@ -52,7 +52,7 @@ from ..faults.sampler import dirty_overlays, sample_fault_lists
 from ..faults.types import FaultInstance, FaultType, TransferBurst
 from ..obs import metrics as _obs
 from ..obs import trace as _trace
-from ..schemes.base import EccScheme
+from ..schemes.base import DirtyReads, EccScheme
 from .exact import ExactRunConfig, _chip_seeds, _plant_fault, _zero_line
 from .outcomes import Tally, tally_batch
 
@@ -90,7 +90,7 @@ def _universe_reads(
     coords: np.ndarray,
     bursts: Sequence[dict[int, TransferBurst] | None],
     rng: np.random.Generator,
-) -> list:
+) -> DirtyReads:
     """A chunk's line reads, every fault mask built in one pass.
 
     Universe ``u`` is the rank's chips ``u * chips + c``, chip ``k`` with
@@ -98,10 +98,13 @@ def _universe_reads(
     universe ``universe[i]`` at ``coords[i]`` (bank, row, col) with the
     transfer bursts ``bursts[i]``.  Every read's mask on every chip comes
     from one :func:`repro.faults.sampler.dirty_overlays` call
-    (``faults.mask``).  Only a chip that some read sees faulty gets an
-    overlay and a device of its own; every other chip is one shared
-    fault-free device, which the readers skip as clean.  ``rng`` is the
-    chunk's scratch Generator (:func:`repro.faults.rng.scratch_generator`).
+    (``faults.mask``), at footprint size.  Only a chip that some read sees
+    faulty gets an overlay and a device of its own; every other chip is one
+    shared fault-free device.  The reads come as
+    :class:`~repro.schemes.base.DirtyReads` naming each read's chips with
+    an overlay or a burst, so the readers never visit the clean device.
+    ``rng`` is the chunk's scratch Generator
+    (:func:`repro.faults.rng.scratch_generator`).
     """
     device, chips = scheme.rank.device, scheme.rank.chips
     with _trace.span("faults.mask"):
@@ -119,10 +122,18 @@ def _universe_reads(
     chip_sets = [[clean] * chips for _ in range(len(seeds) // chips)]
     for k, overlay in overlays.items():
         chip_sets[k // chips][k % chips] = DramDevice(device, overlay)
-    return [
+    # a read's dirty chips: its universe's chips with an overlay, and its bursts'
+    dirty = np.zeros(len(seeds), dtype=bool)
+    dirty[list(overlays)] = True
+    dirty = dirty.reshape(-1, chips)[universe]
+    for i, burst in enumerate(bursts):
+        if burst:
+            dirty[i, list(burst)] = True
+    reads = [
         (chip_sets[u], bank, row, col, burst)
         for u, (bank, row, col), burst in zip(universe.tolist(), coords.tolist(), bursts)
     ]
+    return DirtyReads(reads, np.argwhere(dirty).tolist())
 
 
 def _tally_reads(scheme: EccScheme, reads: list) -> Tally:

@@ -41,6 +41,21 @@ LineRead: TypeAlias = tuple[
 ]
 
 
+class DirtyReads(list):
+    """Line reads whose dirty chip rows are known before the read.
+
+    A list of :data:`LineRead` plus ``dirty``, the ``(read, chip)`` pairs,
+    in order, that can read non-zero; every other chip row of the batch
+    reads as zeros, so readers visit only these
+    (:func:`._common.dirty_rows`).  The batched engines build one per chunk
+    from the chunk's fault masks.
+    """
+
+    def __init__(self, reads: Sequence[LineRead], dirty: list[tuple[int, int]]):
+        super().__init__(reads)
+        self.dirty = dirty
+
+
 @dataclass
 class LineReadResult:
     """Outcome of reading one line through a scheme's datapath."""
@@ -147,8 +162,15 @@ class EccScheme(abc.ABC):
         """Per-pin bit intervals a read of column ``col`` touches on any chip.
 
         Reads pass it to the devices, so fault masks are drawn over these
-        cells only.  None (the default) reads whole rows.
+        cells only.  None reads whole rows.  It must contain
+        :meth:`decode_footprint`, which it is unless overridden.
         """
+        return self.decode_footprint(col)
+
+    def decode_footprint(self, col: int) -> Footprint | None:
+        """Per-pin bit intervals the reader decodes for column ``col``: its
+        windows hold these cells (:func:`._common.dirty_rows`).  None (the
+        default) decodes whole rows."""
         return None
 
     # -- datapath -------------------------------------------------------------
@@ -194,9 +216,11 @@ class EccScheme(abc.ABC):
 
         ``reads`` is a sequence of ``(chips, bank, row, col, bursts)``
         tuples; each may name a *different* chip set, so a batch can span
-        fault universes.  A reader gathers every codeword of every read,
-        skips chip rows that read as zeros (:func:`._common.dirty_rows`) and
-        decodes the rest in one ``decode_batch`` call.
+        fault universes, and it may be a :class:`DirtyReads` that names its
+        dirty chip rows.  A reader reads the footprint window of every chip
+        row that can read non-zero (:func:`._common.dirty_rows`), turns the
+        windows into codewords and decodes them in one ``decode_batch``
+        call.
         """
 
     @property

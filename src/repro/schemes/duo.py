@@ -31,7 +31,7 @@ from ..dram.device import DramDevice
 from ..dram.mapping import Footprint, merge_spans, window_span
 from ..dram.timing import SchemeTimingOverlay
 from ..galois.gf2m import get_field
-from ._common import access_window, beat_major_windows, dirty_rows
+from ._common import beat_major_windows, dirty_rows
 from .base import BatchRead, EccScheme, LineRead
 
 
@@ -107,7 +107,7 @@ class Duo(EccScheme):
         offs = device.data_bits_per_pin_per_row + col * per_pin + idx // device.pins
         return pins, offs
 
-    def read_footprint(self, col: int) -> Footprint:
+    def decode_footprint(self, col: int) -> Footprint:
         # the ECC chip is read in its access window only; the spare slots
         # are a superset there.  Computed once per column.
         footprint = self._footprints.get(col)
@@ -117,11 +117,6 @@ class Duo(EccScheme):
                 [window_span(self.rank.device, col), (int(offs.min()), int(offs.max()) + 1)]
             )
         return footprint
-
-    def _read_spare_symbol(self, row_bits: np.ndarray, col: int) -> int:
-        pins, offs = self._spare_symbol_slots(col)
-        bits = row_bits[pins, offs].astype(np.int64)
-        return int((bits << np.arange(8)).sum())
 
     def _write_spare_symbol(self, row_bits: np.ndarray, col: int, value: int) -> None:
         pins, offs = self._spare_symbol_slots(col)
@@ -164,12 +159,15 @@ class Duo(EccScheme):
         bl = self.rank.device.burst_length
         received = np.zeros((len(reads), self.code.n), dtype=np.int64)
         dirty = np.zeros(len(reads), dtype=bool)
-        for i, chip_idx, col, bits in dirty_rows(reads, chips + 1, self.read_footprint):
+        for i, chip_idx, _, window in dirty_rows(reads, chips + 1, self):
             dirty[i] = True
-            symbols = self._chip_symbols(access_window(bits, col, bl))
+            # the access window, then the spare slots (_spare_symbol_slots):
+            # read column-major, their bits are the spare symbol's in order
+            symbols = self._chip_symbols(window[:, :bl])
             if chip_idx < chips:
                 received[i, chip_idx * per_chip : (chip_idx + 1) * per_chip] = symbols
-                received[i, self.data_symbols + chip_idx] = self._read_spare_symbol(bits, col)
+                spare = window[:, bl:].T.reshape(-1)[:8].astype(np.int64)
+                received[i, self.data_symbols + chip_idx] = spare @ (1 << np.arange(8))
             else:
                 received[i, self.data_symbols + chips :] = symbols[: self.ecc_chip_symbols]
         rows = np.flatnonzero(dirty)

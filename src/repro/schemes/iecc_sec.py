@@ -52,7 +52,7 @@ class ConventionalIecc(EccScheme):
     def storage_overhead(self) -> float:
         return self.layout.parity_bits / self.layout.k
 
-    def read_footprint(self, col: int) -> Footprint:
+    def decode_footprint(self, col: int) -> Footprint:
         return self.layout.access_footprint(col)
 
     def write_line(
@@ -74,10 +74,10 @@ class ConventionalIecc(EccScheme):
     def read_lines(self, reads: Sequence[LineRead]) -> BatchRead:
         """Every dirty chip word through one ``decode_batch`` call."""
         out = BatchRead.clean(len(reads), self.line_shape)
-        dirty = list(dirty_rows(reads, self.rank.data_chips, self.read_footprint))
+        dirty = list(dirty_rows(reads, self.rank.data_chips, self))
         if dirty:
             decoded = self.code.decode_batch(
-                np.stack([self.layout.gather(bits, col) for _, _, col, bits in dirty])
+                self.layout.window_words(np.stack([window for *_, window in dirty]))
             )
             read, chip = np.array([(i, chip_idx) for i, chip_idx, *_ in dirty]).T
             # Conventional IECC has no way to tell the controller anything:

@@ -10,7 +10,7 @@ from ..dram.config import RANK_X8_4CHIP, RankConfig
 from ..dram.device import DramDevice
 from ..dram.mapping import Footprint, window_span
 from ..dram.timing import SchemeTimingOverlay
-from ._common import access_window, dirty_rows
+from ._common import dirty_rows
 from .base import BatchRead, EccScheme, LineRead
 
 
@@ -30,7 +30,7 @@ class NoEcc(EccScheme):
     def storage_overhead(self) -> float:
         return 0.0
 
-    def read_footprint(self, col: int) -> Footprint:
+    def decode_footprint(self, col: int) -> Footprint:
         return (window_span(self.rank.device, col),)
 
     def write_line(
@@ -47,7 +47,7 @@ class NoEcc(EccScheme):
 
     def read_lines(self, reads: Sequence[LineRead]) -> BatchRead:
         out = BatchRead.clean(len(reads), self.line_shape)
-        bl = self.rank.device.burst_length
-        for i, chip_idx, col, bits in dirty_rows(reads, self.rank.data_chips, self.read_footprint):
-            out.data[i, chip_idx] = access_window(bits, col, bl)
+        # the footprint is the access window
+        for i, chip_idx, _, window in dirty_rows(reads, self.rank.data_chips, self):
+            out.data[i, chip_idx] = window
         return out

@@ -33,7 +33,13 @@ import numpy as np
 from ..codes.rs import SinglyExtendedRS
 from ..dram.config import RANK_X8_4CHIP, DeviceConfig, RankConfig
 from ..dram.device import DramDevice
-from ..dram.mapping import BeatAlignedLayout, Footprint, PinAlignedLayout, SegmentedLayout
+from ..dram.mapping import (
+    BeatAlignedLayout,
+    Footprint,
+    PinAlignedLayout,
+    SegmentedLayout,
+    window_offset,
+)
 from ..dram.timing import SchemeTimingOverlay
 from ..galois.gf2m import get_field
 from ._common import access_window, dirty_rows
@@ -101,7 +107,7 @@ class PairScheme(EccScheme):
         """Symbol-correction capability per codeword."""
         return self.code.t
 
-    def read_footprint(self, col: int) -> Footprint:
+    def decode_footprint(self, col: int) -> Footprint:
         return self.layout.access_footprint(col)
 
     # -- write path -------------------------------------------------------------
@@ -168,37 +174,42 @@ class PairScheme(EccScheme):
         return ()
 
     def read_lines(self, reads: Sequence[LineRead]) -> BatchRead:
-        """Every codeword of every dirty chip row through one ``decode_batch``.
+        """Every non-zero codeword of every dirty chip row through one
+        ``decode_batch``.
 
-        Each codeword goes with its erasure hints
+        The chip rows' footprint windows become symbols in one pass
+        (:meth:`~repro.dram.mapping.SegmentedLayout.window_symbols`), and
+        each non-zero codeword goes with its erasure hints
         (:meth:`_erasures_for_codeword`).  Skipped chip rows read as zeros,
         and a zero codeword decodes OK with no corrections, with or without
-        erasures.
+        erasures, so neither is decoded.
         """
         out = BatchRead.clean(len(reads), self.line_shape)
-        dirty = list(dirty_rows(reads, self.rank.data_chips, self.read_footprint))
+        dirty = list(dirty_rows(reads, self.rank.data_chips, self))
         if not dirty:
             return out
-        cws = [self.layout.codewords_of_access(col) for _, _, col, _ in dirty]
-        words = np.concatenate(
-            [self.layout.gather_many(bits, ids) for (*_, bits), ids in zip(dirty, cws)]
-        )
+        read, chip, col = np.array([entry[:3] for entry in dirty]).T
+        windows = np.stack([window for *_, window in dirty])
+        symbols = self.layout.window_symbols(windows)  # (dirty, codewords, n)
+        words = symbols.reshape(-1, self.code.n)
+        live = np.flatnonzero(words.any(axis=1))
+        # a live word's entry of ``dirty`` and its place among the access's codewords
+        entry, place = np.divmod(live, symbols.shape[1])
+        access = {c: self.layout.codewords_of_access(c) for c in set(col.tolist())}
         erasures = [
-            self._erasures_for_codeword(chip_idx, reads[i][1], cw)
-            for (i, chip_idx, _, _), ids in zip(dirty, cws)
-            for cw in ids
+            self._erasures_for_codeword(int(chip[e]), reads[read[e]][1], access[int(col[e])][j])
+            for e, j in zip(entry.tolist(), place.tolist())
         ]
-        decoded = self.code.decode_batch(words, erasures if any(erasures) else None)
-        # decoded word -> its entry of ``dirty``, its read and its codeword
-        entry = np.repeat(np.arange(len(dirty)), [len(ids) for ids in cws])
-        read = np.array([i for i, *_ in dirty])[entry]
-        codeword_ids = [cw for ids in cws for cw in ids]
-        counts = decoded.corrections
-        np.add.at(out.corrections, read, counts)
-        out.believed_good[read[decoded.detected]] = False
-        for w in np.flatnonzero((counts > 0) & ~decoded.detected).tolist():
-            self.layout.scatter(dirty[entry[w]][3], codeword_ids[w], decoded.codewords[w])
+        decoded = self.code.decode_batch(words[live], erasures if any(erasures) else None)
+        np.add.at(out.corrections, read[entry], decoded.corrections)
+        out.believed_good[read[entry[decoded.detected]]] = False
+        fixed = (decoded.corrections > 0) & ~decoded.detected
+        words[live[fixed]] = decoded.codewords[fixed]
+        touched = np.unique(entry[fixed])
+        windows[touched] = self.layout.window_bits(symbols[touched])
+        # each read's access window inside its footprint window
         bl = self.rank.device.burst_length
-        for i, chip_idx, col, bits in dirty:
-            out.data[i, chip_idx] = access_window(bits, col, bl)
+        start = [window_offset(self.decode_footprint(c), c * bl) for c in col.tolist()]
+        cells = np.add.outer(start, np.arange(bl))[:, None, :]
+        out.data[read, chip] = np.take_along_axis(windows, cells, axis=2)
         return out

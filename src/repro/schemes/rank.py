@@ -18,7 +18,7 @@ from ..dram.config import RANK_X8_5CHIP, RankConfig
 from ..dram.device import DramDevice
 from ..dram.mapping import Footprint, window_span
 from ..dram.timing import SchemeTimingOverlay
-from ._common import access_window, beat_major_windows, dirty_rows
+from ._common import beat_major_windows, dirty_rows
 from .base import BatchRead, EccScheme, LineRead
 
 
@@ -51,7 +51,7 @@ class RankSecDed(EccScheme):
     def storage_overhead(self) -> float:
         return 0.0  # redundancy lives in the extra chip, not in-die spare
 
-    def read_footprint(self, col: int) -> Footprint:
+    def decode_footprint(self, col: int) -> Footprint:
         return (window_span(self.rank.device, col),)
 
     def _line_flat(self, data: np.ndarray) -> np.ndarray:
@@ -89,9 +89,9 @@ class RankSecDed(EccScheme):
         bl = device.burst_length
         ecc = np.zeros((len(reads), device.pins, bl), dtype=np.uint8)
         dirty = np.zeros(len(reads), dtype=bool)
-        for i, chip_idx, col, bits in dirty_rows(reads, chips + 1, self.read_footprint):
+        # the footprint is the access window
+        for i, chip_idx, _, window in dirty_rows(reads, chips + 1, self):
             dirty[i] = True
-            window = access_window(bits, col, bl)
             if chip_idx < chips:
                 out.data[i, chip_idx] = window
             else:

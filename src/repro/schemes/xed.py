@@ -69,7 +69,7 @@ class Xed(EccScheme):
     def storage_overhead(self) -> float:
         return self.layout.parity_bits / self.layout.k
 
-    def read_footprint(self, col: int) -> Footprint:
+    def decode_footprint(self, col: int) -> Footprint:
         # the parity chip stores its word in the same layout
         return self.layout.access_footprint(col)
 
@@ -103,10 +103,10 @@ class Xed(EccScheme):
         lanes = np.zeros((count, chips + 1, self.layout.k), dtype=np.uint8)
         flagged = np.zeros((count, chips + 1), dtype=bool)
         corrections = np.zeros(count, dtype=np.int64)
-        dirty = list(dirty_rows(reads, chips + 1, self.read_footprint))
+        dirty = list(dirty_rows(reads, chips + 1, self))
         if dirty:
             decoded = self.code.decode_batch(
-                np.stack([self.layout.gather(bits, col) for _, _, col, bits in dirty])
+                self.layout.window_words(np.stack([window for *_, window in dirty]))
             )
             read, chip = np.array([(i, chip_idx) for i, chip_idx, *_ in dirty]).T
             lanes[read, chip] = decoded.data

@@ -1,5 +1,7 @@
 """Tests for the sweep drivers."""
 
+import math
+
 import numpy as np
 
 from repro.analysis import apply_grid, reliability_sweep
@@ -64,6 +66,14 @@ class TestMaxTolerableBer:
         assert max_tolerable_ber(model, 1e-18) is None
         assert max_tolerable_ber(model, 0.0) is None
         assert format_tolerable_ber(None) == "< 1e-10"
+
+    def test_above_the_ceiling_is_inf(self):
+        # a budget of 1 is met at every BER: the answer lies above the
+        # search range, not at its ceiling
+        model = build_model(Xed(), samples=100, seed=0)
+        assert max_tolerable_ber(model, 1.0) == math.inf
+        assert format_tolerable_ber(math.inf) == "> 1e-02"
+        assert format_tolerable_ber(1e-2) == "1.00e-02"
 
     def test_answer_meets_the_target(self):
         model = build_model(PairScheme(), samples=100, seed=0)

@@ -273,3 +273,50 @@ class TestFlatCellIndex:
         assert np.array_equal(layout.gather_many(row, [cw]), symbols[None])
         if view == "strided":
             assert not parent[:, 1::2].any()
+
+
+class TestFootprintWindows:
+    """A read's footprint window holds its codewords' cells side by side, and
+    each layout reads codewords straight from windows: equal to the gather
+    from the whole row."""
+
+    def test_columns_and_offsets(self):
+        from repro.dram.mapping import footprint_columns, window_offset
+
+        footprint = ((3, 5), (9, 12))
+        assert footprint_columns(footprint).tolist() == [3, 4, 9, 10, 11]
+        assert [window_offset(footprint, bit) for bit in (3, 4, 9, 11)] == [0, 1, 2, 4]
+        with pytest.raises(ValueError):
+            window_offset(footprint, 6)
+
+    @pytest.mark.parametrize(
+        "layout_cls, device",
+        [(PinAlignedLayout, DDR5_X4), (PinAlignedLayout, DDR5_X8), (PinAlignedLayout, DDR5_X16),
+         (BeatAlignedLayout, DDR5_X4), (BeatAlignedLayout, DDR5_X8)],
+        ids=lambda value: getattr(value, "name", getattr(value, "__name__", "")),
+    )
+    def test_window_symbols_equal_gather_many(self, layout_cls, device):
+        from repro.dram.mapping import footprint_columns
+
+        layout = layout_cls(device)
+        rng = np.random.default_rng(5)
+        cols = (0, 1, 119, 120, device.columns_per_row - 1)
+        rows = [rng.integers(0, 2, fresh_row(device).shape, dtype=np.uint8) for _ in cols]
+        windows = np.stack([
+            row[:, footprint_columns(layout.access_footprint(col))] for row, col in zip(rows, cols)
+        ])
+        symbols = layout.window_symbols(windows)
+        for row, col, got in zip(rows, cols, symbols):
+            assert np.array_equal(got, layout.gather_many(row, layout.codewords_of_access(col)))
+        assert np.array_equal(layout.window_bits(symbols), windows)
+
+    @pytest.mark.parametrize("device", [DDR5_X8, DDR5_X16], ids=lambda d: d.name)
+    def test_sec_window_words_equal_gather(self, device):
+        from repro.dram.mapping import footprint_columns
+
+        layout = SecWordLayout(device)
+        rng = np.random.default_rng(6)
+        for col in (0, 1, 77, device.columns_per_row - 1):
+            row = rng.integers(0, 2, fresh_row(device).shape, dtype=np.uint8)
+            window = row[:, footprint_columns(layout.access_footprint(col))]
+            assert np.array_equal(layout.window_words(window[None])[0], layout.gather(row, col))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dram import DDR5_X8, DeviceConfig
-from repro.dram.mapping import merge_spans
+from repro.dram.mapping import footprint_columns, merge_spans
 from repro.faults import (
     FaultInstance,
     FaultOverlay,
@@ -314,6 +314,31 @@ def assert_window_exact(overlay, bank, row, shape, footprint):
         assert got is None
 
 
+def assert_put_back_exact(config, rates, seed, faults, bank, row, footprint):
+    """The chunk pass's footprint-sized mask, put back into a zero row, is
+    ``mask_for_row`` over the footprint; the window itself is the oracle's
+    row at the footprint's columns."""
+    shape = (config.pins, config.data_bits_per_pin_per_row + config.spare_bits_per_pin_per_row)
+    zero = np.zeros(1, dtype=np.intp)
+    overlays = dirty_overlays(
+        config, rates, [seed], [faults], (zero, zero + bank, zero + row, zero), [footprint]
+    )
+    lazy = FaultOverlay(config, rates, seed=seed, faults=faults)
+    want = lazy.mask_for_row(bank, row, shape, footprint)
+    if not overlays:
+        assert want is None
+        return None
+    window = overlays[0]._cache[(bank, row)][footprint]
+    cols = footprint_columns(footprint)
+    assert window.dtype == np.uint8 and window.shape == (shape[0], len(cols))
+    put_back = np.zeros(shape, dtype=np.uint8)
+    put_back[:, cols] = window
+    assert np.array_equal(put_back, want)
+    oracle = restricted(full_row_oracle(lazy, bank, row, shape), footprint, shape)
+    assert np.array_equal(window, oracle[:, cols])
+    return window
+
+
 KINDS = (FaultType.ROW, FaultType.COLUMN, FaultType.PIN_LINE, FaultType.MAT)
 
 
@@ -363,6 +388,65 @@ class TestFootprintWindow:
         overlay = FaultOverlay(DDR5_X8, rates, seed=seed, faults=faults)
         assert_window_exact(overlay, bank, row, shape, footprint)
         assert_window_exact(overlay, bank, row, shape, ((0, total_bits),))
+
+    @given(
+        pins=st.integers(1, 5),
+        total_bits=st.integers(1, 70),
+        ber=st.sampled_from([0.0, 0.01, 0.2]),
+        cluster=st.sampled_from([0.0, 0.01, 0.2]),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        bank=st.integers(0, 1),
+        row=st.integers(0, 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_footprint_sized_mask_put_back_is_the_row_mask(
+        self, pins, total_bits, ber, cluster, data, seed, bank, row
+    ):
+        config = DeviceConfig(name="tiny", pins=pins, burst_length=1, banks=2, rows_per_bank=4,
+                              data_bits_per_pin_per_row=total_bits, spare_bits_per_pin_per_row=0)
+        footprint = data.draw(footprints(total_bits))
+        faults = data.draw(st.lists(structured_faults(pins, total_bits), max_size=4))
+        rates = clean_rates(single_cell_ber=ber, cell_cluster_per_bit=cluster)
+        assert_put_back_exact(config, rates, seed, faults, bank, row, footprint)
+
+    def test_put_back_over_pair_footprints(self):
+        from repro.schemes import PairScheme
+
+        scheme = PairScheme()
+        rates = clean_rates(single_cell_ber=1e-3, cell_cluster_per_bit=1e-3)
+        for col in (0, 119, 120, 479):
+            footprint = scheme.read_footprint(col)
+            assert len(footprint) == 2  # a data span and a parity span
+            for row in range(4):
+                assert_put_back_exact(DDR5_X8, rates, 21 + col, [], 2, row, footprint)
+
+    def test_put_back_with_an_anchor_at_a_span_left_edge(self):
+        # an anchor one bit left of PAIR's parity span flips the span's
+        # first cell: window column 1920
+        footprint, edge = ((0, 1920), (7680, 7808)), 7679
+        rates = clean_rates(cell_cluster_per_bit=0.05)
+        seed = next(
+            s for s in range(100)
+            if (np.random.default_rng([s, 0, 0, 0xCE11]).random(SHAPE) < 0.05)[:, edge].any()
+        )
+        anchors = np.random.default_rng([seed, 0, 0, 0xCE11]).random(SHAPE) < 0.05
+        window = assert_put_back_exact(DDR5_X8, rates, seed, [], 0, 0, footprint)
+        pin = int(np.flatnonzero(anchors[:, edge])[0])
+        assert window[pin, 1920] == 1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_put_back_with_faults_straddling_span_edges(self, kind):
+        footprint = ((0, 1920), (7680, 7808))
+        faults = [
+            FaultInstance(kind, 0, 0, 2, -1 if kind is FaultType.ROW else 3, start,
+                          1 if kind is FaultType.COLUMN else count, 0.5)
+            for start, count in ((1900, 5800), (1919, 2), (7679, 2), (7800, 400))
+        ]
+        rates = clean_rates(single_cell_ber=1e-3)
+        for row in range(2):
+            window = assert_put_back_exact(DDR5_X8, rates, 22, faults, 0, row, footprint)
+            assert window is not None
 
     def test_weak_cells_only(self):
         overlay = FaultOverlay(DDR5_X8, clean_rates(single_cell_ber=1e-3), seed=11, faults=[])
@@ -485,5 +569,7 @@ class TestFootprintWindow:
         overlay = FaultOverlay(DDR5_X8, clean_rates(single_cell_ber=1e-2), seed=17, faults=[])
         narrow = overlay.mask_for_row(0, 0, SHAPE, ((0, 16),))
         full = overlay.mask_for_row(0, 0, SHAPE)
-        assert overlay.mask_for_row(0, 0, SHAPE, ((0, 16),)) is narrow
+        window = overlay.mask_window(0, 0, SHAPE, ((0, 16),))
+        assert overlay.mask_window(0, 0, SHAPE, ((0, 16),)) is window  # the cached mask
+        assert window.shape == (SHAPE[0], 16) and np.array_equal(window, narrow[:, :16])
         assert not narrow[:, 16:].any() and full[:, 16:].any()

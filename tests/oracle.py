@@ -75,10 +75,32 @@ from repro.schemes import (
     RankSecDed,
     Xed,
 )
-from repro.schemes._common import access_window, faulty_row_with_burst
+from repro.schemes._common import access_window
 from repro.schemes.base import EccScheme, LineReadResult
 
 # -- scalar line readers -------------------------------------------------------
+
+
+def faulty_row_with_burst(
+    device: DramDevice, bank: int, row: int, col: int,
+    burst: TransferBurst | None, footprint=None,
+) -> np.ndarray:
+    """A whole row as the ECC engine sees it for one access: the faults
+    inside ``footprint`` (the whole row when None), and a write-path
+    transfer burst's beats flipped inside the accessed column window."""
+    bits = device.row_with_faults(bank, row, footprint)
+    if burst is not None:
+        bl = device.config.burst_length
+        base = col * bl + burst.beat_start
+        end = min(base + burst.length, (col + 1) * bl)
+        bits[burst.pin, base:end] ^= 1
+    return bits
+
+
+def _duo_spare_symbol(scheme: Duo, row_bits: np.ndarray, col: int) -> int:
+    pins, offs = scheme._spare_symbol_slots(col)
+    bits = row_bits[pins, offs].astype(np.int64)
+    return int((bits << np.arange(8)).sum())
 
 
 def _pair(scheme: PairScheme, chips, bank, row, col, bursts) -> LineReadResult:
@@ -138,7 +160,7 @@ def _duo(scheme: Duo, chips, bank, row, col, bursts) -> LineReadResult:
             chips[chip_idx], bank, row, col, bursts.get(chip_idx), footprint
         )
         data_syms.append(scheme._chip_symbols(access_window(row_bits, col, bl)))
-        chip_spares.append(scheme._read_spare_symbol(row_bits, col))
+        chip_spares.append(_duo_spare_symbol(scheme, row_bits, col))
     ecc_idx = scheme.rank.data_chips
     ecc_bits = faulty_row_with_burst(
         chips[ecc_idx], bank, row, col, bursts.get(ecc_idx), footprint

@@ -444,6 +444,7 @@ class TestChunkUniverse:
         """Every mask of the chunk pass equals ``mask_for_row`` of a fresh
         overlay, with every short run jumped and with every run drawn in C;
         a chip left without an overlay has no non-empty mask."""
+        from repro.dram.mapping import footprint_columns
         from repro.faults import rng
         from repro.faults.sampler import dirty_overlays, sample_fault_lists
         from repro.schemes import default_schemes
@@ -483,9 +484,83 @@ class TestChunkUniverse:
             if k not in got:
                 assert want is None
                 continue
-            mask = got[k]._cache[(b, r)][footprints[f]]
+            mask = got[k]._cache[(b, r)][footprints[f]]  # at window size
             assert (mask is None) == (want is None)
             if want is not None:
-                assert np.array_equal(mask, want)
+                assert np.array_equal(mask, want[:, footprint_columns(footprints[f])])
                 nonempty += 1
         assert nonempty
+
+
+class TestDirtyPairs:
+    """The batched engines hand their readers the dirty (read, chip) pairs:
+    no reader asks a device whether it is clean, and PAIR decodes only its
+    non-zero codewords."""
+
+    KINDS = (FaultType.ROW, FaultType.COLUMN, FaultType.PIN_LINE, FaultType.MAT,
+             FaultType.TRANSFER_BURST)
+
+    def test_no_clean_checks(self, monkeypatch):
+        from repro.dram.device import DramDevice
+        from repro.schemes import default_schemes
+
+        calls = []
+        real = DramDevice.row_is_clean
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(DramDevice, "row_is_clean", counting)
+        config = ExactRunConfig(trials=40, seed=3)
+        for scheme in default_schemes():
+            for rates in (DEFAULT_RATES.with_ber(1e-5), DENSE_RATES):
+                tally = run_iid_batched(scheme, rates, config)
+                assert sum(counts(tally)) == config.trials
+            for kind in self.KINDS:
+                tally = run_single_fault_batched(scheme, kind, DEFAULT_RATES, config)
+                assert sum(counts(tally)) == config.trials
+        assert calls == []
+
+    @pytest.mark.parametrize("scheme", [PairScheme(), PairScheme(orientation="beat")],
+                             ids=lambda scheme: scheme.name)
+    def test_pair_decodes_only_nonzero_words(self, scheme, monkeypatch):
+        code = type(scheme.code)
+        words = []
+        real = code.decode_batch
+
+        def recording(self, batch, erasures=None):
+            words.append(np.asarray(batch).copy())
+            return real(self, batch, erasures)
+
+        monkeypatch.setattr(code, "decode_batch", recording)
+        config = ExactRunConfig(trials=60, seed=1009)
+        run_iid_batched(scheme, DEFAULT_RATES.with_ber(1e-5), config)
+        run_iid_batched(scheme, DENSE_RATES, config)
+        for kind in self.KINDS:
+            run_single_fault_batched(scheme, kind, DEFAULT_RATES, config)
+        seen = np.concatenate(words)
+        assert len(seen) > 100
+        assert seen.any(axis=1).all()
+
+    def test_pair_erasure_decodes_only_nonzero_words(self, monkeypatch):
+        # zero words skip the decoder even when they carry erasure hints
+        scheme = profiled_pair_erasure()
+        chips = universe(scheme, 99)
+        words = []
+        real = type(scheme.code).decode_batch
+
+        def recording(self, batch, erasures=None):
+            words.append((np.asarray(batch).copy(), erasures))
+            return real(self, batch, erasures)
+
+        monkeypatch.setattr(type(scheme.code), "decode_batch", recording)
+        reads = [(chips, 0, row, col, None) for row in range(8) for col in (0, 3, 130, 479)]
+
+        def as_tuple(result):
+            return (result.data.tobytes(), result.believed_good, result.corrections)
+
+        got = [as_tuple(result) for result in scheme.read_lines(reads)]
+        ((seen, erasures),) = words  # the oracle below decodes word by word
+        assert got == [as_tuple(oracle.read_line(scheme, *read)) for read in reads]
+        assert seen.any(axis=1).all() and any(erasures)

@@ -110,6 +110,17 @@ class TestHeadroom:
         assert set(rows["0e+00"]) == {"< 1e-10"}
         assert "1.00e-10" not in str(rows)
 
+    def test_above_the_search_ceiling(self, capsys):
+        # every scheme but PAIR meets a budget of 1 even at BER 1e-2: the
+        # table says so instead of printing the ceiling as the answer
+        main(["headroom", "--targets", "1", "--samples", "100"])
+        rows = {line.split("|")[0].strip(): [c.strip() for c in line.split("|")[1:]]
+                for line in capsys.readouterr().out.splitlines() if "|" in line}
+        top = dict(zip(rows["failure_target"], rows["1e+00"]))
+        assert top["iecc-sec"] == top["xed"] == top["duo"] == "> 1e-02"
+        assert float(top["pair"]) < 1e-2
+        assert "1.00e-02" not in str(rows)
+
     def test_no_ecc_excluded(self, capsys):
         main(["headroom", "--targets", "1e-12", "--samples", "80",
               "--schemes", "no-ecc", "iecc-sec"])
